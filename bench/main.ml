@@ -103,38 +103,32 @@ let bechamel_tests () =
                 ~layout:Common.standard_layout
                 Tdfa_engine.Engine.default_spec engine_suite)))
   in
-  (* E20 companion: re-analysis after a single-pass edit (cooling NOPs
-     in matmul's entry block), cold versus warm-started from the prior
-     run's recorded trajectory. The warm run sweeps only the dirty
-     region; the result is bit-identical either way. *)
-  let incr_prior, incr_config, incr_edited =
+  (* E20 companion: re-analysis of an unchanged function (matmul), cold
+     versus answered from the previous result through Incremental. The
+     result is bit-identical either way. *)
+  let incr_prior, incr_config, incr_func =
     let alloc =
       Alloc.allocate (Kernels.matmul ()) Common.standard_layout
         ~policy:Policy.First_fit
     in
-    let config func =
-      Setup.config_of_assignment ~layout:Common.standard_layout func
-        alloc.Alloc.assignment
+    let config =
+      Driver.transfer_config
+        (Driver.default ~layout:Common.standard_layout)
+        alloc.Alloc.func alloc.Alloc.assignment
     in
-    let edited =
-      fst
-        (Tdfa_optim.Nop_insert.apply alloc.Alloc.func
-           ~hot_after:(fun _ i -> i = 0)
-           ~nops:1)
-    in
-    let r = Incremental.analyze (config alloc.Alloc.func) alloc.Alloc.func in
-    (r.Incremental.prior, config edited, edited)
+    let r = Incremental.analyze config alloc.Alloc.func in
+    (r.Incremental.prior, config, alloc.Alloc.func)
   in
   let incr_cold =
-    Test.make ~name:"re-analysis matmul edit (cold)"
+    Test.make ~name:"re-analysis matmul unchanged (cold)"
       (Staged.stage (fun () ->
-           ignore (Analysis.fixpoint incr_config incr_edited)))
+           ignore (Analysis.fixpoint incr_config incr_func)))
   in
   let incr_warm =
-    Test.make ~name:"re-analysis matmul edit (warm)"
+    Test.make ~name:"re-analysis matmul unchanged (identity)"
       (Staged.stage (fun () ->
            ignore
-             (Incremental.analyze ~prior:incr_prior incr_config incr_edited)))
+             (Incremental.analyze ~prior:incr_prior incr_config incr_func)))
   in
   (* E21 companion: the flat-array core against the boxed reference, on
      the fixpoint (matmul, g=1) and on the RC steady-state solve. Both
@@ -144,7 +138,8 @@ let bechamel_tests () =
       Alloc.allocate (Kernels.matmul ()) Common.standard_layout
         ~policy:Policy.First_fit
     in
-    ( Setup.config_of_assignment ~granularity:1 ~layout:Common.standard_layout
+    ( Driver.transfer_config
+        (Driver.default ~layout:Common.standard_layout)
         alloc.Alloc.func alloc.Alloc.assignment,
       alloc.Alloc.func )
   in

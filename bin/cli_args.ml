@@ -151,9 +151,10 @@ let incremental_arg =
   Arg.(value & flag
        & info [ "incremental" ]
            ~doc:
-             "Warm-start each thermal re-analysis from the previous \
-              one's recorded trajectory instead of running the fixpoint \
-              cold. Results are bit-identical either way; only the \
+             "Run each thermal re-analysis through the incremental \
+              engine: the previous result is returned when nothing the \
+              analysis reads changed, and the fixpoint runs cold \
+              otherwise. Results are bit-identical either way; only the \
               re-analysis cost changes. Combine with $(b,--metrics) to \
               see the incremental.* counters.")
 

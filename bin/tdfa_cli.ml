@@ -416,7 +416,7 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
       let base = Common.run_policy ~name f Policy.First_fit in
       let info = Analysis.info (Common.analyze_run base) in
       let cfg =
-        Setup.config_of_assignment ~layout
+        Driver.transfer_config (Driver.default ~layout)
           base.Common.alloc.Alloc.func base.Common.alloc.Alloc.assignment
       in
       let critical =
@@ -443,9 +443,9 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
       in
       (* Thermal-consuming tail: allocate under the thermal policy, then
          schedule and cooling NOPs with a re-analysis between each pass.
-         With [--incremental] each re-analysis warm-starts from the
-         previous one's recorded trajectory; the results (and hence the
-         whole report) are bit-identical either way. *)
+         With [--incremental] each re-analysis reuses the previous
+         result when the function is unchanged; the results (and hence
+         the whole report) are bit-identical either way. *)
       let alloc =
         Alloc.allocate ~obs t.Tdfa_optim.Pipeline.func layout
           ~policy:Policy.Thermal_spread
@@ -454,8 +454,8 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
       let t = { t with Tdfa_optim.Pipeline.func = alloc.Alloc.func } in
       let reanalyze t =
         let config =
-          Setup.config_of_assignment ~layout t.Tdfa_optim.Pipeline.func
-            assignment
+          Driver.transfer_config (Driver.default ~layout)
+            t.Tdfa_optim.Pipeline.func assignment
         in
         if incremental then
           let t, r = Tdfa_optim.Pipeline.analyze ~obs t ~config in
@@ -1300,7 +1300,7 @@ let main_cmd =
          (task-to-core placement): place; batch schedules its finished \
          jobs with the same flags.";
       `P "$(b,--recover) (divergence-recovery ladder): analyze, batch, trace.";
-      `P "$(b,--incremental) (warm-started re-analysis): analyze, optimize, compile.";
+      `P "$(b,--incremental) (reuse of unchanged re-analyses): analyze, optimize, compile.";
       `P
         "$(b,--map), $(b,--cells), $(b,--window-ms) (sampled-trace \
          ingestion): trace; batch accepts $(b,--map) and \

@@ -58,7 +58,8 @@ let () =
     info.Analysis.iterations
     (List.length info.Analysis.unstable);
   let cfg =
-    Setup.config_of_assignment ~analysis_dt_s:1.0e-4 ~layout alloc.Alloc.func
-      alloc.Alloc.assignment
+    Driver.transfer_config
+      { (Driver.default ~layout) with Driver.analysis_dt_s = Some 1.0e-4 }
+      alloc.Alloc.func alloc.Alloc.assignment
   in
   Printf.printf "transfer step stable at this dt? %b\n" (Transfer.is_stable cfg)

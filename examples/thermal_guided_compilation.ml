@@ -44,7 +44,8 @@ let () =
   in
   let info = Analysis.info outcome in
   let cfg =
-    Setup.config_of_assignment ~layout naive.Alloc.func naive.Alloc.assignment
+    Driver.transfer_config (Driver.default ~layout) naive.Alloc.func
+      naive.Alloc.assignment
   in
   let critical =
     Criticality.critical_vars cfg info naive.Alloc.func naive.Alloc.assignment

@@ -25,17 +25,6 @@ let join_states kind a b =
   | Max -> Thermal_state.join_max a b
   | Average -> Thermal_state.join_average a b
 
-type recorder = {
-  on_block :
-    iteration:int ->
-    Label.t ->
-    incoming:Thermal_state.t ->
-    exit_state:Thermal_state.t ->
-    max_delta_k:float ->
-    unstable:int ->
-    unit;
-}
-
 exception Cancelled of { iterations : int }
 
 type core = Boxed | Flat
@@ -46,7 +35,7 @@ let core_name = function Boxed -> "boxed" | Flat -> "flat"
    through Transfer, one fresh state per instruction visit. Kept as the
    differential oracle for the flat kernel (test_core_flat.ml) — the
    production path is Flat_core below. *)
-let boxed_engine ~recorder ~settings (cfg : Transfer.config) (func : Func.t) =
+let boxed_engine ~settings (cfg : Transfer.config) (func : Func.t) =
   let order = Func.reverse_postorder func in
   let entry = Func.entry_label func in
   let states_after : (Label.t * int, Thermal_state.t) Hashtbl.t =
@@ -60,7 +49,7 @@ let boxed_engine ~recorder ~settings (cfg : Transfer.config) (func : Func.t) =
   in
   (* One pass of the do-while of Fig. 2; returns the largest change and
      the set of instructions that moved more than delta. *)
-  let pass iteration =
+  let pass () =
     let worst = ref 0.0 in
     let unstable = ref [] in
     List.iter
@@ -77,8 +66,6 @@ let boxed_engine ~recorder ~settings (cfg : Transfer.config) (func : Func.t) =
                 (exit_state first) rest
         in
         let state = ref incoming in
-        let block_worst = ref 0.0 in
-        let block_unstable = ref 0 in
         Array.iteri
           (fun index i ->
             (* "Estimate thermal state after I". *)
@@ -92,25 +79,17 @@ let boxed_engine ~recorder ~settings (cfg : Transfer.config) (func : Func.t) =
             (* A numerically exploded state (NaN from an unstable step)
                counts as maximal change, not as convergence. *)
             let change = if Float.is_nan change then infinity else change in
-            if change > settings.delta_k then begin
+            if change > settings.delta_k then
               unstable := (label, index) :: !unstable;
-              incr block_unstable
-            end;
             let contribution =
               if change < infinity then change else settings.delta_k +. 1.0
             in
-            block_worst := Float.max !block_worst contribution;
             worst := Float.max !worst contribution;
             Hashtbl.replace states_after (label, index) after;
             state := after)
           block.Block.body;
         let after_term = Transfer.terminator cfg label block.Block.term !state in
-        exit_states := Label.Map.add label after_term !exit_states;
-        match recorder with
-        | Some r ->
-          r.on_block ~iteration label ~incoming ~exit_state:after_term
-            ~max_delta_k:!block_worst ~unstable:!block_unstable
-        | None -> ())
+        exit_states := Label.Map.add label after_term !exit_states)
       order;
     (!worst, List.rev !unstable)
   in
@@ -118,30 +97,23 @@ let boxed_engine ~recorder ~settings (cfg : Transfer.config) (func : Func.t) =
 
 (* The flat engine: the same sweep on Flat_core's preallocated buffers,
    bit-identical by construction. *)
-let flat_engine ~recorder ~settings cfg func =
+let flat_engine ~settings cfg func =
   let join =
     match settings.join with
     | Max -> Flat_core.Join_max
     | Average -> Flat_core.Join_average
   in
   let t = Flat_core.prepare ~join ~delta_k:settings.delta_k cfg func in
-  let on_block =
-    Option.map
-      (fun r ~iteration label ~incoming ~exit_state ~max_delta_k ~unstable ->
-        r.on_block ~iteration label ~incoming ~exit_state ~max_delta_k
-          ~unstable)
-      recorder
-  in
-  let pass iteration = Flat_core.pass t ?on_block ~iteration () in
+  let pass () = Flat_core.pass t in
   (pass, fun () -> Flat_core.finalize t)
 
-let fixpoint ?(obs = Obs.null) ?recorder ?(cancel = fun () -> false)
+let fixpoint ?(obs = Obs.null) ?(cancel = fun () -> false)
     ?(settings = default_settings) ?(core = Flat) (cfg : Transfer.config)
     (func : Func.t) =
   let pass, finalize =
     match core with
-    | Boxed -> boxed_engine ~recorder ~settings cfg func
-    | Flat -> flat_engine ~recorder ~settings cfg func
+    | Boxed -> boxed_engine ~settings cfg func
+    | Flat -> flat_engine ~settings cfg func
   in
   let rec iterate n =
     (* Cooperative cancellation: consulted only between sweeps, so a
@@ -150,7 +122,7 @@ let fixpoint ?(obs = Obs.null) ?recorder ?(cancel = fun () -> false)
       Obs.incr obs "analysis.cancelled";
       raise (Cancelled { iterations = n - 1 })
     end;
-    let worst, unstable = pass n in
+    let worst, unstable = pass () in
     if Obs.tracing obs then
       Obs.Fixpoint.iteration obs ~iteration:n ~max_delta_k:worst
         ~delta_k:settings.delta_k ~unstable:(List.length unstable);

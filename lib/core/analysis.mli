@@ -34,28 +34,8 @@ type info = {
 
 type outcome = Converged of info | Diverged of info
 
-val join_states : join_kind -> Thermal_state.t -> Thermal_state.t -> Thermal_state.t
-(** The merge applied at control-flow joins — exposed so the incremental
-    replay engine reproduces the fixpoint's float operations exactly. *)
-
-(** Per-block trajectory hook: called once per block per sweep, in
-    reverse postorder, with the block's joined incoming state, its exit
-    state (after the terminator), the largest clamped per-instruction
-    change of the sweep, and how many instructions moved more than
-    delta. {!Incremental} records these to enable exact warm starts. *)
-type recorder = {
-  on_block :
-    iteration:int ->
-    Label.t ->
-    incoming:Thermal_state.t ->
-    exit_state:Thermal_state.t ->
-    max_delta_k:float ->
-    unstable:int ->
-    unit;
-}
-
 exception Cancelled of { iterations : int }
-(** Raised by {!fixpoint} (and the incremental replay built on it) when
+(** Raised by {!fixpoint} when
     the [cancel] token trips: the carried count is how many complete
     sweeps had run. Cancellation is {e cooperative} — the token is
     consulted only at iteration boundaries, so a sweep in flight always
@@ -80,7 +60,6 @@ val core_name : core -> string
 
 val fixpoint :
   ?obs:Obs.sink ->
-  ?recorder:recorder ->
   ?cancel:(unit -> bool) ->
   ?settings:settings ->
   ?core:core ->

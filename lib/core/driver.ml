@@ -44,10 +44,6 @@ type input =
   | Unallocated of Func.t
   | Assigned of Func.t * Assignment.t
   | Configured of Transfer.config * Func.t
-  | Custom of {
-      config_of : granularity:int -> Transfer.config;
-      func : Func.t;
-    }
   | Warm_start of {
       func : Func.t;
       assignment : Assignment.t;
@@ -95,9 +91,46 @@ let input_mode = function
   | Unallocated _ -> "unallocated"
   | Assigned _ -> "assigned"
   | Configured _ -> "configured"
-  | Custom _ -> "custom"
   | Warm_start _ -> "warm-start"
   | Trace _ -> "trace"
+
+let input_func = function
+  | Unallocated f
+  | Assigned (f, _)
+  | Configured (_, f)
+  | Warm_start { func = f; _ }
+  | Trace { func = f; _ } ->
+    f
+
+type prepared = {
+  pre_alloc : Alloc.result option;
+  func : Func.t;
+  config_of : granularity:int -> Transfer.config;
+}
+
+let config_of_input cfg input =
+  let assigned func assignment ~granularity =
+    transfer_config { cfg with granularity } func assignment
+  in
+  match input with
+  | Unallocated f ->
+    let alloc =
+      Obs.span cfg.obs "driver.allocate"
+        ~args:[ ("policy", Obs.Str (Policy.name cfg.policy)) ]
+        (fun () -> Alloc.allocate ~obs:cfg.obs f cfg.layout ~policy:cfg.policy)
+    in
+    let func = alloc.Alloc.func in
+    {
+      pre_alloc = Some alloc;
+      func;
+      config_of = assigned func alloc.Alloc.assignment;
+    }
+  | Assigned (func, assignment) | Warm_start { func; assignment; _ } ->
+    { pre_alloc = None; func; config_of = assigned func assignment }
+  | Configured (tc, func) ->
+    { pre_alloc = None; func; config_of = (fun ~granularity:_ -> tc) }
+  | Trace { func; accesses } ->
+    { pre_alloc = None; func; config_of = trace_config cfg accesses }
 
 let run cfg input =
   let obs = cfg.obs in
@@ -111,83 +144,41 @@ let run cfg input =
       ]
     (fun () ->
       Obs.incr obs "driver.runs";
+      let { pre_alloc = alloc; func; config_of } = config_of_input cfg input in
+      let ladder () =
+        Analysis.recovery_ladder ~obs ?cancel:cfg.cancel
+          ~settings:cfg.settings ~core:cfg.core ~config_of
+          ~granularity:cfg.granularity func
+      in
       match input with
-      | Warm_start { func; assignment; prior } ->
-        (* Incremental path: bit-identical to a cold Assigned run, served
-           from the prior recording where the IR diff allows. Only the
-           primary rung warm-starts; if it diverges under [recover], the
-           ladder below reruns from a cold state as before. *)
-        let config_of ~granularity =
-          transfer_config { cfg with granularity } func assignment
-        in
+      | Warm_start { prior; _ } ->
+        (* Reuse path: bit-identical to a cold Assigned run, answered
+           from the prior when nothing it depends on changed. Only the
+           primary rung reuses; if it diverged under [recover], the
+           ladder reruns from a cold state as before. *)
         let inc =
           Incremental.analyze ~obs ?cancel:cfg.cancel ~settings:cfg.settings
             ~core:cfg.core ?prior
             (config_of ~granularity:cfg.granularity)
             func
         in
-        if cfg.recover && not (Analysis.converged inc.Incremental.outcome)
-        then begin
-          let r =
-            Analysis.recovery_ladder ~obs ?cancel:cfg.cancel
-              ~settings:cfg.settings ~core:cfg.core ~config_of
-              ~granularity:cfg.granularity func
-          in
-          {
-            alloc = None;
-            outcome = r.Analysis.outcome;
-            recovery = Some r;
-            incremental = Some inc;
-          }
-        end
-        else
-          {
-            alloc = None;
-            outcome = inc.Incremental.outcome;
-            recovery = None;
-            incremental = Some inc;
-          }
-      | _ ->
-      let alloc, func, config_of =
-        match input with
-        | Unallocated f ->
-          let alloc =
-            Obs.span obs "driver.allocate"
-              ~args:[ ("policy", Obs.Str (Policy.name cfg.policy)) ]
-              (fun () ->
-                Alloc.allocate ~obs f cfg.layout ~policy:cfg.policy)
-          in
-          let func = alloc.Alloc.func in
-          let assignment = alloc.Alloc.assignment in
-          ( Some alloc,
-            func,
-            fun ~granularity ->
-              transfer_config { cfg with granularity } func assignment )
-        | Assigned (func, assignment) ->
-          ( None,
-            func,
-            fun ~granularity ->
-              transfer_config { cfg with granularity } func assignment )
-        | Configured (tc, func) -> (None, func, fun ~granularity:_ -> tc)
-        | Custom { config_of; func } -> (None, func, config_of)
-        | Trace { func; accesses } ->
-          (None, func, trace_config cfg accesses)
-        | Warm_start _ -> assert false
-      in
-      if cfg.recover then begin
-        let r =
-          Analysis.recovery_ladder ~obs ?cancel:cfg.cancel
-            ~settings:cfg.settings ~core:cfg.core ~config_of
-            ~granularity:cfg.granularity func
+        let outcome, recovery =
+          if cfg.recover && not (Analysis.converged inc.Incremental.outcome)
+          then
+            let r = ladder () in
+            (r.Analysis.outcome, Some r)
+          else (inc.Incremental.outcome, None)
         in
+        { alloc; outcome; recovery; incremental = Some inc }
+      | _ when cfg.recover ->
+        let r = ladder () in
         {
           alloc;
           outcome = r.Analysis.outcome;
           recovery = Some r;
           incremental = None;
         }
-      end
-      else
+      | _ ->
         let outcome =
           Analysis.fixpoint ~obs ?cancel:cfg.cancel ~settings:cfg.settings
             ~core:cfg.core

@@ -62,7 +62,7 @@ val default : layout:Layout.t -> config
     [Params.default], default dt, no recovery, unchecked,
     {!Obs.null}. *)
 
-(** What to analyse — the closed set of input shapes. The first four
+(** What to analyse — the closed set of input shapes. The first three
     descend from the legacy entry points; {!Warm_start} came with the
     incremental engine, and {!Trace} admits measured access streams
     that never were IR at all (see [Tdfa_trace]). *)
@@ -77,23 +77,17 @@ type input =
       (** a prebuilt transfer configuration (ex [Analysis.run]); under
           [recover], coarser ladder rungs reuse this configuration
           unchanged since its granularity cannot be rebuilt *)
-  | Custom of {
-      config_of : granularity:int -> Transfer.config;
-      func : Func.t;
-    }
-      (** full control of configuration rebuilding across recovery
-          rungs (ex [Analysis.run_with_recovery]) *)
   | Warm_start of {
       func : Func.t;
       assignment : Assignment.t;
       prior : Incremental.prior option;
     }
       (** like {!Assigned}, but analysed through
-          {!Incremental.analyze}: with [prior = Some p] the fixpoint
-          warm-starts from that recording (bit-identical result,
-          re-iterating only what the IR diff dirtied); with [None] it
-          runs cold while recording. Either way [result.incremental]
-          carries the recording to chain into the next run. *)
+          {!Incremental.analyze}: with [prior = Some p] the cached
+          result is returned when nothing the analysis reads changed,
+          and the fixpoint runs cold otherwise (bit-identical either
+          way). [result.incremental] carries the new prior to chain
+          into the next run. *)
   | Trace of {
       func : Func.t;
           (** carrier function whose instructions stand for trace
@@ -119,10 +113,10 @@ type result = {
       (** of the reported rung ([recovery.used] when recovering) *)
   recovery : Analysis.recovery option;
       (** [Some] iff [config.recover] — for {!Warm_start} inputs, only
-          when the warm/cold primary run diverged and the ladder ran *)
+          when the primary run diverged and the ladder ran *)
   incremental : Incremental.result option;
       (** [Some] iff the input was {!Warm_start}: the next-run prior
-          plus warm/cold mode statistics *)
+          and the reuse mode *)
 }
 
 val transfer_config : config -> Func.t -> Assignment.t -> Transfer.config
@@ -130,6 +124,27 @@ val transfer_config : config -> Func.t -> Assignment.t -> Transfer.config
     transfer function: loop-frequency-weighted duty cycling, exact
     accessed registers (§4: the analysis "makes the most sense if
     applied after register assignment"). *)
+
+val input_func : input -> Func.t
+(** The function an input names, before any allocation. *)
+
+(** An input made ready to analyse: registers allocated when the input
+    asked for it, and the transfer configuration at any granularity. *)
+type prepared = {
+  pre_alloc : Alloc.result option;
+      (** [Some] iff the input was {!Unallocated} *)
+  func : Func.t;  (** the function to analyse, after allocation *)
+  config_of : granularity:int -> Transfer.config;
+      (** rebuilt per recovery rung; constant for {!Configured} *)
+}
+
+val config_of_input : config -> input -> prepared
+(** The one place a transfer configuration is built from an {!input}:
+    {!transfer_config} for assigned inputs (allocating first, in a
+    [driver.allocate] span, for {!Unallocated}), the prebuilt one for
+    {!Configured}, and frequency-1 stream events with silent
+    terminators for {!Trace}. [run] and the predict mode both go
+    through it. *)
 
 val run : config -> input -> result
 (** The one entry point. Emits, through [config.obs]: a [driver.run]

@@ -67,15 +67,6 @@ type t = {
   fbuf : float array;
 }
 
-type on_block =
-  iteration:int ->
-  Label.t ->
-  incoming:Thermal_state.t ->
-  exit_state:Thermal_state.t ->
-  max_delta_k:float ->
-  unstable:int ->
-  unit
-
 let compile_slot (cfg : Transfer.config) ~duty events =
   let p = cfg.Transfer.params in
   let clock = p.Tdfa_thermal.Params.clock_hz in
@@ -287,20 +278,13 @@ let materialize t ~src ~pos =
    counterpart of the boxed [pass] closure in Analysis.fixpoint. Returns
    the largest clamped change and the instructions still over delta, in
    encounter order. *)
-let pass t ?on_block ~iteration () =
+let pass t =
   let n = t.n_points in
   let worst = ref 0.0 in
   let unstable = ref [] in
   Array.iter
     (fun (b : blockc) ->
       load_incoming t b;
-      let incoming =
-        match on_block with
-        | Some _ -> Some (materialize t ~src:t.cur ~pos:0)
-        | None -> None
-      in
-      let block_worst = ref 0.0 in
-      let block_unstable = ref 0 in
       for index = 0 to Array.length b.b_slots - 1 do
         let s = b.b_slot_base + index in
         apply t b.b_slots.(index);
@@ -311,27 +295,16 @@ let pass t ?on_block ~iteration () =
           end
           else infinity
         in
-        if change > t.delta_k then begin
-          unstable := (b.b_label, index) :: !unstable;
-          incr block_unstable
-        end;
+        if change > t.delta_k then unstable := (b.b_label, index) :: !unstable;
         let contribution =
           if change < infinity then change else t.delta_k +. 1.0
         in
-        if contribution > !block_worst then block_worst := contribution;
         if contribution > !worst then worst := contribution;
         Array.blit t.cur 0 t.states (s * n) n;
         t.seen.(s) <- true
       done;
       apply t b.b_term;
-      Array.blit t.cur 0 t.exits (b.b_id * n) n;
-      match on_block with
-      | Some f ->
-        f ~iteration b.b_label
-          ~incoming:(Option.get incoming)
-          ~exit_state:(materialize t ~src:t.exits ~pos:(b.b_id * n))
-          ~max_delta_k:!block_worst ~unstable:!block_unstable
-      | None -> ())
+      Array.blit t.cur 0 t.exits (b.b_id * n) n)
     t.blocks;
   (!worst, List.rev !unstable)
 

@@ -22,25 +22,12 @@ type join = Join_max | Join_average
 
 type t
 
-(** Same shape as {!Analysis.recorder}'s [on_block], duplicated here to
-    keep this module below [Analysis] in the dependency order. *)
-type on_block =
-  iteration:int ->
-  Label.t ->
-  incoming:Thermal_state.t ->
-  exit_state:Thermal_state.t ->
-  max_delta_k:float ->
-  unstable:int ->
-  unit
-
 val prepare : join:join -> delta_k:float -> Transfer.config -> Func.t -> t
 (** Compile the function against the configuration and preallocate the
     working set. The access-event callbacks of the configuration are
     consulted exactly once per program point. *)
 
-val pass :
-  t -> ?on_block:on_block -> iteration:int -> unit ->
-  float * (Label.t * int) list
+val pass : t -> float * (Label.t * int) list
 (** One sweep in reverse postorder: returns the largest clamped
     per-instruction change and the instructions still over delta, in
     encounter order — the exact contract of the boxed pass. *)

@@ -1,485 +1,121 @@
 open Tdfa_ir
 open Tdfa_obs
 
-(* Per-block recording of one converged run: the joined incoming state,
-   the exit state, the clamped worst per-instruction change and the
-   count of instructions over delta, for every sweep. Index [k - 1]
-   holds iteration [k]. *)
-type block_traj = {
-  t_incoming : Thermal_state.t array;
-  t_exit : Thermal_state.t array;
-  t_delta : float array;
-  t_unstable : int array;
-}
-
 type prior = {
-  p_entry : Label.t;
-  p_settings : Analysis.settings;
-  p_config_sig : string;
-  p_block_sigs : string Label.Map.t;
-  p_iterations : int;
-  p_traj : block_traj Label.Map.t;
+  p_key : string;
   p_outcome : Analysis.outcome;
-  p_digest : string;
-      (* integrity digest over the recorded trajectory, computed when
-         the recording was made; [analyze] revalidates before reuse so
-         a corrupted recording degrades to a cold run, never to replayed
-         garbage *)
+  p_digest : int64;
+      (* integrity digest over [p_outcome]'s states, computed when the
+         prior was made; [analyze] revalidates before reuse so a
+         corrupted result degrades to a cold run, never to garbage *)
 }
 
-(* Raw float bits (not %h text) keep the digest cheap relative to the
-   replay it protects: one buffer append per recorded point. *)
-let traj_digest ~entry ~iterations traj =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf (Label.to_string entry);
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf (string_of_int iterations);
-  let add_state s =
-    for p = 0 to Thermal_state.num_points s - 1 do
-      Buffer.add_int64_le buf (Int64.bits_of_float (Thermal_state.get s p))
-    done
-  in
-  Label.Map.iter
-    (fun l t ->
-      Buffer.add_char buf '\x00';
-      Buffer.add_string buf (Label.to_string l);
-      Array.iter add_state t.t_incoming;
-      Array.iter add_state t.t_exit;
-      Array.iter
-        (fun d -> Buffer.add_int64_le buf (Int64.bits_of_float d))
-        t.t_delta;
-      Array.iter (fun u -> Buffer.add_int64_le buf (Int64.of_int u)) t.t_unstable)
-    traj;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let prior_intact p =
-  String.equal p.p_digest
-    (traj_digest ~entry:p.p_entry ~iterations:p.p_iterations p.p_traj)
-
-type fallback_reason =
-  | Structural
-  | Config_mismatch
-  | Settings_mismatch
-  | Prior_diverged
-  | Non_convergence
-  | Corrupt_recording
-
-let fallback_reason_name = function
-  | Structural -> "structural"
-  | Config_mismatch -> "config-mismatch"
-  | Settings_mismatch -> "settings-mismatch"
-  | Prior_diverged -> "prior-diverged"
-  | Non_convergence -> "non-convergence"
-  | Corrupt_recording -> "corrupt-recording"
-
-type mode = Cold | Identity | Warm | Fallback of fallback_reason
+type mode = Cold | Identity | Corrupt_recording
 
 let mode_name = function
   | Cold -> "cold"
   | Identity -> "identity"
-  | Warm -> "warm"
-  | Fallback r -> "fallback:" ^ fallback_reason_name r
+  | Corrupt_recording -> "fallback:corrupt-recording"
 
-type stats = {
-  mode : mode;
-  dirty_blocks : int;
-  total_blocks : int;
-  swept_sweeps : int;
-  skipped_sweeps : int;
-}
+type result = { outcome : Analysis.outcome; prior : prior; mode : mode }
 
-type result = { outcome : Analysis.outcome; prior : prior; stats : stats }
+(* Raw float bits folded by Thermal_state.checksum keep the digest
+   cheap relative to the fixpoint it stands in for: a few nanoseconds
+   per thermal point, so an identity lookup can afford to revalidate
+   every state. The hashtable is folded in its own iteration order,
+   which is stable for the table the digest was first taken over. *)
+let outcome_digest outcome =
+  let info = Analysis.info outcome in
+  let h = ref (if Analysis.converged outcome then 1L else 2L) in
+  let mix x = h := Int64.mul (Int64.logxor !h x) 0x100000001b3L in
+  let mix_point (label, index) =
+    mix (Int64.of_int (Label.hash label));
+    mix (Int64.of_int index)
+  in
+  mix (Int64.of_int info.Analysis.iterations);
+  mix (Int64.bits_of_float info.Analysis.final_delta_k);
+  Hashtbl.iter
+    (fun point s ->
+      mix_point point;
+      h := Thermal_state.checksum !h s)
+    info.Analysis.states_after;
+  Label.Map.iter
+    (fun l s ->
+      mix_point (l, -1);
+      h := Thermal_state.checksum !h s)
+    info.Analysis.exit_states;
+  List.iter mix_point info.Analysis.unstable;
+  !h
 
-let prior_outcome p = p.p_outcome
-let prior_iterations p = p.p_iterations
+let prior_intact p = Int64.equal p.p_digest (outcome_digest p.p_outcome)
 
 (* Deterministic single-state corruption, for the fault-injection
-   batteries: one recorded exit state gains +1 K at one point. When the
-   trajectory carries no state at all, the digest itself is clobbered so
-   the poison is still detectable. *)
+   batteries: one per-instruction state gains +1 K at one point. When
+   the outcome carries no state at all, the digest itself is clobbered
+   so the poison is still detectable. *)
 let poison_prior ~seed p =
-  let clobbered = { p with p_digest = "poisoned:" ^ p.p_digest } in
-  match Label.Map.bindings p.p_traj with
-  | [] -> clobbered
-  | bindings -> (
-    let label, traj = List.nth bindings (abs seed mod List.length bindings) in
-    match Array.length traj.t_exit with
-    | 0 -> clobbered
-    | k ->
-      let i = abs (seed / 7) mod k in
-      let s = Thermal_state.copy traj.t_exit.(i) in
-      let target = abs (seed / 13) mod Thermal_state.num_points s in
-      Thermal_state.map_points s (fun pt t ->
-          if pt = target then t +. 1.0 else t);
-      let t_exit = Array.copy traj.t_exit in
-      t_exit.(i) <- s;
-      { p with p_traj = Label.Map.add label { traj with t_exit } p.p_traj })
+  let info = Analysis.info p.p_outcome in
+  match Analysis.sorted_states info with
+  | [] -> { p with p_digest = Int64.succ p.p_digest }
+  | states ->
+    let point, s = List.nth states (abs seed mod List.length states) in
+    let s = Thermal_state.copy s in
+    let target = abs (seed / 13) mod Thermal_state.num_points s in
+    Thermal_state.map_points s (fun pt t ->
+        if pt = target then t +. 1.0 else t);
+    let states_after = Hashtbl.copy info.Analysis.states_after in
+    Hashtbl.replace states_after point s;
+    let info = { info with Analysis.states_after } in
+    let p_outcome =
+      match p.p_outcome with
+      | Analysis.Converged _ -> Analysis.Converged info
+      | Analysis.Diverged _ -> Analysis.Diverged info
+    in
+    { p with p_outcome }
 
 (* ------------------------------------------------------------------ *)
 (* Signatures                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The digest covers everything the analysis reads from a block: its
-   instructions and terminator (via the printer), the successor edges
-   (they determine RPO, predecessors and joins), the block's execution
-   frequency (the heating duty cycle) and the exact access events of
-   every instruction and of the terminator under the given assignment.
-   Floats go through %h so distinct values never collide in text. *)
-let block_signature (cfg : Transfer.config) func (block : Block.t) =
+(* The signature covers everything the analysis reads from a block: its
+   instructions and terminator (which fix the successor edges, hence
+   RPO, predecessors and joins), the block's execution frequency (the
+   heating duty cycle) and the exact access events of every instruction
+   and of the terminator under the given assignment. Marshal without
+   sharing is a canonical encoding of that plain data, floats as raw
+   bits, so equal inputs always encode equal — and comparing the bytes
+   directly is cheaper than digesting them first. *)
+let block_signature (cfg : Transfer.config) (block : Block.t) =
   let label = block.Block.label in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Format.asprintf "%a" Block.pp block);
-  List.iter
-    (fun s ->
-      Buffer.add_char buf '\x00';
-      Buffer.add_string buf (Label.to_string s))
-    (Func.successors func label);
-  Buffer.add_string buf
-    (Printf.sprintf "|f:%h" (cfg.Transfer.block_frequency label));
-  let add_event prefix (e : Access.event) =
-    Buffer.add_string buf
-      (Printf.sprintf "|%s:%d%c%h" prefix e.Access.cell
-         (match e.Access.kind with Access.Read -> 'r' | Access.Write -> 'w')
-         e.Access.weight)
-  in
-  Array.iteri
-    (fun index i ->
-      List.iter
-        (add_event (string_of_int index))
-        (cfg.Transfer.accesses_of_instr label index i))
-    block.Block.body;
-  List.iter (add_event "t")
-    (cfg.Transfer.accesses_of_term label block.Block.term);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Marshal.to_string
+    ( block,
+      cfg.Transfer.block_frequency label,
+      Array.mapi (cfg.Transfer.accesses_of_instr label) block.Block.body,
+      cfg.Transfer.accesses_of_term label block.Block.term )
+    [ Marshal.No_sharing ]
 
 let func_signature cfg func =
   List.fold_left
-    (fun acc l ->
-      Label.Map.add l (block_signature cfg func (Func.find_block func l)) acc)
-    Label.Map.empty (Func.labels func)
+    (fun acc (b : Block.t) ->
+      Label.Map.add b.Block.label (block_signature cfg b) acc)
+    Label.Map.empty func.Func.blocks
 
-(* Global inputs not captured per block. A change here invalidates every
-   recorded state, so it gates the whole warm start. *)
-let config_sig (cfg : Transfer.config) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( cfg.Transfer.params,
-            cfg.Transfer.layout,
-            cfg.Transfer.granularity,
-            cfg.Transfer.analysis_dt_s,
-            cfg.Transfer.max_frequency )
-          []))
-
-let dirty_region func ~changed =
-  let rec go visited = function
-    | [] -> visited
-    | l :: rest ->
-      let fresh =
-        List.filter
-          (fun s -> not (Label.Set.mem s visited))
-          (Func.successors func l)
-      in
-      go
-        (List.fold_left (fun v s -> Label.Set.add s v) visited fresh)
-        (fresh @ rest)
-  in
-  go changed (Label.Set.elements changed)
-
-type diff = Identical | Blocks of Label.Set.t | Structural_change
-
-let structurally_changed prior func =
-  let labels = Func.labels func in
-  (not (Label.equal prior.p_entry (Func.entry_label func)))
-  || List.length labels <> Label.Map.cardinal prior.p_block_sigs
-  || List.exists (fun l -> not (Label.Map.mem l prior.p_block_sigs)) labels
-
-let diff_against ~block_sigs prior func =
-  if structurally_changed prior func then Structural_change
-  else
-    let changed =
-      Label.Map.fold
-        (fun l s acc ->
-          if String.equal s (Label.Map.find l prior.p_block_sigs) then acc
-          else Label.Set.add l acc)
-        block_sigs Label.Set.empty
-    in
-    if Label.Set.is_empty changed then Identical else Blocks changed
-
-let diff prior cfg func =
-  diff_against ~block_sigs:(func_signature cfg func) prior func
-
-(* ------------------------------------------------------------------ *)
-(* Cold path: the classic fixpoint, with the trajectory recorded        *)
-(* ------------------------------------------------------------------ *)
-
-let record ?obs ?cancel ~settings ?core cfg func =
-  let raw = ref Label.Map.empty in
-  let recorder =
-    {
-      Analysis.on_block =
-        (fun ~iteration:_ label ~incoming ~exit_state ~max_delta_k ~unstable ->
-          let prev =
-            Option.value (Label.Map.find_opt label !raw) ~default:[]
-          in
-          raw :=
-            Label.Map.add label
-              ((incoming, exit_state, max_delta_k, unstable) :: prev)
-              !raw);
-    }
-  in
-  let outcome =
-    Analysis.fixpoint ?obs ~recorder ?cancel ~settings ?core cfg func
-  in
-  let info = Analysis.info outcome in
-  let traj =
-    Label.Map.map
-      (fun entries ->
-        let arr = Array.of_list (List.rev entries) in
-        {
-          t_incoming = Array.map (fun (s, _, _, _) -> s) arr;
-          t_exit = Array.map (fun (_, s, _, _) -> s) arr;
-          t_delta = Array.map (fun (_, _, d, _) -> d) arr;
-          t_unstable = Array.map (fun (_, _, _, u) -> u) arr;
-        })
-      !raw
-  in
-  let entry = Func.entry_label func in
-  let iterations = info.Analysis.iterations in
-  ( outcome,
-    {
-      p_entry = entry;
-      p_settings = settings;
-      p_config_sig = config_sig cfg;
-      p_block_sigs = func_signature cfg func;
-      p_iterations = iterations;
-      p_traj = traj;
-      p_outcome = outcome;
-      p_digest = traj_digest ~entry ~iterations traj;
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* Warm path: exact trajectory replay                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Replay bookkeeping for one block. [c_ok] says the per-instruction
-   states table conceptually holds the recorded states for this block
-   (the block has been on the recorded trajectory so far), so recorded
-   deltas remain valid; [c_table_iter] is the sweep whose states the
-   table physically holds (skipping leaves it stale). The [r_*] lists
-   accumulate this run's own recording, newest first. *)
-type cell = {
-  c_label : Label.t;
-  c_block : Block.t;
-  c_traj : block_traj option;
-  mutable c_ok : bool;
-  mutable c_table_iter : int;
-  mutable c_last_incoming : Thermal_state.t option;
-  mutable r_incoming : Thermal_state.t list;
-  mutable r_exit : Thermal_state.t list;
-  mutable r_delta : float list;
-  mutable r_unstable : int list;
-}
-
-(* Replays the classic fixpoint on [func], bit for bit. A block's sweep
-   is skipped whenever (a) its IR signature is unchanged, (b) its table
-   states are still the recorded ones, and (c) its joined incoming state
-   equals the recorded incoming of this sweep bitwise — then the
-   recorded exit/delta/unstable are exactly what the sweep would have
-   produced, because the transfer function is deterministic and a
-   block's states are a pure function of its incoming state. Everything
-   else runs the same float operations as Analysis.fixpoint. *)
-let replay ?(cancel = fun () -> false) ~settings ~(prior : prior) ~changed
-    (cfg : Transfer.config) func =
-  let order = Func.reverse_postorder func in
-  let entry = Func.entry_label func in
-  let states_after : (Label.t * int, Thermal_state.t) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let exit_states = ref Label.Map.empty in
-  let exit_state l =
-    match Label.Map.find_opt l !exit_states with
-    | Some s -> s
-    | None -> Transfer.fresh_state cfg
-  in
-  let swept = ref 0 in
-  let skipped = ref 0 in
-  let cells =
-    List.map
-      (fun label ->
-        let traj =
-          if Label.Set.mem label changed then None
-          else Label.Map.find_opt label prior.p_traj
-        in
-        {
-          c_label = label;
-          c_block = Func.find_block func label;
-          c_traj = traj;
-          c_ok = traj <> None;
-          c_table_iter = 0;
-          c_last_incoming = None;
-          r_incoming = [];
-          r_exit = [];
-          r_delta = [];
-          r_unstable = [];
-        })
-      order
-  in
-  (* One live block sweep — the body of Analysis.fixpoint's pass,
-     verbatim, so live blocks take the exact cold-run float path. *)
-  let sweep_live cell incoming =
-    let label = cell.c_label in
-    let state = ref incoming in
-    let block_worst = ref 0.0 in
-    let block_unstable = ref 0 in
-    Array.iteri
-      (fun index i ->
-        let after = Transfer.instr cfg label index i !state in
-        let change =
-          match Hashtbl.find_opt states_after (label, index) with
-          | Some prev -> Thermal_state.max_delta prev after
-          | None -> infinity
-        in
-        let change = if Float.is_nan change then infinity else change in
-        if change > settings.Analysis.delta_k then incr block_unstable;
-        let contribution =
-          if change < infinity then change else settings.Analysis.delta_k +. 1.0
-        in
-        block_worst := Float.max !block_worst contribution;
-        Hashtbl.replace states_after (label, index) after;
-        state := after)
-      cell.c_block.Block.body;
-    let after_term =
-      Transfer.terminator cfg label cell.c_block.Block.term !state
-    in
-    incr swept;
-    (after_term, !block_worst, !block_unstable)
-  in
-  (* Rebuild the table states of a block that has been served from the
-     recording, by one sweep from the given (recorded) incoming state —
-     no delta bookkeeping, the deltas of those sweeps were recorded. *)
-  let reconstruct cell from_incoming =
-    let label = cell.c_label in
-    let state = ref from_incoming in
-    Array.iteri
-      (fun index i ->
-        let after = Transfer.instr cfg label index i !state in
-        Hashtbl.replace states_after (label, index) after;
-        state := after)
-      cell.c_block.Block.body;
-    incr swept
-  in
-  let record_step cell incoming ex d u =
-    cell.r_incoming <- incoming :: cell.r_incoming;
-    cell.r_exit <- ex :: cell.r_exit;
-    cell.r_delta <- d :: cell.r_delta;
-    cell.r_unstable <- u :: cell.r_unstable
-  in
-  let rec iterate k =
-    (* Same cooperative cancellation contract as Analysis.fixpoint: a
-       deadline that trips mid-replay abandons the warm run between
-       sweeps, never inside one. *)
-    if cancel () then raise (Analysis.Cancelled { iterations = k - 1 });
-    let worst = ref 0.0 in
-    let unstable_total = ref 0 in
-    List.iter
-      (fun cell ->
-        let label = cell.c_label in
-        let incoming =
-          if Label.equal label entry then Transfer.fresh_state cfg
-          else
-            match Func.predecessors func label with
-            | [] -> Transfer.fresh_state cfg
-            | first :: rest ->
-              List.fold_left
-                (fun acc p ->
-                  Analysis.join_states settings.Analysis.join acc
-                    (exit_state p))
-                (exit_state first) rest
-        in
-        cell.c_last_incoming <- Some incoming;
-        let skip =
-          match cell.c_traj with
-          | Some traj
-            when cell.c_ok && k <= prior.p_iterations
-                 && Thermal_state.equal_bits incoming traj.t_incoming.(k - 1)
-            -> Some traj
-          | _ -> None
-        in
-        match skip with
-        | Some traj ->
-          let ex = traj.t_exit.(k - 1) in
-          let d = traj.t_delta.(k - 1) in
-          let u = traj.t_unstable.(k - 1) in
-          exit_states := Label.Map.add label ex !exit_states;
-          worst := Float.max !worst d;
-          unstable_total := !unstable_total + u;
-          incr skipped;
-          record_step cell incoming ex d u
-        | None ->
-          (* Going live. If the table is stale from skipped sweeps,
-             settle it to the previous sweep's states first so this
-             sweep's deltas compare against the right baseline. *)
-          (if k > 1 && cell.c_table_iter <> k - 1 then
-             match cell.c_traj with
-             | Some traj -> reconstruct cell traj.t_incoming.(k - 2)
-             | None -> ());
-          let ex, d, u = sweep_live cell incoming in
-          exit_states := Label.Map.add label ex !exit_states;
-          worst := Float.max !worst d;
-          unstable_total := !unstable_total + u;
-          cell.c_table_iter <- k;
-          (* Rejoin check: a live sweep whose incoming matched the
-             recording lands exactly back on the recorded trajectory. *)
-          cell.c_ok <-
-            (match cell.c_traj with
-            | Some traj when k <= prior.p_iterations ->
-              Thermal_state.equal_bits incoming traj.t_incoming.(k - 1)
-            | _ -> false);
-          record_step cell incoming ex d u)
-      cells;
-    if !unstable_total = 0 then Some (k, !worst)
-    else if k >= settings.Analysis.max_iterations then None
-    else iterate (k + 1)
-  in
-  match iterate 1 with
-  | None -> Error `Non_convergence
-  | Some (iterations, final_delta_k) ->
-    (* Blocks still served from the recording at the last sweep have
-       stale tables: one sweep from their final incoming fills in their
-       per-instruction states. *)
-    List.iter
-      (fun cell ->
-        if cell.c_table_iter <> iterations then
-          match cell.c_last_incoming with
-          | Some incoming -> reconstruct cell incoming
-          | None -> ())
-      cells;
-    let info =
-      {
-        Analysis.iterations;
-        final_delta_k;
-        states_after;
-        exit_states = !exit_states;
-        unstable = [];
-      }
-    in
-    let outcome = Analysis.Converged info in
-    let traj =
-      List.fold_left
-        (fun acc cell ->
-          let arr l = Array.of_list (List.rev l) in
-          Label.Map.add cell.c_label
-            {
-              t_incoming = arr cell.r_incoming;
-              t_exit = arr cell.r_exit;
-              t_delta = arr cell.r_delta;
-              t_unstable = arr cell.r_unstable;
-            }
-            acc)
-        Label.Map.empty cells
-    in
-    Ok (outcome, traj, !swept, !skipped)
+(* The reuse key: the solver settings, the global configuration inputs
+   no block signature sees, the entry label and every (label, block
+   signature) pair in label order — so a permuted block list keeps its
+   key, and any edit, added or removed block, or changed setting moves
+   it. *)
+let key ~settings (cfg : Transfer.config) func =
+  Marshal.to_string
+    ( settings,
+      ( cfg.Transfer.params,
+        cfg.Transfer.layout,
+        cfg.Transfer.granularity,
+        cfg.Transfer.analysis_dt_s,
+        cfg.Transfer.max_frequency ),
+      Func.entry_label func,
+      Label.Map.bindings (func_signature cfg func) )
+    [ Marshal.No_sharing ]
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -490,115 +126,24 @@ let analyze ?(obs = Obs.null) ?cancel ?(settings = Analysis.default_settings)
   Obs.span obs "incremental.analyze"
     ~args:[ ("func", Obs.Str func.Func.name) ]
     (fun () ->
-      let total_blocks = List.length (Func.labels func) in
-      let sweeps_of outcome =
-        (Analysis.info outcome).Analysis.iterations
-        * List.length (Func.reverse_postorder func)
+      let p_key = key ~settings cfg func in
+      let run mode counter =
+        Obs.incr obs counter;
+        let outcome =
+          Analysis.fixpoint ~obs ?cancel ~settings ?core cfg func
+        in
+        let p_digest = outcome_digest outcome in
+        { outcome; prior = { p_key; p_outcome = outcome; p_digest }; mode }
       in
-      let cold mode =
-        let outcome, p = record ~obs ?cancel ~settings ?core cfg func in
-        {
-          outcome;
-          prior = p;
-          stats =
-            {
-              mode;
-              dirty_blocks = total_blocks;
-              total_blocks;
-              swept_sweeps = sweeps_of outcome;
-              skipped_sweeps = 0;
-            };
-        }
+      let result =
+        match prior with
+        | Some p when not (prior_intact p) ->
+          run Corrupt_recording "incremental.fallbacks"
+        | Some p when String.equal p.p_key p_key ->
+          Obs.incr obs "incremental.warm_hits";
+          { outcome = p.p_outcome; prior = p; mode = Identity }
+        | _ -> run Cold "incremental.cold_runs"
       in
-      let fall reason =
-        Obs.incr obs "incremental.fallbacks";
-        Obs.incr obs ~by:total_blocks "incremental.dirty_blocks";
-        cold (Fallback reason)
-      in
-      let finish result =
-        Obs.instant obs "incremental.mode"
-          ~args:
-            [
-              ("mode", Obs.Str (mode_name result.stats.mode));
-              ("dirty", Obs.Int result.stats.dirty_blocks);
-              ("swept", Obs.Int result.stats.swept_sweeps);
-              ("skipped", Obs.Int result.stats.skipped_sweeps);
-            ];
-        result
-      in
-      finish
-        (match prior with
-        | None -> cold Cold
-        | Some p ->
-          if not (prior_intact p) then begin
-            (* Recording invalidation: a trajectory that fails its
-               integrity digest is discarded wholesale — replaying it
-               would faithfully reproduce the corruption. *)
-            Obs.incr obs "incremental.corrupt_recordings";
-            fall Corrupt_recording
-          end
-          else if p.p_settings <> settings then fall Settings_mismatch
-          else if not (Analysis.converged p.p_outcome) then
-            fall Prior_diverged
-          else if structurally_changed p func then
-            (* Before the config comparison: a structural edit also moves
-               function-derived config inputs (max frequency), and the
-               more specific reason should win. *)
-            fall Structural
-          else if not (String.equal (config_sig cfg) p.p_config_sig) then
-            fall Config_mismatch
-          else
-            let block_sigs = func_signature cfg func in
-            (match diff_against ~block_sigs p func with
-            | Structural_change -> fall Structural
-            | Identical ->
-              Obs.incr obs "incremental.warm_hits";
-              {
-                outcome = p.p_outcome;
-                prior = p;
-                stats =
-                  {
-                    mode = Identity;
-                    dirty_blocks = 0;
-                    total_blocks;
-                    swept_sweeps = 0;
-                    skipped_sweeps = 0;
-                  };
-              }
-            | Blocks changed -> (
-              let region = dirty_region func ~changed in
-              match replay ?cancel ~settings ~prior:p ~changed cfg func with
-              | Error `Non_convergence -> fall Non_convergence
-              | Ok (outcome, traj, swept, skipped) ->
-                Obs.incr obs "incremental.warm_hits";
-                Obs.incr obs
-                  ~by:(Label.Set.cardinal region)
-                  "incremental.dirty_blocks";
-                let entry = Func.entry_label func in
-                let iterations =
-                  (Analysis.info outcome).Analysis.iterations
-                in
-                let new_prior =
-                  {
-                    p_entry = entry;
-                    p_settings = settings;
-                    p_config_sig = p.p_config_sig;
-                    p_block_sigs = block_sigs;
-                    p_iterations = iterations;
-                    p_traj = traj;
-                    p_outcome = outcome;
-                    p_digest = traj_digest ~entry ~iterations traj;
-                  }
-                in
-                {
-                  outcome;
-                  prior = new_prior;
-                  stats =
-                    {
-                      mode = Warm;
-                      dirty_blocks = Label.Set.cardinal region;
-                      total_blocks;
-                      swept_sweeps = swept;
-                      skipped_sweeps = skipped;
-                    };
-                }))))
+      Obs.instant obs "incremental.mode"
+        ~args:[ ("mode", Obs.Str (mode_name result.mode)) ];
+      result)

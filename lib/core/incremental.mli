@@ -1,116 +1,67 @@
-(** Incremental warm-start re-analysis for the optimize→analyze loop.
+(** Result reuse for unchanged functions in the optimize→analyze loop.
 
     Every thermal-consuming pass in the pipeline wants fresh analysis
-    data, and today each request re-runs the full Fig. 2 fixpoint from a
-    cold state. This module makes re-analysis proportional to the edit:
-    given the {!prior} recorded during a previous converged analysis and
-    an edited function, it diffs the IR at block granularity (a digest
-    per block over instructions, terminator, successors, access events
-    and execution frequency), and re-solves by {e exact trajectory
-    replay}: the recorded run kept every block's per-iteration incoming
-    and exit states, so any unchanged block whose input still matches
-    the recording bitwise is served from the recording without sweeping
-    its instructions, while edited blocks (and anything their influence
-    reaches) are re-swept live.
+    data, and many of those requests are for a function the previous
+    pass left untouched (a pass that found nothing to do, a serve
+    [reanalyze] of the resident program). This module answers them from
+    the last result: a {!prior} is an [Analysis.outcome] plus a key over
+    everything the fixpoint reads and an integrity digest over the
+    outcome's states.
 
-    The replay reproduces, bit for bit, the states that a cold
-    [Analysis.fixpoint] on the edited function would compute — including
-    the iteration count and final delta. Exactness is by construction
-    (deterministic replay of the same float operations), {e not} by any
-    fixed-point-uniqueness assumption: the thermal lattice is
-    non-monotone and its delta-stopped iterates are schedule-dependent,
-    so independently converging warm and cold runs would differ in final
-    bits. The differential test battery asserts fingerprint equality
-    with zero tolerance on exactly this guarantee.
-
-    On structural change (block add/remove, entry change), configuration
-    or settings change, a diverged prior, or non-convergence of the
-    replay, the engine falls back to a full cold run — the recovery
-    ladder and delta semantics above this layer are reused unchanged. *)
+    [analyze ~prior] returns the cached outcome ([identity] mode) when
+    the prior is intact and the key matches, and otherwise runs
+    [Analysis.fixpoint] — so the returned states are bit-identical to a
+    cold fixpoint by construction. The key covers the solver settings,
+    the global configuration inputs (params, layout, granularity, dt,
+    max frequency), the entry label and every block's signature
+    ({!func_signature}). *)
 
 open Tdfa_ir
 open Tdfa_obs
 
 type prior
-(** A converged analysis plus the recorded per-block trajectory needed
-    to warm-start the next one. Produced by every {!analyze} call, so
-    re-analyses chain. *)
-
-type fallback_reason =
-  | Structural  (** block added/removed or entry label changed *)
-  | Config_mismatch  (** params/layout/granularity/dt changed *)
-  | Settings_mismatch  (** delta, iteration cap or join changed *)
-  | Prior_diverged  (** the prior never converged; nothing to reuse *)
-  | Non_convergence  (** the warm replay hit the iteration cap *)
-  | Corrupt_recording
-      (** the prior's trajectory no longer matches its integrity
-          digest (bit rot, fault injection, a torn hand-off): the
-          recording is discarded and the run goes cold *)
-
-val fallback_reason_name : fallback_reason -> string
+(** A cached analysis result, its key and its integrity digest.
+    Produced by every {!analyze} call, so re-analyses chain. *)
 
 type mode =
-  | Cold  (** no prior supplied *)
-  | Identity  (** no block changed: the prior's result is returned *)
-  | Warm  (** replayed: recorded trajectory reused for clean blocks *)
-  | Fallback of fallback_reason  (** full cold run forced *)
+  | Cold  (** no usable prior: the key differs or none was supplied *)
+  | Identity  (** nothing the analysis reads changed: cached result *)
+  | Corrupt_recording
+      (** the prior's states no longer match its integrity digest (bit
+          rot, fault injection, a torn hand-off): the cached result is
+          discarded and the fixpoint runs cold *)
 
 val mode_name : mode -> string
-
-type stats = {
-  mode : mode;
-  dirty_blocks : int;
-      (** blocks the edit can influence: the dirty region (changed blocks
-          plus CFG downstream) for warm runs, every block for cold runs
-          and fallbacks, none for identity *)
-  total_blocks : int;
-  swept_sweeps : int;  (** block-sweeps executed live during replay *)
-  skipped_sweeps : int;  (** block-sweeps served from the recording *)
-}
+(** ["cold"], ["identity"] or ["fallback:corrupt-recording"]. *)
 
 type result = {
   outcome : Analysis.outcome;
-  prior : prior;  (** recording of this analysis, for the next edit *)
-  stats : stats;
+  prior : prior;  (** this analysis, cached for the next request *)
+  mode : mode;
 }
 
-val block_signature : Transfer.config -> Func.t -> Block.t -> string
-(** Digest of everything the block contributes to the analysis: its
-    instructions and terminator, successor labels in order, execution
-    frequency, and the exact access events of every instruction under
-    [config]. Independent of the block's position in the function, so
-    permuting the block list leaves signatures unchanged; any
-    instruction, successor or access edit flips it. *)
-
 val func_signature : Transfer.config -> Func.t -> string Label.Map.t
-(** {!block_signature} of every block, keyed by label. *)
-
-val dirty_region : Func.t -> changed:Label.Set.t -> Label.Set.t
-(** [changed] plus its CFG-downstream closure (successor reachability) —
-    the blocks whose analysis trajectory an edit can influence. *)
-
-type diff =
-  | Identical
-  | Blocks of Label.Set.t  (** labels whose signature changed *)
-  | Structural_change
-
-val diff : prior -> Transfer.config -> Func.t -> diff
-(** Block-level comparison of an edited function against the prior. *)
-
-val prior_outcome : prior -> Analysis.outcome
-val prior_iterations : prior -> int
+(** Per block, keyed by label: a canonical encoding of everything the
+    block contributes to the analysis — its instructions and terminator
+    (hence its successors), execution frequency, and the exact access
+    events of every instruction under [config]. Independent of the
+    block's position in the function, so permuting the block list
+    leaves signatures unchanged; any instruction, successor or access
+    edit flips that block's signature. The reuse key covers all of
+    them. *)
 
 val prior_intact : prior -> bool
-(** Recompute the trajectory digest stored when the prior was recorded
-    and compare: [false] means the recording was corrupted after the
-    fact. {!analyze} performs exactly this check before any reuse. *)
+(** Recompute the digest over the cached outcome's states and compare
+    with the one stored when the prior was made: [false] means the
+    result was corrupted after the fact. {!analyze} performs exactly
+    this check before any reuse. *)
 
 val poison_prior : seed:int -> prior -> prior
-(** Deterministically corrupt one recorded thermal state (fault
-    injection for the robustness batteries — see
+(** Deterministically corrupt one cached thermal state (fault injection
+    for the robustness batteries — see
     [Tdfa_verify.Fault.corrupt_recording]). The result fails
-    {!prior_intact}, so {!analyze} must fall back to a cold run rather
-    than replay garbage. *)
+    {!prior_intact}, so {!analyze} must run cold rather than return
+    garbage. *)
 
 val analyze :
   ?obs:Obs.sink ->
@@ -121,11 +72,11 @@ val analyze :
   Transfer.config ->
   Func.t ->
   result
-(** Analyse [func], warm-starting from [prior] when possible. The
-    returned states are bitwise-identical to
+(** Analyse [func], reusing [prior]'s result when nothing it depends on
+    changed. The returned states are bitwise-identical to
     [Analysis.fixpoint ?settings config func] in every mode.
 
-    Emits through [obs]: an [incremental.analyze] span (mode, dirty
-    block count), and the counters [incremental.warm_hits] (Identity or
-    Warm re-analyses), [incremental.fallbacks], and
-    [incremental.dirty_blocks] (cumulative). *)
+    Emits through [obs]: an [incremental.analyze] span, an
+    [incremental.mode] event, and one of the counters
+    [incremental.cold_runs], [incremental.warm_hits] (identity reuse)
+    or [incremental.fallbacks] (corrupt prior). *)

@@ -43,8 +43,3 @@ let predict ?(regions_rows = 2) ?(regions_cols = 2) (func : Func.t) layout =
       assignment := Assignment.add !assignment v cell)
     vars;
   !assignment
-
-let config_pre_ra ?params ?granularity ?analysis_dt_s ~layout func =
-  let assignment = predict func layout in
-  Setup.config_of_assignment ?params ?granularity ?analysis_dt_s ~layout func
-    assignment

@@ -22,12 +22,3 @@ val predict :
 (** Virtual placement of every variable of [func] (defaults: 2 x 2
     regions). Variables beyond the RF capacity share cells round-robin,
     mimicking the reuse a real allocator would create. *)
-
-val config_pre_ra :
-  ?params:Tdfa_thermal.Params.t ->
-  ?granularity:int ->
-  ?analysis_dt_s:float ->
-  layout:Layout.t ->
-  Func.t ->
-  Transfer.config
-(** Transfer configuration using the predictive placement. *)

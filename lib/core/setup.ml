@@ -7,15 +7,3 @@ let estimated_program_cycles (func : Func.t) loops =
       let freq = Loops.frequency loops b.Block.label in
       acc +. (freq *. float_of_int (Block.num_instrs b + 1)))
     0.0 func.Func.blocks
-
-let config_of_assignment ?params ?granularity ?analysis_dt_s ~layout func
-    assignment =
-  let d = Driver.default ~layout in
-  Driver.transfer_config
-    {
-      d with
-      Driver.params = Option.value params ~default:d.Driver.params;
-      granularity = Option.value granularity ~default:d.Driver.granularity;
-      analysis_dt_s;
-    }
-    func assignment

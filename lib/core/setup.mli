@@ -1,30 +1,11 @@
-(** Convenience constructors wiring a function and a register assignment
-    (or predictive placement) into a {!Transfer.config}. The pre-facade
-    run entry points that used to live here ([run_post_ra],
-    [allocate_and_run] and their recovery variants) spent five releases
-    as deprecated wrappers over {!Driver.run} and are now deleted: build
-    a {!Driver.config} and call the facade — that is where the
-    observability wiring (tracing, metrics, fixpoint telemetry) lives. *)
+(** Program-size helpers shared by the analysis front ends. Transfer
+    configurations are built by {!Driver.transfer_config}; the run
+    entry points that used to live here are deleted in favour of
+    {!Driver.run}, which owns the observability wiring. *)
 
 open Tdfa_ir
 open Tdfa_dataflow
-open Tdfa_floorplan
-open Tdfa_thermal
-open Tdfa_regalloc
 
 val estimated_program_cycles : Func.t -> Loops.t -> float
 (** Sum of loop-frequency-weighted instruction counts (terminators
     included), at one cycle each. *)
-
-val config_of_assignment :
-  ?params:Params.t ->
-  ?granularity:int ->
-  ?analysis_dt_s:float ->
-  layout:Layout.t ->
-  Func.t ->
-  Assignment.t ->
-  Transfer.config
-(** Post-assignment analysis: the exact accessed registers are known
-    (§4: "makes the most sense if applied after register assignment").
-    Alias of {!Driver.transfer_config} with the classic optional-argument
-    spelling. *)

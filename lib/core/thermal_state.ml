@@ -70,18 +70,18 @@ let max_delta a b =
 
 let equal_within eps a b = max_delta a b <= eps
 
-let equal_bits a b =
-  num_points a = num_points b
-  && granularity a = granularity b
-  &&
-  let rec go i =
-    i < 0
-    || (Int64.equal
-          (Int64.bits_of_float a.temps.(i))
-          (Int64.bits_of_float b.temps.(i))
-       && go (i - 1))
-  in
-  go (Array.length a.temps - 1)
+(* FNV-1a over 64-bit words: every point's raw IEEE-754 bits are folded
+   in, so changing any single point always changes the result. *)
+let checksum seed t =
+  let h = ref seed in
+  let temps = t.temps in
+  for i = 0 to Array.length temps - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.bits_of_float (Array.unsafe_get temps i)))
+        0x100000001b3L
+  done;
+  !h
 
 let join_max a b =
   assert (num_points a = num_points b);

@@ -38,10 +38,11 @@ val max_delta : t -> t -> float
 
 val equal_within : float -> t -> t -> bool
 
-val equal_bits : t -> t -> bool
-(** Bitwise equality of the point fields (IEEE-754 bit patterns, so NaN
-    payloads compare too) — the notion of "unchanged" the incremental
-    replay engine relies on. *)
+val checksum : int64 -> t -> int64
+(** [checksum seed t] folds the raw IEEE-754 bits of every point into
+    [seed] (FNV-1a over 64-bit words): changing any one point changes
+    the result. Cheap enough to revalidate a cached analysis result on
+    every lookup. *)
 
 val join_max : t -> t -> t
 (** Pointwise maximum — the conservative merge for reliability analysis. *)

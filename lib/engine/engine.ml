@@ -172,12 +172,13 @@ let driver_config ~obs ~layout spec =
   }
 
 module Warm = struct
-  (* Func-granularity warm reuse: the recording (Incremental.prior) of a
-     computed job, keyed by its content address, so a later job naming
-     that function as its [parent] warm-starts the fixpoint instead of
-     running cold. In-memory only — priors hold full per-iteration
-     thermal trajectories, too bulky and too version-bound to persist
-     next to the report cache. *)
+  (* Func-granularity warm reuse: the cached result (Incremental.prior)
+     of a computed job, keyed by its content address, so a later job
+     naming that function as its [parent] reuses the outcome when the
+     allocated IR turns out unchanged instead of running the fixpoint.
+     In-memory only — priors hold every per-instruction thermal state,
+     too bulky and too version-bound to persist next to the report
+     cache. *)
   type t = {
     mutex : Mutex.t;
     tbl : (string, Incremental.prior) Hashtbl.t;
@@ -223,10 +224,10 @@ let analyze_keyed ?warm ~obs ~layout ~key spec job =
         (Tdfa.Driver.Unallocated job.func)
     | None, Some store ->
       (* Warm path: allocate here, then analyse through the incremental
-         engine. A prior recorded under the parent's content key seeds
-         the fixpoint; Incremental revalidates it block by block against
-         the allocated IR, so a stale or mismatched parent degrades to a
-         recorded cold run, never to a wrong result. *)
+         engine. A prior cached under the parent's content key is reused
+         when its key (settings, configuration, every block signature)
+         matches the allocated IR; a stale or mismatched parent degrades
+         to a cold run, never to a wrong result. *)
       let prior =
         Option.bind job.parent (fun pf ->
             Warm.find store (digest_key ~layout spec pf))
@@ -261,12 +262,7 @@ let analyze_keyed ?warm ~obs ~layout ~key spec job =
   let outcome = r.Tdfa.Driver.outcome in
   let source =
     match r.Tdfa.Driver.incremental with
-    | Some
-        {
-          Incremental.stats =
-            { Incremental.mode = Incremental.Identity | Incremental.Warm; _ };
-          _;
-        } ->
+    | Some { Incremental.mode = Incremental.Identity; _ } ->
       Obs.incr obs "engine.warm.hits";
       Obs.instant obs "engine.warm.hit"
         ~args:[ ("job", Obs.Str job.job_name); ("key", Obs.Str key) ];

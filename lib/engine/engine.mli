@@ -61,8 +61,9 @@ type job = {
   func : Func.t;
   parent : Func.t option;
       (** the function this one was edited from, if any: when the batch
-          runs with a {!Warm} store holding the parent's recording, the
-          job's fixpoint warm-starts from it instead of running cold *)
+          runs with a {!Warm} store holding the parent's result, the job
+          reuses it when its allocated IR is unchanged instead of
+          running the fixpoint *)
   stream : stream option;
       (** [Some _] makes this a trace job: the engine feeds the driver
           a [Trace] input — no register allocation, no warm path — and
@@ -87,8 +88,8 @@ type source =
   | Computed
   | Cache_hit
   | Warm_hit
-      (** computed, but warm-started from the parent's recording (the
-          report is still bit-identical to a cold computation) *)
+      (** answered from the parent's cached result (the report is
+          still bit-identical to a cold computation) *)
 
 type report = {
   name : string;
@@ -118,7 +119,7 @@ type batch = {
   results : (string * (report, string) result) list;
       (** per job, in submission order; [Error] carries the failure *)
   hits : int;
-  warm_hits : int;  (** computed with a parent warm start *)
+  warm_hits : int;  (** answered from a parent's cached result *)
   misses : int;  (** jobs computed cold *)
   failed : int;
   stopped : bool;
@@ -195,9 +196,9 @@ module Warm : sig
   (** Mutex-protected in-memory map from content key to the
       {!Tdfa_core.Incremental.prior} recorded when that function was
       analysed — the warm-reuse complement of {!Cache}: where the cache
-      only hits on byte-identical IR, the warm store lets an {e edited}
-      function reuse its parent's converged trajectory (falling back to
-      a cold run whenever the block-level diff says otherwise). *)
+      only hits on byte-identical IR, the warm store lets a child job
+      reuse its parent's result when the edit left the allocated IR
+      unchanged (any change to what the analysis reads runs cold). *)
 
   val create : unit -> t
   val find : t -> string -> Tdfa_core.Incremental.prior option

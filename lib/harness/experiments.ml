@@ -371,7 +371,8 @@ let measure_with_assignment func assignment =
 (* Criticality ranking of a baseline run. *)
 let critical_of (base : Common.run) info =
   let cfg =
-    Setup.config_of_assignment ~layout:Common.standard_layout
+    Driver.transfer_config
+      (Driver.default ~layout:Common.standard_layout)
       base.Common.alloc.Alloc.func base.Common.alloc.Alloc.assignment
   in
   Criticality.critical_vars cfg info base.Common.alloc.Alloc.func
@@ -534,7 +535,12 @@ let e7 ?(quiet = false) () =
         let post = Common.predicted_cells post_info in
         (* Pre-allocation prediction: original function, predicted
            placement. *)
-        let cfg = Placement.config_pre_ra ~layout:Common.standard_layout func in
+        let cfg =
+          Driver.transfer_config
+            (Driver.default ~layout:Common.standard_layout)
+            func
+            (Placement.predict func Common.standard_layout)
+        in
         let pre_info = Analysis.info (Analysis.fixpoint cfg func) in
         let pre = Common.predicted_cells pre_info in
         let post_rep =
@@ -1407,8 +1413,7 @@ let e19 ?(quiet = false) ?(n = 120) ?(hot_k = Tdfa_lint.Rules.hot_threshold)
 type e20_event = {
   subject : string;
   edit : string;
-  emode : string;  (** identity / warm / fallback:* as seen by Incremental *)
-  dirty : int;
+  emode : string;  (** identity / cold as seen by Incremental *)
   blocks : int;
   t_cold_ms : float;
   t_warm_ms : float;
@@ -1429,8 +1434,8 @@ type e20_result = {
 (* The single-pass edits the optimize→analyze loop produces, applied to
    already-allocated code. Several are no-ops on clean kernels — that is
    the point: the re-analysis event stream of a real pipeline is a mix
-   of identity (diff short-circuits), genuine warm replays and
-   structural fallbacks, and E20 reports each class honestly. *)
+   of identity requests (the key matches, the cached result answers) and
+   edited functions that run cold, and E20 reports each class honestly. *)
 let e20_edits =
   let open Tdfa_ir in
   [
@@ -1478,29 +1483,29 @@ let e20_time_ms ~repeats f =
   done;
   (Option.get !result, !best)
 
-(* One thermally-guided optimize→analyze chain: cold-record the function
+(* One thermally-guided optimize→analyze chain: analyse the function
    once, then walk the pass list the way the compile driver does — a
    pass only fires while the latest analysis still shows heat above
    [target_k]; either way the loop issues a re-analysis request to
-   confirm where it stands. Each request is measured cold vs
-   warm-started, results are asserted bitwise-identical (fingerprint
-   over every thermal point — any divergence is a hard failure, no
-   tolerance), and the warm prior chains into the next step. Skipped
-   passes are re-analyses of an unchanged function: exactly the
-   diff-short-circuit traffic a pass-quiescence driver generates. *)
+   confirm where it stands. Each request is measured cold vs through
+   Incremental with the previous prior, results are asserted
+   bitwise-identical (fingerprint over every thermal point — any
+   divergence is a hard failure, no tolerance), and the new prior
+   chains into the next step. Skipped passes are re-analyses of an
+   unchanged function: exactly the identity traffic a pass-quiescence
+   driver generates. *)
 let e20_chain ~repeats ~target_k ~subject func edits =
   let layout = Common.standard_layout in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let asg = alloc.Alloc.assignment in
-  let cfg f = Setup.config_of_assignment ~layout f asg in
-  let r0 = Incremental.analyze (cfg alloc.Alloc.func) alloc.Alloc.func in
-  let prior = ref r0.Incremental.prior and cur = ref alloc.Alloc.func in
+  let cfg f = Driver.transfer_config (Driver.default ~layout) f asg in
+  let last = ref (Incremental.analyze (cfg alloc.Alloc.func) alloc.Alloc.func)
+  and cur = ref alloc.Alloc.func in
   List.map
     (fun (edit, pass) ->
       let peak =
         Thermal_state.peak
-          (Analysis.peak_map
-             (Analysis.info (Incremental.prior_outcome !prior)))
+          (Analysis.peak_map (Analysis.info !last.Incremental.outcome))
       in
       let hot = peak >= target_k in
       let edit = if hot then edit else edit ^ "-skipped" in
@@ -1511,7 +1516,7 @@ let e20_chain ~repeats ~target_k ~subject func edits =
       in
       let warm, t_warm_ms =
         e20_time_ms ~repeats (fun () ->
-            Incremental.analyze ~prior:!prior c f')
+            Incremental.analyze ~prior:!last.Incremental.prior c f')
       in
       let fp = Tdfa_engine.Engine.fingerprint in
       if not (String.equal (fp warm.Incremental.outcome) (fp cold)) then
@@ -1519,15 +1524,13 @@ let e20_chain ~repeats ~target_k ~subject func edits =
           (Printf.sprintf
              "E20: incremental result diverged from cold on %s after %s"
              subject edit);
-      prior := warm.Incremental.prior;
+      last := warm;
       cur := f';
-      let s = warm.Incremental.stats in
       {
         subject;
         edit;
-        emode = Incremental.mode_name s.Incremental.mode;
-        dirty = s.Incremental.dirty_blocks;
-        blocks = s.Incremental.total_blocks;
+        emode = Incremental.mode_name warm.Incremental.mode;
+        blocks = List.length f'.Tdfa_ir.Func.blocks;
         t_cold_ms;
         t_warm_ms;
         e20_speedup = t_cold_ms /. Float.max t_warm_ms 1e-6;
@@ -1539,9 +1542,9 @@ let e20_write_json path r =
   let event e =
     Printf.sprintf
       "    {\"subject\": \"%s\", \"edit\": \"%s\", \"mode\": \"%s\", \
-       \"dirty_blocks\": %d, \"total_blocks\": %d, \"t_cold_ms\": %.6f, \
-       \"t_warm_ms\": %.6f, \"speedup\": %.3f}"
-      e.subject e.edit e.emode e.dirty e.blocks e.t_cold_ms e.t_warm_ms
+       \"total_blocks\": %d, \"t_cold_ms\": %.6f, \"t_warm_ms\": %.6f, \
+       \"speedup\": %.3f}"
+      e.subject e.edit e.emode e.blocks e.t_cold_ms e.t_warm_ms
       e.e20_speedup
   in
   let events l = String.concat ",\n" (List.map event l) in
@@ -1569,16 +1572,16 @@ let e20_write_json path r =
     (events r.corpus_events);
   close_out oc
 
-(* Warm-start speedup of the incremental fixpoint over cold re-analysis
+(* Speedup of re-analysis through Incremental over a cold fixpoint
    across single-pass edits: the example-kernel suite (the 8 kernels
    shipped as examples/ir) plus a generated corpus. Fingerprint equality
-   between warm and cold is asserted on every event. *)
+   between the two is asserted on every event. *)
 let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
     ?(json = Some "BENCH_incremental.json") () =
   if not quiet then
     section
-      "E20 - incremental warm-start fixpoint: speedup vs cold re-analysis \
-       across single-pass edits";
+      "E20 - incremental re-analysis: speedup vs cold re-analysis across \
+       single-pass edits";
   let example_kernels =
     [ "crc"; "fir"; "high_pressure"; "horner"; "idct_row"; "matmul";
       "scale"; "stencil" ]
@@ -1617,13 +1620,7 @@ let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
     List.filter_map
       (fun cls ->
         let matches =
-          List.filter
-            (fun e ->
-              String.equal e.emode cls
-              || (String.equal cls "fallback"
-                  && String.length e.emode >= 8
-                  && String.equal (String.sub e.emode 0 8) "fallback"))
-            all_events
+          List.filter (fun e -> String.equal e.emode cls) all_events
         in
         if matches = [] then None
         else
@@ -1633,7 +1630,7 @@ let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
               count = List.length matches;
               cls_median = e20_median (speedups matches);
             })
-      [ "identity"; "warm"; "fallback" ]
+      [ "identity"; "cold" ]
   in
   let result =
     {
@@ -1650,7 +1647,7 @@ let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
     let table =
       Table.create
         ~headers:
-          [ "kernel"; "edit"; "mode"; "dirty"; "cold(ms)"; "warm(ms)";
+          [ "kernel"; "edit"; "mode"; "blocks"; "cold(ms)"; "reuse(ms)";
             "speedup" ]
     in
     List.iter
@@ -1660,7 +1657,7 @@ let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
             e.subject;
             e.edit;
             e.emode;
-            Printf.sprintf "%d/%d" e.dirty e.blocks;
+            string_of_int e.blocks;
             Printf.sprintf "%.3f" e.t_cold_ms;
             Printf.sprintf "%.3f" e.t_warm_ms;
             Printf.sprintf "%.1fx" e.e20_speedup;
@@ -1668,8 +1665,8 @@ let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
       kernel_events;
     Table.print table;
     Printf.printf
-      "\nevery warm result bit-identical to cold (fingerprints over all \
-       thermal points)\n";
+      "\nevery incremental result bit-identical to cold (fingerprints over \
+       all thermal points)\n";
     List.iter
       (fun c ->
         Printf.printf "%-9s %4d events  median %.1fx\n" c.cls c.count
@@ -1722,8 +1719,9 @@ let e21_fixpoint_pair ~repeats ~side ~g name func =
   in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let cfg =
-    Setup.config_of_assignment ~granularity:g ~layout alloc.Alloc.func
-      alloc.Alloc.assignment
+    Driver.transfer_config
+      { (Driver.default ~layout) with Driver.granularity = g }
+      alloc.Alloc.func alloc.Alloc.assignment
   in
   let boxed, t_boxed_ms =
     e20_time_ms ~repeats (fun () ->
@@ -2103,7 +2101,7 @@ let e23_fine_side = 80
 let e23_score ~repeats ~hot_k ~layout name func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let f = alloc.Alloc.func and asg = alloc.Alloc.assignment in
-  let tc = Setup.config_of_assignment ~layout f asg in
+  let tc = Driver.transfer_config (Driver.default ~layout) f asg in
   let outcome, t_fix_ms =
     e20_time_ms ~repeats (fun () -> Analysis.fixpoint tc f)
   in
@@ -2113,7 +2111,7 @@ let e23_score ~repeats ~hot_k ~layout name func =
     in
     let fa = Alloc.allocate func fine ~policy:Policy.First_fit in
     let ftc =
-      Setup.config_of_assignment ~layout:fine fa.Alloc.func
+      Driver.transfer_config (Driver.default ~layout:fine) fa.Alloc.func
         fa.Alloc.assignment
     in
     snd
@@ -2322,7 +2320,10 @@ type e24_result = {
    sustained per-cell power — the same path `tdfa place` takes. *)
 let e24_profile ~layout name func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
-  let tc = Setup.config_of_assignment ~layout alloc.Alloc.func alloc.Alloc.assignment in
+  let tc =
+    Driver.transfer_config (Driver.default ~layout) alloc.Alloc.func
+      alloc.Alloc.assignment
+  in
   let outcome = Analysis.fixpoint tc alloc.Alloc.func in
   Tdfa_alloc.Task.of_outcome ~core:layout ~name outcome
 

@@ -233,12 +233,13 @@ type e20_event = {
   subject : string;  (** kernel or generated-function name *)
   edit : string;  (** the single pass applied before re-analysis *)
   emode : string;
-      (** {!Tdfa_core.Incremental.mode_name} of the warm re-analysis:
-          identity, warm, or fallback:* *)
-  dirty : int;  (** dirty-region size reported by the warm run *)
+      (** {!Tdfa_core.Incremental.mode_name} of the re-analysis:
+          identity or cold *)
   blocks : int;
   t_cold_ms : float;  (** best-of-[repeats] cold fixpoint time *)
-  t_warm_ms : float;  (** best-of-[repeats] warm-start time *)
+  t_warm_ms : float;
+      (** best-of-[repeats] time through {!Tdfa_core.Incremental.analyze}
+          with the previous prior *)
   e20_speedup : float;
 }
 
@@ -250,7 +251,7 @@ type e20_result = {
   corpus_functions : int;
   kernel_median : float;
   corpus_median : float;
-  e20_classes : e20_class list;  (** per-mode medians, honest trimodal view *)
+  e20_classes : e20_class list;  (** per-mode medians: identity and cold *)
 }
 
 val e20 :
@@ -261,14 +262,15 @@ val e20 :
   ?json:string option ->
   unit ->
   e20_result
-(** Incremental warm-start fixpoint vs cold re-analysis across
+(** Incremental re-analysis vs cold re-analysis across
     single-pass edits: every example kernel and [n] (default 120)
     generated functions run a thermally-guided optimize→analyze chain —
     a pass fires only while the latest analysis shows heat above
     [target_k] (default 337 K), and every step issues a re-analysis
     request either way, mirroring a pass-quiescence driver. Each request
-    is timed both cold and warm-started from the previous recording. Warm and cold fingerprints (every thermal point) are
-    asserted equal on every event — any divergence raises, there is no
+    is timed both cold and through {!Tdfa_core.Incremental.analyze}
+    with the previous prior. The two fingerprints (every thermal point)
+    are asserted equal on every event — any divergence raises, there is no
     tolerance. [json] (default [Some "BENCH_incremental.json"]) writes
     the machine-readable benchmark; pass [None] to skip. *)
 

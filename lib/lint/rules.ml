@@ -551,8 +551,9 @@ let hot_threshold = 336.0
    real one when provided, the placement prediction otherwise). *)
 let predict_bounds ctx =
   let cfg =
-    Tdfa_core.Setup.config_of_assignment ~layout:ctx.layout ctx.func
-      ctx.assignment
+    Tdfa_core.Driver.transfer_config
+      (Tdfa_core.Driver.default ~layout:ctx.layout)
+      ctx.func ctx.assignment
   in
   Tdfa_absint.Absint.predict cfg ctx.func
 

@@ -54,15 +54,15 @@ let analyze_with opts ~layout func assignment =
   (Driver.run (driver_config opts ~layout) (Driver.Assigned (func, assignment)))
     .Driver.outcome
 
-(* Analysis for a thermal-consuming pass. Incrementally warm-started
-   from the pipeline's last recording when [opts.incremental] — the
-   outcome is bit-identical to the cold path either way, so the flag
-   changes cost, never results. *)
+(* Analysis for a thermal-consuming pass. Through the incremental engine
+   when [opts.incremental], which reuses the pipeline's last result if
+   the function is unchanged — the outcome is bit-identical to the cold
+   path either way, so the flag changes cost, never results. *)
 let analyze_step opts ~layout t assignment =
   if opts.incremental then begin
     let config =
-      Setup.config_of_assignment ~granularity:opts.granularity ~layout
-        t.Pipeline.func assignment
+      Driver.transfer_config (driver_config opts ~layout) t.Pipeline.func
+        assignment
     in
     let t, r = Pipeline.analyze ~obs:opts.obs ~settings:opts.settings t ~config in
     (t, r.Incremental.outcome)
@@ -103,8 +103,8 @@ let run ?(options = default_options) ~layout func =
     analyze_with opts ~layout scout.Alloc.func scout.Alloc.assignment
   in
   let cfg =
-    Setup.config_of_assignment ~granularity:opts.granularity ~layout
-      scout.Alloc.func scout.Alloc.assignment
+    Driver.transfer_config (driver_config opts ~layout) scout.Alloc.func
+      scout.Alloc.assignment
   in
   let critical =
     Criticality.critical_vars cfg

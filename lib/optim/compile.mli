@@ -18,9 +18,10 @@ type options = {
   schedule : bool;
   cooling_nops : int;  (** NOPs after each predicted-hot instruction; 0 disables *)
   incremental : bool;
-      (** warm-start the analyses between thermal-consuming passes from
-          the previous one's recording ({!Pipeline.analyze}); results
-          are bit-identical, only re-analysis cost changes *)
+      (** run the analyses between thermal-consuming passes through
+          {!Pipeline.analyze}, reusing the previous result when the
+          function is unchanged; results are bit-identical, only
+          re-analysis cost changes *)
   policy : Policy.t;
   granularity : int;
   settings : Analysis.settings;

@@ -74,10 +74,10 @@ let start func =
 
 let analyze ?(obs = Obs.null) ?(settings = Tdfa_core.Analysis.default_settings)
     t ~config =
-  (* Re-analysis between thermal-consuming passes: warm-start from the
-     recording kept since the last analyze, and keep this run's own
-     recording for the next one. The result is bit-identical to a cold
-     fixpoint on the current function (see Tdfa_core.Incremental). *)
+  (* Re-analysis between thermal-consuming passes: reuse the result kept
+     since the last analyze when the function is unchanged, and keep
+     this run's result for the next one. The result is bit-identical to
+     a cold fixpoint on the current function (see Tdfa_core.Incremental). *)
   let r =
     Tdfa_core.Incremental.analyze ~obs ~settings ?prior:t.thermal config
       t.func

@@ -59,8 +59,8 @@ type t = {
   func : Func.t;
   steps : step list;
   thermal : Tdfa_core.Incremental.prior option;
-      (** recording of the last {!analyze}, carried across passes so the
-          next re-analysis can warm-start from it *)
+      (** result of the last {!analyze}, carried across passes so the
+          next re-analysis can reuse it if the function is unchanged *)
 }
 
 val start : Func.t -> t
@@ -72,11 +72,11 @@ val analyze :
   config:Tdfa_core.Transfer.config ->
   t * Tdfa_core.Incremental.result
 (** Thermal analysis of the pipeline's current function for a
-    thermal-consuming pass, warm-started from the analysis kept since
-    the last [analyze] (the passes applied in between form the IR diff).
-    The outcome is bit-identical to a cold fixpoint on [t.func]; the
-    returned pipeline state keeps this run's recording for the next
-    re-analysis. *)
+    thermal-consuming pass, answered from the analysis kept since the
+    last [analyze] when the passes applied in between left the function
+    unchanged. The outcome is bit-identical to a cold fixpoint on
+    [t.func]; the returned pipeline state keeps this result for the
+    next re-analysis. *)
 
 val apply :
   ?obs:Obs.sink ->

@@ -40,7 +40,7 @@ let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
   in
   (* Under [--incremental] a single analysis still runs cold (unless a
      resident prior is supplied, as by the daemon's reanalyze), but it
-     goes through the incremental engine so a recording is made and the
+     goes through the incremental engine so a prior is kept and the
      incremental.* telemetry appears. *)
   let input =
     if incremental then Tdfa.Driver.Warm_start { func; assignment; prior }

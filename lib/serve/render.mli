@@ -26,9 +26,10 @@ val analyze :
     fixpoint through {!Tdfa.Driver.run}, and render the full analyze
     report (convergence, recovery ladder when climbed, worst-case
     heatmap, criticality ranking). [cancel] threads a deadline token
-    into the fixpoint; [prior] (only meaningful with [incremental])
-    warm-starts from a resident recording — results are bit-identical
-    to a cold run either way, so the rendered text cannot differ.
+    into the fixpoint; [prior] (only meaningful with [incremental]) is
+    a resident result, reused when the function is unchanged — results
+    are bit-identical to a cold run either way, so the rendered text
+    cannot differ.
 
     Returns the rendered text and the driver result (whose
     [incremental] field carries the next-run prior).

@@ -62,7 +62,7 @@ let resolve t session (req : Protocol.request) =
   | Some name, None -> (
     match Tdfa_workload.Kernels.find name with
     | Some f ->
-      (* A new program invalidates the resident recording. *)
+      (* A new program invalidates the resident prior. *)
       (match session.Session.func with
        | Some old when not (String.equal old.Func.name f.Func.name) ->
          session.Session.prior <- None
@@ -94,8 +94,7 @@ let mode_extra (r : Tdfa.Driver.result) =
     [
       ( "mode",
         Json.Str
-          (Tdfa_core.Incremental.mode_name
-             inc.Tdfa_core.Incremental.stats.Tdfa_core.Incremental.mode) );
+          (Tdfa_core.Incremental.mode_name inc.Tdfa_core.Incremental.mode) );
     ]
 
 let handle_work t session (req : Protocol.request) ~rebuilding =
@@ -133,9 +132,9 @@ let handle_work t session (req : Protocol.request) ~rebuilding =
                 (Tdfa_verify.Check.to_string (List.hd ds)))
            ())
     | [] ->
-      (* Chaos: poison the resident recording before a warm reanalyze;
-         the incremental integrity digest must catch it and fall back
-         to a cold run with identical output. *)
+      (* Chaos: poison the resident prior before a reanalyze; the
+         incremental integrity digest must catch it and fall back to a
+         cold run with identical output. *)
       (if
          (not rebuilding)
          && req.Protocol.op = Protocol.Reanalyze
@@ -181,8 +180,8 @@ let handle_work t session (req : Protocol.request) ~rebuilding =
           in
           (out, [ ("findings", Json.Int (List.length findings)) ])
         | Protocol.Analyze | Protocol.Reanalyze ->
-          (* Degraded rung: cold — drop the warm start and the
-             recording, run the plain fixpoint. *)
+          (* Degraded rung: cold — drop the resident prior and run the
+             plain fixpoint. *)
           let incremental =
             (not degraded)
             && (req.Protocol.op = Protocol.Reanalyze

@@ -3,9 +3,8 @@
     [tdfa serve] keeps the analysis stack resident behind a Unix
     socket speaking line-delimited JSON ({!Protocol}): each client
     connection is one {!Session} holding the parsed program and its
-    incremental recording, so a re-analysis round trip skips parsing,
-    allocation bookkeeping, and (via the warm start) most fixpoint
-    iterations.
+    last incremental result, so a re-analysis round trip of an
+    unchanged program skips parsing and the fixpoint.
 
     The robustness model, in one place:
 

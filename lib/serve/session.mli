@@ -1,5 +1,5 @@
 (** One client session of the serve daemon: the resident program, its
-    warm-start recording, and a bounded log of the requests that built
+    last incremental result, and a bounded log of the requests that built
     that state.
 
     Sessions are {e crash-only}: there is no careful shutdown or
@@ -17,7 +17,7 @@ type t = {
   max_log : int;  (** request-log bound (replay cost cap) *)
   mutable func : Func.t option;  (** resident parsed program *)
   mutable prior : Tdfa_core.Incremental.prior option;
-      (** recording of the last analysis, reused by [reanalyze] *)
+      (** result of the last analysis, reused by [reanalyze] *)
   mutable log : Protocol.request list;  (** newest first, bounded *)
   mutable served : int;
   mutable crashes : int;  (** quarantine count *)

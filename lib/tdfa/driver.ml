@@ -1,7 +1,8 @@
 (* The public face of the analysis stack: [Tdfa.Driver.run] over one
    [Tdfa.Driver.config]. The implementation lives in [Tdfa_core.Driver]
-   (it must sit below [Setup] so the deprecated wrappers can delegate to
-   it); this re-export is the name everything outside the core calls. *)
+   (it must sit below [Tdfa_optim], which builds transfer configurations
+   through it); this re-export is the name everything outside the core
+   calls. *)
 
 include Tdfa_core.Driver
 
@@ -39,15 +40,6 @@ and placed = {
   placement : Tdfa_alloc.Place.placement;
 }
 
-let input_func : input -> Tdfa_ir.Func.t = function
-  | Unallocated f
-  | Assigned (f, _)
-  | Configured (_, f)
-  | Custom { func = f; _ }
-  | Warm_start { func = f; _ }
-  | Trace { func = f; _ } ->
-    f
-
 let place ?(geometry = (2, 2)) ?(policy = Tdfa_alloc.Place.Greedy)
     (cfg : config) (inputs : input list) =
   let rows, cols = geometry in
@@ -75,49 +67,22 @@ let place ?(geometry = (2, 2)) ?(policy = Tdfa_alloc.Place.Greedy)
       { profiles; placement = Tdfa_alloc.Place.run chip policy profiles })
 
 let predict (cfg : config) input =
-  let module Analysis = Tdfa_core.Analysis in
   let obs = cfg.obs in
   Tdfa_obs.Obs.span obs "driver.predict"
     ~args:[ ("granularity", Tdfa_obs.Obs.Int cfg.granularity) ]
     (fun () ->
       Tdfa_obs.Obs.incr obs "driver.predicts";
-      let bounds_of tc func =
-        Tdfa_absint.Absint.predict ~delta_k:cfg.settings.Analysis.delta_k
-          ~max_iterations:cfg.settings.Analysis.max_iterations tc func
-      in
-      match input with
-      | Unallocated func ->
-        let a =
-          Tdfa_regalloc.Alloc.allocate ~obs func cfg.layout
-            ~policy:cfg.policy
-        in
-        let func = a.Tdfa_regalloc.Alloc.func in
-        let tc = transfer_config cfg func a.Tdfa_regalloc.Alloc.assignment in
-        { pre_alloc = Some a; bounds = bounds_of tc func }
-      | Assigned (func, assignment) ->
-        let tc = transfer_config cfg func assignment in
-        { pre_alloc = None; bounds = bounds_of tc func }
-      | Configured (tc, func) -> { pre_alloc = None; bounds = bounds_of tc func }
-      | Custom { config_of; func } ->
-        let tc = config_of ~granularity:cfg.granularity in
-        { pre_alloc = None; bounds = bounds_of tc func }
-      | Warm_start { func; assignment; _ } ->
-        let tc = transfer_config cfg func assignment in
-        { pre_alloc = None; bounds = bounds_of tc func }
-      | Trace { func; accesses } ->
-        (* Mirrors the trace configuration [run] builds: cells come
-           straight from the events, every block at frequency 1,
-           terminators touch nothing. *)
-        let tc =
-          Tdfa_core.Transfer.make_config ~params:cfg.params
-            ~granularity:cfg.granularity ?analysis_dt_s:cfg.analysis_dt_s
-            ~max_frequency:1.0 ~layout:cfg.layout
-            ~block_frequency:(fun _ -> 1.0)
-            ~accesses_of_instr:(fun label index _ -> accesses label index)
-            ~accesses_of_term:(fun _ _ -> [])
-            ()
-        in
-        { pre_alloc = None; bounds = bounds_of tc func })
+      let { pre_alloc; func; config_of } = config_of_input cfg input in
+      let settings = cfg.settings in
+      {
+        pre_alloc;
+        bounds =
+          Tdfa_absint.Absint.predict
+            ~delta_k:settings.Tdfa_core.Analysis.delta_k
+            ~max_iterations:settings.Tdfa_core.Analysis.max_iterations
+            (config_of ~granularity:cfg.granularity)
+            func;
+      })
 
 let run_mode ~mode cfg input =
   match mode with

@@ -56,11 +56,10 @@ val inject_state :
 
 val corrupt_recording :
   seed:int -> Tdfa_core.Incremental.prior -> Tdfa_core.Incremental.prior
-(** Deterministically corrupt one recorded thermal state of an
-    incremental warm-start recording (see
-    {!Tdfa_core.Incremental.poison_prior}): the mutant fails the
-    recording's integrity digest, so a warm re-analysis must fall back
-    to a cold run instead of replaying the corruption. *)
+(** Deterministically corrupt one thermal state of a cached
+    incremental result (see {!Tdfa_core.Incremental.poison_prior}): the
+    mutant fails the prior's integrity digest, so a re-analysis must
+    fall back to a cold run instead of returning the corruption. *)
 
 (** {1 Seeded fault plans}
 
@@ -79,7 +78,7 @@ module Plan : sig
     | Frame_garbage  (** scramble a protocol frame before parsing *)
     | Disconnect  (** drop the client connection mid-request *)
     | Corrupt_recording
-        (** poison the session's warm-start recording
+        (** poison the session's cached incremental result
             ({!corrupt_recording}) *)
     | Worker_stall  (** wedge a domain-pool worker for [stall_ms] *)
     | Torn_cache  (** make an on-disk cache read fail mid-entry *)

@@ -16,7 +16,7 @@ let layout = Tdfa_floorplan.Layout.make ~rows:8 ~cols:8 ()
 let config_of func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let f = alloc.Alloc.func in
-  (Setup.config_of_assignment ~layout f alloc.Alloc.assignment, f)
+  (Driver.transfer_config (Driver.default ~layout) f alloc.Alloc.assignment, f)
 
 let gen_corpus_func = Generator.gen_func ~max_pool:44 ~max_depth:3 ()
 

@@ -324,7 +324,10 @@ let test_analysis_granularity_fidelity () =
 let test_criticality_ranks_loop_vars_first () =
   let func = Tdfa_workload.Kernels.fib () in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
-  let cfg = Setup.config_of_assignment ~layout alloc.Alloc.func alloc.Alloc.assignment in
+  let cfg =
+    Driver.transfer_config (Driver.default ~layout) alloc.Alloc.func
+      alloc.Alloc.assignment
+  in
   let outcome = run_post_ra ~layout alloc.Alloc.func alloc.Alloc.assignment in
   let info = Analysis.info outcome in
   let ranked = Criticality.rank cfg info alloc.Alloc.func alloc.Alloc.assignment in
@@ -351,7 +354,10 @@ let test_criticality_ranks_loop_vars_first () =
 let test_critical_vars_subset_of_ranked () =
   let func = Tdfa_workload.Kernels.fir () in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
-  let cfg = Setup.config_of_assignment ~layout alloc.Alloc.func alloc.Alloc.assignment in
+  let cfg =
+    Driver.transfer_config (Driver.default ~layout) alloc.Alloc.func
+      alloc.Alloc.assignment
+  in
   let outcome = run_post_ra ~layout alloc.Alloc.func alloc.Alloc.assignment in
   let info = Analysis.info outcome in
   let critical = Criticality.critical_vars cfg info alloc.Alloc.func alloc.Alloc.assignment in

@@ -24,7 +24,9 @@ let settings =
   }
 
 let config_of ?(granularity = 2) func assignment =
-  Setup.config_of_assignment ~granularity ~layout func assignment
+  Driver.transfer_config
+    { (Driver.default ~layout) with Driver.granularity }
+    func assignment
 
 let post_ra f =
   let a = Alloc.allocate f layout ~policy:Policy.First_fit in
@@ -167,46 +169,6 @@ let test_rb_vs_seq_fixed_point () =
 
 (* --- Flat engine == boxed engine --------------------------------------------- *)
 
-let digest_state s =
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun t -> Buffer.add_int64_le buf (Int64.bits_of_float t))
-    (Thermal_state.to_cell_array s);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* The recorder stream (the incremental engine's food) must be identical
-   call for call: same block order, same iterations, same incoming/exit
-   states bitwise, same per-block deltas and unstable counts. *)
-let test_recorder_parity () =
-  let af, asg = post_ra (Kernels.fir ()) in
-  let cfg = config_of af asg in
-  let capture core =
-    let calls = ref [] in
-    let recorder =
-      {
-        Analysis.on_block =
-          (fun ~iteration label ~incoming ~exit_state ~max_delta_k ~unstable ->
-            calls :=
-              ( iteration,
-                Label.to_string label,
-                digest_state incoming,
-                digest_state exit_state,
-                Int64.bits_of_float max_delta_k,
-                unstable )
-              :: !calls);
-      }
-    in
-    ignore (Analysis.fixpoint ~recorder ~settings ~core cfg af);
-    List.rev !calls
-  in
-  let boxed = capture Analysis.Boxed and flat = capture Analysis.Flat in
-  Alcotest.(check int) "same number of recorder calls" (List.length boxed)
-    (List.length flat);
-  List.iter2
-    (fun b f ->
-      Alcotest.(check bool) "recorder call identical" true (b = f))
-    boxed flat
-
 let unstable_equal a b =
   List.length a = List.length b
   && List.for_all2
@@ -316,8 +278,6 @@ let suite =
           test_solve_seq_zero_alloc;
         tc "red-black and sequential agree at the fixed point" `Quick
           test_rb_vs_seq_fixed_point;
-        tc "recorder stream identical across cores" `Quick
-          test_recorder_parity;
         tc "divergence identical across cores" `Quick test_divergence_parity;
         tc "driver core switch preserves the fingerprint" `Quick
           test_driver_core_parity;

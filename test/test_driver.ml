@@ -89,30 +89,28 @@ let prop_configured_eq_assigned =
       let assigned_r = Driver.run base_cfg (Driver.Assigned (func, assignment)) in
       String.equal (fp configured.Driver.outcome) (fp assigned_r.Driver.outcome))
 
-(* 4. Custom's config_of hook, fed the facade's own rebuilding, matches
-   Assigned under recovery — rung for rung. *)
-let prop_custom_recovery_eq_assigned =
-  QCheck2.Test.make ~name:"facade: Custom + recover == Assigned + recover"
-    ~count:100 gen_small (fun f ->
+(* 4. Configured under recovery is the bare ladder over its one
+   configuration: every rung, coarser ones included, reuses the prebuilt
+   config because its granularity cannot be rebuilt — rung for rung. *)
+let prop_configured_recovery_eq_ladder =
+  QCheck2.Test.make
+    ~name:"facade: Configured + recover == ladder over its config" ~count:100
+    gen_small (fun f ->
       let func, assignment = assigned f in
-      let config_of ~granularity =
-        Driver.transfer_config
-          { base_cfg with Driver.granularity }
-          func assignment
-      in
-      let custom =
+      let cfg = Driver.transfer_config base_cfg func assignment in
+      let configured =
         Driver.run
           { base_cfg with Driver.recover = true }
-          (Driver.Custom { config_of; func })
+          (Driver.Configured (cfg, func))
       in
-      let direct =
-        Driver.run
-          { base_cfg with Driver.recover = true }
-          (Driver.Assigned (func, assignment))
+      let bare =
+        Analysis.recovery_ladder ~settings
+          ~config_of:(fun ~granularity:_ -> cfg)
+          ~granularity func
       in
-      match (custom.Driver.recovery, direct.Driver.recovery) with
-      | Some a, Some b -> same_recovery a b
-      | _ -> false)
+      match configured.Driver.recovery with
+      | Some r -> same_recovery r bare
+      | None -> false)
 
 (* 5. A cold Warm_start (no prior) is bit-identical to Assigned — the
    incremental engine's recording must not perturb the fixpoint. *)
@@ -180,7 +178,7 @@ let suite =
           prop_unallocated_eq_assigned;
           prop_assigned_eq_fixpoint;
           prop_configured_eq_assigned;
-          prop_custom_recovery_eq_assigned;
+          prop_configured_recovery_eq_ladder;
           prop_warm_start_cold_eq_assigned;
           prop_trace_eq_configured;
           prop_obs_transparent;

@@ -396,7 +396,7 @@ let test_e19_predictor_shape () =
 
 let test_e20_incremental_shape () =
   (* A tiny corpus keeps this in test budget; the fingerprint equality
-     between warm and cold is asserted inside e20 itself on every event,
+     between reuse and cold is asserted inside e20 itself on every event,
      so reaching the return value at all means no divergence. *)
   let r = Experiments.e20 ~quiet:true ~n:2 ~repeats:1 ~json:None () in
   Alcotest.(check int) "corpus size recorded" 2 r.Experiments.corpus_functions;
@@ -417,11 +417,7 @@ let test_e20_incremental_shape () =
         (e.Experiments.subject ^ "/" ^ e.Experiments.edit ^ " timings positive")
         true
         (e.Experiments.t_cold_ms > 0.0 && e.Experiments.t_warm_ms > 0.0
-        && e.Experiments.e20_speedup > 0.0);
-      Alcotest.(check bool)
-        (e.Experiments.subject ^ "/" ^ e.Experiments.edit ^ " dirty <= blocks")
-        true
-        (e.Experiments.dirty >= 0 && e.Experiments.dirty <= e.Experiments.blocks))
+        && e.Experiments.e20_speedup > 0.0))
     (r.Experiments.kernel_events @ r.Experiments.corpus_events)
 
 let test_e22_trace_shape () =

@@ -1,10 +1,10 @@
-(* The differential battery for the incremental warm-start engine:
-   warm-started re-analysis must be bit-identical to a cold fixpoint
-   (fingerprints over every per-instruction thermal point, zero
-   tolerance), the block-diff hasher must be position-independent and
-   edit-sensitive, the dirty region must match a naive reachability
-   oracle, and every optimisation pass the loop re-analyses after must
-   itself preserve interpreter-observable semantics. *)
+(* The differential battery for incremental re-analysis: a re-analysis
+   with a prior must be bit-identical to a cold fixpoint (fingerprints
+   over every per-instruction thermal point, zero tolerance), an
+   unchanged function must be answered without iterating, a corrupted
+   prior must be caught, the block hasher must be position-independent
+   and edit-sensitive, and every optimisation pass the loop re-analyses
+   after must itself preserve interpreter-observable semantics. *)
 
 open Tdfa_ir
 open Tdfa_regalloc
@@ -24,7 +24,9 @@ let settings =
   }
 
 let config_of ?(granularity = 2) func assignment =
-  Setup.config_of_assignment ~granularity ~layout func assignment
+  Driver.transfer_config
+    { (Driver.default ~layout) with Driver.granularity }
+    func assignment
 
 let post_ra f =
   let a = Alloc.allocate f layout ~policy:Policy.First_fit in
@@ -138,35 +140,6 @@ let check_edit_flips ~edited variant =
 let test_signature_instr_edit () = check_edit_flips ~edited:"entry" sig_instr_edit
 let test_signature_succ_edit () = check_edit_flips ~edited:"loop" sig_succ_edit
 
-(* dirty_region == the naive oracle: every label reachable from a
-   changed label by following successor edges (including the changed
-   labels themselves). *)
-let naive_dirty f changed =
-  let reached = Hashtbl.create 16 in
-  let rec visit l =
-    if not (Hashtbl.mem reached l) then begin
-      Hashtbl.replace reached l ();
-      List.iter visit (Func.successors f l)
-    end
-  in
-  Label.Set.iter visit changed;
-  Hashtbl.fold (fun l () acc -> Label.Set.add l acc) reached Label.Set.empty
-
-let prop_dirty_region_matches_oracle =
-  QCheck2.Test.make ~name:"incremental: dirty region == reachability oracle"
-    ~count:100
-    QCheck2.Gen.(pair gen_small (int_range 0 1_000_000))
-    (fun (f, seed) ->
-      let rng = Random.State.make [| seed |] in
-      let changed =
-        List.filter (fun _ -> Random.State.bool rng) f.Func.blocks
-        |> List.map (fun (b : Block.t) -> b.Block.label)
-        |> Label.Set.of_list
-      in
-      Label.Set.equal
-        (Incremental.dirty_region f ~changed)
-        (naive_dirty f changed))
-
 (* --- The differential property -------------------------------------------- *)
 
 let print_case (f, i) =
@@ -230,11 +203,11 @@ let prop_chained_warm_equals_cold =
         passes;
       !ok)
 
-(* A prior whose recording was corrupted after the fact (bit rot, fault
-   injection, a torn hand-off) must never be replayed: the integrity
+(* A prior whose result was corrupted after the fact (bit rot, fault
+   injection, a torn hand-off) must never be returned: the integrity
    digest sends the run cold, and the result fingerprints identically
-   to an analysis that was never warmed at all. Same for a prior
-   recorded under different solver settings. *)
+   to an analysis that was never warmed at all. Same for a prior made
+   under different solver settings, which misses the key. *)
 let prop_corrupt_or_mismatched_prior_goes_cold =
   QCheck2.Test.make
     ~name:"incremental: corrupt/mismatched prior falls back to the cold oracle"
@@ -252,7 +225,7 @@ let prop_corrupt_or_mismatched_prior_goes_cold =
         else
           ( r0.Incremental.prior,
             { settings with Analysis.delta_k = settings.Analysis.delta_k /. 2.0 },
-            Incremental.Settings_mismatch )
+            Incremental.Cold )
       in
       ((not corrupt) || not (Incremental.prior_intact prior))
       &&
@@ -260,8 +233,7 @@ let prop_corrupt_or_mismatched_prior_goes_cold =
         Incremental.analyze ~settings:settings' ~prior cfg af
       in
       let never_warmed = Analysis.fixpoint ~settings:settings' cfg af in
-      warm.Incremental.stats.Incremental.mode
-      = Incremental.Fallback expected_reason
+      warm.Incremental.mode = expected_reason
       && String.equal
            (fingerprint warm.Incremental.outcome)
            (fingerprint never_warmed))
@@ -284,11 +256,11 @@ let prop_passes_preserve_semantics =
       let _, pass = List.nth passes i in
       observe f = observe (pass f))
 
-(* --- Modes, fallbacks, telemetry ------------------------------------------ *)
+(* --- Modes, the identity contract, telemetry ------------------------------ *)
 
-let mode r = Incremental.mode_name r.Incremental.stats.Incremental.mode
+let mode r = Incremental.mode_name r.Incremental.mode
 
-let test_modes_and_fallbacks () =
+let test_modes () =
   let af, asg = post_ra (Kernels.fir ()) in
   let cfg = config_of af asg in
   let r0 = Incremental.analyze ~settings cfg af in
@@ -297,12 +269,9 @@ let test_modes_and_fallbacks () =
     Incremental.analyze ~settings ~prior:r0.Incremental.prior cfg af
   in
   Alcotest.(check string) "unchanged = identity" "identity" (mode r1);
-  Alcotest.(check int) "identity dirties nothing" 0
-    r1.Incremental.stats.Incremental.dirty_blocks;
   Alcotest.(check string) "identity returns the prior's fingerprint"
     (fingerprint r0.Incremental.outcome)
     (fingerprint r1.Incremental.outcome);
-  (* NOP insertion keeps the block set: a warm replay. *)
   let edited =
     fst (Tdfa_optim.Nop_insert.apply af ~hot_after:(fun _ i -> i = 0) ~nops:1)
   in
@@ -310,32 +279,41 @@ let test_modes_and_fallbacks () =
     Incremental.analyze ~settings ~prior:r1.Incremental.prior
       (config_of edited asg) edited
   in
-  Alcotest.(check string) "same-shape edit = warm" "warm" (mode r2);
-  (* Adding a block is a structural fallback. *)
-  let base = Parser.parse_func sig_base in
-  let basg = Placement.predict base layout in
-  let rb = Incremental.analyze ~settings (config_of base basg) base in
-  let extra = Parser.parse_func sig_extra_block in
-  let r3 =
-    Incremental.analyze ~settings ~prior:rb.Incremental.prior
-      (config_of extra basg) extra
+  Alcotest.(check string) "edited = cold" "cold" (mode r2)
+
+let fixpoint_iterations sink =
+  List.length
+    (List.filter
+       (fun (e : Obs.event) -> String.equal e.Obs.name "analysis.iteration")
+       (Obs.events sink))
+
+(* The contract the reuse rests on: an unchanged function is answered
+   with exactly a fresh fixpoint's result and without iterating, and a
+   corrupted prior is detected and recomputed to the same result. *)
+let test_identity_contract () =
+  let af, asg = post_ra (Kernels.fir ()) in
+  let cfg = config_of af asg in
+  let fresh = fingerprint (Analysis.fixpoint ~settings cfg af) in
+  let r0 = Incremental.analyze ~settings cfg af in
+  let sink = Obs.memory () in
+  let r1 =
+    Incremental.analyze ~obs:sink ~settings ~prior:r0.Incremental.prior cfg af
   in
-  Alcotest.(check string) "block add = structural fallback"
-    "fallback:structural" (mode r3);
-  (* Changed settings and changed config each force a fallback. *)
-  let r4 =
-    Incremental.analyze
-      ~settings:{ settings with Analysis.delta_k = 0.05 }
-      ~prior:r0.Incremental.prior cfg af
+  Alcotest.(check string) "identity mode" "identity" (mode r1);
+  Alcotest.(check string) "identity == fresh fixpoint" fresh
+    (fingerprint r1.Incremental.outcome);
+  Alcotest.(check int) "identity runs no fixpoint iteration" 0
+    (fixpoint_iterations sink);
+  let poisoned =
+    Tdfa_verify.Fault.corrupt_recording ~seed:11 r0.Incremental.prior
   in
-  Alcotest.(check string) "settings change falls back"
-    "fallback:settings-mismatch" (mode r4);
-  let r5 =
-    Incremental.analyze ~settings ~prior:r0.Incremental.prior
-      (config_of ~granularity:4 af asg) af
-  in
-  Alcotest.(check string) "granularity change falls back"
-    "fallback:config-mismatch" (mode r5)
+  let sink = Obs.memory () in
+  let r2 = Incremental.analyze ~obs:sink ~settings ~prior:poisoned cfg af in
+  Alcotest.(check string) "corrupt prior falls back"
+    "fallback:corrupt-recording" (mode r2);
+  Alcotest.(check string) "fallback == fresh fixpoint" fresh
+    (fingerprint r2.Incremental.outcome);
+  Alcotest.(check bool) "fallback iterates" true (fixpoint_iterations sink > 0)
 
 let test_obs_counters () =
   let t = Obs.memory () in
@@ -352,18 +330,18 @@ let test_obs_counters () =
     Incremental.analyze ~obs:t ~settings ~prior:r1.Incremental.prior
       (config_of edited asg) edited
   in
-  let unrolled = fst (Tdfa_optim.Unroll.apply af ~factor:2) in
   let _ =
-    Incremental.analyze ~obs:t ~settings ~prior:r0.Incremental.prior
-      (config_of unrolled asg) unrolled
+    Incremental.analyze ~obs:t ~settings
+      ~prior:(Incremental.poison_prior ~seed:3 r0.Incremental.prior)
+      cfg af
   in
   let rows = Obs.metrics_rows t in
-  Alcotest.(check string) "warm hits: identity + warm" "2"
+  Alcotest.(check string) "warm hits: the identity request" "1"
     (List.assoc "incremental.warm_hits" rows);
+  Alcotest.(check string) "cold runs: first analysis and the edit" "2"
+    (List.assoc "incremental.cold_runs" rows);
   Alcotest.(check string) "one fallback" "1"
     (List.assoc "incremental.fallbacks" rows);
-  Alcotest.(check bool) "dirty-block counter present" true
-    (List.mem_assoc "incremental.dirty_blocks" rows);
   Alcotest.(check bool) "re-analysis span emitted" true
     (List.exists
        (fun (e : Obs.event) -> String.equal e.Obs.name "incremental.analyze")
@@ -424,15 +402,15 @@ let suite =
           test_signature_instr_edit;
         tc "successor edit flips only its block's signature" `Quick
           test_signature_succ_edit;
-        tc "modes: cold/identity/warm/fallbacks" `Quick
-          test_modes_and_fallbacks;
+        tc "modes: cold/identity/cold after an edit" `Quick test_modes;
+        tc "identity == fresh fixpoint, without iterating" `Quick
+          test_identity_contract;
         tc "telemetry counters and span" `Quick test_obs_counters;
         tc "engine warm reuse via parent key" `Quick test_engine_warm_reuse;
       ] );
     ( "incremental.properties",
       List.map QCheck_alcotest.to_alcotest
         [
-          prop_dirty_region_matches_oracle;
           prop_corrupt_or_mismatched_prior_goes_cold;
           prop_warm_equals_cold;
           prop_chained_warm_equals_cold;

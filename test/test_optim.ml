@@ -28,7 +28,8 @@ let check_semantics name f f' =
 let critical_of func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let cfg =
-    Setup.config_of_assignment ~layout alloc.Alloc.func alloc.Alloc.assignment
+    Driver.transfer_config (Driver.default ~layout) alloc.Alloc.func
+      alloc.Alloc.assignment
   in
   let outcome =
     Tdfa_harness.Common.analyze_assigned ~layout alloc.Alloc.func

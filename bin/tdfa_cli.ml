@@ -198,7 +198,7 @@ let lint files kernel kernels rules severities lint_config format max_severity
                       Cli_args.allocate_for ~obs ~post_ra ~policy f
                     in
                     let ctx =
-                      Tdfa_lint.Lint.make_ctx ?assignment
+                      Tdfa_lint.Lint.make_ctx ~obs ?assignment
                         ~layout:Common.standard_layout func
                     in
                     (uri, func, Tdfa_lint.Lint.run ~obs ~config known ctx))
@@ -298,19 +298,23 @@ let predict kernel file policy granularity delta pre_ra json obs_req =
         in
         if json then begin
           let open Tdfa_absint in
+          (* An uncertified (infinite) bound is JSON null. *)
+          let num v =
+            if Float.is_finite v then Printf.sprintf "%.6f" v else "null"
+          in
           Printf.printf
-            "{\"kernel\": %S, \"peak_lo_k\": %.6f, \"peak_hi_k\": %.6f, \
+            "{\"kernel\": %S, \"peak_lo_k\": %s, \"peak_hi_k\": %s, \
              \"margin_k\": %.6f, \"hot_threshold_k\": %.1f, \"verdict\": %S, \
              \"cells\": ["
-            f.Func.name b.Absint.peak_lo_k b.Absint.peak_hi_k
+            f.Func.name (num b.Absint.peak_lo_k) (num b.Absint.peak_hi_k)
             b.Absint.margin_k Tdfa_lint.Rules.hot_threshold
             (Absint.verdict_name
                (Absint.verdict ~hot_k:Tdfa_lint.Rules.hot_threshold b));
           Array.iteri
             (fun c lo ->
-              Printf.printf "%s{\"cell\": %d, \"lo_k\": %.6f, \"hi_k\": %.6f}"
+              Printf.printf "%s{\"cell\": %d, \"lo_k\": %s, \"hi_k\": %s}"
                 (if c = 0 then "" else ", ")
-                c lo b.Absint.hi_cells.(c))
+                c (num lo) (num b.Absint.hi_cells.(c)))
             b.Absint.lo_cells;
           Printf.printf "]}\n"
         end
@@ -562,8 +566,8 @@ let compile kernel file policy granularity checked lint_gate on_violation
         (Heatmap.render Common.standard_layout (Thermal_state.to_cell_array peak)))))
 
 let batch files kernels jobs cache_dir policy granularity delta recover map
-    window_ms watchdog_ms fault_plan prefilter place_name cores sa_iters
-    sa_seed obs_req =
+    window_ms watchdog_ms fault_plan place_name cores sa_iters sa_seed
+    obs_req =
   let settings = { Analysis.default_settings with Analysis.delta_k = delta } in
   let spec =
     {
@@ -653,11 +657,7 @@ let batch files kernels jobs cache_dir policy granularity delta recover map
             (fun () ->
               Tdfa_engine.Engine.run_batch ~obs ~jobs ?cache
                 ~stop:(fun () -> !interrupted)
-                ?watchdog_ms ?faults
-                ?prefilter:
-                  (if prefilter then Some Tdfa_lint.Rules.hot_threshold
-                   else None)
-                ~layout:Common.standard_layout spec job_list)
+                ?watchdog_ms ?faults ~layout:Common.standard_layout spec job_list)
         in
         Option.iter Tdfa_engine.Engine.Cache.sync cache;
         (* stdout carries only the deterministic per-function reports, so
@@ -978,9 +978,9 @@ let predict_cmd =
   Cmd.v
     (Cmd.info "predict"
        ~doc:
-         "Certified $(b,[lo, hi]) steady-temperature bounds by abstract \
-          interpretation — sound against the full fixpoint without ever \
-          running it.")
+         "Certified $(b,[lo, hi]) steady-temperature bounds: the stopped \
+          fixpoint below, a post-fixpoint verified by one more sweep \
+          above — sound against the fixpoint at any $(b,--delta).")
     Term.(
       const predict $ Cli_args.kernel_arg $ Cli_args.file_arg
       $ Cli_args.policy_arg $ Cli_args.granularity_arg $ Cli_args.delta_arg
@@ -1078,16 +1078,6 @@ let batch_kernels_arg =
        & info [ "kernels" ]
            ~doc:"Also analyze the whole built-in kernel suite.")
 
-let batch_prefilter_arg =
-  Arg.(value & flag
-       & info [ "prefilter" ]
-           ~doc:
-             "Run the certified-bound abstract interpreter before each \
-              cache-missing IR job: bounds entirely on one side of the \
-              336 K hot threshold settle the job without a fixpoint \
-              (zero iterations in the report); only straddling jobs run \
-              the full analysis. Trace jobs always run it.")
-
 let batch_place_arg =
   Arg.(value & opt (some string) None & info [ "place" ] ~docv:"POLICY"
          ~doc:
@@ -1114,7 +1104,7 @@ let batch_cmd =
       $ Cli_args.cache_arg $ Cli_args.policy_arg $ Cli_args.granularity_arg
       $ Cli_args.delta_arg $ Cli_args.recover_arg $ Cli_args.map_arg
       $ Cli_args.window_ms_arg $ Cli_args.watchdog_arg
-      $ Cli_args.fault_plan_arg $ batch_prefilter_arg $ batch_place_arg
+      $ Cli_args.fault_plan_arg $ batch_place_arg
       $ Cli_args.cores_arg $ Cli_args.sa_iters_arg $ Cli_args.sa_seed_arg
       $ Cli_args.obs_term)
 

@@ -1,73 +1,57 @@
-(** Sound steady-temperature bounds without running the RC fixpoint.
+(** Certified steady-temperature brackets from the Fig. 2 fixpoint itself.
 
-    The concrete transfer step ({!Tdfa_core.Transfer.apply}) is, on
-    states at or above ambient, a monotone affine map: heating by the
-    instruction's duty-cycled access events, linearised leakage,
-    explicit diffusion (a convex combination over the 4-connected point
-    grid) and proportional cooling. Monotonicity is what this module
-    exploits — in both directions:
+    On states at or above ambient one sweep of the analysis
+    ({!Tdfa_core.Flat_core.pass}) is a monotone map [F] of the exit
+    states, provided the cooling coefficient is at most 1, the diffusion
+    coefficient times the point degree (at most 4) is at most 1, and the
+    join is monotone ([Max], the default, is used here). Heating, the
+    linearised leakage, the diffusion and cooling convex combinations and
+    the join then all preserve order, and the all-ambient start satisfies
+    [start <= F start]. Two classic facts follow:
 
-    {b Upper bound.} Let [H_p] be the largest single-step heat any
-    instruction or terminator delivers at point [p] (events summed per
-    point, duty = min(1, block_frequency/max_frequency), so loop
-    trip-count bounds from {!Tdfa_dataflow.Loops} enter here). Any
-    vector [u >= ambient] with [S_H(u) <= u] — a post-fixpoint of the
-    abstract step that applies the full heat envelope [H] every step —
-    bounds every state the concrete iteration can ever produce, under
-    either join, by induction from the all-ambient start. We start from
-    the uniform closed-form post-fixpoint
-    [e* = (nu*Hmax + (1-kappa)*l0max) / (1 - nu)] with
-    [nu = (1-kappa)(1+l1max)] and refine it with descending Jacobi
-    sweeps: the monotone step is evaluated once at the sweep-start state
-    and min-updated in, which preserves post-fixpointness because the
-    state only descends within a sweep. A small epsilon covers float
-    rounding.
+    {b Lower bound (Kleene).} The iterates [T_0 = start],
+    [T_(k+1) = F T_k] rise monotonically and stay below every fixpoint
+    above [start], in particular below the limit — whether the run
+    stopped on the [delta_k] test or on the iteration cap. The stopped
+    run's per-cell peak map is therefore [lo_cells], bit for bit the
+    {!Tdfa_core.Analysis.peak_map} of the same fixpoint.
 
-    {b Lower bound.} For each natural loop not headed at the entry
-    block, the heaviest header-to-latch path (by summed duty-weighted
-    heat, over the body with back edges removed) yields a composed map
-    [G]; at the concrete least fixpoint the header's incoming state
-    [in'] satisfies [in' >= G(in')] because the [Max] join includes the
-    latch's exit. Iterating [G] from all-ambient therefore
-    under-approximates [in'] at every finite step — and one concrete
-    sweep advances the header by at least one [G] application (blocks
-    are visited in reverse postorder with in-sweep propagation), so
-    capping our orbit at [max_iterations - 1] applications also
-    under-approximates a run that hits the iteration bound. The analysis
-    stops as soon as no per-instruction state moves more than [delta_k],
-    which leaves it at most [nu*delta_k/(1-nu)] below the true limit
-    (the single-step map is a [nu]-contraction in the max norm and joins
-    are nonexpansive); that margin is subtracted from the orbit's
-    running per-point maximum over after-instruction states. Lower
-    bounds assume the default [Max] join; upper bounds hold for both.
+    {b Upper bound (Knaster–Tarski).} Any [u >= start] with [F u <= u]
+    lies above every iterate, hence above the limit and above any
+    tighter-[delta] run. The candidate lifts the stopped exits to
+    [u = T_k + alpha * max(0, T_k - T_(k-1)) + beta] and checks it with
+    one more sweep ({!Tdfa_core.Flat_core.post_fixpoint}); the per-cell
+    maximum of that sweep's instruction states, plus a 1e-3 K float
+    slack, is [hi_cells]. [alpha] extrapolates the geometric tail from
+    the ratio of the last two sweep deltas; [beta] tries 0, then
+    [m/32 .. m/2] and finally [m] alone (with [alpha = 0]), where
+    [m = nu * delta / (1 - nu)] is the contraction margin of a
+    [nu]-Lipschitz step. At most seven certificate sweeps run; when none
+    passes, [hi_cells] is [infinity] and the verdict rests on [lo]
+    alone. Outside the monotone regime nothing is certified:
+    [lo_cells] is [neg_infinity] and [hi_cells] [infinity].
 
-    The interval engine ({!iterate}) runs the same transfer on
-    [\[lo, hi\]] endpoint pairs per block with {!Interval.widen} jumping
-    loop headers to the [\[ambient, u\]] cap, and reaches its
-    post-fixpoint in at most [2 * |blocks|] exit-changing transfers on
-    reducible CFGs — the termination property QCheck-tested in
-    [test/test_absint.ml], alongside the soundness battery (fixpoint
-    peak within bounds on random programs and every example kernel) and
-    the Gauss–Seidel monotonicity lemma against
-    {!Tdfa_thermal.Rc_flat}. *)
+    Soundness (per-cell containment of the stopped fixpoint and of a
+    [delta = 1e-6] reference run, on random programs and every example
+    kernel) and the lift-monotonicity lemma are tested in
+    [test/test_absint.ml]. *)
 
 open Tdfa_ir
+open Tdfa_obs
 
 type stats = {
-  points : int;  (** thermal points in the grid *)
-  blocks : int;  (** reachable basic blocks *)
-  loops : int;  (** loops contributing a lower-bound orbit *)
-  gs_sweeps : int;  (** descending envelope sweeps for the cap *)
-  orbit_steps : int;  (** total transfer steps across all orbits *)
+  iterations : int;  (** sweeps of the fixpoint behind [lo_cells] *)
+  certify_sweeps : int;  (** certificate sweeps tried (0 to 7) *)
+  lift_alpha : float;
+      (** tail factor of the accepted lift (0 when none passed) *)
 }
 
 type t = {
   ambient_k : float;
   margin_k : float;
-      (** the delta-stopping allowance subtracted from lower bounds:
-          [nu * delta_k / (1 - nu)] *)
+      (** uniform part [beta] of the accepted lift (0 when none passed) *)
   lo_cells : float array;  (** per-cell certified lower bound on the
-                               fixpoint peak map *)
+                               limit's peak map *)
   hi_cells : float array;  (** per-cell certified upper bound *)
   peak_lo_k : float;  (** lower bound on the peak temperature *)
   peak_hi_k : float;  (** upper bound on the peak temperature *)
@@ -75,23 +59,25 @@ type t = {
 }
 
 val predict :
+  ?obs:Obs.sink ->
   ?delta_k:float ->
   ?max_iterations:int ->
   Tdfa_core.Transfer.config ->
   Func.t ->
   t
-(** Certified [\[lo, hi\]] steady-state peak bounds per RF cell, in
-    O(instructions + points) — no fixpoint, no per-iteration state.
-    [delta_k] and [max_iterations] describe the concrete analysis the
-    bounds must be sound against (defaults:
-    {!Tdfa_core.Analysis.default_settings}). *)
+(** Certified [\[lo, hi\]] steady-state peak bounds per RF cell: the
+    flat fixpoint at [delta_k]/[max_iterations] (defaults:
+    {!Tdfa_core.Analysis.default_settings}) plus at most seven
+    certificate sweeps. [obs] (default {!Obs.null}) receives the
+    fixpoint's [analysis.fixpoint] span and one [absint.certify] instant
+    with the attempt count and whether a certificate was found. *)
 
 type verdict = Certified_hot | Straddles | Certified_cool
 
 val verdict : hot_k:float -> t -> verdict
 (** [Certified_hot] iff [peak_lo_k >= hot_k] (no false positives),
     [Certified_cool] iff [peak_hi_k < hot_k] (no false negatives),
-    [Straddles] otherwise — only straddlers need the real fixpoint. *)
+    [Straddles] otherwise. *)
 
 val verdict_name : verdict -> string
 
@@ -100,27 +86,3 @@ val certified_hot_cells : hot_k:float -> t -> int list
 
 val possibly_hot_cells : hot_k:float -> t -> int list
 (** Cells whose upper bound clears the threshold. *)
-
-(** {2 The interval engine} *)
-
-type iteration_stats = {
-  iter_blocks : int;
-  transfers : int;  (** block transfers that changed an exit interval *)
-  sweeps : int;
-  widenings : int;  (** headers widened to the cap *)
-  stable : bool;  (** the final verification sweep changed nothing *)
-}
-
-type iteration = {
-  exits : (Label.t * Interval.t array) list;
-      (** per reachable block, the exit interval per thermal point, in
-          reverse postorder *)
-  istats : iteration_stats;
-}
-
-val iterate : Tdfa_core.Transfer.config -> Func.t -> iteration
-(** The per-block interval iteration: endpoint pairs stepped through
-    every instruction and terminator, interval-joined at merges, widened
-    to the [\[ambient, u\]] cap at loop headers on growth. Sound for the
-    [Max] join; terminates in at most [2 * |blocks|] exit-changing
-    transfers on reducible CFGs. *)

@@ -39,22 +39,6 @@ let of_outcome ?(params = Params.default) ~core ~name outcome =
     cells_w = power_of_temps ~params cells;
   }
 
-let of_bounds ?(params = Params.default) ?(granularity = 1) ~core ~name
-    (bounds : Tdfa_absint.Absint.t) =
-  (* The certified upper envelope is per thermal point; expand it back
-     to cells through the same aggregation the analysis uses. *)
-  let state =
-    Tdfa_core.Thermal_state.of_points core ~granularity
-      ~src:bounds.Tdfa_absint.Absint.hi_cells ~pos:0
-  in
-  {
-    name;
-    peak_k = bounds.Tdfa_absint.Absint.peak_hi_k;
-    mean_k = Tdfa_core.Thermal_state.mean state;
-    cells_w =
-      power_of_temps ~params (Tdfa_core.Thermal_state.to_cell_array state);
-  }
-
 let of_scalars ?(params = Params.default) ~core ~name ~peak_k ~mean_k () =
   let n = Layout.num_cells core in
   let rise = mean_k -. params.Params.ambient_k in

@@ -2,12 +2,11 @@
     reduced to what the allocator needs.
 
     The analysis stack already computes, per function, a steady mean
-    map, a worst-case peak map and (when [--prefilter] settles a job
-    from bounds alone) certified [lo, hi] envelopes. A task folds any
-    of those into sustained per-cell {e power} — the quantity that adds
-    when tasks stack on a core and that drives the chip-level RC solve
-    — plus the transient peak-over-mean headroom that never diffuses
-    into neighbouring cores.
+    map and a worst-case peak map. A task folds them into sustained
+    per-cell {e power} — the quantity that adds when tasks stack on a
+    core and that drives the chip-level RC solve — plus the transient
+    peak-over-mean headroom that never diffuses into neighbouring
+    cores.
 
     Power derivation inverts the steady vertical path: a cell held at
     temperature [T] by the fixpoint dissipates
@@ -41,20 +40,6 @@ val of_outcome :
 (** Profile from a fixpoint result: per-cell power from the steady mean
     map, [peak_k] from the worst-case map, negative rises clamped to
     zero power. *)
-
-val of_bounds :
-  ?params:Tdfa_thermal.Params.t ->
-  ?granularity:int ->
-  core:Layout.t ->
-  name:string ->
-  Tdfa_absint.Absint.t ->
-  t
-(** Profile from certified bounds when the prefilter settled the job
-    without a fixpoint: per-cell power from the upper envelope
-    [hi_cells] (sound — never under-places a certified job), [peak_k]
-    from [peak_hi_k], [mean_k] from the envelope mean. [granularity]
-    is the thermal-point granularity the bounds were computed at
-    (default 1). *)
 
 val of_scalars :
   ?params:Tdfa_thermal.Params.t ->

@@ -107,14 +107,8 @@ let flat_engine ~settings cfg func =
   let pass () = Flat_core.pass t in
   (pass, fun () -> Flat_core.finalize t)
 
-let fixpoint ?(obs = Obs.null) ?(cancel = fun () -> false)
-    ?(settings = default_settings) ?(core = Flat) (cfg : Transfer.config)
-    (func : Func.t) =
-  let pass, finalize =
-    match core with
-    | Boxed -> boxed_engine ~settings cfg func
-    | Flat -> flat_engine ~settings cfg func
-  in
+let sweep ?(obs = Obs.null) ?(cancel = fun () -> false) ~settings
+    (cfg : Transfer.config) (func : Func.t) pass =
   let rec iterate n =
     (* Cooperative cancellation: consulted only between sweeps, so a
        cancelled analysis never leaves a half-swept state behind. *)
@@ -136,7 +130,7 @@ let fixpoint ?(obs = Obs.null) ?(cancel = fun () -> false)
     end
     else iterate (n + 1)
   in
-  let iterations, final_delta_k, unstable, ok =
+  let (iterations, final_delta_k, _, ok) as r =
     Obs.span obs "analysis.fixpoint"
       ~args:
         [
@@ -151,6 +145,18 @@ let fixpoint ?(obs = Obs.null) ?(cancel = fun () -> false)
       (fun () -> iterate 1)
   in
   Obs.Fixpoint.verdict obs ~converged:ok ~iterations ~final_delta_k;
+  r
+
+let fixpoint ?obs ?cancel ?(settings = default_settings) ?(core = Flat)
+    (cfg : Transfer.config) (func : Func.t) =
+  let pass, finalize =
+    match core with
+    | Boxed -> boxed_engine ~settings cfg func
+    | Flat -> flat_engine ~settings cfg func
+  in
+  let iterations, final_delta_k, unstable, ok =
+    sweep ?obs ?cancel ~settings cfg func pass
+  in
   let states_after, exit_states = finalize () in
   let result =
     { iterations; final_delta_k; states_after; exit_states; unstable }

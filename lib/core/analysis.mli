@@ -77,6 +77,23 @@ val fixpoint :
     [cancel] (default: never) is polled before each sweep;
     @raise Cancelled when it returns [true]. *)
 
+val sweep :
+  ?obs:Obs.sink ->
+  ?cancel:(unit -> bool) ->
+  settings:settings ->
+  Transfer.config ->
+  Func.t ->
+  (unit -> float * (Label.t * int) list) ->
+  int * float * (Label.t * int) list * bool
+(** The do-while of Fig. 2 that {!fixpoint} runs, over any sweep
+    function with {!Flat_core.pass}'s contract: repeat until no
+    instruction moves more than [settings.delta_k] or
+    [settings.max_iterations] sweeps have run. Returns the sweep count,
+    the last sweep's largest change, the instructions still unstable and
+    whether it converged. Emits the same [analysis.fixpoint] span and
+    telemetry as {!fixpoint}, and honours [cancel] the same way. For
+    callers that drive a {!Flat_core} workspace themselves. *)
+
 val info : outcome -> info
 val converged : outcome -> bool
 

@@ -308,6 +308,41 @@ let pass t =
     t.blocks;
   (!worst, List.rev !unstable)
 
+let exits t = t.exits
+
+(* Per-point maximum over the last sweep's instruction states — the flat
+   counterpart of Analysis.peak_map (maximum is order-independent, so
+   the result is the same float per point). A function without
+   instructions has no states: the map stays at ambient. *)
+let peak_points t =
+  let n = t.n_points in
+  let peak = Array.make n t.c_ambient in
+  if t.n_slots > 0 then begin
+    Array.blit t.states 0 peak 0 n;
+    for s = 1 to t.n_slots - 1 do
+      let base = s * n in
+      for p = 0 to n - 1 do
+        peak.(p) <- fmax_bits peak.(p) t.states.(base + p)
+      done
+    done
+  end;
+  peak
+
+(* The certificate sweep: load [u] as the exit states, sweep once, and
+   report whether no new exit exceeds [u] (a NaN fails the test). The
+   workspace is left holding that sweep's states, so [peak_points] then
+   bounds every instruction state reachable from below [u]. *)
+let post_fixpoint t u =
+  let len = Array.length t.exits in
+  if Array.length u <> len then invalid_arg "Flat_core.post_fixpoint";
+  Array.blit u 0 t.exits 0 len;
+  ignore (pass t);
+  let ok = ref true in
+  for i = 0 to len - 1 do
+    if not (t.exits.(i) <= u.(i)) then ok := false
+  done;
+  !ok
+
 (* Materialize the final flat buffers into the boxed Analysis.info
    shape. The hashtable is created and filled exactly as the boxed pass
    does on its first sweep (same initial size, same replace order), so

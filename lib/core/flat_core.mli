@@ -38,3 +38,24 @@ val finalize :
   * Thermal_state.t Label.Map.t
 (** Materialize the flat buffers into the boxed result shape
     ([states_after], [exit_states]). *)
+
+val exits : t -> float array
+(** The live exit buffer: one row of points per label of the function
+    (in [Func.labels] order), the state after each terminator — what the
+    next [pass] joins from. Shared, not copied: snapshot it with
+    [Array.copy] or [Array.blit]. *)
+
+val peak_points : t -> float array
+(** Per-point maximum over the last sweep's instruction states (fresh
+    array) — the point values of {!Analysis.peak_map}, bit for bit.
+    All-ambient for a function without instructions. *)
+
+val post_fixpoint : t -> float array -> bool
+(** [post_fixpoint t u] is the certificate sweep: load [u] (same length
+    as {!exits}) as the exit states, run one [pass], and return whether
+    every new exit is [<= u] (NaN fails). On a monotone transfer
+    (cooling coefficient <= 1, degree x diffusion coefficient <= 1,
+    [Join_max] or [Join_average]) a [true] makes [u] a post-fixpoint of
+    the sweep, so every iterate from ambient stays below [u], and
+    [peak_points] afterwards bounds every instruction state they reach.
+    Overwrites the workspace. *)

@@ -457,63 +457,7 @@ end
 (* The pool                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Bounds prefilter: when the abstract interpreter's certified interval
-   for a job lands entirely on one side of [hot_k], synthesise the
-   verdict report from the bound and skip the fixpoint; only straddling
-   jobs pay for the full analysis. The synthesised report is not cached
-   (it is a verdict, not the fixpoint result) and carries a distinct
-   rung, zero iterations and the bound as its peak. *)
-let prefilter_report ~obs ~layout ~key ~hot_k spec job =
-  let t0 = now_ms () in
-  let p =
-    Obs.span obs "engine.prefilter"
-      ~args:[ ("job", Obs.Str job.job_name) ]
-      (fun () ->
-        Tdfa.Driver.predict
-          (driver_config ~obs ~layout spec)
-          (Tdfa.Driver.Unallocated job.func))
-  in
-  let b = p.Tdfa.Driver.bounds in
-  let open Tdfa_absint in
-  let verdict =
-    if b.Absint.peak_hi_k < hot_k then
-      Some ("certified-cool", b.Absint.peak_hi_k, b.Absint.hi_cells)
-    else if b.Absint.peak_lo_k >= hot_k then
-      Some ("certified-hot", b.Absint.peak_lo_k, b.Absint.lo_cells)
-    else None
-  in
-  match verdict with
-  | None -> None
-  | Some (rung, peak_k, cells) ->
-    let mean_k =
-      Array.fold_left ( +. ) 0.0 cells /. float_of_int (Array.length cells)
-    in
-    let spilled, max_pressure =
-      match p.Tdfa.Driver.pre_alloc with
-      | Some a -> (Var.Set.cardinal a.Alloc.spilled, a.Alloc.max_pressure)
-      | None -> (0, 0)
-    in
-    Some
-      {
-        name = job.job_name;
-        key;
-        instrs = Func.instr_count job.func;
-        blocks = List.length job.func.Func.blocks;
-        spilled;
-        max_pressure;
-        converged = true;
-        iterations = 0;
-        final_delta_k = 0.0;
-        peak_k;
-        mean_k;
-        rung;
-        fingerprint = "bounds-only-no-fixpoint";
-        source = Computed;
-        wall_ms = now_ms () -. t0;
-      }
-
-let run_cached ?(obs = Obs.null) ?cache ?warm ?faults ?prefilter ~layout spec
-    job =
+let run_cached ?(obs = Obs.null) ?cache ?warm ?faults ~layout spec job =
   let key = job_key ~layout spec job in
   let cached =
     match faults with
@@ -541,26 +485,12 @@ let run_cached ?(obs = Obs.null) ?cache ?warm ?faults ?prefilter ~layout spec
       Obs.instant obs "engine.cache.miss"
         ~args:[ ("job", Obs.Str job.job_name); ("key", Obs.Str key) ]
     end;
-    let prefiltered =
-      match prefilter with
-      | Some hot_k when job.stream = None ->
-        prefilter_report ~obs ~layout ~key ~hot_k spec job
-      | _ -> None
-    in
-    (match prefiltered with
-     | Some r ->
-       Obs.incr obs "engine.prefilter.avoided";
-       Obs.instant obs "engine.prefilter.avoided_fixpoint"
-         ~args:[ ("job", Obs.Str job.job_name); ("rung", Obs.Str r.rung) ];
-       r
-     | None ->
-       if prefilter <> None then Obs.incr obs "engine.prefilter.ran";
-       let r = analyze_keyed ?warm ~obs ~layout ~key spec job in
-       Option.iter (fun c -> Cache.store ~obs c key r) cache;
-       r)
+    let r = analyze_keyed ?warm ~obs ~layout ~key spec job in
+    Option.iter (fun c -> Cache.store ~obs c key r) cache;
+    r
 
 let run_batch ?(obs = Obs.null) ?(jobs = 1) ?cache ?warm ?stop ?watchdog_ms
-    ?faults ?prefilter ~layout spec job_list =
+    ?faults ~layout spec job_list =
   let t0 = now_ms () in
   let batch_t0_us = Obs.now_us obs in
   let queue = Array.of_list job_list in
@@ -587,7 +517,7 @@ let run_batch ?(obs = Obs.null) ?(jobs = 1) ?cache ?warm ?stop ?watchdog_ms
       (fun () ->
         results.(i) <-
           (match
-             run_cached ~obs ?cache ?warm ?faults ?prefilter ~layout spec job
+             run_cached ~obs ?cache ?warm ?faults ~layout spec job
            with
            | r ->
              Obs.observe obs "engine.job.wall_ms" r.wall_ms;
@@ -744,11 +674,10 @@ let run_batch ?(obs = Obs.null) ?(jobs = 1) ?cache ?warm ?stop ?watchdog_ms
 (* Core-aware placement of a finished batch                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every successful report carries the scalars a task profile needs:
-   [mean_k] from the fixpoint's steady map when the job ran it, or from
-   the certified bound when the prefilter settled the job without one —
-   either way the placement sees the same thermal identity the report
-   printed. Failed jobs have no profile and are skipped (counted). *)
+(* Every successful report carries the scalars a task profile needs
+   ([peak_k], and [mean_k] from the fixpoint's steady map), so the
+   placement sees the same thermal identity the report printed. Failed
+   jobs have no profile and are skipped (counted). *)
 let placement_of_batch ?(obs = Obs.null) ?gradient_weight ~chip ~policy spec
     (b : batch) =
   Obs.span obs "engine.place"

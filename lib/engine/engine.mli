@@ -224,7 +224,6 @@ val run_batch :
   ?stop:(unit -> bool) ->
   ?watchdog_ms:float ->
   ?faults:Tdfa_verify.Fault.Plan.injector ->
-  ?prefilter:float ->
   layout:Layout.t ->
   spec ->
   job list ->
@@ -254,13 +253,6 @@ val run_batch :
       before a job (exercising the watchdog), and [torn-cache] forces a
       cache probe to behave as a torn read (counter
       [engine.cache.injected_torn]).
-    - [prefilter] (a hot threshold in kelvin) asks the abstract
-      interpreter for certified bounds before each cache-missing IR
-      job: an interval entirely below/above the threshold synthesises a
-      [certified-cool]/[certified-hot] report from the bound (zero
-      iterations, not cached, counter [engine.prefilter.avoided]) and
-      only straddling jobs run the fixpoint
-      ([engine.prefilter.ran]). Trace jobs always run it.
 
     Scheduling telemetry goes to [obs] (default [Obs.null], i.e.
     silence): per job one [engine.job.wait] Complete span (submission
@@ -283,9 +275,8 @@ val placement_of_batch :
   batch ->
   Tdfa_alloc.Place.placement
 (** Fold a finished batch's successful reports into task profiles
-    ({!Tdfa_alloc.Task.of_scalars} over each report's [peak_k]/[mean_k]
-    — scalars that come from the fixpoint, or from the certified bound
-    when the prefilter settled the job) and place the multiset onto
+    ({!Tdfa_alloc.Task.of_scalars} over each report's fixpoint
+    [peak_k]/[mean_k]) and place the multiset onto
     [chip] under [policy]. Failed jobs are skipped. Telemetry through
     [obs]: an [engine.place] span, [engine.place.tasks] /
     [engine.place.skipped] counters and the [engine.place.peak_k] /

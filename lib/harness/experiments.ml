@@ -2064,13 +2064,13 @@ let e22 ?(quiet = false) ?(n = 20000) ?(json = Some "BENCH_trace.json") () =
 
 type e23_row = {
   e23_name : string;
-  e23_peak_k : float;  (** fixpoint ground-truth worst-case peak *)
+  e23_peak_k : float;
+  e23_limit_k : float;
   e23_lo_k : float;
   e23_hi_k : float;
   e23_verdict : string;
-  e23_tightness : float;
-  e23_speedup : float;
-  e23_speedup_same_grid : float;
+  e23_predict_ms : float;
+  e23_fixpoint_ms : float;
 }
 
 type e23_result = {
@@ -2081,95 +2081,82 @@ type e23_result = {
   e23_possibly_hot : int;
   e23_precision : float;
   e23_recall : float;
-  e23_tightness_median : float;
-  e23_speedup_median : float;
-  e23_speedup_same_grid_median : float;
+  e23_kernels_decided : int;
+  e23_corpus_decided : int;
+  e23_decided_ratio : float;
+  e23_tightness_median_k : float;
+  e23_cost_ratio : float;
   e23_kernel_rows : e23_row list;
 }
 
-(* The paper's fidelity grid: E21's 100x rung (80x80 thermal points),
-   the configuration the flat core was built to make affordable — and
-   the run a certified bound lets a batch skip. *)
-let e23_fine_side = 80
+(* The tight reference standing in for the limit: delta = 1e-6, with an
+   iteration cap that the slowest corpus function stays under. *)
+let e23_reference =
+  { Analysis.default_settings with Analysis.delta_k = 1e-6; max_iterations = 5000 }
 
-(* One function through both sides of the bargain: the real fixpoint
-   (ground truth at the same 8x8 grid, timed best-of-[repeats]; the
-   flat-core fixpoint at the 80x80 fidelity grid timed once — that is
-   the run the bounds replace) and the abstract interpreter's certified
-   bounds. Containment is checked per cell, not just at the peak — a
-   single cell outside its interval is a soundness bug and raises. *)
+(* One function through [predict] and the two fixpoints it must bracket:
+   the stopped run at the default delta (its peak map is [lo], timed
+   best-of-[repeats] on the same grid as predict) and the delta = 1e-6
+   reference. Containment of both is checked per cell — a single cell
+   outside its interval is a soundness bug and raises. *)
 let e23_score ~repeats ~hot_k ~layout name func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let f = alloc.Alloc.func and asg = alloc.Alloc.assignment in
   let tc = Driver.transfer_config (Driver.default ~layout) f asg in
-  let outcome, t_fix_ms =
+  let outcome, fixpoint_ms =
     e20_time_ms ~repeats (fun () -> Analysis.fixpoint tc f)
   in
-  let t_fine_ms =
-    let fine =
-      Tdfa_floorplan.Layout.make ~rows:e23_fine_side ~cols:e23_fine_side ()
-    in
-    let fa = Alloc.allocate func fine ~policy:Policy.First_fit in
-    let ftc =
-      Driver.transfer_config (Driver.default ~layout:fine) fa.Alloc.func
-        fa.Alloc.assignment
-    in
-    snd
-      (e20_time_ms ~repeats:1 (fun () ->
-           Analysis.fixpoint ~core:Analysis.Flat ftc fa.Alloc.func))
-  in
-  let bounds, t_pred_ms =
+  let bounds, predict_ms =
     e20_time_ms ~repeats (fun () -> Tdfa_absint.Absint.predict tc f)
   in
   let open Tdfa_absint in
-  let pm = Analysis.peak_map (Analysis.info outcome) in
-  let cells = Thermal_state.to_cell_array pm in
-  let tol = 1e-6 in
-  Array.iteri
-    (fun c t ->
-      if
-        t < bounds.Absint.lo_cells.(c) -. tol
-        || t > bounds.Absint.hi_cells.(c) +. tol
-      then
-        failwith
-          (Printf.sprintf
-             "E23: soundness violation on %s cell %d: fixpoint %.6f K \
-              outside [%.6f, %.6f]"
-             name c t bounds.Absint.lo_cells.(c) bounds.Absint.hi_cells.(c)))
-    cells;
-  let peak = Thermal_state.peak pm in
-  if peak < bounds.Absint.peak_lo_k -. tol || peak > bounds.Absint.peak_hi_k +. tol
-  then
-    failwith
-      (Printf.sprintf
-         "E23: peak %.6f K of %s outside [%.6f, %.6f]" peak name
-         bounds.Absint.peak_lo_k bounds.Absint.peak_hi_k);
-  let verdict = Absint.verdict ~hot_k bounds in
+  let peak_cells o =
+    Thermal_state.to_cell_array (Analysis.peak_map (Analysis.info o))
+  in
+  let stopped = peak_cells outcome in
+  let limit = peak_cells (Analysis.fixpoint ~settings:e23_reference tc f) in
+  let check what cells =
+    Array.iteri
+      (fun c t ->
+        if t < bounds.Absint.lo_cells.(c) || t > bounds.Absint.hi_cells.(c)
+        then
+          failwith
+            (Printf.sprintf
+               "E23: soundness violation on %s cell %d: %s %.6f K outside \
+                [%.6f, %.6f]"
+               name c what t bounds.Absint.lo_cells.(c)
+               bounds.Absint.hi_cells.(c)))
+      cells
+  in
+  check "stopped fixpoint" stopped;
+  check "reference fixpoint" limit;
+  let peak = Array.fold_left Float.max neg_infinity in
   {
     e23_name = name;
-    e23_peak_k = peak;
+    e23_peak_k = peak stopped;
+    e23_limit_k = peak limit;
     e23_lo_k = bounds.Absint.peak_lo_k;
     e23_hi_k = bounds.Absint.peak_hi_k;
-    e23_verdict = Absint.verdict_name verdict;
-    e23_tightness =
-      (bounds.Absint.peak_hi_k -. bounds.Absint.peak_lo_k)
-      /. Float.max (peak -. bounds.Absint.ambient_k) 1e-9;
-    e23_speedup = t_fine_ms /. Float.max t_pred_ms 1e-6;
-    e23_speedup_same_grid = t_fix_ms /. Float.max t_pred_ms 1e-6;
+    e23_verdict = Absint.verdict_name (Absint.verdict ~hot_k bounds);
+    e23_predict_ms = predict_ms;
+    e23_fixpoint_ms = fixpoint_ms;
   }
 
 let e23_write_json path r =
   let oc = open_out path in
   let row w =
     Printf.sprintf
-      "    {\"name\": \"%s\", \"peak_k\": %.6f, \"lo_k\": %.6f, \"hi_k\": \
-       %.6f, \"verdict\": \"%s\", \"speedup\": %.3f}"
-      w.e23_name w.e23_peak_k w.e23_lo_k w.e23_hi_k w.e23_verdict
-      w.e23_speedup
+      "    {\"name\": \"%s\", \"peak_k\": %.6f, \"limit_k\": %.6f, \
+       \"lo_k\": %.6f, \"hi_k\": %.6f, \"verdict\": \"%s\", \
+       \"cost_ratio\": %.3f}"
+      w.e23_name w.e23_peak_k w.e23_limit_k w.e23_lo_k w.e23_hi_k
+      w.e23_verdict
+      (w.e23_predict_ms /. Float.max w.e23_fixpoint_ms 1e-6)
   in
   Printf.fprintf oc
     "{\n\
     \  \"experiment\": \"e23\",\n\
+    \  \"host_cores\": %d,\n\
     \  \"corpus_functions\": %d,\n\
     \  \"hot_functions\": %d,\n\
     \  \"containment\": %b,\n\
@@ -2177,32 +2164,34 @@ let e23_write_json path r =
     \  \"possibly_hot\": %d,\n\
     \  \"certified_hot_precision\": %.3f,\n\
     \  \"possibly_hot_recall\": %.3f,\n\
-    \  \"tightness_median\": %.3f,\n\
-    \  \"fixpoint_grid\": \"%dx%d flat-core (E21 fidelity ladder, 100x)\",\n\
-    \  \"speedup_median\": %.3f,\n\
-    \  \"speedup_same_grid_median\": %.3f,\n\
+    \  \"kernels_decided\": %d,\n\
+    \  \"corpus_decided\": %d,\n\
+    \  \"decided_ratio\": %.3f,\n\
+    \  \"tightness_median_k\": %.4f,\n\
+    \  \"same_grid_cost_ratio\": %.3f,\n\
     \  \"kernels\": [\n%s\n  ]\n\
      }\n"
+    (Domain.recommended_domain_count ())
     r.e23_corpus r.e23_hot r.e23_contained r.e23_certified_hot
-    r.e23_possibly_hot r.e23_precision r.e23_recall r.e23_tightness_median
-    e23_fine_side e23_fine_side r.e23_speedup_median
-    r.e23_speedup_same_grid_median
+    r.e23_possibly_hot r.e23_precision r.e23_recall r.e23_kernels_decided
+    r.e23_corpus_decided r.e23_decided_ratio r.e23_tightness_median_k
+    r.e23_cost_ratio
     (String.concat ",\n" (List.map row r.e23_kernel_rows));
   close_out oc
 
-(* The abstract interpreter's report card, scored against the same
-   corpus and ground truth as E19: per-cell bound containment (the
-   soundness battery — any violation raises), the certified-hot /
-   possibly-hot verdict pair's precision and recall against the
-   fixpoint's verdict at the shared lint threshold, bound tightness,
-   and the speedup of the closed-form predictor over the fixpoint it
-   replaces. The 16 example kernels ride along as named rows. *)
+(* The certified bracket's report card over the E19 corpus and the 16
+   example kernels: per-cell containment of the stopped and the
+   reference fixpoint (any violation raises), the certified-hot /
+   possibly-hot pair's precision and recall against the reference
+   verdict at the shared lint threshold, how many subjects get a
+   definite verdict, the median bracket width, and what the bracket
+   costs over the fixpoint it wraps on the same grid. *)
 let e23 ?(quiet = false) ?(n = 120) ?(repeats = 3)
     ?(json = Some "BENCH_absint.json") () =
   if not quiet then
     section
-      "E23 - certified thermal bounds: containment, verdict \
-       precision/recall, tightness, speedup vs the fixpoint";
+      "E23 - certified thermal bounds: containment, verdicts, decided \
+       ratio, tightness, cost over the fixpoint";
   let layout = Common.standard_layout in
   let hot_k = Tdfa_lint.Rules.hot_threshold in
   let corpus =
@@ -2223,47 +2212,46 @@ let e23 ?(quiet = false) ?(n = 120) ?(repeats = 3)
       Kernels.all
   in
   let all = scored @ kernel_rows in
-  let hot = List.filter (fun r -> r.e23_peak_k >= hot_k) all in
+  let count p l = List.length (List.filter p l) in
+  let is_hot r = r.e23_limit_k >= hot_k in
   let certified = List.filter (fun r -> r.e23_verdict = "certified-hot") all in
-  let possibly =
-    (* hi >= threshold: certified-hot or straddling — the
-       zero-false-negative side of the pair *)
-    List.filter (fun r -> r.e23_hi_k >= hot_k) all
-  in
-  let tp_cert =
-    List.length (List.filter (fun r -> r.e23_peak_k >= hot_k) certified)
-  in
-  let tp_poss =
-    List.length (List.filter (fun r -> r.e23_peak_k >= hot_k) possibly)
-  in
+  (* hi >= threshold: certified-hot or straddling — the
+     zero-false-negative side of the pair *)
+  let possibly = List.filter (fun r -> r.e23_hi_k >= hot_k) all in
+  let decided r = r.e23_verdict <> "straddles" in
   let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
+  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 all in
   let result =
     {
       e23_corpus = n;
-      e23_hot = List.length hot;
+      e23_hot = count is_hot all;
       e23_contained = true (* e23_score raised otherwise *);
       e23_certified_hot = List.length certified;
       e23_possibly_hot = List.length possibly;
-      e23_precision = ratio tp_cert (List.length certified);
-      e23_recall = ratio tp_poss (List.length hot);
-      e23_tightness_median = e20_median (List.map (fun r -> r.e23_tightness) all);
-      e23_speedup_median = e20_median (List.map (fun r -> r.e23_speedup) scored);
-      e23_speedup_same_grid_median =
-        e20_median (List.map (fun r -> r.e23_speedup_same_grid) scored);
+      e23_precision = ratio (count is_hot certified) (List.length certified);
+      e23_recall = ratio (count is_hot possibly) (count is_hot all);
+      e23_kernels_decided = count decided kernel_rows;
+      e23_corpus_decided = count decided scored;
+      e23_decided_ratio = ratio (count decided all) (List.length all);
+      e23_tightness_median_k =
+        e20_median (List.map (fun r -> r.e23_hi_k -. r.e23_lo_k) all);
+      e23_cost_ratio =
+        sum (fun r -> r.e23_predict_ms)
+        /. Float.max (sum (fun r -> r.e23_fixpoint_ms)) 1e-6;
       e23_kernel_rows = kernel_rows;
     }
   in
   Option.iter (fun path -> e23_write_json path result) json;
   if not quiet then begin
     Printf.printf
-      "%d generated functions + %d kernels, %d hot under the fixpoint \
-       (peak >= %.1f K, first-fit); every cell of every function inside \
-       its certified interval\n\n"
-      n (List.length kernel_rows) (List.length hot) hot_k;
+      "%d generated functions + %d kernels, %d hot at the delta = 1e-6 \
+       reference (peak >= %.1f K, first-fit); every cell of the stopped and \
+       the reference fixpoint inside its certified interval\n\n"
+      n (List.length kernel_rows) result.e23_hot hot_k;
     let table =
       Table.create
         ~headers:
-          [ "kernel"; "fixpoint(K)"; "lo(K)"; "hi(K)"; "verdict"; "speedup" ]
+          [ "kernel"; "fixpoint(K)"; "limit(K)"; "lo(K)"; "hi(K)"; "verdict" ]
     in
     List.iter
       (fun r ->
@@ -2271,10 +2259,10 @@ let e23 ?(quiet = false) ?(n = 120) ?(repeats = 3)
           [
             r.e23_name;
             Table.fk r.e23_peak_k;
+            Table.fk r.e23_limit_k;
             Table.fk r.e23_lo_k;
             Table.fk r.e23_hi_k;
             r.e23_verdict;
-            Printf.sprintf "%.0fx" r.e23_speedup;
           ])
       kernel_rows;
     Table.print table;
@@ -2283,15 +2271,15 @@ let e23 ?(quiet = false) ?(n = 120) ?(repeats = 3)
       result.e23_certified_hot result.e23_precision;
     Printf.printf "possibly-hot:  %d flagged, recall %.2f (gate: 1.00)\n"
       result.e23_possibly_hot result.e23_recall;
-    Printf.printf "bound tightness (hi-lo)/(peak-ambient): median %.2f\n"
-      result.e23_tightness_median;
     Printf.printf
-      "predict vs the %dx%d flat-core fixpoint: corpus median %.0fx %s\n"
-      e23_fine_side e23_fine_side result.e23_speedup_median
-      (if result.e23_speedup_median >= 50.0 then "(meets the 50x target)"
-       else "(below the 50x target)");
-    Printf.printf "predict vs the same-grid 8x8 fixpoint: corpus median %.1fx\n"
-      result.e23_speedup_same_grid_median;
+      "decided: %d/%d kernels, %d/%d corpus functions (ratio %.2f)\n"
+      result.e23_kernels_decided (List.length kernel_rows)
+      result.e23_corpus_decided n result.e23_decided_ratio;
+    Printf.printf "bracket width hi-lo: median %.4f K\n"
+      result.e23_tightness_median_k;
+    Printf.printf
+      "predict / same-grid fixpoint time: %.2fx (%d host core(s))\n"
+      result.e23_cost_ratio (Domain.recommended_domain_count ());
     Option.iter (Printf.printf "wrote %s\n") json
   end;
   result

@@ -349,33 +349,32 @@ val e22 : ?quiet:bool -> ?n:int -> ?json:string option -> unit -> e22_result
 
 type e23_row = {
   e23_name : string;
-  e23_peak_k : float;  (** fixpoint ground-truth worst-case peak *)
-  e23_lo_k : float;  (** certified lower bound on that peak *)
+  e23_peak_k : float;  (** peak of the fixpoint at the default delta *)
+  e23_limit_k : float;  (** peak of the delta = 1e-6 reference fixpoint *)
+  e23_lo_k : float;  (** certified lower bound on the peak *)
   e23_hi_k : float;  (** certified upper bound *)
   e23_verdict : string;  (** certified-hot / straddles / certified-cool *)
-  e23_tightness : float;  (** (hi - lo) / (peak - ambient) *)
-  e23_speedup : float;
-      (** 80x80 flat-core fixpoint time (the E21 fidelity ladder's 100x
-          rung — the run a certified bound replaces) / predict time *)
-  e23_speedup_same_grid : float;
-      (** same ratio against the 8x8 g=1 fixpoint that supplies the
-          containment ground truth *)
+  e23_predict_ms : float;  (** [predict], best of the repeats *)
+  e23_fixpoint_ms : float;  (** the same-grid fixpoint, best of the repeats *)
 }
 
 type e23_result = {
   e23_corpus : int;
-  e23_hot : int;  (** functions hot under the fixpoint ground truth *)
+  e23_hot : int;  (** functions hot at the reference fixpoint *)
   e23_contained : bool;
-      (** every cell of every function landed inside its certified
-          interval (a violation raises instead of reporting [false]) *)
+      (** every cell of the stopped and the reference fixpoint landed
+          inside its certified interval (a violation raises instead of
+          reporting [false]) *)
   e23_certified_hot : int;
   e23_possibly_hot : int;
   e23_precision : float;  (** of certified-hot; the zero-FP gate is 1.0 *)
   e23_recall : float;  (** of possibly-hot; the zero-FN gate is 1.0 *)
-  e23_tightness_median : float;
-  e23_speedup_median : float;
-      (** corpus median vs the 80x80 flat-core fixpoint; gate: >= 50x *)
-  e23_speedup_same_grid_median : float;
+  e23_kernels_decided : int;  (** kernels with a definite verdict *)
+  e23_corpus_decided : int;  (** corpus functions with a definite verdict *)
+  e23_decided_ratio : float;  (** over corpus and kernels together *)
+  e23_tightness_median_k : float;  (** median [hi - lo] of the peak *)
+  e23_cost_ratio : float;
+      (** total predict time over total same-grid fixpoint time *)
   e23_kernel_rows : e23_row list;  (** the 16 example kernels, named *)
 }
 
@@ -386,20 +385,18 @@ val e23 :
   ?json:string option ->
   unit ->
   e23_result
-(** Report card for the abstract interpreter ({!Tdfa_absint.Absint}):
-    the E19 corpus ([n] generated functions, same seed) plus the 16
-    example kernels each run through both the real fixpoint (ground
-    truth) and [predict]. Checks per-cell bound containment (raises on
-    any violation — the soundness battery), scores the certified-hot /
-    possibly-hot verdict pair against the fixpoint verdict at
+(** Report card for the certified bracket ({!Tdfa_absint.Absint}): the
+    E19 corpus ([n] generated functions, same seed) plus the 16 example
+    kernels, each run through [predict], the same-grid fixpoint at the
+    default delta (timed best-of-[repeats]) and a delta = 1e-6
+    reference fixpoint. Checks per-cell containment of both fixpoints
+    (raises on any violation), scores the certified-hot / possibly-hot
+    pair against the reference verdict at
     {!Tdfa_lint.Rules.hot_threshold} (precision resp. recall must be
-    1.0 by construction), and reports median bound tightness plus two
-    speedups: the headline ratio against the flat-core fixpoint at the
-    80x80 fidelity grid (E21's 100x rung, timed once per function — the
-    run a certified bound lets a batch skip), and the honesty ratio
-    against the same 8x8 g=1 fixpoint the containment is checked
-    against. [json] (default [Some "BENCH_absint.json"]) writes the
-    machine-readable benchmark; pass [None] to skip. *)
+    1.0), and reports the decided ratio, the median bracket width and
+    the cost ratio [predict_ms / fixpoint_ms]. [json] (default
+    [Some "BENCH_absint.json"]) writes the machine-readable benchmark;
+    pass [None] to skip. *)
 
 type e24_row = {
   e24_policy : string;

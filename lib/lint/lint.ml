@@ -72,13 +72,22 @@ type ctx = {
   consts : Const_prop.t;
   assignment : Assignment.t;
   predicted : bool;
+  bounds : Tdfa_absint.Absint.t Lazy.t;
 }
 
-let make_ctx ?assignment ~layout func =
+let make_ctx ?(obs = Obs.null) ?assignment ~layout func =
   let assignment, predicted =
     match assignment with
     | Some a -> (a, false)
     | None -> (Tdfa_core.Placement.predict func layout, true)
+  in
+  let bounds =
+    lazy
+      (Tdfa_absint.Absint.predict ~obs
+         (Tdfa_core.Driver.transfer_config
+            (Tdfa_core.Driver.default ~layout)
+            func assignment)
+         func)
   in
   {
     func;
@@ -90,6 +99,7 @@ let make_ctx ?assignment ~layout func =
     consts = Const_prop.analyze func;
     assignment;
     predicted;
+    bounds;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -9,7 +9,9 @@
     dominators, use/def, constant propagation) into thermal and hygiene
     rules {e without running the thermal fixpoint}, so thermally risky
     code can be flagged before anyone pays for the expensive analysis —
-    lint first, run Fig. 2 only on flagged functions.
+    lint first, run Fig. 2 only on flagged functions. The two
+    certified-bound rules are the exception: they read the context's
+    [bounds], which run the fixpoint once on first use.
 
     The module is deliberately mechanism-only: rule implementations
     live in {!Rules}, rendering in {!Render} (text) and {!Sarif}
@@ -77,9 +79,16 @@ type ctx = {
           predictive placement of {!Tdfa_core.Placement} (§4's pre-RA
           mode) *)
   predicted : bool;  (** [true] iff [assignment] is predictive *)
+  bounds : Tdfa_absint.Absint.t Lazy.t;
+      (** certified [lo, hi] bounds under [assignment] and the default
+          driver configuration, computed on first use and shared by the
+          rules that read them *)
 }
 
-val make_ctx : ?assignment:Assignment.t -> layout:Layout.t -> Func.t -> ctx
+val make_ctx :
+  ?obs:Obs.sink -> ?assignment:Assignment.t -> layout:Layout.t -> Func.t -> ctx
+(** [obs] (default {!Obs.null}) receives the spans of the [bounds]
+    computation when a rule forces it. *)
 
 (** {1 Rules} *)
 

@@ -543,20 +543,12 @@ let unreachable_rule =
    which E19's ground-truth corpus labels a function hot. *)
 let hot_threshold = 336.0
 
-(* Unlike the heuristic thermal rules above, these two query the abstract
-   interpreter for certified [lo, hi] bounds on the fixpoint peak, so
+(* Unlike the heuristic thermal rules above, these two read certified
+   [lo, hi] bounds on the fixpoint peak (the context's [bounds]), so
    their verdicts are one-sided guarantees: [certified-hot] can never be
    a false positive, [possibly-hot] can never miss a hot function. The
    bounds are with respect to the assignment in the lint context (the
    real one when provided, the placement prediction otherwise). *)
-let predict_bounds ctx =
-  let cfg =
-    Tdfa_core.Driver.transfer_config
-      (Tdfa_core.Driver.default ~layout:ctx.layout)
-      ctx.func ctx.assignment
-  in
-  Tdfa_absint.Absint.predict cfg ctx.func
-
 let certified_hot_rule =
   let id = "certified-hot" in
   {
@@ -566,7 +558,7 @@ let certified_hot_rule =
     default_severity = Warn;
     check =
       (fun ctx ->
-        let b = predict_bounds ctx in
+        let b = Lazy.force ctx.bounds in
         if b.Tdfa_absint.Absint.peak_lo_k >= hot_threshold then
           let cells =
             Tdfa_absint.Absint.certified_hot_cells ~hot_k:hot_threshold b
@@ -589,19 +581,19 @@ let possibly_hot_rule =
   {
     id;
     summary =
-      "the upper temperature bound admits a hot spot; only the fixpoint \
-       can rule it out";
+      "the upper temperature bound admits a hot spot; only a tighter \
+       fixpoint can decide";
     default_severity = Info;
     check =
       (fun ctx ->
-        let b = predict_bounds ctx in
+        let b = Lazy.force ctx.bounds in
         if
           b.Tdfa_absint.Absint.peak_lo_k < hot_threshold
           && b.Tdfa_absint.Absint.peak_hi_k >= hot_threshold
         then
           [
             finding ctx ~rule_id:id ~severity:Info
-              ~hint:"run the full analysis to decide"
+              ~hint:"rerun analyze or predict at a smaller --delta"
               (Printf.sprintf
                  "peak bound [%.2f, %.2f] K straddles the %.0f K threshold"
                  b.Tdfa_absint.Absint.peak_lo_k

@@ -35,6 +35,10 @@ let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f when not (Float.is_finite f) ->
+    (* JSON has no infinities or NaN: an unbounded or undefined value is
+       null, so a reply stays parseable. *)
+    Buffer.add_string buf "null"
   | Float f ->
     if Float.is_integer f && Float.abs f < 1e15 then
       Buffer.add_string buf (Printf.sprintf "%.1f" f)

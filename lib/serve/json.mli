@@ -19,7 +19,8 @@ type t =
 exception Parse_error of string
 
 val to_string : t -> string
-(** Compact, single-line; strings escaped per RFC 8259. *)
+(** Compact, single-line; strings escaped per RFC 8259, and a
+    non-finite [Float] printed as [null]. *)
 
 val of_string : string -> (t, string) result
 (** Whole-string parse (leading/trailing whitespace allowed, trailing

@@ -146,7 +146,7 @@ let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
   (Buffer.contents buf, r)
 
 (* The one source of truth for what `tdfa predict' prints: certified
-   [lo, hi] peak bounds from the abstract interpreter, the verdict
+   [lo, hi] peak bounds around the fixpoint (Tdfa_absint), the verdict
    against the shared hot threshold, the upper-bound map and the
    hottest cells. Everything printed is deterministic (counts, not
    times), so the daemon can ship the same bytes. *)
@@ -173,19 +173,22 @@ let predict ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~pre_ra
       obs;
     }
   in
-  let p = Tdfa.Driver.predict cfg (Tdfa.Driver.Assigned (func, assignment)) in
-  let b = p.Tdfa.Driver.bounds in
+  let b = Tdfa.Driver.predict cfg (Tdfa.Driver.Assigned (func, assignment)) in
   let open Tdfa_absint in
   let hot_k = Tdfa_lint.Rules.hot_threshold in
-  pf "kernel %s, %s: certified thermal bounds (no fixpoint)\n" name mode;
+  pf "kernel %s, %s: certified thermal bounds (fixpoint + certificate)\n"
+    name mode;
   pf "peak bound [%.2f, %.2f] K vs threshold %.0f K: %s\n"
     b.Absint.peak_lo_k b.Absint.peak_hi_k hot_k
     (Absint.verdict_name (Absint.verdict ~hot_k b));
-  pf
-    "lower-bound margin %.2f K; %d blocks, %d loop orbit(s), %d envelope \
-     sweeps\n\n"
-    b.Absint.margin_k b.Absint.stats.Absint.blocks b.Absint.stats.Absint.loops
-    b.Absint.stats.Absint.gs_sweeps;
+  let st = b.Absint.stats in
+  pf "lower bound after %d fixpoint iterations; " st.Absint.iterations;
+  if Float.is_finite b.Absint.peak_hi_k then
+    pf "upper bound certified by sweep %d (lift alpha %.2f, beta %.4f K)\n\n"
+      st.Absint.certify_sweeps st.Absint.lift_alpha b.Absint.margin_k
+  else
+    pf "no upper bound: %d certificate sweep(s) failed\n\n"
+      st.Absint.certify_sweeps;
   pf "upper-bound map (peak %.2f K):\n" b.Absint.peak_hi_k;
   Buffer.add_string buf (Heatmap.render Common.standard_layout b.Absint.hi_cells);
   pf "\nhottest cells by upper bound:\n";
@@ -300,7 +303,8 @@ let lint ?(obs = Tdfa_obs.Obs.null)
     else (f, None)
   in
   let ctx =
-    Tdfa_lint.Lint.make_ctx ?assignment ~layout:Common.standard_layout func
+    Tdfa_lint.Lint.make_ctx ~obs ?assignment ~layout:Common.standard_layout
+      func
   in
   let findings = Tdfa_lint.Lint.run ~obs ~config known ctx in
   (lint_report ~display:func.Func.name findings, findings)

@@ -67,8 +67,8 @@ val predict :
   Func.t ->
   string * Tdfa_absint.Absint.t
 (** Allocate (or predict placement under [pre_ra]) and compute certified
-    [lo, hi] steady-state peak bounds through {!Tdfa.Driver.predict} —
-    no fixpoint runs. Renders the verdict against
+    [lo, hi] steady-state peak bounds through {!Tdfa.Driver.predict}.
+    Renders the verdict against
     {!Tdfa_lint.Rules.hot_threshold}, the upper-bound heatmap and the
     hottest cells; every printed quantity is deterministic, so the
     daemon ships the same bytes the CLI prints. *)

@@ -205,8 +205,9 @@ let handle_work t session (req : Protocol.request) ~rebuilding =
            | None -> ());
           (out, mode_extra r)
         | Protocol.Predict ->
-          (* Certified bounds, no fixpoint — interactive latency by
-             construction, so there is no degraded rung to fall to. *)
+          (* Certified bounds: one fixpoint plus about one certificate
+             sweep. There is no cheaper rung to degrade to, so the
+             request runs to completion. *)
           let out, b =
             Render.predict ~obs ~policy:req.Protocol.policy
               ~granularity:req.Protocol.granularity

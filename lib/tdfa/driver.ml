@@ -6,10 +6,10 @@
 
 include Tdfa_core.Driver
 
-(* Predict mode: certified [lo, hi] steady-state bounds from the
-   abstract interpreter (Tdfa_absint) instead of the fixpoint. It
-   accepts the same closed set of inputs as [run] — allocation still
-   happens for [Unallocated] — but never iterates the thermal state. *)
+(* Predict mode: certified [lo, hi] steady-state bounds (Tdfa_absint)
+   instead of the analysis maps — the stopped fixpoint below, a
+   verified post-fixpoint above. It accepts the same closed set of
+   inputs as [run]; allocation still happens for [Unallocated]. *)
 
 type mode = Analyze | Predict | Place
 
@@ -18,15 +18,9 @@ let mode_name = function
   | Predict -> "predict"
   | Place -> "place"
 
-type prediction = {
-  pre_alloc : Tdfa_regalloc.Alloc.result option;
-      (** [Some] iff the input was [Unallocated] *)
-  bounds : Tdfa_absint.Absint.t;
-}
-
 type mode_result =
   | Analyzed of result
-  | Predicted of prediction
+  | Predicted of Tdfa_absint.Absint.t
   | Placed of placed
 
 (* Place mode: the jobs' thermal profiles decide where they run. Every
@@ -72,17 +66,13 @@ let predict (cfg : config) input =
     ~args:[ ("granularity", Tdfa_obs.Obs.Int cfg.granularity) ]
     (fun () ->
       Tdfa_obs.Obs.incr obs "driver.predicts";
-      let { pre_alloc; func; config_of } = config_of_input cfg input in
+      let { func; config_of; _ } = config_of_input cfg input in
       let settings = cfg.settings in
-      {
-        pre_alloc;
-        bounds =
-          Tdfa_absint.Absint.predict
-            ~delta_k:settings.Tdfa_core.Analysis.delta_k
-            ~max_iterations:settings.Tdfa_core.Analysis.max_iterations
-            (config_of ~granularity:cfg.granularity)
-            func;
-      })
+      Tdfa_absint.Absint.predict ~obs
+        ~delta_k:settings.Tdfa_core.Analysis.delta_k
+        ~max_iterations:settings.Tdfa_core.Analysis.max_iterations
+        (config_of ~granularity:cfg.granularity)
+        func)
 
 let run_mode ~mode cfg input =
   match mode with

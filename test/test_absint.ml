@@ -1,11 +1,11 @@
-(* The abstract interpreter's contract, tested from three sides: the
-   interval carrier obeys its lattice algebra, the Gauss–Seidel solve it
-   leans on is monotone in power (the lemma the upper bound's induction
-   needs), and the bounds themselves contain the concrete fixpoint — per
-   cell, on random programs and on every example kernel — while the
-   interval engine terminates inside its advertised transfer budget. *)
+(* The certified bracket's contract, tested from three sides: the lemma
+   the upper bound needs (a lifted sweep never lowers a state), a
+   certificate check that can fail (a stopped iterate is no
+   post-fixpoint), and the bounds themselves containing both the
+   stopped fixpoint and a tight-delta reference run — per cell, on
+   random programs and on every example kernel — with the lower bound
+   equal to the fixpoint's peak map bit for bit. *)
 
-open Tdfa_ir
 open Tdfa_regalloc
 open Tdfa_core
 open Tdfa_workload
@@ -20,149 +20,139 @@ let config_of func =
 
 let gen_corpus_func = Generator.gen_func ~max_pool:44 ~max_depth:3 ()
 
-(* --- Interval algebra ---------------------------------------------------- *)
+(* --- The monotonicity lemma ---------------------------------------------- *)
 
-let gen_interval =
-  QCheck2.Gen.(
-    map
-      (fun (a, b) -> Interval.make ~lo:(Float.min a b) ~hi:(Float.max a b))
-      (pair (float_range 250.0 700.0) (float_range 250.0 700.0)))
+(* Knaster–Tarski needs the sweep monotone in the exit states it starts
+   from: lifting them by any nonnegative vector can lower no instruction
+   state and no exit of the next sweep. Checked on the flat core after a
+   few ordinary sweeps, with a tolerance far below any bound's slack
+   for float rounding. *)
+let sweep_from ws u =
+  ignore (Flat_core.post_fixpoint ws u);
+  Flat_core.finalize ws
 
-let prop_join_algebra =
-  QCheck2.Test.make ~name:"interval join is a lattice lub" ~count:200
-    QCheck2.Gen.(triple gen_interval gen_interval gen_interval)
-    (fun (a, b, c) ->
-      let open Interval in
-      equal (join a b) (join b a)
-      && equal (join a (join b c)) (join (join a b) c)
-      && equal (join a a) a
-      && leq a (join a b)
-      && leq b (join a b)
-      && ((not (leq a c && leq b c)) || leq (join a b) c))
-
-let prop_meet_algebra =
-  QCheck2.Test.make ~name:"interval meet is a lattice glb" ~count:200
-    QCheck2.Gen.(pair gen_interval gen_interval)
-    (fun (a, b) ->
-      let open Interval in
-      let comm =
-        match (meet a b, meet b a) with
-        | Some m, Some m' -> equal m m'
-        | None, None -> true
-        | _ -> false
+let prop_lift_monotone =
+  QCheck2.Test.make ~name:"lifted exits never lower the next sweep" ~count:60
+    QCheck2.Gen.(triple gen_corpus_func (int_range 0 4) int)
+    (fun (func, warm, seed) ->
+      let tc, f = config_of func in
+      let ws = Flat_core.prepare ~join:Flat_core.Join_max ~delta_k:0.05 tc f in
+      for _ = 1 to warm do
+        ignore (Flat_core.pass ws)
+      done;
+      let x = Array.copy (Flat_core.exits ws) in
+      let rng = Random.State.make [| seed |] in
+      let lifted = Array.map (fun v -> v +. Random.State.float rng 5.0) x in
+      let states_x, exits_x = sweep_from ws x in
+      let states_l, exits_l = sweep_from ws lifted in
+      let below a b =
+        let ok = ref true in
+        for p = 0 to Thermal_state.num_points a - 1 do
+          if Thermal_state.get a p > Thermal_state.get b p +. 1e-9 then
+            ok := false
+        done;
+        !ok
       in
-      let glb =
-        match meet a b with Some m -> leq m a && leq m b | None -> true
-      in
-      let absorb_join =
-        match meet a (join a b) with Some m -> equal m a | None -> false
-      in
-      let absorb_meet =
-        match meet a b with
-        | Some m -> equal (join a m) a
-        | None -> true
-      in
-      comm && glb && absorb_join && absorb_meet)
+      Hashtbl.fold
+        (fun k s acc -> acc && below s (Hashtbl.find states_l k))
+        states_x true
+      && Tdfa_ir.Label.Map.for_all
+           (fun l s -> below s (Tdfa_ir.Label.Map.find l exits_l))
+           exits_x)
 
-let prop_widen_covers_join =
-  QCheck2.Test.make ~name:"widening covers the join and stabilises"
-    ~count:200
-    QCheck2.Gen.(pair gen_interval gen_interval)
-    (fun (p, n) ->
-      let open Interval in
-      let cap = make ~lo:200.0 ~hi:800.0 in
-      let w = widen ~cap p n in
-      leq (join p n) w
-      && (not (leq n p))
-         || equal (widen ~cap p n) n)
+(* --- The certificate check can fail --------------------------------------- *)
 
-let interval_units () =
-  let open Interval in
-  Alcotest.(check bool)
-    "make rejects inverted bounds" true
-    (match make ~lo:2.0 ~hi:1.0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool)
-    "make rejects NaN" true
-    (match make ~lo:Float.nan ~hi:1.0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  let p = point 300.0 in
-  Alcotest.(check bool) "point is degenerate" true (width p = 0.0);
-  Alcotest.(check bool) "point contains itself" true (contains p 300.0);
-  let a = make ~lo:1.0 ~hi:3.0 and b = make ~lo:4.0 ~hi:5.0 in
-  Alcotest.(check bool) "disjoint meet is None" true (meet a b = None);
-  Alcotest.(check bool)
-    "join bridges the gap" true
-    (equal (join a b) (make ~lo:1.0 ~hi:5.0))
+(* A loop kernel stopped early (delta = 1 K) is still rising: its exits
+   are no post-fixpoint, and lifting them by nothing must be rejected. *)
+let certificate_not_vacuous () =
+  let tc, f = config_of (Kernels.fir ()) in
+  let settings = { Analysis.default_settings with Analysis.delta_k = 1.0 } in
+  let ws = Flat_core.prepare ~join:Flat_core.Join_max ~delta_k:1.0 tc f in
+  let iterations, _, _, _ =
+    Analysis.sweep ~settings tc f (fun () -> Flat_core.pass ws)
+  in
+  Alcotest.(check bool) "the stopped run took several sweeps" true
+    (iterations > 1);
+  Alcotest.(check bool) "the unlifted stopped exits are rejected" false
+    (Flat_core.post_fixpoint ws (Array.copy (Flat_core.exits ws)))
 
-(* --- The Gauss–Seidel monotonicity lemma --------------------------------- *)
+(* Outside the monotone regime (an explicit step too long for diffusion
+   to stay a convex combination) the Kleene argument fails, so nothing
+   is certified — and an unbounded bound still renders as valid JSON. *)
+let unstable_step_uncertified () =
+  let alloc =
+    Alloc.allocate (Kernels.fib ()) layout ~policy:Policy.First_fit
+  in
+  let f = alloc.Alloc.func in
+  let tc =
+    Driver.transfer_config
+      { (Driver.default ~layout) with Driver.analysis_dt_s = Some 1.0e-4 }
+      f alloc.Alloc.assignment
+  in
+  let b = Absint.predict ~max_iterations:40 tc f in
+  Alcotest.(check bool) "no finite bound" true
+    (b.Absint.peak_lo_k = neg_infinity && b.Absint.peak_hi_k = infinity);
+  Alcotest.(check bool) "straddles" true
+    (Absint.verdict ~hot_k:Tdfa_lint.Rules.hot_threshold b = Absint.Straddles);
+  Alcotest.(check string) "infinite bound is JSON null" "null"
+    (Tdfa_serve.Json.to_string (Tdfa_serve.Json.Float b.Absint.peak_hi_k))
 
-(* The upper bound's induction needs the steady-state solve to be
-   monotone in injected power: more heat anywhere can lower no
-   temperature. Checked against the flat workspace on the standard
-   model, with a tolerance covering the solver's stopping criterion. *)
-let prop_gauss_seidel_monotone =
-  let model = Tdfa_harness.Common.standard_model in
-  let n = Tdfa_thermal.Rc_model.num_nodes model in
-  QCheck2.Test.make ~name:"flat Gauss–Seidel solve monotone in power"
-    ~count:30
-    QCheck2.Gen.(
-      pair
-        (array_size (return n) (float_range 0.0 0.5))
-        (array_size (return n) (float_range 0.0 0.2)))
-    (fun (p, d) ->
-      let q = Array.mapi (fun i pi -> pi +. d.(i)) p in
-      let ws = Tdfa_thermal.Rc_flat.make model in
-      let t_p = Array.copy (Tdfa_thermal.Rc_flat.solve_seq ws ~power:p) in
-      let t_q = Tdfa_thermal.Rc_flat.solve_seq ws ~power:q in
-      let ok = ref true in
-      Array.iteri (fun i tp -> if tp > t_q.(i) +. 1e-3 then ok := false) t_p;
-      !ok)
+(* --- Soundness: the stopped and the reference fixpoint inside [lo, hi] ---- *)
 
-(* --- Soundness: fixpoint inside the certified bounds --------------------- *)
+let reference_settings =
+  { Analysis.default_settings with Analysis.delta_k = 1e-6; max_iterations = 5000 }
 
-let contained ~tol bounds info =
-  let pm = Analysis.peak_map info in
-  let cells = Tdfa_core.Thermal_state.to_cell_array pm in
-  let peak = Array.fold_left Float.max neg_infinity cells in
+let peak_cells info =
+  Thermal_state.to_cell_array (Analysis.peak_map info)
+
+let within ~tol bounds cells =
   let ok = ref true in
   Array.iteri
     (fun c t ->
-      if
-        t < bounds.Absint.lo_cells.(c) -. tol
-        || t > bounds.Absint.hi_cells.(c) +. tol
+      if t < bounds.Absint.lo_cells.(c) -. tol
+         || t > bounds.Absint.hi_cells.(c) +. tol
       then ok := false)
     cells;
   !ok
-  && peak >= bounds.Absint.peak_lo_k -. tol
-  && peak <= bounds.Absint.peak_hi_k +. tol
+
+(* The lower bound is the stopped fixpoint's peak map, bit for bit; the
+   stopped run and the delta = 1e-6 reference (cells given) both lie
+   inside [lo, hi] in every cell. *)
+let sound tc f bounds reference =
+  let stopped = peak_cells (Analysis.info (Analysis.fixpoint tc f)) in
+  let bits = Array.map Int64.bits_of_float in
+  bits stopped = bits bounds.Absint.lo_cells
+  && within ~tol:1e-9 bounds stopped
+  && within ~tol:1e-9 bounds reference
+  && bounds.Absint.peak_lo_k = Array.fold_left Float.max neg_infinity stopped
+
+let reference_cells tc f =
+  peak_cells
+    (Analysis.info (Analysis.fixpoint ~settings:reference_settings tc f))
 
 let prop_bounds_contain_fixpoint =
   QCheck2.Test.make ~name:"fixpoint peak within certified bounds" ~count:160
     gen_corpus_func (fun func ->
       let tc, f = config_of func in
-      let info = Analysis.info (Analysis.fixpoint tc f) in
-      let bounds = Absint.predict tc f in
-      contained ~tol:1e-6 bounds info)
+      sound tc f (Absint.predict tc f) (reference_cells tc f))
 
 let kernels_within_bounds () =
   List.iter
     (fun (name, func) ->
       let tc, f = config_of func in
-      let info = Analysis.info (Analysis.fixpoint tc f) in
       let bounds = Absint.predict tc f in
+      let reference = reference_cells tc f in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: fixpoint within [lo, hi]" name)
+        (Printf.sprintf "%s: stopped and reference fixpoints within [lo, hi]"
+           name)
         true
-        (contained ~tol:1e-6 bounds info);
-      (* A certified verdict must agree with the ground truth. *)
-      let pm = Analysis.peak_map info in
-      let peak =
-        Array.fold_left Float.max neg_infinity
-          (Tdfa_core.Thermal_state.to_cell_array pm)
-      in
+        (sound tc f bounds reference);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: a certificate was found" name)
+        true
+        (Float.is_finite bounds.Absint.peak_hi_k);
+      (* A certified verdict must agree with the tight reference. *)
+      let peak = Array.fold_left Float.max neg_infinity reference in
       let hot_k = Tdfa_lint.Rules.hot_threshold in
       (match Absint.verdict ~hot_k bounds with
       | Absint.Certified_hot ->
@@ -183,56 +173,17 @@ let kernels_within_bounds () =
         (List.for_all (fun c -> List.mem c possible) certified))
     Kernels.all
 
-(* --- The interval engine: termination and exit containment --------------- *)
-
-let prop_iterate_terminates_in_budget =
-  QCheck2.Test.make
-    ~name:"interval iteration stays within 2·|blocks| transfers" ~count:60
-    gen_corpus_func (fun func ->
-      let tc, f = config_of func in
-      let it = Absint.iterate tc f in
-      it.Absint.istats.Absint.transfers
-      <= 2 * it.Absint.istats.Absint.iter_blocks
-      && it.Absint.istats.Absint.stable)
-
-let prop_iterate_exits_contain_concrete =
-  QCheck2.Test.make ~name:"interval exits contain concrete exit states"
-    ~count:40 gen_corpus_func (fun func ->
-      let tc, f = config_of func in
-      let info = Analysis.info (Analysis.fixpoint tc f) in
-      let it = Absint.iterate tc f in
-      let tol = 1e-6 in
-      List.for_all
-        (fun (label, ivs) ->
-          match Label.Map.find_opt label info.Analysis.exit_states with
-          | None -> true
-          | Some st ->
-              let ok = ref true in
-              Array.iteri
-                (fun p (iv : Interval.t) ->
-                  let v = Tdfa_core.Thermal_state.get st p in
-                  if v < iv.Interval.lo -. tol || v > iv.Interval.hi +. tol
-                  then ok := false)
-                ivs;
-              !ok)
-        it.Absint.exits)
-
 let suite =
   [
     ( "absint",
       [
-        Alcotest.test_case "interval unit algebra" `Quick interval_units;
         Alcotest.test_case "all kernels within bounds" `Quick
           kernels_within_bounds;
+        Alcotest.test_case "certificate rejects a stopped iterate" `Quick
+          certificate_not_vacuous;
+        Alcotest.test_case "unstable step certifies nothing" `Quick
+          unstable_step_uncertified;
       ]
       @ List.map QCheck_alcotest.to_alcotest
-          [
-            prop_join_algebra;
-            prop_meet_algebra;
-            prop_widen_covers_join;
-            prop_gauss_seidel_monotone;
-            prop_bounds_contain_fixpoint;
-            prop_iterate_terminates_in_budget;
-            prop_iterate_exits_contain_concrete;
-          ] );
+          [ prop_lift_monotone; prop_bounds_contain_fixpoint ] );
   ]

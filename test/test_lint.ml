@@ -375,6 +375,21 @@ let prop_loops_dominators_agree =
       headers_dominate && latches_in_body && depth_consistent
       && List.length ls <= back_edge_count)
 
+(* The two bound rules share the context's lazy bracket: one lint of a
+   kernel runs the fixpoint behind it exactly once. *)
+let test_bounds_once () =
+  let obs = Tdfa_obs.Obs.memory () in
+  let f = Kernels.fir () in
+  ignore (Lint.run ~obs Rules.all (Lint.make_ctx ~obs ~layout f));
+  let spans =
+    List.filter
+      (fun (e : Tdfa_obs.Obs.event) ->
+        e.Tdfa_obs.Obs.name = "analysis.fixpoint"
+        && e.Tdfa_obs.Obs.phase = Tdfa_obs.Obs.Begin)
+      (Tdfa_obs.Obs.events obs)
+  in
+  Alcotest.(check int) "one analysis.fixpoint span" 1 (List.length spans)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -393,6 +408,7 @@ let suite =
         tc "severity overrides" `Quick test_overrides_applied;
         tc "pipeline gate" `Quick test_gate;
         tc "SARIF shape" `Quick test_sarif_shape;
+        tc "bound rules share one fixpoint" `Quick test_bounds_once;
         QCheck_alcotest.to_alcotest prop_lint_total_and_deterministic;
         QCheck_alcotest.to_alcotest prop_loops_dominators_agree;
       ] );

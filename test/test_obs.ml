@@ -345,6 +345,35 @@ let test_recovery_rung_events () =
        rungs
    | None -> Alcotest.fail "recover = true must produce a recovery log")
 
+(* Predict mode's span shape: one driver.predict span holding exactly
+   one analysis.fixpoint span and one absint.certify instant, both its
+   direct children. *)
+let test_predict_span_shape () =
+  let t = Obs.memory () in
+  ignore
+    (Tdfa.Driver.run_mode ~mode:Tdfa.Driver.Predict (driver_cfg t)
+       (Driver.Unallocated (Kernels.fib ())));
+  let events = Obs.events t in
+  let named name phase =
+    List.filter (fun e -> e.Obs.name = name && e.Obs.phase = phase) events
+  in
+  match
+    ( named "driver.predict" Obs.Begin,
+      named "analysis.fixpoint" Obs.Begin,
+      named "absint.certify" Obs.Instant )
+  with
+  | [ predict ], [ fixpoint ], [ certify ] ->
+    Alcotest.(check int) "driver.predict is top-level" 0 predict.Obs.parent;
+    Alcotest.(check int) "fixpoint nests in driver.predict" predict.Obs.id
+      fixpoint.Obs.parent;
+    Alcotest.(check int) "certify nests in driver.predict" predict.Obs.id
+      certify.Obs.parent;
+    Alcotest.(check bool) "a certificate was found" true
+      (List.assoc "found" certify.Obs.args = Obs.Bool true)
+  | p, f, c ->
+    Alcotest.failf "expected 1/1/1 predict/fixpoint/certify, got %d/%d/%d"
+      (List.length p) (List.length f) (List.length c)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -362,5 +391,6 @@ let suite =
         tc "fixpoint telemetry counts iterations" `Quick
           test_fixpoint_iteration_count;
         tc "recovery ladder rung events" `Quick test_recovery_rung_events;
+        tc "predict span shape" `Quick test_predict_span_shape;
       ] );
   ]

@@ -358,7 +358,7 @@ let place files kernels_csv cores place_name sa_iters sa_seed policy
   let funcs = file_funcs @ kernel_funcs in
   Cli_args.guard (fun () ->
     Cli_args.with_obs obs_req (fun obs ->
-      let out, placed, blind =
+      let out, placed =
         Tdfa_serve.Render.place ~obs ~policy ~granularity ~delta ~geometry
           ~place_policy funcs
       in
@@ -372,8 +372,9 @@ let place files kernels_csv cores place_name sa_iters sa_seed policy
           (Place.policy_name p.Place.policy)
           cores
           (List.length placed.Tdfa.Driver.profiles)
-          p.Place.peak_k p.Place.gradient_k p.Place.score blind.Place.peak_k
-          (blind.Place.peak_k -. p.Place.peak_k);
+          p.Place.peak_k p.Place.gradient_k p.Place.score
+          p.Place.round_robin_peak_k
+          (p.Place.round_robin_peak_k -. p.Place.peak_k);
         List.iteri
           (fun i (name, core) ->
             Printf.printf "%s{\"task\": %S, \"core\": %d}"

@@ -7,11 +7,37 @@ type t = {
   params : Params.t;
   g_core_lat : float;  (* core-to-core lateral conductance, W/K *)
   g_core_vert : float;  (* core-to-ambient vertical conductance, W/K *)
-  gv_amb : float;  (* g_core_vert *. ambient, the constant rhs term *)
-  noff : int array;  (* CSR offsets, length num_cores+1 *)
-  nidx : int array;  (* CSR neighbour cores, Layout.neighbors order *)
-  g_sum : float array;  (* per-core (degree *. g_core_lat) +. g_core_vert *)
+  basis_r : float array;  (* rows x rows: basis_r.(j * rows + k) = u_k(j) *)
+  basis_rt : float array;  (* its transpose *)
+  basis_c : float array;  (* cols x cols, likewise *)
+  basis_ct : float array;
+  inv_eig : float array;  (* rows x cols: 1 / eigenvalue of G *)
 }
+
+let max_cores = 1024
+
+(* Orthonormal eigenvectors of the m-node path-graph Laplacian with
+   insulated ends (degree 1 at the ends, 2 inside): the DCT-II basis
+   u_k(j) = s_k cos (pi k (2j + 1) / 2m), with s_0 = sqrt (1/m) and
+   s_k = sqrt (2/m), and eigenvalue 2 - 2 cos (pi k / m). *)
+let cosine_basis m =
+  let fm = float_of_int m in
+  let basis =
+    Array.init (m * m) (fun jk ->
+        let j = jk / m and k = jk mod m in
+        let s = if k = 0 then sqrt (1.0 /. fm) else sqrt (2.0 /. fm) in
+        s
+        *. cos
+             (Float.pi *. float_of_int k *. float_of_int ((2 * j) + 1)
+             /. (2.0 *. fm)))
+  in
+  let eig =
+    Array.init m (fun k -> 2.0 -. (2.0 *. cos (Float.pi *. float_of_int k /. fm)))
+  in
+  let transposed =
+    Array.init (m * m) (fun kj -> basis.(((kj mod m) * m) + (kj / m)))
+  in
+  (basis, transposed, eig)
 
 (* Cores abut along an edge of the register-file grid; parallel thermal
    paths add, so the core-to-core conductance is the per-cell lateral
@@ -38,34 +64,31 @@ let make ?(params = Params.default) ?core ~rows ~cols () =
     params.Params.vertical_conductance_w_per_k
     *. float_of_int (Layout.num_cells core)
   in
-  let n = Layout.num_cells grid in
-  let lists = Array.init n (fun i -> Layout.neighbors grid i) in
-  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 lists in
-  let noff = Array.make (n + 1) 0 in
-  let nidx = Array.make (max 1 total) 0 in
-  let g_sum = Array.make n 0.0 in
-  let pos = ref 0 in
-  Array.iteri
-    (fun i l ->
-      noff.(i) <- !pos;
-      List.iter
-        (fun j ->
-          nidx.(!pos) <- j;
-          incr pos)
-        l;
-      g_sum.(i) <- (float_of_int (List.length l) *. g_core_lat) +. g_core_vert)
-    lists;
-  noff.(n) <- !pos;
+  let rows = grid.Layout.rows and cols = grid.Layout.cols in
+  if rows > max_cores || cols > max_cores || rows * cols > max_cores then
+    invalid_arg
+      (Printf.sprintf "Chip.make: %dx%d exceeds %d cores" rows cols max_cores);
+  (* G = g_lat (L_rows (x) I + I (x) L_cols) + g_vert I: the Laplacians'
+     eigenvalues add, so G is diagonal in the product cosine basis. *)
+  let basis_r, basis_rt, eig_r = cosine_basis rows in
+  let basis_c, basis_ct, eig_c = cosine_basis cols in
+  let inv_eig =
+    Array.init (rows * cols) (fun kl ->
+        1.0
+        /. ((g_core_lat *. (eig_r.(kl / cols) +. eig_c.(kl mod cols)))
+           +. g_core_vert))
+  in
   {
     grid;
     core;
     params;
     g_core_lat;
     g_core_vert;
-    gv_amb = g_core_vert *. params.Params.ambient_k;
-    noff;
-    nidx;
-    g_sum;
+    basis_r;
+    basis_rt;
+    basis_c;
+    basis_ct;
+    inv_eig;
   }
 
 let grid t = t.grid
@@ -74,39 +97,49 @@ let params t = t.params
 let num_cores t = Layout.num_cells t.grid
 let ambient_k t = t.params.Params.ambient_k
 let core_vertical_w_per_k t = t.g_core_vert
+let core_lateral_w_per_k t = t.g_core_lat
 let cell_vertical_w_per_k t = t.params.Params.vertical_conductance_w_per_k
 let neighbors t i = Layout.neighbors t.grid i
 
-(* The Rc_flat sweep body at core scale, kept sequential: the grids are
-   tiny (a handful of cores), so one domain always wins, and a fixed
-   sweep order keeps the solve bit-deterministic for the differential
-   battery. *)
+(* out <- x * y for row-major x (m x k) and y (k x n), each entry one
+   dot product in index order. The callers below size every buffer
+   exactly, so the reads skip their bounds checks. *)
+let mul ~m ~k ~n x y out =
+  Array.fill out 0 (m * n) 0.0;
+  for i = 0 to m - 1 do
+    let row = i * n in
+    for p = 0 to k - 1 do
+      let xip = Array.unsafe_get x ((i * k) + p) and yrow = p * n in
+      for j = 0 to n - 1 do
+        Array.unsafe_set out (row + j)
+          (Array.unsafe_get out (row + j)
+          +. (xip *. Array.unsafe_get y (yrow + j)))
+      done
+    done
+  done
+
+(* G (T - ambient) = power, since every row of the Laplacian part sums
+   to zero. With U_r, U_c the cosine bases and power read as a rows x
+   cols matrix P: T - ambient = U_r ((U_r^T P U_c) ./ eig) U_c^T — four
+   small dense products, O(n (rows + cols)). *)
 let solve t ~power =
-  let n = num_cores t in
+  let rows = t.grid.Layout.rows and cols = t.grid.Layout.cols in
+  let n = rows * cols in
   if Array.length power <> n then
     invalid_arg "Chip.solve: power length does not match the chip";
-  let temps = Array.make n t.params.Params.ambient_k in
-  let tol = 1e-9 and max_sweeps = 100_000 in
-  let k = ref 0 in
-  let go = ref true in
-  while !go do
-    let worst = ref 0.0 in
-    for i = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for jj = t.noff.(i) to t.noff.(i + 1) - 1 do
-        acc := !acc +. (t.g_core_lat *. temps.(t.nidx.(jj)))
-      done;
-      let fresh = (power.(i) +. t.gv_amb +. !acc) /. t.g_sum.(i) in
-      let d = fresh -. temps.(i) in
-      let ad = if d >= 0.0 then d else -.d in
-      let w = !worst in
-      if ad > w || (ad <> ad && w = w) then worst := ad;
-      temps.(i) <- fresh
-    done;
-    incr k;
-    go := !worst > tol && !k < max_sweeps
+  let a = Array.make n 0.0 and b = Array.make n 0.0 in
+  mul ~m:rows ~k:rows ~n:cols t.basis_rt power a;
+  mul ~m:rows ~k:cols ~n:cols a t.basis_c b;
+  for i = 0 to n - 1 do
+    b.(i) <- b.(i) *. t.inv_eig.(i)
   done;
-  temps
+  mul ~m:rows ~k:rows ~n:cols t.basis_r b a;
+  mul ~m:rows ~k:cols ~n:cols a t.basis_ct b;
+  let ambient = t.params.Params.ambient_k in
+  for i = 0 to n - 1 do
+    b.(i) <- ambient +. b.(i)
+  done;
+  b
 
 let geometry_of_string s =
   match String.index_opt s 'x' with
@@ -115,7 +148,13 @@ let geometry_of_string s =
     let rs = String.sub s 0 i in
     let cs = String.sub s (i + 1) (String.length s - i - 1) in
     match (int_of_string_opt rs, int_of_string_opt cs) with
-    | Some r, Some c when r > 0 && c > 0 -> Ok (r, c)
+    | Some r, Some c when r > 0 && c > 0 ->
+      (* Bound each side first so [r * c] cannot overflow. *)
+      if r > max_cores || c > max_cores || r * c > max_cores then
+        Error
+          (Printf.sprintf "bad chip geometry %S: more than %d cores" s
+             max_cores)
+      else Ok (r, c)
     | _ ->
       Error
         (Printf.sprintf "bad chip geometry %S: expected positive ROWSxCOLS" s))

@@ -23,11 +23,17 @@ open Tdfa_thermal
 
 type t
 
+val max_cores : int
+(** 1024: the largest chip {!make} and {!geometry_of_string} accept. *)
+
 val make : ?params:Params.t -> ?core:Layout.t -> rows:int -> cols:int -> unit -> t
 (** A chip of [rows x cols] cores. [core] is the register-file layout
     every core carries ({!Tdfa_core.Setup.standard_layout}-shaped 8x8 by
-    default); [params] defaults to {!Params.default}.
-    @raise Invalid_argument on a non-positive grid (via [Layout.make]). *)
+    default); [params] defaults to {!Params.default}. Precomputes the
+    two cosine bases and the eigenvalue table: O(rows² + cols²)
+    memory.
+    @raise Invalid_argument on a non-positive grid (via [Layout.make])
+    or one of more than {!max_cores} cores. *)
 
 val grid : t -> Layout.t
 (** The core grid itself — one layout cell per core. *)
@@ -44,6 +50,10 @@ val core_vertical_w_per_k : t -> float
     cells per core. Also the coefficient that turns a steady RF
     temperature rise back into sustained power (see {!Task}). *)
 
+val core_lateral_w_per_k : t -> float
+(** Core-to-core conductance: per-cell lateral conductance times the
+    mean edge length of a core, in cells. *)
+
 val cell_vertical_w_per_k : t -> float
 (** The per-cell vertical conductance of [params], the within-core
     counterpart of {!core_vertical_w_per_k}. *)
@@ -53,15 +63,19 @@ val neighbors : t -> int -> int list
 
 val solve : t -> power:float array -> float array
 (** Steady per-core temperatures under per-core sustained [power] (W):
-    a sequential Gauss–Seidel sweep over the CSR coupling structure,
-    iterated to a 1e-9 K worst-change tolerance, starting from ambient.
-    Deterministic: fixed sweep order, fixed float operations. Returns a
-    fresh array of length [num_cores].
+    the exact solution of [G (T - ambient) = power], by projecting
+    [power] onto the cosine basis, dividing by the eigenvalues and
+    projecting back — four dense products, O(n (rows + cols)). It agrees
+    with a Gauss–Seidel solve of the same network to round-off (the
+    test battery bounds the gap at 1e-8 K against a 1e-12 K-tolerance
+    sweep). Deterministic: fixed operation order. Returns a fresh array
+    of length [num_cores].
     @raise Invalid_argument when [power] length differs from
     [num_cores]. *)
 
 val geometry_of_string : string -> (int * int, string) result
 (** Parse a ["ROWSxCOLS"] chip geometry (e.g. ["2x2"], ["4x4"]);
-    [Error] explains a malformed or non-positive spec. *)
+    [Error] explains a malformed or non-positive spec, or one of more
+    than {!max_cores} cores. *)
 
 val geometry_to_string : t -> string

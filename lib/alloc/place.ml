@@ -1,4 +1,5 @@
 open Tdfa_floorplan
+module Obs = Tdfa_obs.Obs
 
 type policy =
   | Round_robin
@@ -34,6 +35,7 @@ type placement = {
   peak_k : float;
   gradient_k : float;
   score : float;
+  round_robin_peak_k : float;
 }
 
 let default_gradient_weight = 0.1
@@ -57,75 +59,130 @@ let check_tasks chip tasks =
              ncells))
     tasks
 
+(* Everything a candidate's score needs that does not depend on the
+   assignment, computed once per run, plus the buffers a score fills.
+   A score reads only the assignment and these, so it is a pure
+   function of the assignment: equal candidates score bitwise equal. *)
+type scorer = {
+  chip : Chip.t;
+  gradient_weight : float;
+  tasks : Task.t array;
+  power_w : float array;  (* per task: Task.sustained_w *)
+  rise_k : float array;  (* per task: Task.transient_rise_k *)
+  nbrs : int array array;  (* per core: neighbours, Layout.neighbors order *)
+  ncells : int;
+  g_cell : float;
+  core_power : float array;
+  occupied : bool array;
+  stack : float array;  (* per core: summed per-cell power, ncells wide *)
+  transient : float array;  (* per core: largest transient rise *)
+  local : float array;  (* the last score's local peaks *)
+  mutable temps : float array;  (* the last score's chip solve *)
+}
+
+let scorer ~gradient_weight chip tasks =
+  let n = Chip.num_cores chip in
+  let ncells = Layout.num_cells (Chip.core chip) in
+  {
+    chip;
+    gradient_weight;
+    tasks;
+    power_w = Array.map Task.sustained_w tasks;
+    rise_k = Array.map Task.transient_rise_k tasks;
+    nbrs = Array.init n (fun c -> Array.of_list (Chip.neighbors chip c));
+    ncells;
+    g_cell = Chip.cell_vertical_w_per_k chip;
+    core_power = Array.make n 0.0;
+    occupied = Array.make n false;
+    stack = Array.make (n * ncells) 0.0;
+    transient = Array.make n 0.0;
+    local = Array.make n 0.0;
+    temps = [||];
+  }
+
+type merit = { peak : float; gradient : float; score : float }
+
 (* Score an assignment; [assign.(i) = -1] means task [i] is not placed
    yet (greedy's partial states). The local per-core peak is the steady
    core temperature from the chip solve, plus the within-core stacking
    excess — the hottest cell's summed power over the core average,
    through the per-cell vertical conductance — plus the largest
    transient peak-over-mean rise among the core's tasks, which is
-   short-lived and never diffuses into the neighbours. *)
-let metrics ~gradient_weight chip (tasks : Task.t array) assign =
-  let n = Chip.num_cores chip in
-  let ncells = Layout.num_cells (Chip.core chip) in
-  let g_cell = Chip.cell_vertical_w_per_k chip in
-  let power = Array.make n 0.0 in
+   short-lived and never diffuses into the neighbours. Leaves the chip
+   solve in [s.temps] and the local peaks in [s.local]. *)
+let score s assign =
+  let n = Array.length s.local and ncells = s.ncells in
+  Array.fill s.core_power 0 n 0.0;
+  Array.fill s.occupied 0 n false;
   Array.iteri
     (fun i c ->
-      if c >= 0 then power.(c) <- power.(c) +. Task.sustained_w tasks.(i))
+      if c >= 0 then begin
+        let base = c * ncells and cw = s.tasks.(i).Task.cells_w in
+        s.core_power.(c) <- s.core_power.(c) +. s.power_w.(i);
+        if not s.occupied.(c) then begin
+          s.occupied.(c) <- true;
+          s.transient.(c) <- 0.0;
+          Array.fill s.stack base ncells 0.0
+        end;
+        for p = 0 to ncells - 1 do
+          s.stack.(base + p) <- s.stack.(base + p) +. cw.(p)
+        done;
+        if s.rise_k.(i) > s.transient.(c) then s.transient.(c) <- s.rise_k.(i)
+      end)
     assign;
-  let temps = Chip.solve chip ~power in
-  let stack = Array.make ncells 0.0 in
-  let local =
-    Array.init n (fun c ->
-        Array.fill stack 0 ncells 0.0;
-        let transient = ref 0.0 in
-        let occupied = ref false in
-        Array.iteri
-          (fun i c' ->
-            if c' = c then begin
-              occupied := true;
-              let cw = tasks.(i).Task.cells_w in
-              for p = 0 to ncells - 1 do
-                stack.(p) <- stack.(p) +. cw.(p)
-              done;
-              let r = Task.transient_rise_k tasks.(i) in
-              if r > !transient then transient := r
-            end)
-          assign;
-        if not !occupied then temps.(c)
-        else begin
-          let hottest = ref 0.0 and total = ref 0.0 in
-          for p = 0 to ncells - 1 do
-            if stack.(p) > !hottest then hottest := stack.(p);
-            total := !total +. stack.(p)
-          done;
-          let excess =
-            (!hottest -. (!total /. float_of_int ncells)) /. g_cell
-          in
-          temps.(c) +. excess +. !transient
-        end)
-  in
-  let peak = Array.fold_left Float.max neg_infinity local in
-  let gradient = ref 0.0 in
-  for i = 0 to n - 1 do
-    List.iter
-      (fun j ->
-        if j > i then begin
-          let d = Float.abs (temps.(i) -. temps.(j)) in
-          if d > !gradient then gradient := d
-        end)
-      (Chip.neighbors chip i)
+  let temps = Chip.solve s.chip ~power:s.core_power in
+  s.temps <- temps;
+  let peak = ref neg_infinity and gradient = ref 0.0 in
+  for c = 0 to n - 1 do
+    let local =
+      if not s.occupied.(c) then temps.(c)
+      else begin
+        let base = c * ncells in
+        let hottest = ref 0.0 and total = ref 0.0 in
+        for p = 0 to ncells - 1 do
+          let x = s.stack.(base + p) in
+          if x > !hottest then hottest := x;
+          total := !total +. x
+        done;
+        let excess = (!hottest -. (!total /. float_of_int ncells)) /. s.g_cell in
+        temps.(c) +. excess +. s.transient.(c)
+      end
+    in
+    s.local.(c) <- local;
+    peak := Float.max !peak local;
+    let nb = s.nbrs.(c) in
+    for k = 0 to Array.length nb - 1 do
+      if nb.(k) > c then begin
+        let d = Float.abs (temps.(c) -. temps.(nb.(k))) in
+        if d > !gradient then gradient := d
+      end
+    done
   done;
   {
-    policy = Round_robin;
+    peak = !peak;
+    gradient = !gradient;
+    score = !peak +. (s.gradient_weight *. !gradient);
+  }
+
+let round_robin_assign n_cores n_tasks =
+  Array.init n_tasks (fun i -> i mod n_cores)
+
+(* The full record, built once for the assignment a policy returns. *)
+let placement s ~policy assign =
+  let n = Array.length s.local and nt = Array.length s.tasks in
+  let blind = score s (round_robin_assign n nt) in
+  let m = score s assign in
+  {
+    policy;
     assignment =
       Array.to_list
-        (Array.mapi (fun i c -> (tasks.(i).Task.name, c)) assign);
-    core_temps_k = temps;
-    local_peak_k = local;
-    peak_k = peak;
-    gradient_k = !gradient;
-    score = peak +. (gradient_weight *. !gradient);
+        (Array.mapi (fun i c -> (s.tasks.(i).Task.name, c)) assign);
+    core_temps_k = s.temps;
+    local_peak_k = Array.copy s.local;
+    peak_k = m.peak;
+    gradient_k = m.gradient;
+    score = m.score;
+    round_robin_peak_k = blind.peak;
   }
 
 let evaluate ?(gradient_weight = default_gradient_weight) chip tasks assign =
@@ -138,93 +195,68 @@ let evaluate ?(gradient_weight = default_gradient_weight) chip tasks assign =
       if c < 0 || c >= n then
         invalid_arg "Place.evaluate: core index out of range")
     assign;
-  metrics ~gradient_weight chip tasks assign
+  placement (scorer ~gradient_weight chip tasks) ~policy:Round_robin assign
 
-let round_robin_assign n_cores n_tasks =
-  Array.init n_tasks (fun i -> i mod n_cores)
+(* The first core minimizing [cost], strict improvement from infinity. *)
+let argmin n cost =
+  let best = ref 0 and best_cost = ref infinity in
+  for c = 0 to n - 1 do
+    let x = cost c in
+    if x < !best_cost then begin
+      best_cost := x;
+      best := c
+    end
+  done;
+  !best
 
-(* The never-worse-than-blind guard: a thermal-aware candidate replaces
-   the canonical round-robin placement only when it beats it on score
-   without exceeding its peak — so "peak <= round-robin's peak" holds
-   for greedy and coolest-neighbor by construction. *)
-let guard ~candidate ~blind =
-  if candidate.peak_k <= blind.peak_k && candidate.score <= blind.score then
-    candidate
-  else blind
-
-(* Hottest-task-first order: descending sustained power, canonical
-   index breaking ties so the order is still multiset-determined. *)
-let hottest_first tasks =
-  let order = Array.init (Array.length tasks) Fun.id in
+(* Hottest-task-first placement: tasks by descending sustained power
+   (canonical index breaking ties, so the order is still
+   multiset-determined), each onto the core [pick] chooses for the
+   partial assignment. *)
+let hottest_first s pick =
+  let order = Array.init (Array.length s.tasks) Fun.id in
   Array.sort
     (fun i j ->
-      let c =
-        Float.compare (Task.sustained_w tasks.(j)) (Task.sustained_w tasks.(i))
-      in
+      let c = Float.compare s.power_w.(j) s.power_w.(i) in
       if c <> 0 then c else Stdlib.compare i j)
     order;
-  order
+  let assign = Array.make (Array.length s.tasks) (-1) in
+  Array.iter (fun i -> assign.(i) <- pick assign i) order;
+  assign
 
-let run_greedy ~gradient_weight chip tasks =
-  let n = Chip.num_cores chip in
-  let assign = Array.make (Array.length tasks) (-1) in
-  Array.iter
-    (fun i ->
-      let best_core = ref 0 and best_score = ref infinity in
-      for c = 0 to n - 1 do
-        assign.(i) <- c;
-        let m = metrics ~gradient_weight chip tasks assign in
-        if m.score < !best_score then begin
-          best_score := m.score;
-          best_core := c
-        end
-      done;
-      assign.(i) <- !best_core)
-    (hottest_first tasks);
-  metrics ~gradient_weight chip tasks assign
+(* Greedy: the core that minimizes the resulting score. *)
+let run_greedy s =
+  hottest_first s (fun assign i ->
+      argmin (Array.length s.local) (fun c ->
+          assign.(i) <- c;
+          (score s assign).score))
 
-let run_coolest ~gradient_weight chip tasks =
-  let n = Chip.num_cores chip in
-  let assign = Array.make (Array.length tasks) (-1) in
-  Array.iter
-    (fun i ->
-      (* Temperatures of the partial placement, before this task. *)
-      let m = metrics ~gradient_weight chip tasks assign in
-      let best_core = ref 0 and best_cost = ref infinity in
-      for c = 0 to n - 1 do
-        let nbrs = Chip.neighbors chip c in
-        let nsum =
-          List.fold_left (fun acc j -> acc +. m.core_temps_k.(j)) 0.0 nbrs
-        in
-        let navg = nsum /. float_of_int (List.length nbrs) in
-        (* The core's own worst temperature — steady plus stacking plus
-           transient — not just its steady value: with many tasks the
-           within-core terms dominate the peak, and a policy blind to
-           them cannot beat a balanced round-robin. *)
-        let cost = m.local_peak_k.(c) +. (0.5 *. navg) in
-        if cost < !best_cost then begin
-          best_cost := cost;
-          best_core := c
-        end
-      done;
-      assign.(i) <- !best_core)
-    (hottest_first tasks);
-  metrics ~gradient_weight chip tasks assign
+(* Coolest-neighbor: from the partial placement's temperatures, the core
+   whose own worst temperature — steady plus stacking plus transient,
+   since with many tasks the within-core terms dominate the peak and a
+   policy blind to them cannot beat a balanced round-robin — plus half
+   its neighbours' mean steady temperature is lowest. *)
+let run_coolest s =
+  hottest_first s (fun assign _ ->
+      ignore (score s assign : merit);
+      argmin (Array.length s.local) (fun c ->
+          let nbrs = s.nbrs.(c) in
+          let nsum = Array.fold_left (fun acc j -> acc +. s.temps.(j)) 0.0 nbrs in
+          s.local.(c) +. (0.5 *. (nsum /. float_of_int (Array.length nbrs)))))
 
-let run_annealed ~gradient_weight ~seed ~iters chip tasks ~start ~blind =
-  let n = Chip.num_cores chip in
-  let nt = Array.length tasks in
+let run_annealed ~obs s ~seed ~iters ~start ~blind =
+  let n = Array.length s.local and nt = Array.length s.tasks in
   if iters <= 0 || nt = 0 || n <= 1 then start
   else begin
     let rng = Random.State.make [| seed |] in
-    let assign =
-      Array.of_list (List.map snd start.assignment)
-    in
-    let cur = ref start and best = ref start in
+    let assign = Array.copy start and best = Array.copy start in
+    let cur = ref (score s assign).score in
+    let best_score = ref !cur in
     (* Geometric cooling from 2 K down to 0.01 K over [iters] steps. *)
     let t0 = 2.0 and t_end = 0.01 in
     let alpha = exp (log (t_end /. t0) /. float_of_int iters) in
     let temp = ref t0 in
+    let accepted = ref 0 and improving = ref 0 in
     for _ = 1 to iters do
       let i = Random.State.int rng nt in
       let undo =
@@ -246,45 +278,69 @@ let run_annealed ~gradient_weight ~seed ~iters chip tasks ~start ~blind =
             assign.(j) <- cj
         end
       in
-      let cand = metrics ~gradient_weight chip tasks assign in
-      let d = cand.score -. !cur.score in
-      let accept =
-        d <= 0.0 || Random.State.float rng 1.0 < exp (-.d /. !temp)
-      in
-      if accept then begin
-        cur := cand;
+      let cand = score s assign in
+      let d = cand.score -. !cur in
+      if d <= 0.0 || Random.State.float rng 1.0 < exp (-.d /. !temp) then begin
+        incr accepted;
+        if d < 0.0 then incr improving;
+        cur := cand.score;
         (* Only candidates that respect the round-robin peak bound may
            become the answer — the guard the battery relies on. *)
-        if cand.peak_k <= blind.peak_k && cand.score < !best.score then
-          best := cand
+        if cand.peak <= blind.peak && cand.score < !best_score then begin
+          best_score := cand.score;
+          Array.blit assign 0 best 0 nt
+        end
       end
       else undo ();
       temp := !temp *. alpha
     done;
-    !best
+    if Obs.tracing obs then
+      Obs.instant obs "alloc.anneal"
+        ~args:
+          [
+            ("accepted", Obs.Int !accepted);
+            ("improving", Obs.Int !improving);
+            ("final_temp_k", Obs.Float !temp);
+          ];
+    best
   end
 
-let run ?(gradient_weight = default_gradient_weight) chip policy tasks =
+let run ?(obs = Obs.null) ?(gradient_weight = default_gradient_weight) chip
+    policy tasks =
   let tasks = canonical tasks in
   check_tasks chip tasks;
-  let n = Chip.num_cores chip in
-  let blind =
-    metrics ~gradient_weight chip tasks
-      (round_robin_assign n (Array.length tasks))
+  let n = Chip.num_cores chip and nt = Array.length tasks in
+  let place () =
+    let s = scorer ~gradient_weight chip tasks in
+    let rr = round_robin_assign n nt in
+    let blind = score s rr in
+    (* The never-worse-than-blind guard: a thermal-aware candidate
+       replaces the canonical round-robin placement only when it beats it
+       on score without exceeding its peak — so "peak <= round-robin's
+       peak" holds for greedy and coolest-neighbor by construction. *)
+    let guard candidate =
+      let m = score s candidate in
+      if m.peak <= blind.peak && m.score <= blind.score then candidate else rr
+    in
+    placement s ~policy
+      (match policy with
+       | Round_robin -> rr
+       | Greedy -> guard (run_greedy s)
+       | Coolest_neighbor -> guard (run_coolest s)
+       | Annealed { seed; iters } ->
+         run_annealed ~obs s ~seed ~iters ~start:(guard (run_greedy s)) ~blind)
   in
-  let placed =
-    match policy with
-    | Round_robin -> blind
-    | Greedy -> guard ~candidate:(run_greedy ~gradient_weight chip tasks) ~blind
-    | Coolest_neighbor ->
-      guard ~candidate:(run_coolest ~gradient_weight chip tasks) ~blind
-    | Annealed { seed; iters } ->
-      let start =
-        guard ~candidate:(run_greedy ~gradient_weight chip tasks) ~blind
-      in
-      run_annealed ~gradient_weight ~seed ~iters chip tasks ~start ~blind
-  in
-  { placed with policy }
+  (* The span's arguments are built only for a tracing sink. *)
+  if not (Obs.tracing obs) then place ()
+  else
+    Obs.span obs "alloc.place"
+      ~args:
+        [
+          ("cores", Obs.Int n);
+          ("tasks", Obs.Int nt);
+          ("policy", Obs.Str (policy_name policy));
+        ]
+      place
 
 let exhaustive ?(gradient_weight = default_gradient_weight)
     ?(limit = 1_000_000) chip tasks =
@@ -300,8 +356,9 @@ let exhaustive ?(gradient_weight = default_gradient_weight)
     invalid_arg
       (Printf.sprintf "Place.exhaustive: %d^%d placements exceed the limit" n
          nt);
+  let s = scorer ~gradient_weight chip tasks in
   let assign = Array.make nt 0 in
-  let best = ref (metrics ~gradient_weight chip tasks assign) in
+  let best = Array.copy assign and best_score = ref (score s assign).score in
   (* Odometer enumeration in lexicographic order; strict improvement
      keeps the first — smallest — optimal assignment. *)
   let rec bump i =
@@ -316,7 +373,10 @@ let exhaustive ?(gradient_weight = default_gradient_weight)
     end
   in
   while bump (nt - 1) do
-    let m = metrics ~gradient_weight chip tasks assign in
-    if m.score < !best.score then best := m
+    let m = score s assign in
+    if m.score < !best_score then begin
+      best_score := m.score;
+      Array.blit assign 0 best 0 nt
+    end
   done;
-  !best
+  placement s ~policy:Round_robin best

@@ -60,6 +60,10 @@ type placement = {
   gradient_k : float;
       (** largest steady temperature difference across adjacent cores *)
   score : float;  (** [peak_k + gradient_weight * gradient_k] *)
+  round_robin_peak_k : float;
+      (** peak of the round-robin placement of the same tasks (in
+          canonical order, except under {!evaluate}): the baseline every
+          thermal-aware policy is guarded against *)
 }
 
 val default_gradient_weight : float
@@ -69,16 +73,26 @@ val default_gradient_weight : float
 val evaluate :
   ?gradient_weight:float -> Chip.t -> Task.t array -> int array -> placement
 (** Score an explicit assignment ([assign.(i)] is the core of task
-    [i]): per-core sustained powers, chip Gauss–Seidel solve, local
-    peaks, gradient. The [policy] field of the result is meaningless
-    (set to [Round_robin]); callers override it.
+    [i]): per-core sustained powers, chip solve, local peaks,
+    gradient. The [policy] field of the result is meaningless (set to
+    [Round_robin]); callers override it.
     @raise Invalid_argument on length mismatch or an out-of-range
     core. *)
 
 val run :
-  ?gradient_weight:float -> Chip.t -> policy -> Task.t list -> placement
+  ?obs:Tdfa_obs.Obs.sink ->
+  ?gradient_weight:float ->
+  Chip.t ->
+  policy ->
+  Task.t list ->
+  placement
 (** Allocate the multiset under the policy. Deterministic: annealing
-    draws from [Random.State.make] seeded with the policy's [seed]. *)
+    draws from [Random.State.make] seeded with the policy's [seed].
+    Candidates are scored from per-task sums computed once per run and
+    precomputed core adjacency; only the returned assignment is turned
+    into a [placement]. Traced as an [alloc.place] span (cores, tasks,
+    policy); annealing adds an [alloc.anneal] instant (accepted moves,
+    improving moves, final temperature). *)
 
 val exhaustive :
   ?gradient_weight:float -> ?limit:int -> Chip.t -> Task.t list -> placement

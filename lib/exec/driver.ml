@@ -28,7 +28,10 @@ let simulate_trace ?(window_cycles = default_window_cycles) model trace ~cell_of
     windows;
   sim
 
-let steady_temps ?leak_mask model trace ~cell_of_var =
+let steady_temps ?(obs = Tdfa_obs.Obs.null) ?leak_mask model trace
+    ~cell_of_var =
+  let module Obs = Tdfa_obs.Obs in
+  let t0 = if Obs.tracing obs then Obs.now_us obs else 0.0 in
   let p = Rc_model.params model in
   let n = Rc_model.num_nodes model in
   let reads, writes = Trace.access_counts trace ~cell_of_var ~num_cells:n in
@@ -49,5 +52,19 @@ let steady_temps ?leak_mask model trace ~cell_of_var =
   let first =
     Rc_flat.solve_seq ws ~power:(with_leak (Array.make n p.Params.ambient_k))
   in
+  let first_sweeps = Rc_flat.sweeps ws in
   let power = with_leak first in
-  Array.copy (Rc_flat.solve_seq ws ~power)
+  let temps = Array.copy (Rc_flat.solve_seq ws ~power) in
+  (* Recorded after the fact so the span carries the sweep counts; the
+     null sink skips even the clock read. *)
+  if Obs.tracing obs then
+    Obs.complete obs ~name:"thermal.steady" ~ts_us:t0
+      ~dur_us:(Obs.now_us obs -. t0)
+      ~args:
+        [
+          ("cells", Obs.Int n);
+          ("sweeps_first", Obs.Int first_sweeps);
+          ("sweeps_second", Obs.Int (Rc_flat.sweeps ws));
+        ]
+      ();
+  temps

@@ -21,6 +21,7 @@ val simulate_trace :
     temperatures and peak history populated. *)
 
 val steady_temps :
+  ?obs:Tdfa_obs.Obs.sink ->
   ?leak_mask:bool array ->
   Rc_model.t ->
   Trace.t ->
@@ -30,4 +31,6 @@ val steady_temps :
     long-run thermal map of the access pattern (what Fig. 1 shows).
     Includes one leakage feedback iteration. [leak_mask.(i) = false]
     power-gates cell [i]: it contributes no leakage (used by the
-    bank-gating experiment, §4's compromise with switched-off banks). *)
+    bank-gating experiment, §4's compromise with switched-off banks).
+    Traced as one [thermal.steady] span with the cell count and the
+    sweeps each of the two solves ran. *)

@@ -140,7 +140,9 @@ let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
   (* Measured side: the same windows through the RC simulator. *)
   let exec_trace, cell_of_var = Tdfa_trace.Compile.exec_trace compiled in
   let model = Rc_model.build layout Params.default in
-  let steady = Tdfa_exec.Driver.steady_temps model exec_trace ~cell_of_var in
+  let steady =
+    Tdfa_exec.Driver.steady_temps ~obs model exec_trace ~cell_of_var
+  in
   let measured_peak = Array.fold_left Float.max neg_infinity steady in
   pf "\nmeasured steady peak (RC simulator): %.2f K\n" measured_peak;
   (Buffer.contents buf, r)
@@ -210,9 +212,10 @@ let predict ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~pre_ra
 
 (* The one source of truth for what `tdfa place' prints: the jobs'
    thermal profiles, the chosen allocation over the chip's cores, the
-   steady core-temperature map, and the round-robin baseline it beat.
-   Everything printed is deterministic (seeded annealing, fixed sweep
-   order), so the daemon ships the same bytes. *)
+   steady core-temperature map, and the round-robin baseline it beat
+   (the one [Place.run] already scored for its guard). Everything
+   printed is deterministic (seeded annealing, fixed operation order),
+   so the daemon ships the same bytes. *)
 let place ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~geometry
     ~place_policy (funcs : Func.t list) =
   let buf = Buffer.create 2048 in
@@ -229,13 +232,8 @@ let place ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~geometry
   let inputs = List.map (fun f -> Tdfa.Driver.Unallocated f) funcs in
   let placed = Tdfa.Driver.place ~geometry ~policy:place_policy cfg inputs in
   let open Tdfa_alloc in
-  let rows, cols = geometry in
-  let chip =
-    Chip.make ~params:cfg.Tdfa.Driver.params ~core:Common.standard_layout
-      ~rows ~cols ()
-  in
+  let chip = placed.Tdfa.Driver.chip in
   let p = placed.Tdfa.Driver.placement in
-  let blind = Place.run chip Place.Round_robin placed.Tdfa.Driver.profiles in
   pf "placing %d task(s) on a %s chip of %dx%d-cell cores, policy %s\n\n"
     (List.length placed.Tdfa.Driver.profiles)
     (Chip.geometry_to_string chip)
@@ -280,9 +278,9 @@ let place ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~geometry
   pf "\nplacement peak %.2f K, gradient %.2f K, score %.2f\n" p.Place.peak_k
     p.Place.gradient_k p.Place.score;
   pf "round-robin baseline peak %.2f K -> improvement %.2f K\n"
-    blind.Place.peak_k
-    (blind.Place.peak_k -. p.Place.peak_k);
-  (Buffer.contents buf, placed, blind)
+    p.Place.round_robin_peak_k
+    (p.Place.round_robin_peak_k -. p.Place.peak_k);
+  (Buffer.contents buf, placed)
 
 (* The one source of truth for a `tdfa lint' text report of one input:
    the CLI prints it per input, the daemon ships it in the response. *)

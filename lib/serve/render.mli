@@ -81,16 +81,17 @@ val place :
   geometry:int * int ->
   place_policy:Tdfa_alloc.Place.policy ->
   Func.t list ->
-  string * Tdfa.Driver.placed * Tdfa_alloc.Place.placement
+  string * Tdfa.Driver.placed
 (** Profile every function through {!Tdfa.Driver.place} (allocation +
     thermal fixpoint per job) and allocate the multiset onto a
     [geometry] chip of {!Tdfa_harness.Common.standard_layout} cores
     under [place_policy]. Renders the profiles hottest-first, the
     chosen assignment, the steady core-temperature map and the
-    round-robin baseline. Returns the text, the driver's [placed]
-    result and the round-robin baseline placement (for the CLI's JSON
-    view); every printed quantity is deterministic, so the daemon
-    ships the same bytes the CLI prints. *)
+    round-robin baseline (the placement's [round_robin_peak_k], scored
+    once inside {!Tdfa_alloc.Place.run}). Returns the text and the
+    driver's [placed] result (for the CLI's JSON view); every printed
+    quantity is deterministic, so the daemon ships the same bytes the
+    CLI prints. *)
 
 val lint_report : display:string -> Tdfa_lint.Lint.finding list -> string
 (** The per-input text block of [tdfa lint] ([lint <display>: clean] or

@@ -411,7 +411,7 @@ let handle_place t (req : Protocol.request) =
             ~granularity:req.Protocol.granularity ~delta:req.Protocol.delta
             ~geometry ~place_policy funcs
         with
-        | out, _, _ ->
+        | out, _ ->
           Reply
             (Protocol.ok_response ~id:req.Protocol.id ~op:Protocol.Place
                ~output:out ())

@@ -31,7 +31,9 @@ and placed = {
   profiles : Tdfa_alloc.Task.t list;
       (** per input, in submission order — names from the carrier
           functions *)
+  chip : Tdfa_alloc.Chip.t;  (** the chip the profiles were placed on *)
   placement : Tdfa_alloc.Place.placement;
+      (** carries the round-robin baseline peak it was guarded against *)
 }
 
 let place ?(geometry = (2, 2)) ?(policy = Tdfa_alloc.Place.Greedy)
@@ -58,7 +60,11 @@ let place ?(geometry = (2, 2)) ?(policy = Tdfa_alloc.Place.Greedy)
               ~name r.outcome)
           inputs
       in
-      { profiles; placement = Tdfa_alloc.Place.run chip policy profiles })
+      {
+        profiles;
+        chip;
+        placement = Tdfa_alloc.Place.run ~obs chip policy profiles;
+      })
 
 let predict (cfg : config) input =
   let obs = cfg.obs in

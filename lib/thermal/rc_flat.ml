@@ -1,27 +1,16 @@
 open Tdfa_floorplan
 
-(* Scratch cells live in small float arrays rather than [float ref]s:
-   a float array element updates in place, while assigning a [float ref]
-   boxes the new value — which would break the allocation-free contract
-   of the inner loop. [chunk_worst]/[chunk_acc] give each domain of the
-   red-black split its own slot. *)
 type t = {
-  n : int;
+  rows : int;
+  cols : int;
   g_lat : float;
   ambient : float;
   gv_amb : float;  (* g_v *. ambient, the constant rhs term *)
-  noff : int array;  (* CSR offsets, length n+1 *)
-  nidx : int array;  (* CSR neighbour indices, Layout.neighbors order *)
   g_sum : float array;  (* per-node (degree *. g_lat) +. g_v *)
   temps : float array;
   power : float array;
-  colors : int array array;  (* [| color-0 nodes; color-1 nodes |], ascending *)
-  chunk_worst : float array;
-  chunk_acc : float array;
-  fbuf : float array;  (* cell 0: combined sweep worst *)
+  mutable sweeps : int;  (* sweeps run by the last solve *)
 }
-
-let max_domains = 16
 
 let make model =
   let layout = Rc_model.layout model in
@@ -29,76 +18,34 @@ let make model =
   let n = Layout.num_cells layout in
   let g_lat = p.Params.lateral_conductance_w_per_k in
   let g_v = p.Params.vertical_conductance_w_per_k in
-  let lists = Array.init n (fun i -> Layout.neighbors layout i) in
-  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 lists in
-  let noff = Array.make (n + 1) 0 in
-  let nidx = Array.make (max 1 total) 0 in
-  let g_sum = Array.make n 0.0 in
-  let pos = ref 0 in
-  Array.iteri
-    (fun i l ->
-      noff.(i) <- !pos;
-      List.iter
-        (fun j ->
-          nidx.(!pos) <- j;
-          incr pos)
-        l;
-      g_sum.(i) <- (float_of_int (List.length l) *. g_lat) +. g_v)
-    lists;
-  noff.(n) <- !pos;
-  let color c =
-    Array.of_list
-      (List.filter
-         (fun i -> Layout.chessboard_color layout i = c)
-         (Layout.cells layout))
-  in
   {
-    n;
+    rows = layout.Layout.rows;
+    cols = layout.Layout.cols;
     g_lat;
     ambient = p.Params.ambient_k;
     gv_amb = g_v *. p.Params.ambient_k;
-    noff;
-    nidx;
-    g_sum;
+    g_sum =
+      Array.init n (fun i ->
+          let deg = List.length (Layout.neighbors layout i) in
+          (float_of_int deg *. g_lat) +. g_v);
     temps = Array.make n p.Params.ambient_k;
     power = Array.make n 0.0;
-    colors = [| color 0; color 1 |];
-    chunk_worst = Array.make max_domains 0.0;
-    chunk_acc = Array.make max_domains 0.0;
-    fbuf = Array.make 1 0.0;
+    sweeps = 0;
   }
 
-let num_nodes t = t.n
+let num_nodes t = t.rows * t.cols
 let temps t = t.temps
-
-(* One Gauss–Seidel node update, the exact float operations of
-   Rc_model.steady_state's sweep body: fold the neighbour sum from 0.0
-   in table order, rhs = (power + gv_amb) + sum, divide by the
-   precomputed conductance sum, then fold the absolute change into
-   [chunk_worst.(slot)] with Stdlib.Float.max semantics (NaN-taking),
-   written inline because a cross-module Float.max call would box its
-   float arguments. *)
-let update_node t i slot =
-  t.chunk_acc.(slot) <- 0.0;
-  for jj = t.noff.(i) to t.noff.(i + 1) - 1 do
-    t.chunk_acc.(slot) <-
-      t.chunk_acc.(slot) +. (t.g_lat *. t.temps.(t.nidx.(jj)))
-  done;
-  let fresh = (t.power.(i) +. t.gv_amb +. t.chunk_acc.(slot)) /. t.g_sum.(i) in
-  let d = fresh -. t.temps.(i) in
-  let ad = if d >= 0.0 then d else -.d in
-  let w = t.chunk_worst.(slot) in
-  if ad > w || (ad <> ad && w = w) then t.chunk_worst.(slot) <- ad;
-  t.temps.(i) <- fresh
-
-let check_power name t power =
-  if Array.length power <> t.n then
-    invalid_arg (name ^ ": power length does not match the model")
+let sweeps t = t.sweeps
 
 let solve_seq ?(tol = 1e-6) ?(max_sweeps = 10_000) t ~power =
-  check_power "Rc_flat.solve_seq" t power;
-  Array.blit power 0 t.power 0 t.n;
-  Array.fill t.temps 0 t.n t.ambient;
+  let n = num_nodes t in
+  if Array.length power <> n then
+    invalid_arg "Rc_flat.solve_seq: power length does not match the model";
+  Array.blit power 0 t.power 0 n;
+  Array.fill t.temps 0 n t.ambient;
+  let rows = t.rows and cols = t.cols in
+  let temps = t.temps and pw = t.power and g_sum = t.g_sum in
+  let g_lat = t.g_lat and gv_amb = t.gv_amb in
   (* Same control flow as the boxed [iterate]: sweep while the previous
      sweep moved more than [tol] and fewer than [max_sweeps] ran — a NaN
      worst (exploded system) fails [> tol] and terminates, as in the
@@ -106,58 +53,45 @@ let solve_seq ?(tol = 1e-6) ?(max_sweeps = 10_000) t ~power =
   let k = ref 0 in
   let go = ref (max_sweeps > 0) in
   while !go do
-    t.chunk_worst.(0) <- 0.0;
-    for i = 0 to t.n - 1 do
-      update_node t i 0
-    done;
-    incr k;
-    go := t.chunk_worst.(0) > tol && !k < max_sweeps
-  done;
-  t.temps
-
-let rb_slice t ids lo hi slot =
-  t.chunk_worst.(slot) <- 0.0;
-  for ii = lo to hi - 1 do
-    update_node t ids.(ii) slot
-  done
-
-let solve_rb ?(tol = 1e-6) ?(max_sweeps = 10_000) ?(domains = 1) t ~power =
-  check_power "Rc_flat.solve_rb" t power;
-  let domains = max 1 (min domains max_domains) in
-  Array.blit power 0 t.power 0 t.n;
-  Array.fill t.temps 0 t.n t.ambient;
-  let k = ref 0 in
-  let go = ref (max_sweeps > 0) in
-  while !go do
-    t.fbuf.(0) <- 0.0;
-    for c = 0 to 1 do
-      let ids = t.colors.(c) in
-      let m = Array.length ids in
-      let chunks = if m = 0 then 1 else min domains m in
-      if chunks = 1 then rb_slice t ids 0 m 0
-      else begin
-        (* The grid is bipartite: a colour-c node's neighbours are all
-           colour 1-c, so same-colour updates touch disjoint temps and
-           the chunks need no ordering between them. Joins publish the
-           phase's writes before the next phase reads them. *)
-        let spawned =
-          Array.init (chunks - 1) (fun d ->
-              let d = d + 1 in
-              let lo = d * m / chunks and hi = (d + 1) * m / chunks in
-              Domain.spawn (fun () -> rb_slice t ids lo hi d))
+    let worst = ref 0.0 in
+    (* Anti-diagonal wavefront: node (r, c) runs on diagonal r + c, after
+       its up and left neighbours (diagonal d - 1, already fresh this
+       sweep) and before its right and down neighbours (diagonal d + 1,
+       still last sweep's) — exactly what it reads in the boxed
+       row-major sweep, so every float is unchanged, while the nodes of
+       one diagonal no longer depend on each other. *)
+    for d = 0 to rows + cols - 2 do
+      let r_lo = if d >= cols then d - cols + 1 else 0 in
+      let r_hi = if d < rows then d else rows - 1 in
+      for r = r_lo to r_hi do
+        let c = d - r in
+        let i = (r * cols) + c in
+        (* The boxed neighbour fold: from 0.0, in Layout.neighbors
+           order (up, left, right, down). Every index is in range by
+           the loop bounds and the guards, and all three arrays have
+           length rows * cols, so the reads skip their bounds checks. *)
+        let acc = ref 0.0 in
+        if r > 0 then acc := !acc +. (g_lat *. Array.unsafe_get temps (i - cols));
+        if c > 0 then acc := !acc +. (g_lat *. Array.unsafe_get temps (i - 1));
+        if c < cols - 1 then
+          acc := !acc +. (g_lat *. Array.unsafe_get temps (i + 1));
+        if r < rows - 1 then
+          acc := !acc +. (g_lat *. Array.unsafe_get temps (i + cols));
+        let fresh =
+          (Array.unsafe_get pw i +. gv_amb +. !acc) /. Array.unsafe_get g_sum i
         in
-        rb_slice t ids 0 (m / chunks) 0;
-        Array.iter Domain.join spawned
-      end;
-      (* Combine chunk worsts in slot order — deterministic, and equal in
-         value to the unchunked fold since max is grouping-invariant. *)
-      for d = 0 to chunks - 1 do
-        let w = t.fbuf.(0) in
-        let y = t.chunk_worst.(d) in
-        if y > w || (y <> y && w = w) then t.fbuf.(0) <- y
+        let dt = fresh -. Array.unsafe_get temps i in
+        let ad = if dt >= 0.0 then dt else -.dt in
+        (* Stdlib.Float.max semantics (NaN-taking), inline because a
+           cross-module call would box its float arguments; max is
+           order-invariant, so the diagonal order finds the same worst. *)
+        let w = !worst in
+        if ad > w || (ad <> ad && w = w) then worst := ad;
+        Array.unsafe_set temps i fresh
       done
     done;
     incr k;
-    go := t.fbuf.(0) > tol && !k < max_sweeps
+    go := !worst > tol && !k < max_sweeps
   done;
+  t.sweeps <- !k;
   t.temps

@@ -1,56 +1,43 @@
 (** Preallocated steady-state workspace over the RC network: the
     Gauss–Seidel solve of {!Rc_model.steady_state} recompiled onto flat
-    float arrays with a CSR neighbour table, per-node conductance sums
-    precomputed once, and every scratch cell allocated at {!make} time.
+    float arrays, specialised to the register-file grid, with per-node
+    conductance sums precomputed once and every buffer allocated at
+    {!make} time.
 
-    Three solvers share the workspace:
+    {!solve_seq} visits the nodes in anti-diagonal wavefront order
+    (diagonal [r + c = 0, 1, ...]) instead of row-major order. A node
+    reads the same neighbour values either way — up and left already
+    updated this sweep, right and down still from the previous one —
+    and folds them in the same [Layout.neighbors] order, so the result
+    is {e bit-identical} to [Rc_model.steady_state] (same float
+    operations, same [Stdlib.Float.max]/[Float.abs] NaN semantics, same
+    sweep count). What changes is that the updates along one diagonal
+    are independent, so consecutive updates no longer wait on each
+    other's division. The solve is allocation-free after the workspace
+    exists (certified by the [Gc.minor_words] battery in
+    [test/test_core_flat.ml]).
 
-    - {!solve_seq} sweeps nodes in ascending order — {e bit-identical}
-      to [Rc_model.steady_state] (same float operations in the same
-      order, same [Stdlib.Float.max]/[Float.abs] NaN semantics, same
-      sweep count), and allocation-free after the workspace exists
-      (certified by the [Gc.minor_words] battery in
-      [test/test_core_flat.ml]);
-    - {!solve_rb} sweeps in red-black (checkerboard) order. The
-      4-connected grid is bipartite, so within-colour updates are
-      independent: with [domains > 1] each colour set splits into
-      contiguous chunks solved on spawned domains, and the result is
-      bit-identical to the single-domain red-black solve. Red-black and
-      sequential orders converge to the same fixed point of the linear
-      system, equal within a tolerance-derived bound (a property the
-      differential battery checks), but not bitwise.
-
-    Both return the workspace's internal temperature buffer: valid until
-    the next solve on the same workspace; copy it to keep it. *)
+    The solve returns the workspace's internal temperature buffer: valid
+    until the next solve on the same workspace; copy it to keep it. *)
 
 type t
 
 val make : Rc_model.t -> t
-(** Compile the model's grid into the flat workspace. The neighbour
-    table preserves [Layout.neighbors] order, so {!solve_seq} replays
-    the boxed fold bitwise. *)
+(** Compile the model's grid into the flat workspace. *)
 
 val num_nodes : t -> int
 
 val temps : t -> float array
 (** The internal temperature buffer (last solve's solution). *)
 
+val sweeps : t -> int
+(** Sweeps run by the last solve (0 before the first). *)
+
 val solve_seq :
   ?tol:float -> ?max_sweeps:int -> t -> power:float array -> float array
-(** Sequential Gauss–Seidel, bit-identical to
+(** Gauss–Seidel, bit-identical to
     [Rc_model.steady_state ?tol ?max_sweeps] on the same model and
     power. Defaults: [tol = 1e-6] K, [max_sweeps = 10_000]. The inner
-    loop performs no allocation. *)
-
-val solve_rb :
-  ?tol:float ->
-  ?max_sweeps:int ->
-  ?domains:int ->
-  t ->
-  power:float array ->
-  float array
-(** Red-black Gauss–Seidel. [domains] (default 1, capped at 16) splits
-    each colour sweep across that many domains (the extra ones are
-    spawned per colour phase); any [domains] value produces bitwise the
-    same temperatures as [domains = 1] because same-colour updates never
-    read each other. *)
+    loop performs no allocation.
+    @raise Invalid_argument when [power] length differs from the
+    model's node count. *)

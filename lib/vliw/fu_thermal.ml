@@ -29,8 +29,11 @@ let steady_map m ~block_weight bound =
     Array.mapi (fun i p -> p +. leak.(i)) power
   in
   let ambient = m.Machine.params.Params.ambient_k in
-  let first = Rc_model.steady_state model ~power:(with_leak (Array.make n ambient)) in
-  Rc_model.steady_state model ~power:(with_leak first)
+  (* Rc_flat replays Rc_model.steady_state bitwise; one workspace serves
+     both leakage passes. *)
+  let ws = Rc_flat.make model in
+  let first = Rc_flat.solve_seq ws ~power:(with_leak (Array.make n ambient)) in
+  Array.copy (Rc_flat.solve_seq ws ~power:(with_leak first))
 
 let evaluate m func policy =
   let loops = Loops.analyze func in

@@ -31,7 +31,18 @@ let test_geometry_parse () =
     (fun s ->
       Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true
         (match ok s with Ok _ -> false | Error _ -> true))
-    [ ""; "x"; "2x"; "x2"; "0x2"; "2x0"; "-1x2"; "ax2"; "2xb"; "22"; "2x2x2" ]
+    [ ""; "x"; "2x"; "x2"; "0x2"; "2x0"; "-1x2"; "ax2"; "2xb"; "22"; "2x2x2" ];
+  (* Untrusted geometries are bounded: scoring cost grows with the core
+     count, so an oversized chip is a parse error, not a hang. *)
+  Alcotest.(check bool) "32x32 is the largest square" true
+    (ok "32x32" = Ok (32, 32));
+  Alcotest.(check bool) "1x1024 accepted" true (ok "1x1024" = Ok (1, 1024));
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true
+        (match ok s with Ok _ -> false | Error _ -> true))
+    [ "1000x1000"; "33x32"; "1x1025"; "4611686018427387903x2";
+      "3037000500x3037000500" ]
 
 let test_chip_make () =
   let c = chip ~rows:2 ~cols:3 in
@@ -81,6 +92,33 @@ let test_chip_solve_coupling () =
       Alcotest.(check bool) "neighbour warmed" true (temps.(j) > ambient +. 0.01);
       Alcotest.(check bool) "below source" true (temps.(j) < temps.(4)))
     (Chip.neighbors c 4)
+
+(* The direct solve against the boxed Gauss-Seidel oracle on the same
+   chip-scale network: one node per core, the chip's core-to-core and
+   core-to-ambient conductances. *)
+let qcheck_chip_solve_matches_gauss_seidel =
+  QCheck2.Test.make
+    ~name:"direct chip solve == boxed Gauss-Seidel (tol 1e-12) within 1e-8 K"
+    ~count:100
+    QCheck2.Gen.(
+      pair (int_range 1 6) (int_range 1 7) >>= fun (rows, cols) ->
+      array_size (return (rows * cols)) (float_bound_inclusive 0.2)
+      >|= fun power -> (rows, cols, power))
+    (fun (rows, cols, power) ->
+      let c = Chip.make ~rows ~cols () in
+      let p = Chip.params c in
+      let model =
+        Tdfa_thermal.Rc_model.build (Chip.grid c)
+          {
+            p with
+            Tdfa_thermal.Params.lateral_conductance_w_per_k =
+              Chip.core_lateral_w_per_k c;
+            vertical_conductance_w_per_k = Chip.core_vertical_w_per_k c;
+          }
+      in
+      let gs = Tdfa_thermal.Rc_model.steady_state ~tol:1e-12 model ~power in
+      let direct = Chip.solve c ~power in
+      Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-8) gs direct)
 
 let test_chip_solve_validation () =
   let c = chip ~rows:2 ~cols:2 in
@@ -351,6 +389,7 @@ let suite =
         tc "solve energy balance" `Quick test_chip_solve_energy_balance;
         tc "solve lateral coupling" `Quick test_chip_solve_coupling;
         tc "solve validation" `Quick test_chip_solve_validation;
+        QCheck_alcotest.to_alcotest qcheck_chip_solve_matches_gauss_seidel;
       ] );
     ( "alloc.task",
       [

@@ -191,6 +191,26 @@ let test_null_sink_inert () =
   Obs.close Obs.null;
   Obs.close Obs.null
 
+(* Instrumented hot paths call these on every request; with the null
+   sink they must not allocate a word. *)
+let const_unit () = ()
+
+let test_null_sink_allocation_free () =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let overhead = b -. a in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    if Obs.tracing Obs.null then Obs.instant Obs.null "never";
+    Obs.span Obs.null "x" const_unit;
+    Obs.instant Obs.null "i";
+    Obs.incr Obs.null "c";
+    Obs.observe Obs.null "h" 1.0
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "null sink allocates nothing" 0.0
+    (after -. before -. overhead)
+
 let test_span_nesting () =
   let t = Obs.memory () in
   let r =
@@ -374,12 +394,87 @@ let test_predict_span_shape () =
     Alcotest.failf "expected 1/1/1 predict/fixpoint/certify, got %d/%d/%d"
       (List.length p) (List.length f) (List.length c)
 
+let named events name phase =
+  List.filter (fun e -> e.Obs.name = name && e.Obs.phase = phase) events
+
+let int_arg e key =
+  match List.assoc_opt key e.Obs.args with
+  | Some (Obs.Int i) -> i
+  | _ -> Alcotest.failf "%s: no int arg %s" e.Obs.name key
+
+(* A place request: one driver.place span holding one alloc.place span
+   (cores, tasks, policy), and annealing's alloc.anneal instant inside
+   that. *)
+let test_place_span_shape () =
+  let t = Obs.memory () in
+  let _, placed =
+    Tdfa_serve.Render.place ~obs:t ~policy:Tdfa_regalloc.Policy.First_fit
+      ~granularity:1 ~delta:0.05 ~geometry:(1, 2)
+      ~place_policy:(Tdfa_alloc.Place.Annealed { seed = 3; iters = 50 })
+      [ Kernels.fib (); Kernels.fir () ]
+  in
+  let events = Obs.events t in
+  match
+    ( named events "driver.place" Obs.Begin,
+      named events "alloc.place" Obs.Begin,
+      named events "alloc.anneal" Obs.Instant )
+  with
+  | [ driver ], [ place ], [ anneal ] ->
+    Alcotest.(check int) "alloc.place nests in driver.place" driver.Obs.id
+      place.Obs.parent;
+    Alcotest.(check int) "cores" 2 (int_arg place "cores");
+    Alcotest.(check int) "tasks" 2 (int_arg place "tasks");
+    Alcotest.(check bool) "policy named" true
+      (List.assoc "policy" place.Obs.args
+       = Obs.Str
+           (Tdfa_alloc.Place.policy_name
+              placed.Tdfa.Driver.placement.Tdfa_alloc.Place.policy));
+    Alcotest.(check int) "anneal nests in alloc.place" place.Obs.id
+      anneal.Obs.parent;
+    let accepted = int_arg anneal "accepted" in
+    Alcotest.(check bool) "0 <= improving <= accepted <= iters" true
+      (0 <= int_arg anneal "improving"
+      && int_arg anneal "improving" <= accepted
+      && accepted <= 50);
+    Alcotest.(check bool) "final temperature reported" true
+      (match List.assoc_opt "final_temp_k" anneal.Obs.args with
+       | Some (Obs.Float k) -> k > 0.0 && k < 2.0
+       | _ -> false)
+  | d, p, a ->
+    Alcotest.failf "expected 1/1/1 driver.place/alloc.place/anneal, got %d/%d/%d"
+      (List.length d) (List.length p) (List.length a)
+
+(* A trace request: exactly one thermal.steady span, outside the
+   fixpoint, carrying the cell count and both passes' sweep counts. *)
+let test_trace_span_shape () =
+  let t = Obs.memory () in
+  let sample = Tdfa_trace.Synth.zipf ~seed:5 ~s:1.0 ~addrs:16 ~n:300 () in
+  ignore
+    (Tdfa_serve.Render.trace ~obs:t ~policy:Tdfa_trace.Mapping.Direct
+       ~cells:16 ~granularity:1 ~delta:0.05 ~recover:false sample);
+  let steady =
+    List.filter
+      (fun e ->
+        e.Obs.name = "thermal.steady"
+        && match e.Obs.phase with Obs.Complete _ -> true | _ -> false)
+      (Obs.events t)
+  in
+  match steady with
+  | [ steady ] ->
+    Alcotest.(check int) "top-level" 0 steady.Obs.parent;
+    Alcotest.(check int) "cells" 16 (int_arg steady "cells");
+    Alcotest.(check bool) "both passes swept" true
+      (int_arg steady "sweeps_first" > 0 && int_arg steady "sweeps_second" > 0)
+  | l ->
+    Alcotest.failf "expected one thermal.steady span, got %d" (List.length l)
+
 let suite =
   let tc = Alcotest.test_case in
   [
     ( "obs",
       [
         tc "null sink is inert" `Quick test_null_sink_inert;
+        tc "null sink allocates nothing" `Quick test_null_sink_allocation_free;
         tc "span nesting and parent links" `Quick test_span_nesting;
         tc "span End survives a raise" `Quick test_span_end_on_raise;
         tc "complete (retroactive) events" `Quick test_complete_event;
@@ -392,5 +487,7 @@ let suite =
           test_fixpoint_iteration_count;
         tc "recovery ladder rung events" `Quick test_recovery_rung_events;
         tc "predict span shape" `Quick test_predict_span_shape;
+        tc "place span shape" `Quick test_place_span_shape;
+        tc "trace span shape" `Quick test_trace_span_shape;
       ] );
   ]

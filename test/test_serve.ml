@@ -338,6 +338,34 @@ let test_bad_inputs () =
        (Server.handle_line t s
           (req_line ~extra:[ ("ir", Json.Str broken) ] None)))
 
+(* An oversized chip is rejected before any work starts (a 1000x1000
+   greedy placement would score 16 million candidates), and the daemon
+   keeps answering afterwards. *)
+let test_place_geometry_bounded () =
+  let t = server () in
+  let s = Session.create "t" in
+  let place cores =
+    Server.handle_line t s
+      (req_line ~op:"place"
+         ~extra:[ ("cores", Json.Str cores); ("kernels", Json.Str "fib") ]
+         None)
+  in
+  let j = reply (place "1000x1000") in
+  expect_error ~kind:"bad-request" j;
+  Alcotest.(check bool) "message names the core bound" true
+    (match Json.str_member "error" j with
+     | Some m ->
+       let needle = "more than 1024 cores" in
+       let rec has i =
+         i + String.length needle <= String.length m
+         && (String.sub m i (String.length needle) = needle || has (i + 1))
+       in
+       has 0
+     | None -> false);
+  ignore (expect_ok (reply (place "1x2")) : string);
+  Alcotest.(check string) "analyze still answers" (oracle_analyze "fib")
+    (expect_ok (reply (Server.handle_line t s (req_line (Some "fib")))))
+
 let test_deadline_expires () =
   let t = server () in
   let s = Session.create "t" in
@@ -521,6 +549,8 @@ let suite =
         tc "shutdown handshake" `Quick test_shutdown;
         tc "chaos soak: 120 randomized faulty requests, zero escapes" `Quick
           test_chaos_soak;
+        tc "oversized place geometry is a structured error" `Quick
+          test_place_geometry_bounded;
       ] );
     ( "serve.properties",
       List.map QCheck_alcotest.to_alcotest

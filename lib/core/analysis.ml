@@ -13,6 +13,7 @@ type info = {
   states_after : (Label.t * int, Thermal_state.t) Hashtbl.t;
   exit_states : Thermal_state.t Label.Map.t;
   unstable : (Label.t * int) list;
+  initial : Thermal_state.t;
 }
 
 type outcome = Converged of info | Diverged of info
@@ -159,7 +160,14 @@ let fixpoint ?obs ?cancel ?(settings = default_settings) ?(core = Flat)
   in
   let states_after, exit_states = finalize () in
   let result =
-    { iterations; final_delta_k; states_after; exit_states; unstable }
+    {
+      iterations;
+      final_delta_k;
+      states_after;
+      exit_states;
+      unstable;
+      initial = Transfer.fresh_state cfg;
+    }
   in
   if ok then Converged result else Diverged result
 
@@ -253,11 +261,10 @@ let peak_map info =
       | None -> Thermal_state.copy s
       | Some a -> Thermal_state.join_max a s)) None with
   | Some m -> m
-  | None -> invalid_arg "Analysis.peak_map: empty function"
+  | None -> Thermal_state.copy info.initial
 
 let mean_map info =
   let count = Hashtbl.length info.states_after in
-  if count = 0 then invalid_arg "Analysis.mean_map: empty function";
   let acc =
     fold_states info
       (fun acc s ->
@@ -274,4 +281,4 @@ let mean_map info =
   | Some a ->
     Thermal_state.map_points a (fun _ t -> t /. float_of_int count);
     a
-  | None -> assert false
+  | None -> Thermal_state.copy info.initial

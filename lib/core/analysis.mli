@@ -30,6 +30,7 @@ type info = {
   unstable : (Label.t * int) list;
       (** instructions still changing by more than delta in the last
           iteration (empty when converged) *)
+  initial : Thermal_state.t;  (** the all-ambient state the fixpoint starts from *)
 }
 
 type outcome = Converged of info | Diverged of info
@@ -148,8 +149,10 @@ val sorted_states : info -> ((Label.t * int) * Thermal_state.t) list
 
 val peak_map : info -> Thermal_state.t
 (** Pointwise maximum over all per-instruction states — the predicted
-    worst-case map. *)
+    worst-case map. A copy of [initial] for a function without
+    instructions. *)
 
 val mean_map : info -> Thermal_state.t
 (** Pointwise mean over all per-instruction states — the predicted
-    steady map (compare against the RC simulator's steady solution). *)
+    steady map (compare against the RC simulator's steady solution). A
+    copy of [initial] for a function without instructions. *)

@@ -16,6 +16,8 @@ val live_out : t -> Label.t -> Var.Set.t
 
 val live_before_instr : t -> Label.t -> int -> Var.Set.t
 val live_after_instr : t -> Label.t -> int -> Var.Set.t
+(** Lookups into the facts {!analyze} recorded at every instruction
+    boundary (see {!Solver.Backward.after_instr}). *)
 
 val max_pressure : t -> int
 (** Largest number of simultaneously live variables at any program point —

@@ -3,7 +3,9 @@
 
     Clients provide a join-semilattice of facts and per-instruction
     transfer functions; the solver returns the fixpoint as per-block
-    input/output facts plus replay helpers for per-instruction facts. *)
+    input/output facts. The backward solver also keeps the fact at every
+    instruction boundary, filled during the solve, so per-instruction
+    queries are lookups. *)
 
 open Tdfa_ir
 
@@ -46,8 +48,6 @@ module Forward (A : FORWARD) : sig
   val output : t -> Label.t -> A.fact
   (** Fact after the terminator. *)
 
-  val before_instr : t -> Label.t -> int -> A.fact
-  val after_instr : t -> Label.t -> int -> A.fact
   val iterations : t -> int
   (** Number of passes over the CFG before the fixpoint. *)
 end
@@ -64,5 +64,10 @@ module Backward (A : BACKWARD) : sig
 
   val before_instr : t -> Label.t -> int -> A.fact
   val after_instr : t -> Label.t -> int -> A.fact
+  (** Facts at the instruction's boundaries, one array read each. Blocks
+      unreachable from the entry get the facts of a walk back from
+      [bottom] (their [input]/[output] stay [bottom]).
+      @raise Not_found for a label of no block of the solved function. *)
+
   val iterations : t -> int
 end

@@ -17,7 +17,19 @@ let default_weights func =
 
 let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
     =
-  let round_args round = [ ("round", Obs.Int round) ] in
+  (* Each phase is one span of the round; its arguments, counts computed
+     from the phase's result, are built only for a tracing sink. *)
+  let phase name round ?(counts = fun _ -> []) f =
+    if not (Obs.tracing obs) then f ()
+    else begin
+      let ts_us = Obs.now_us obs in
+      let r = f () in
+      Obs.complete obs ~name ~ts_us ~dur_us:(Obs.now_us obs -. ts_us)
+        ~args:(("round", Obs.Int round) :: counts r)
+        ();
+      r
+    end
+  in
   let rec attempt func all_spilled round =
     if round > max_rounds then
       failwith
@@ -27,16 +39,22 @@ let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
       match weights with Some w -> w | None -> default_weights func
     in
     let liveness =
-      Obs.span obs "regalloc.liveness" ~args:(round_args round) (fun () ->
-          Liveness.analyze func)
+      phase "regalloc.liveness" round (fun () -> Liveness.analyze func)
     in
     let graph =
-      Obs.span obs "regalloc.interference" ~args:(round_args round)
+      phase "regalloc.interference" round
+        ~counts:(fun g ->
+          [
+            ("nodes", Obs.Int (Interference.size g));
+            ("edges", Obs.Int (Interference.num_edges g));
+          ])
         (fun () -> Interference.build func liveness)
     in
     let outcome =
-      Obs.span obs "regalloc.coloring" ~args:(round_args round) (fun () ->
-          Coloring.run graph layout ~policy ~weights)
+      phase "regalloc.coloring" round
+        ~counts:(fun o ->
+          [ ("spilled", Obs.Int (Var.Set.cardinal o.Coloring.spilled)) ])
+        (fun () -> Coloring.run graph layout ~policy ~weights)
     in
     if Var.Set.is_empty outcome.Coloring.spilled then begin
       Obs.observe obs "regalloc.rounds" (float_of_int round);
@@ -53,7 +71,7 @@ let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
         ~by:(Var.Set.cardinal outcome.Coloring.spilled)
         "regalloc.spilled_vars";
       let func =
-        Obs.span obs "regalloc.spill" ~args:(round_args round) (fun () ->
+        phase "regalloc.spill" round (fun () ->
             Spill.rewrite
               ~slot_base:(Var.Set.cardinal all_spilled)
               func outcome.Coloring.spilled)

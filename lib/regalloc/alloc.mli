@@ -29,7 +29,10 @@ val allocate :
     and round — [regalloc.liveness], [regalloc.interference],
     [regalloc.coloring], [regalloc.spill] — plus the
     [regalloc.spilled_vars] counter and the [regalloc.rounds]
-    histogram.
+    histogram. The spans are complete events emitted as each phase
+    ends, with a [round] argument; the interference span adds the
+    graph's [nodes] and [edges], the colouring span the [spilled]
+    count.
     @raise Failure when spilling does not reach a colouring within
     [max_rounds] (default 16) — in practice only possible if the register
     file is degenerately small. *)

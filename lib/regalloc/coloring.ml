@@ -5,69 +5,67 @@ type outcome = { assignment : Assignment.t; spilled : Var.Set.t }
 
 let run graph layout ~policy ~weights =
   let k = Layout.num_cells layout in
-  let all_vars = Interference.vars graph in
-  (* Working copy of the degrees over the not-yet-removed node set. *)
-  let removed = Var.Tbl.create 64 in
-  let still_in v = not (Var.Tbl.mem removed v) in
-  let current_degree v =
-    Var.Set.cardinal (Var.Set.filter still_in (Interference.neighbors graph v))
+  let n = Interference.size graph in
+  let weight = Array.init n (fun i -> weights (Interference.var graph i)) in
+  (* Degrees over the not-yet-removed nodes, decremented on removal. *)
+  let degree =
+    Array.init n (fun i -> Array.length (Interference.adjacent graph i))
   in
-  let remaining () = List.filter still_in all_vars in
+  let removed = Array.make n false in
+  (* The lowest score among the remaining nodes passing [eligible]; ids
+     ascend in [Var.compare] order, so a later node within 1e-12 of the
+     best so far never displaces it. -1 when none is eligible. *)
+  let pick_min eligible score =
+    let best = ref (-1) and best_score = ref 0.0 in
+    for i = 0 to n - 1 do
+      if (not removed.(i)) && eligible i then begin
+        let s = score i in
+        if !best < 0 || s < !best_score -. 1e-12 then begin
+          best := i;
+          best_score := s
+        end
+      end
+    done;
+    !best
+  in
   (* Simplify: push low-degree nodes, preferring to remove *cold* ones
      first so hot ones are selected (coloured) first. When stuck, remove
      the worst spill candidate (lowest weight/degree) optimistically. *)
   let stack = ref [] in
-  let rec simplify () =
-    match remaining () with
-    | [] -> ()
-    | vars ->
-      let low = List.filter (fun v -> current_degree v < k) vars in
-      let pick_min score vs =
-        List.fold_left
-          (fun best v ->
-            match best with
-            | None -> Some v
-            | Some b ->
-              let sv = score v and sb = score b in
-              if sv < sb -. 1e-12 then Some v
-              else if sb < sv -. 1e-12 then best
-              else if Var.compare v b < 0 then Some v
-              else best)
-          None vs
-      in
-      let chosen =
-        match low with
-        | _ :: _ -> pick_min (fun v -> weights v) low
-        | [] ->
-          pick_min
-            (fun v -> weights v /. float_of_int (max 1 (current_degree v)))
-            vars
-      in
-      (match chosen with
-       | Some v ->
-         Var.Tbl.replace removed v ();
-         stack := v :: !stack;
-         simplify ()
-       | None -> ())
-  in
-  simplify ();
+  for _ = 1 to n do
+    let chosen =
+      match pick_min (fun i -> degree.(i) < k) (fun i -> weight.(i)) with
+      | -1 ->
+        pick_min
+          (fun _ -> true)
+          (fun i -> weight.(i) /. float_of_int (max 1 degree.(i)))
+      | v -> v
+    in
+    removed.(chosen) <- true;
+    Array.iter
+      (fun u -> degree.(u) <- degree.(u) - 1)
+      (Interference.adjacent graph chosen);
+    stack := chosen :: !stack
+  done;
   (* Select: pop hot-first; colours of coloured neighbours are forbidden. *)
   let chooser = Policy.make_chooser policy layout in
+  let cell = Array.make n (-1) in
   let assignment = ref Assignment.empty in
   let spilled = ref Var.Set.empty in
   List.iter
-    (fun v ->
+    (fun i ->
       let forbidden =
-        Var.Set.fold
-          (fun n acc ->
-            match Assignment.cell_of_var !assignment n with
-            | Some c -> Policy.Int_set.add c acc
-            | None -> acc)
-          (Interference.neighbors graph v)
+        Array.fold_left
+          (fun acc u ->
+            if cell.(u) >= 0 then Policy.Int_set.add cell.(u) acc else acc)
           Policy.Int_set.empty
+          (Interference.adjacent graph i)
       in
-      match Policy.choose chooser ~forbidden ~weight:(weights v) with
-      | Some cell -> assignment := Assignment.add !assignment v cell
+      let v = Interference.var graph i in
+      match Policy.choose chooser ~forbidden ~weight:weight.(i) with
+      | Some c ->
+        cell.(i) <- c;
+        assignment := Assignment.add !assignment v c
       | None -> spilled := Var.Set.add v !spilled)
     !stack;
   { assignment = !assignment; spilled = !spilled }

@@ -19,4 +19,6 @@ val run :
   outcome
 (** Hot variables (by weight) are selected first so they receive the
     policy's preferred cells; spill candidates are picked by lowest
-    weight/degree ratio. *)
+    weight/degree ratio. Ties within 1e-12 go to the smaller variable.
+    [weights] is called once per node; simplify keeps degree counters
+    and scans the remaining nodes once per removal, O(V²) in all. *)

@@ -1,6 +1,10 @@
 (** Interference graph: an edge joins two variables whose live ranges
     overlap (§2 — such variables cannot share a register). Move-related
-    pairs ([d <- mov s]) are not made to interfere by the move itself. *)
+    pairs ([d <- mov s]) are not made to interfere by the move itself.
+
+    Nodes carry dense ids [0 .. size - 1] in {!vars} order, with sorted
+    adjacency arrays; {!build} dedupes the edges in a bit matrix, so it
+    costs O(Σ live-after + V²/8) for V variables. *)
 
 open Tdfa_ir
 open Tdfa_dataflow
@@ -8,8 +12,20 @@ open Tdfa_dataflow
 type t
 
 val build : Func.t -> Liveness.t -> t
+(** The liveness must be that of the function. *)
+
 val vars : t -> Var.t list
 (** All nodes, sorted by name for determinism. *)
+
+val size : t -> int
+(** Number of nodes. *)
+
+val var : t -> int -> Var.t
+(** The node with the given id: [var t i] is the [i]-th of {!vars}. *)
+
+val adjacent : t -> int -> int array
+(** Neighbour ids of a node, ascending. The array belongs to the graph:
+    do not mutate it. *)
 
 val neighbors : t -> Var.t -> Var.Set.t
 val degree : t -> Var.t -> int

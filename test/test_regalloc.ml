@@ -1,6 +1,7 @@
 (* Tests of the register allocator: interference construction, colouring
-   validity under every policy, policy behaviour and spill-code
-   correctness. *)
+   validity under every policy, policy behaviour, spill-code correctness,
+   equivalence with the reference allocator (Regalloc_reference) and the
+   shape of the allocation spans. *)
 
 open Tdfa_ir
 open Tdfa_dataflow
@@ -378,6 +379,165 @@ let test_allocation_deterministic () =
   Alcotest.(check bool) "same assignment" true
     (Assignment.bindings a1.Alloc.assignment = Assignment.bindings a2.Alloc.assignment)
 
+(* --- Differential battery against the reference allocator ----------------- *)
+
+module Ref = Regalloc_reference
+
+let tiny = Layout.make ~rows:2 ~cols:2 ()
+let gen_func = Tdfa_workload.Generator.gen_func ()
+let indices (b : Block.t) = List.init (Array.length b.Block.body) Fun.id
+
+let prop_liveness_matches_replay =
+  QCheck2.Test.make ~name:"per-instruction liveness == backward replay"
+    ~count:200 gen_func (fun f ->
+      let live = Liveness.analyze f in
+      List.for_all
+        (fun (b : Block.t) ->
+          let l = b.Block.label in
+          List.for_all
+            (fun i ->
+              Var.Set.equal
+                (Liveness.live_after_instr live l i)
+                (Ref.live_after live f l i)
+              && Var.Set.equal
+                   (Liveness.live_before_instr live l i)
+                   (Ref.live_before live f l i))
+            (indices b))
+        f.Func.blocks)
+
+let prop_interference_matches_reference =
+  QCheck2.Test.make ~name:"interference graph == reference" ~count:200
+    gen_func (fun f ->
+      let live = Liveness.analyze f in
+      let g = Interference.build f live and r = Ref.interference f live in
+      List.equal Var.equal (Interference.vars g) (Ref.vars r)
+      && List.for_all
+           (fun v ->
+             Var.Set.equal (Interference.neighbors g v) (Ref.neighbors r v))
+           (Ref.vars r))
+
+(* On the 8x8 file and on a 2x2 one, where most functions spill and
+   simplify takes the weight/degree path. *)
+let prop_coloring_matches_reference =
+  QCheck2.Test.make ~name:"colouring == reference, every policy" ~count:200
+    gen_func (fun f ->
+      let live = Liveness.analyze f in
+      let g = Interference.build f live and r = Ref.interference f live in
+      let weights = Alloc.default_weights f in
+      List.for_all
+        (fun layout ->
+          List.for_all
+            (fun policy ->
+              let a = Coloring.run g layout ~policy ~weights
+              and b = Ref.coloring r layout ~policy ~weights in
+              Assignment.bindings a.Coloring.assignment
+              = Assignment.bindings b.Coloring.assignment
+              && Var.Set.equal a.Coloring.spilled b.Coloring.spilled)
+            Policy.all)
+        [ layout; tiny ])
+
+(* On the 2x2 file some kernels spill for more than [max_rounds]; both
+   allocators must then give up. *)
+let test_allocate_matches_reference () =
+  let spilled = ref 0 in
+  let same name layout policy f =
+    let name = Printf.sprintf "%s/%s" name (Policy.name policy) in
+    let attempt allocate =
+      match allocate f layout ~policy with
+      | r -> Some r
+      | exception Failure _ -> None
+    in
+    match
+      ( attempt (fun f layout ~policy -> Alloc.allocate f layout ~policy),
+        attempt (fun f layout ~policy -> Ref.allocate f layout ~policy) )
+    with
+    | None, None -> ()
+    | Some _, None | None, Some _ -> Alcotest.failf "%s: only one gave up" name
+    | Some a, Some b ->
+      let bindings r =
+        List.map
+          (fun (v, c) -> (Var.to_string v, c))
+          (Assignment.bindings r.Alloc.assignment)
+      in
+      let spills r = List.map Var.to_string (Var.Set.elements r.Alloc.spilled) in
+      if b.Alloc.rounds > 1 then incr spilled;
+      Alcotest.(check string) (name ^ " function")
+        (Printer.func_to_string b.Alloc.func)
+        (Printer.func_to_string a.Alloc.func);
+      Alcotest.(check (list (pair string int)))
+        (name ^ " assignment") (bindings b) (bindings a);
+      Alcotest.(check (list string)) (name ^ " spilled") (spills b) (spills a);
+      Alcotest.(check int) (name ^ " rounds") b.Alloc.rounds a.Alloc.rounds;
+      Alcotest.(check int) (name ^ " max pressure") b.Alloc.max_pressure
+        a.Alloc.max_pressure
+  in
+  List.iter
+    (fun (name, f) ->
+      List.iter (fun policy -> same name layout policy f) Policy.all;
+      same (name ^ "@2x2") tiny Policy.First_fit f)
+    Tdfa_workload.Kernels.all;
+  Alcotest.(check bool) "some kernels spill" true (!spilled > 0)
+
+(* --- Observability ---------------------------------------------------------- *)
+
+(* One span per phase and round, in order, with the graph and spill counts
+   of that round. *)
+let test_allocate_span_shape () =
+  let module Obs = Tdfa_obs.Obs in
+  let f = Tdfa_workload.Kernels.high_pressure ~live:8 ~iters:8 () in
+  let obs = Obs.memory () in
+  let r = Alloc.allocate ~obs f tiny ~policy:Policy.First_fit in
+  Alcotest.(check bool) "several rounds" true (r.Alloc.rounds > 1);
+  let spans =
+    List.filter_map
+      (fun e ->
+        match e.Obs.phase with
+        | Obs.Complete _ -> Some (e.Obs.name, e.Obs.args)
+        | _ -> None)
+      (Obs.events obs)
+  in
+  let int_arg key args =
+    match List.assoc_opt key args with
+    | Some (Obs.Int n) -> n
+    | _ -> Alcotest.failf "missing integer argument %s" key
+  in
+  let rec rounds func all_spilled round = function
+    | ("regalloc.liveness", a1) :: ("regalloc.interference", a2)
+      :: ("regalloc.coloring", a3) :: rest ->
+      List.iter
+        (fun args ->
+          Alcotest.(check int) "round" round (int_arg "round" args))
+        [ a1; a2; a3 ];
+      let live = Liveness.analyze func in
+      let g = Interference.build func live in
+      Alcotest.(check int) "nodes" (Interference.size g) (int_arg "nodes" a2);
+      Alcotest.(check int) "edges" (Interference.num_edges g)
+        (int_arg "edges" a2);
+      let spilled =
+        (Coloring.run g tiny ~policy:Policy.First_fit
+           ~weights:(Alloc.default_weights func))
+          .Coloring.spilled
+      in
+      Alcotest.(check int) "spilled" (Var.Set.cardinal spilled)
+        (int_arg "spilled" a3);
+      (match rest with
+       | [] ->
+         Alcotest.(check int) "last round" r.Alloc.rounds round;
+         Alcotest.(check bool) "nothing left to spill" true
+           (Var.Set.is_empty spilled)
+       | ("regalloc.spill", a4) :: rest ->
+         Alcotest.(check int) "round" round (int_arg "round" a4);
+         rounds
+           (Spill.rewrite
+              ~slot_base:(Var.Set.cardinal all_spilled)
+              func spilled)
+           (Var.Set.union all_spilled spilled)
+           (round + 1) rest
+       | (name, _) :: _ -> Alcotest.failf "unexpected span %s" name)
+    | _ -> Alcotest.fail "expected liveness, interference, colouring"
+  in
+  rounds f Var.Set.empty 1 spans
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -425,4 +585,16 @@ let suite =
         tc "spilled parameter" `Quick test_spill_param;
         tc "forced spilling on tiny RF" `Quick test_forced_spilling_small_rf;
       ] );
+    ( "regalloc.reference",
+      [
+        tc "allocate == reference (all kernels)" `Quick
+          test_allocate_matches_reference;
+      ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [
+            prop_liveness_matches_replay;
+            prop_interference_matches_reference;
+            prop_coloring_matches_reference;
+          ] );
+    ("regalloc.obs", [ tc "span shape" `Quick test_allocate_span_shape ]);
   ]

@@ -366,6 +366,31 @@ let test_place_geometry_bounded () =
   Alcotest.(check string) "analyze still answers" (oracle_analyze "fib")
     (expect_ok (reply (Server.handle_line t s (req_line (Some "fib")))))
 
+(* A function whose only block is a terminator has no per-instruction
+   state: analyze answers with the ambient map the fixpoint starts from,
+   and predict and lint answer too. *)
+let test_empty_function_served () =
+  let t = server () in
+  let s = Session.create "t" in
+  let ir = "func @id(%a) {\nentry:\n  ret %a\n}" in
+  let expected =
+    fst
+      (Render.analyze ~policy ~granularity:gran ~delta ~pre_ra:false
+         ~recover:false ~incremental:false
+         (Tdfa_ir.Parser.parse_func ir))
+  in
+  Alcotest.(check string) "analyze == one-shot renderer" expected
+    (expect_ok
+       (reply
+          (Server.handle_line t s
+             (req_line ~extra:[ ("ir", Json.Str ir) ] None))));
+  List.iter
+    (fun op ->
+      ignore
+        (expect_ok (reply (Server.handle_line t s (req_line ~op None)))
+          : string))
+    [ "reanalyze"; "predict"; "lint" ]
+
 let test_deadline_expires () =
   let t = server () in
   let s = Session.create "t" in
@@ -551,6 +576,8 @@ let suite =
           test_chaos_soak;
         tc "oversized place geometry is a structured error" `Quick
           test_place_geometry_bounded;
+        tc "function without instructions is analysed" `Quick
+          test_empty_function_served;
       ] );
     ( "serve.properties",
       List.map QCheck_alcotest.to_alcotest

@@ -1,0 +1,28 @@
+(** Content identity: the one place that decides how analysis inputs
+    and results are encoded when two of them are compared for
+    equality.
+
+    The batch engine's cache key, a report's result fingerprint, the
+    incremental reuse key and its integrity check all go through
+    {!encode}. It is [Marshal] without
+    sharing over plain data (no closures, no hash tables, whose layout
+    depends on insertion history), which is a canonical encoding:
+    structurally equal values encode to equal bytes, floats by their
+    raw IEEE-754 bits, and values that differ anywhere encode
+    differently. *)
+
+val encode : 'a -> string
+(** The canonical byte encoding. Callers pass plain data only: a
+    closure raises [Invalid_argument], and a hash table would make the
+    bytes depend on its insertion order. *)
+
+val digest : 'a -> string
+(** Hex MD5 of {!encode}. *)
+
+val outcome : Analysis.outcome -> string
+(** The digest of an analysis result, in a fixed order: convergence,
+    iteration count and last-round change, every per-instruction state
+    ({!Analysis.sorted_states}), the exit state of every block, and the
+    still-unstable instructions. The [initial] state is left out: the
+    inputs fix it. Independent of the order the per-instruction table
+    was filled in; flipping any one bit of any of these changes it. *)

@@ -3,19 +3,10 @@ open Tdfa_dataflow
 open Tdfa_regalloc
 open Tdfa_obs
 
-type checked_policy = Unchecked | Check_fail | Check_warn | Check_degrade
-
-let checked_policy_name = function
-  | Unchecked -> "unchecked"
-  | Check_fail -> "fail"
-  | Check_warn -> "warn"
-  | Check_degrade -> "degrade"
-
 type config = {
   settings : Analysis.settings;
   policy : Policy.t;
   recover : bool;
-  checked : checked_policy;
   granularity : int;
   params : Tdfa_thermal.Params.t;
   analysis_dt_s : float option;
@@ -30,7 +21,6 @@ let default ~layout =
     settings = Analysis.default_settings;
     policy = Policy.First_fit;
     recover = false;
-    checked = Unchecked;
     granularity = 1;
     params = Tdfa_thermal.Params.default;
     analysis_dt_s = None;

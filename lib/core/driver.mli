@@ -6,9 +6,9 @@
     [Setup.allocate_and_run], [Setup.allocate_and_run_with_recovery]).
     This module collapses them into one [run] over one {!config}
     record, so every knob — analysis settings, allocation policy,
-    divergence recovery, checked-pipeline policy, observability sink —
-    is set in exactly one place and threads uniformly through
-    allocation, analysis and recovery. The legacy functions survived as
+    divergence recovery, observability sink — is set in exactly one
+    place and threads uniformly through allocation, analysis and
+    recovery. The legacy functions survived as
     thin deprecated wrappers for five releases and are now deleted:
     {!input} is the closed set of ways to run the analysis.
 
@@ -26,23 +26,10 @@ open Tdfa_thermal
 open Tdfa_regalloc
 open Tdfa_obs
 
-(** What an IR-verification violation means when the optimization
-    pipeline runs checked (mirrors [Tdfa_optim.Pipeline]'s policies
-    without depending on it; [Tdfa_optim.Pipeline.checks_of_checked]
-    converts). *)
-type checked_policy =
-  | Unchecked  (** no per-pass verification *)
-  | Check_fail  (** abort on the first ill-formed pass output *)
-  | Check_warn  (** keep the output, record the diagnostics *)
-  | Check_degrade  (** discard the pass, continue from its input *)
-
-val checked_policy_name : checked_policy -> string
-
 type config = {
   settings : Analysis.settings;  (** delta, iteration cap, join *)
   policy : Policy.t;  (** register-assignment policy *)
   recover : bool;  (** climb the divergence-recovery ladder *)
-  checked : checked_policy;  (** checked-pipeline behaviour *)
   granularity : int;  (** thermal-state granularity *)
   params : Params.t;  (** technology/thermal coefficients *)
   analysis_dt_s : float option;  (** [None] = solver default *)
@@ -59,8 +46,7 @@ type config = {
 
 val default : layout:Layout.t -> config
 (** First-fit policy, granularity 1, {!Analysis.default_settings},
-    [Params.default], default dt, no recovery, unchecked,
-    {!Obs.null}. *)
+    [Params.default], default dt, no recovery, {!Obs.null}. *)
 
 (** What to analyse — the closed set of input shapes. The first three
     descend from the legacy entry points; {!Warm_start} came with the

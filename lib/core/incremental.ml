@@ -4,10 +4,10 @@ open Tdfa_obs
 type prior = {
   p_key : string;
   p_outcome : Analysis.outcome;
-  p_digest : int64;
-      (* integrity digest over [p_outcome]'s states, computed when the
-         prior was made; [analyze] revalidates before reuse so a
-         corrupted result degrades to a cold run, never to garbage *)
+  p_digest : string;
+      (* [Content.outcome] of [p_outcome], taken when the prior was
+         made; [analyze] revalidates before reuse so a corrupted result
+         degrades to a cold run, never to garbage *)
 }
 
 type mode = Cold | Identity | Corrupt_recording
@@ -19,35 +19,7 @@ let mode_name = function
 
 type result = { outcome : Analysis.outcome; prior : prior; mode : mode }
 
-(* Raw float bits folded by Thermal_state.checksum keep the digest
-   cheap relative to the fixpoint it stands in for: a few nanoseconds
-   per thermal point, so an identity lookup can afford to revalidate
-   every state. The hashtable is folded in its own iteration order,
-   which is stable for the table the digest was first taken over. *)
-let outcome_digest outcome =
-  let info = Analysis.info outcome in
-  let h = ref (if Analysis.converged outcome then 1L else 2L) in
-  let mix x = h := Int64.mul (Int64.logxor !h x) 0x100000001b3L in
-  let mix_point (label, index) =
-    mix (Int64.of_int (Label.hash label));
-    mix (Int64.of_int index)
-  in
-  mix (Int64.of_int info.Analysis.iterations);
-  mix (Int64.bits_of_float info.Analysis.final_delta_k);
-  Hashtbl.iter
-    (fun point s ->
-      mix_point point;
-      h := Thermal_state.checksum !h s)
-    info.Analysis.states_after;
-  Label.Map.iter
-    (fun l s ->
-      mix_point (l, -1);
-      h := Thermal_state.checksum !h s)
-    info.Analysis.exit_states;
-  List.iter mix_point info.Analysis.unstable;
-  !h
-
-let prior_intact p = Int64.equal p.p_digest (outcome_digest p.p_outcome)
+let prior_intact p = String.equal p.p_digest (Content.outcome p.p_outcome)
 
 (* Deterministic single-state corruption, for the fault-injection
    batteries: one per-instruction state gains +1 K at one point. When
@@ -56,7 +28,7 @@ let prior_intact p = Int64.equal p.p_digest (outcome_digest p.p_outcome)
 let poison_prior ~seed p =
   let info = Analysis.info p.p_outcome in
   match Analysis.sorted_states info with
-  | [] -> { p with p_digest = Int64.succ p.p_digest }
+  | [] -> { p with p_digest = "" }
   | states ->
     let point, s = List.nth states (abs seed mod List.length states) in
     let s = Thermal_state.copy s in
@@ -81,18 +53,16 @@ let poison_prior ~seed p =
    instructions and terminator (which fix the successor edges, hence
    RPO, predecessors and joins), the block's execution frequency (the
    heating duty cycle) and the exact access events of every instruction
-   and of the terminator under the given assignment. Marshal without
-   sharing is a canonical encoding of that plain data, floats as raw
-   bits, so equal inputs always encode equal — and comparing the bytes
-   directly is cheaper than digesting them first. *)
+   and of the terminator under the given assignment, in the canonical
+   [Content] encoding — kept as bytes, since comparing them directly is
+   cheaper than digesting them first. *)
 let block_signature (cfg : Transfer.config) (block : Block.t) =
   let label = block.Block.label in
-  Marshal.to_string
+  Content.encode
     ( block,
       cfg.Transfer.block_frequency label,
       Array.mapi (cfg.Transfer.accesses_of_instr label) block.Block.body,
       cfg.Transfer.accesses_of_term label block.Block.term )
-    [ Marshal.No_sharing ]
 
 let func_signature cfg func =
   List.fold_left
@@ -106,7 +76,7 @@ let func_signature cfg func =
    key, and any edit, added or removed block, or changed setting moves
    it. *)
 let key ~settings (cfg : Transfer.config) func =
-  Marshal.to_string
+  Content.encode
     ( settings,
       ( cfg.Transfer.params,
         cfg.Transfer.layout,
@@ -115,7 +85,6 @@ let key ~settings (cfg : Transfer.config) func =
         cfg.Transfer.max_frequency ),
       Func.entry_label func,
       Label.Map.bindings (func_signature cfg func) )
-    [ Marshal.No_sharing ]
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -132,7 +101,7 @@ let analyze ?(obs = Obs.null) ?cancel ?(settings = Analysis.default_settings)
         let outcome =
           Analysis.fixpoint ~obs ?cancel ~settings ?core cfg func
         in
-        let p_digest = outcome_digest outcome in
+        let p_digest = Content.outcome outcome in
         { outcome; prior = { p_key; p_outcome = outcome; p_digest }; mode }
       in
       let result =

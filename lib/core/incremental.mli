@@ -51,8 +51,8 @@ val func_signature : Transfer.config -> Func.t -> string Label.Map.t
     them. *)
 
 val prior_intact : prior -> bool
-(** Recompute the digest over the cached outcome's states and compare
-    with the one stored when the prior was made: [false] means the
+(** Recompute {!Content.outcome} over the cached outcome and compare
+    with the digest stored when the prior was made: [false] means the
     result was corrupted after the fact. {!analyze} performs exactly
     this check before any reuse. *)
 

@@ -70,19 +70,6 @@ let max_delta a b =
 
 let equal_within eps a b = max_delta a b <= eps
 
-(* FNV-1a over 64-bit words: every point's raw IEEE-754 bits are folded
-   in, so changing any single point always changes the result. *)
-let checksum seed t =
-  let h = ref seed in
-  let temps = t.temps in
-  for i = 0 to Array.length temps - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.bits_of_float (Array.unsafe_get temps i)))
-        0x100000001b3L
-  done;
-  !h
-
 let join_max a b =
   assert (num_points a = num_points b);
   { a with temps = Array.mapi (fun i v -> Float.max v b.temps.(i)) a.temps }

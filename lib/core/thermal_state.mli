@@ -38,12 +38,6 @@ val max_delta : t -> t -> float
 
 val equal_within : float -> t -> t -> bool
 
-val checksum : int64 -> t -> int64
-(** [checksum seed t] folds the raw IEEE-754 bits of every point into
-    [seed] (FNV-1a over 64-bit words): changing any one point changes
-    the result. Cheap enough to revalidate a cached analysis result on
-    every lookup. *)
-
 val join_max : t -> t -> t
 (** Pointwise maximum — the conservative merge for reliability analysis. *)
 

@@ -1,5 +1,4 @@
 open Tdfa_ir
-open Tdfa_floorplan
 open Tdfa_thermal
 open Tdfa_regalloc
 open Tdfa_core
@@ -80,75 +79,20 @@ type batch = {
 (* Content addressing                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Policies print their parameters too (Policy.name does not), so two
-   specs differing only in a seed or bank count get different keys. *)
-let policy_signature = function
-  | Policy.First_fit -> "first-fit"
-  | Policy.Round_robin -> "round-robin"
-  | Policy.Random seed -> Printf.sprintf "random:%d" seed
-  | Policy.Chessboard -> "chessboard"
-  | Policy.Thermal_spread -> "thermal-spread"
-  | Policy.Bank_pack n -> Printf.sprintf "bank-pack:%d" n
-  | Policy.Measured cells ->
-    "measured:"
-    ^ String.concat ","
-        (List.map (Printf.sprintf "%h") (Array.to_list cells))
+(* [func], [layout] and [spec] must stay plain data (no closures, no
+   hash tables): only then is their [Content] encoding canonical, and
+   every component — policy parameters included — part of the key. *)
+let digest_key ~layout spec func = Content.digest (func, layout, spec)
 
-let digest_key ~layout spec func =
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "ir\x00%s\x00" (Printer.func_to_string func);
-  add "layout\x00%dx%d:%h:%h\x00" layout.Layout.rows layout.Layout.cols
-    layout.Layout.cell_width_um layout.Layout.cell_height_um;
-  add "granularity\x00%d\x00" spec.granularity;
-  add "join\x00%s\x00"
-    (match spec.settings.Analysis.join with
-     | Analysis.Max -> "max"
-     | Analysis.Average -> "average");
-  add "delta\x00%h\x00maxiter\x00%d\x00" spec.settings.Analysis.delta_k
-    spec.settings.Analysis.max_iterations;
-  add "policy\x00%s\x00" (policy_signature spec.policy);
-  add "dt\x00%s\x00"
-    (match spec.analysis_dt_s with
-     | None -> "default"
-     | Some dt -> Printf.sprintf "%h" dt);
-  add "recover\x00%b\x00" spec.recover;
-  let p = spec.params in
-  add "params\x00%h:%h:%h:%h:%h:%h:%h:%h:%h\x00" p.Params.ambient_k
-    p.Params.clock_hz p.Params.read_energy_j p.Params.write_energy_j
-    p.Params.lateral_conductance_w_per_k p.Params.vertical_conductance_w_per_k
-    p.Params.cell_capacitance_j_per_k p.Params.leakage_w
-    p.Params.leakage_temp_coeff;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* For IR jobs this IS digest_key — trace jobs fold in the stream
-   digest, because every compiled trace shares the same Nop-skeleton
-   carrier and the IR alone would alias them all. *)
+(* Trace jobs fold in the stream digest, because every compiled trace
+   shares the same Nop-skeleton carrier and the IR alone would alias
+   them all. *)
 let job_key ~layout spec job =
-  let base = digest_key ~layout spec job.func in
   match job.stream with
-  | None -> base
-  | Some s ->
-    Digest.to_hex (Digest.string (base ^ "\x00stream\x00" ^ s.stream_id))
+  | None -> digest_key ~layout spec job.func
+  | Some s -> Content.digest (job.func, layout, spec, s.stream_id)
 
-let fingerprint outcome =
-  let info = Analysis.info outcome in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (if Analysis.converged outcome then "C" else "D");
-  Buffer.add_string buf (string_of_int info.Analysis.iterations);
-  Buffer.add_string buf (Printf.sprintf "%h" info.Analysis.final_delta_k);
-  List.iter
-    (fun ((label, index), state) ->
-      Buffer.add_char buf '\x00';
-      Buffer.add_string buf (Label.to_string label);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int index);
-      for p = 0 to Tdfa_core.Thermal_state.num_points state - 1 do
-        Buffer.add_string buf
-          (Printf.sprintf ";%h" (Tdfa_core.Thermal_state.get state p))
-      done)
-    (Analysis.sorted_states info);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+let fingerprint = Content.outcome
 
 (* ------------------------------------------------------------------ *)
 (* One job                                                              *)
@@ -234,7 +178,7 @@ let analyze_keyed ?warm ~obs ~layout ~key spec job =
       in
       let alloc =
         Obs.span obs "driver.allocate"
-          ~args:[ ("policy", Obs.Str (policy_signature spec.policy)) ]
+          ~args:[ ("policy", Obs.Str (Policy.name spec.policy)) ]
           (fun () ->
             Alloc.allocate ~obs job.func layout ~policy:spec.policy)
       in
@@ -275,6 +219,9 @@ let analyze_keyed ?warm ~obs ~layout ~key spec job =
     | None -> Analysis.fallback_name Analysis.Primary
   in
   let info = Analysis.info outcome in
+  (* The job's time ends here: the report's derived fields (peak and
+     mean maps, the fingerprint) are computed outside it. *)
+  let wall_ms = now_ms () -. t0 in
   {
     name = job.job_name;
     key;
@@ -290,7 +237,7 @@ let analyze_keyed ?warm ~obs ~layout ~key spec job =
     rung;
     fingerprint = fingerprint outcome;
     source;
-    wall_ms = now_ms () -. t0;
+    wall_ms;
   }
 
 let analyze_job ?(obs = Obs.null) ?warm ~layout spec job =
@@ -301,13 +248,14 @@ let analyze_job ?(obs = Obs.null) ?warm ~layout spec job =
 (* ------------------------------------------------------------------ *)
 
 module Cache = struct
-  (* Bump on any change to the [report] type or the entry framing: old
-     entries then fail the magic check and read as misses instead of
-     unmarshalling garbage. v3 frames every entry as two header lines
-     ([magic], then the hex digest of the payload) followed by the raw
-     marshalled report, so a torn or bit-rotted payload is detected
-     before [Marshal.from_string] can trip over it. *)
-  let magic = "tdfa-engine-cache-3"
+  (* Bump on any change to the [report] type, the key or fingerprint
+     encoding, or the entry framing: old entries then fail the magic
+     check and read as misses instead of unmarshalling garbage. Every
+     entry is framed as two header lines ([magic], then the hex digest
+     of the payload) followed by the raw marshalled report, so a torn
+     or bit-rotted payload is detected before [Marshal.from_string] can
+     trip over it. *)
+  let magic = "tdfa-engine-cache-4"
 
   type backend = Memory of (string, report) Hashtbl.t | Disk of string
   type t = { mutex : Mutex.t; backend : backend }
@@ -341,7 +289,7 @@ module Cache = struct
     Mutex.lock t.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-  (* v3 framing: [magic '\n' digest '\n' payload]. *)
+  (* Framing: [magic '\n' digest '\n' payload]. *)
   let parse_entry raw =
     match String.index_opt raw '\n' with
     | None -> `Stale

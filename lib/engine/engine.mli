@@ -133,22 +133,21 @@ type batch = {
 (** {1 Content addressing} *)
 
 val digest_key : layout:Layout.t -> spec -> Func.t -> string
-(** Hex digest of every input the analysis result depends on: the
-    printed function IR, the floorplan dimensions, and all [spec]
+(** Hex digest ({!Tdfa_core.Content.digest}) of every input the analysis
+    result depends on: the function IR, the floorplan and all [spec]
     knobs. Any differing component yields a different key, so cache
     invalidation is structural — a stale entry can never be addressed
     again. *)
 
 val job_key : layout:Layout.t -> spec -> job -> string
 (** The key a batch run addresses the job's cache entry by:
-    {!digest_key} for IR jobs (unchanged from before trace jobs
-    existed, so on-disk caches stay valid), folded with the
-    [stream_id] for trace jobs. *)
+    {!digest_key} for IR jobs, and the digest of the same inputs plus
+    the [stream_id] for trace jobs. *)
 
 val fingerprint : Analysis.outcome -> string
-(** Hex digest over the convergence status, iteration count and every
-    per-instruction thermal point (via {!Analysis.sorted_states}),
-    rendered in exact hexadecimal floating point. *)
+(** {!Tdfa_core.Content.outcome}: the digest of the convergence status,
+    iteration count, last-round change, every per-instruction state,
+    every exit state and the unstable instructions. *)
 
 (** {1 Result cache} *)
 

@@ -16,12 +16,6 @@ type checks = {
 
 let checks ?(verify = Tdfa_verify.Check.func) policy = { policy; verify }
 
-let checks_of_checked = function
-  | Tdfa_core.Driver.Unchecked -> None
-  | Tdfa_core.Driver.Check_fail -> Some (checks Fail)
-  | Tdfa_core.Driver.Check_warn -> Some (checks Warn)
-  | Tdfa_core.Driver.Check_degrade -> Some (checks Degrade)
-
 exception
   Verification_failed of {
     pass : string;

@@ -30,11 +30,6 @@ val checks :
 (** Default [verify] is {!Tdfa_verify.Check.func} (CFG integrity,
     definite assignment, spill-slot balance). *)
 
-val checks_of_checked : Tdfa_core.Driver.checked_policy -> checks option
-(** Bridge from the facade's configuration record: [Unchecked] means no
-    per-pass verification, the other constructors map onto
-    {!violation_policy} with the default verifier. *)
-
 exception
   Verification_failed of {
     pass : string;

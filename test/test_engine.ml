@@ -361,6 +361,26 @@ let prop_digest_sensitivity =
       String.equal (key fast_spec f) (key fast_spec f)
       && not (String.equal a b))
 
+(* An IR job's cache entry is addressed by [digest_key] of its function
+   alone, whatever the job is called — tools that look reports up by
+   function (not by job) depend on it. A trace job over the same carrier
+   must not alias it. *)
+let prop_job_key_is_digest_key =
+  QCheck2.Test.make ~name:"engine: IR job key is the function's digest_key"
+    ~count:60
+    QCheck2.Gen.(pair gen_small (int_range 0 1))
+    (fun (f, which) ->
+      let spec =
+        if which = 0 then fast_spec
+        else { fast_spec with Engine.policy = Tdfa_regalloc.Policy.Random 7 }
+      in
+      let key = Engine.digest_key ~layout spec f in
+      let trace =
+        Engine.trace_job ~stream_id:"s" ~accesses:(fun _ _ -> []) "t" f
+      in
+      String.equal (Engine.job_key ~layout spec (Engine.job "any name" f)) key
+      && not (String.equal (Engine.job_key ~layout spec trace) key))
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -386,5 +406,6 @@ let suite =
           prop_cache_hit_exact;
           prop_generated_functions_verify;
           prop_digest_sensitivity;
+          prop_job_key_is_digest_key;
         ] );
   ]

@@ -203,6 +203,120 @@ let prop_chained_warm_equals_cold =
         passes;
       !ok)
 
+(* --- The outcome digest -------------------------------------------------- *)
+
+let with_info outcome info =
+  match outcome with
+  | Analysis.Converged _ -> Analysis.Converged info
+  | Analysis.Diverged _ -> Analysis.Diverged info
+
+(* One bit of one point of a copy of [s]. *)
+let flip_bit s ~point ~bit =
+  let s = Thermal_state.copy s in
+  let t = Thermal_state.get s point in
+  Thermal_state.set s point
+    (Int64.float_of_bits
+       (Int64.logxor (Int64.bits_of_float t) (Int64.shift_left 1L bit)));
+  s
+
+(* The fingerprint covers every result field — one flipped bit anywhere
+   moves it — and nothing else: the order the per-instruction table was
+   filled in does not show. *)
+let prop_fingerprint_covers_outcome =
+  QCheck2.Test.make
+    ~name:"content: one flipped bit moves the fingerprint, fill order does not"
+    ~count:60
+    QCheck2.Gen.(triple gen_small (int_range 0 1_000_000) (int_range 0 63))
+    (fun (f, seed, bit) ->
+      let af, asg = post_ra f in
+      let outcome = Analysis.fixpoint ~settings (config_of af asg) af in
+      let info = Analysis.info outcome in
+      let base = fingerprint outcome in
+      let moved info' =
+        not (String.equal base (fingerprint (with_info outcome info')))
+      in
+      let pick l = List.nth l (seed mod List.length l) in
+      let point_of s = seed / 7 mod Thermal_state.num_points s in
+      let states_after_moves =
+        match Analysis.sorted_states info with
+        | [] -> true
+        | states ->
+          let k, s = pick states in
+          let states_after = Hashtbl.copy info.Analysis.states_after in
+          Hashtbl.replace states_after k (flip_bit s ~point:(point_of s) ~bit);
+          moved { info with Analysis.states_after }
+      in
+      let exit_moves =
+        let l, s = pick (Label.Map.bindings info.Analysis.exit_states) in
+        moved
+          {
+            info with
+            Analysis.exit_states =
+              Label.Map.add l
+                (flip_bit s ~point:(point_of s) ~bit)
+                info.Analysis.exit_states;
+          }
+      in
+      let unstable_moves =
+        moved
+          {
+            info with
+            Analysis.unstable =
+              (match info.Analysis.unstable with
+               | [] -> [ (Func.entry_label af, 0) ]
+               | (l, i) :: rest -> (l, i lxor 1) :: rest);
+          }
+      in
+      let iterations_moves =
+        moved
+          {
+            info with
+            Analysis.iterations =
+              info.Analysis.iterations lxor (1 lsl (bit mod 20));
+          }
+      in
+      let converged_moves =
+        let flipped =
+          match outcome with
+          | Analysis.Converged i -> Analysis.Diverged i
+          | Analysis.Diverged i -> Analysis.Converged i
+        in
+        not (String.equal base (fingerprint flipped))
+      in
+      (* Refill the table in reverse order, with a different initial
+         size, so both bucket layout and insertion history differ. *)
+      let refilled =
+        let tbl = Hashtbl.create 3 in
+        List.iter
+          (fun (k, s) -> Hashtbl.replace tbl k s)
+          (List.rev (Analysis.sorted_states info));
+        fingerprint (with_info outcome { info with Analysis.states_after = tbl })
+      in
+      states_after_moves && exit_moves && unstable_moves && iterations_moves
+      && converged_moves && String.equal base refilled)
+
+(* The integrity digest covers exit states too: a block's exit state
+   mutated in place through the returned outcome (which is the prior's
+   own result) is caught, and the next request runs cold. *)
+let test_poisoned_exit_state () =
+  let af, asg = post_ra (Kernels.fir ()) in
+  let cfg = config_of af asg in
+  let r0 = Incremental.analyze ~settings cfg af in
+  Alcotest.(check bool) "fresh prior intact" true
+    (Incremental.prior_intact r0.Incremental.prior);
+  let info = Analysis.info r0.Incremental.outcome in
+  let _, exit_state = Label.Map.choose info.Analysis.exit_states in
+  Alcotest.(check bool) "exit state is not a per-instruction state" true
+    (Hashtbl.fold
+       (fun _ s acc -> acc && s != exit_state)
+       info.Analysis.states_after true);
+  Thermal_state.set exit_state 0 (Thermal_state.get exit_state 0 +. 1.0);
+  Alcotest.(check bool) "poisoned exit state rejected" false
+    (Incremental.prior_intact r0.Incremental.prior);
+  let r1 = Incremental.analyze ~settings ~prior:r0.Incremental.prior cfg af in
+  Alcotest.(check string) "falls back" "fallback:corrupt-recording"
+    (Incremental.mode_name r1.Incremental.mode)
+
 (* A prior whose result was corrupted after the fact (bit rot, fault
    injection, a torn hand-off) must never be returned: the integrity
    digest sends the run cold, and the result fingerprints identically
@@ -407,6 +521,7 @@ let suite =
           test_identity_contract;
         tc "telemetry counters and span" `Quick test_obs_counters;
         tc "engine warm reuse via parent key" `Quick test_engine_warm_reuse;
+        tc "poisoned exit state rejected" `Quick test_poisoned_exit_state;
       ] );
     ( "incremental.properties",
       List.map QCheck_alcotest.to_alcotest
@@ -415,5 +530,6 @@ let suite =
           prop_warm_equals_cold;
           prop_chained_warm_equals_cold;
           prop_passes_preserve_semantics;
+          prop_fingerprint_covers_outcome;
         ] );
   ]

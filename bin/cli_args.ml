@@ -14,12 +14,7 @@ open Tdfa_workload
 
 let load_func ~kernel ~file =
   match (kernel, file) with
-  | Some name, None -> (
-    match Kernels.find name with
-    | Some f -> Ok f
-    | None ->
-      Error
-        (Printf.sprintf "unknown kernel %s (try list-kernels)" name))
+  | Some name, None -> Kernels.lookup name
   | None, Some path -> (
     match In_channel.with_open_text path In_channel.input_all with
     | source ->
@@ -112,14 +107,9 @@ let post_ra_arg ~doc = Arg.(value & flag & info [ "post-ra" ] ~doc)
 
 let policy_conv =
   let parse s =
-    match s with
-    | "first-fit" -> Ok Policy.First_fit
-    | "round-robin" -> Ok Policy.Round_robin
-    | "random" -> Ok (Policy.Random 42)
-    | "chessboard" -> Ok Policy.Chessboard
-    | "thermal-spread" -> Ok Policy.Thermal_spread
-    | "bank-pack" -> Ok (Policy.Bank_pack 4)
-    | other -> Error (`Msg (Printf.sprintf "unknown policy %s" other))
+    match Policy.of_string s with
+    | Some p -> Ok p
+    | None -> Error (`Msg (Printf.sprintf "unknown policy %s" s))
   in
   let print ppf p = Format.pp_print_string ppf (Policy.name p) in
   Arg.conv (parse, print)
@@ -131,13 +121,30 @@ let policy_arg =
              "Register assignment policy: first-fit, round-robin, random, \
               chessboard, thermal-spread or bank-pack.")
 
+(* An out-of-range knob is a usage error (exit 2) with the message the
+   daemon's bad-request carries: both front ends validate with
+   [Tdfa.Driver.check_granularity] and [Tdfa.Driver.check_delta]. *)
+let checked_knob check term =
+  let accept v =
+    match check v with
+    | Ok () -> v
+    | Error msg ->
+      Printf.eprintf "tdfa: %s\n" msg;
+      exit 2
+  in
+  Term.(const accept $ term)
+
 let granularity_arg =
-  Arg.(value & opt int 1 & info [ "g"; "granularity" ] ~docv:"G"
-         ~doc:"Thermal-state granularity (cells per point edge).")
+  checked_knob Tdfa.Driver.check_granularity
+    Arg.(value & opt int 1 & info [ "g"; "granularity" ] ~docv:"G"
+           ~doc:"Thermal-state granularity (cells per point edge), at least 1.")
 
 let delta_arg =
-  Arg.(value & opt float 0.05 & info [ "d"; "delta" ] ~docv:"K"
-         ~doc:"Convergence threshold of the analysis, in kelvin.")
+  checked_knob Tdfa.Driver.check_delta
+    Arg.(value & opt float 0.05 & info [ "d"; "delta" ] ~docv:"K"
+           ~doc:
+             "Convergence threshold of the analysis, in kelvin: finite and \
+              non-negative.")
 
 let recover_arg =
   Arg.(value & flag

@@ -9,6 +9,7 @@ open Tdfa_regalloc
 open Tdfa_core
 open Tdfa_workload
 open Tdfa_harness
+module Json = Tdfa_obs.Json
 
 let print_steps steps =
   List.iter
@@ -286,6 +287,9 @@ let analyze kernel file policy granularity delta pre_ra recover incremental
   in
   if rc <> 0 then exit rc
 
+(* The --json views: one compact line. *)
+let print_json v = print_endline (Json.to_string v)
+
 let predict kernel file policy granularity delta pre_ra json obs_req =
   (* The text report lives in [Tdfa_serve.Render.predict], shared with
      the serve daemon; --json emits the raw bounds for scripting (the
@@ -298,25 +302,23 @@ let predict kernel file policy granularity delta pre_ra json obs_req =
         in
         if json then begin
           let open Tdfa_absint in
-          (* An uncertified (infinite) bound is JSON null. *)
-          let num v =
-            if Float.is_finite v then Printf.sprintf "%.6f" v else "null"
+          (* An uncertified (infinite) bound prints as JSON null. *)
+          let cell c lo =
+            Json.Obj
+              [ ("cell", Int c); ("lo_k", Float lo);
+                ("hi_k", Float b.Absint.hi_cells.(c)) ]
           in
-          Printf.printf
-            "{\"kernel\": %S, \"peak_lo_k\": %s, \"peak_hi_k\": %s, \
-             \"margin_k\": %.6f, \"hot_threshold_k\": %.1f, \"verdict\": %S, \
-             \"cells\": ["
-            f.Func.name (num b.Absint.peak_lo_k) (num b.Absint.peak_hi_k)
-            b.Absint.margin_k Tdfa_lint.Rules.hot_threshold
-            (Absint.verdict_name
-               (Absint.verdict ~hot_k:Tdfa_lint.Rules.hot_threshold b));
-          Array.iteri
-            (fun c lo ->
-              Printf.printf "%s{\"cell\": %d, \"lo_k\": %s, \"hi_k\": %s}"
-                (if c = 0 then "" else ", ")
-                c (num lo) (num b.Absint.hi_cells.(c)))
-            b.Absint.lo_cells;
-          Printf.printf "]}\n"
+          let hot_k = Tdfa_lint.Rules.hot_threshold in
+          print_json
+            (Obj
+               [ ("kernel", Str f.Func.name);
+                 ("peak_lo_k", Float b.Absint.peak_lo_k);
+                 ("peak_hi_k", Float b.Absint.peak_hi_k);
+                 ("margin_k", Float b.Absint.margin_k);
+                 ("hot_threshold_k", Float hot_k);
+                 ("verdict", Str (Absint.verdict_name (Absint.verdict ~hot_k b)));
+                 ("cells", List (Array.to_list (Array.mapi cell b.Absint.lo_cells)))
+               ])
         end
         else print_string out)))
 
@@ -332,17 +334,12 @@ let place files kernels_csv cores place_name sa_iters sa_seed policy
   in
   let kernel_funcs =
     match kernels_csv with
-    | Some names ->
-      List.map
-        (fun name ->
-          let name = String.trim name in
-          match Kernels.find name with
-          | Some f -> f
-          | None ->
-            Printf.eprintf "tdfa: unknown kernel %s (try list-kernels)\n"
-              name;
-            exit 2)
-        (String.split_on_char ',' names)
+    | Some names -> (
+      match Kernels.lookup_list names with
+      | Ok fs -> fs
+      | Error msg ->
+        Printf.eprintf "tdfa: %s\n" msg;
+        exit 2)
     | None -> if files = [] then List.map snd Kernels.all else []
   in
   let file_funcs =
@@ -365,28 +362,20 @@ let place files kernels_csv cores place_name sa_iters sa_seed policy
       if json then begin
         let open Tdfa_alloc in
         let p = placed.Tdfa.Driver.placement in
-        Printf.printf
-          "{\"place\": %S, \"cores\": %S, \"tasks\": %d, \"peak_k\": %.6f, \
-           \"gradient_k\": %.6f, \"score\": %.6f, \"round_robin_peak_k\": \
-           %.6f, \"improvement_k\": %.6f, \"assignment\": ["
-          (Place.policy_name p.Place.policy)
-          cores
-          (List.length placed.Tdfa.Driver.profiles)
-          p.Place.peak_k p.Place.gradient_k p.Place.score
-          p.Place.round_robin_peak_k
-          (p.Place.round_robin_peak_k -. p.Place.peak_k);
-        List.iteri
-          (fun i (name, core) ->
-            Printf.printf "%s{\"task\": %S, \"core\": %d}"
-              (if i = 0 then "" else ", ")
-              name core)
-          p.Place.assignment;
-        Printf.printf "], \"core_temps_k\": [";
-        Array.iteri
-          (fun c t ->
-            Printf.printf "%s%.6f" (if c = 0 then "" else ", ") t)
-          p.Place.core_temps_k;
-        Printf.printf "]}\n"
+        let task (name, core) = Json.Obj [ ("task", Str name); ("core", Int core) ] in
+        let temps = Array.map (fun t -> Json.Float t) p.Place.core_temps_k in
+        print_json
+          (Obj
+             [ ("place", Str (Place.policy_name p.Place.policy));
+               ("cores", Str cores);
+               ("tasks", Int (List.length placed.Tdfa.Driver.profiles));
+               ("peak_k", Float p.Place.peak_k);
+               ("gradient_k", Float p.Place.gradient_k);
+               ("score", Float p.Place.score);
+               ("round_robin_peak_k", Float p.Place.round_robin_peak_k);
+               ("improvement_k", Float (p.Place.round_robin_peak_k -. p.Place.peak_k));
+               ("assignment", List (List.map task p.Place.assignment));
+               ("core_temps_k", List (Array.to_list temps)) ])
       end
       else print_string out))
 

@@ -244,7 +244,7 @@ let run_coolest s =
           let nsum = Array.fold_left (fun acc j -> acc +. s.temps.(j)) 0.0 nbrs in
           s.local.(c) +. (0.5 *. (nsum /. float_of_int (Array.length nbrs)))))
 
-let run_annealed ~obs s ~seed ~iters ~start ~blind =
+let run_annealed ~obs ~cancel s ~seed ~iters ~start ~blind =
   let n = Array.length s.local and nt = Array.length s.tasks in
   if iters <= 0 || nt = 0 || n <= 1 then start
   else begin
@@ -257,7 +257,10 @@ let run_annealed ~obs s ~seed ~iters ~start ~blind =
     let alpha = exp (log (t_end /. t0) /. float_of_int iters) in
     let temp = ref t0 in
     let accepted = ref 0 and improving = ref 0 in
-    for _ = 1 to iters do
+    for k = 1 to iters do
+      (* A deadline is polled every 256 moves. *)
+      if k land 255 = 0 && cancel () then
+        raise (Tdfa_core.Analysis.Cancelled { iterations = k - 1 });
       let i = Random.State.int rng nt in
       let undo =
         if Random.State.float rng 1.0 < 0.7 then begin
@@ -305,8 +308,8 @@ let run_annealed ~obs s ~seed ~iters ~start ~blind =
     best
   end
 
-let run ?(obs = Obs.null) ?(gradient_weight = default_gradient_weight) chip
-    policy tasks =
+let run ?(obs = Obs.null) ?(cancel = fun () -> false)
+    ?(gradient_weight = default_gradient_weight) chip policy tasks =
   let tasks = canonical tasks in
   check_tasks chip tasks;
   let n = Chip.num_cores chip and nt = Array.length tasks in
@@ -328,7 +331,8 @@ let run ?(obs = Obs.null) ?(gradient_weight = default_gradient_weight) chip
        | Greedy -> guard (run_greedy s)
        | Coolest_neighbor -> guard (run_coolest s)
        | Annealed { seed; iters } ->
-         run_annealed ~obs s ~seed ~iters ~start:(guard (run_greedy s)) ~blind)
+         run_annealed ~obs ~cancel s ~seed ~iters
+           ~start:(guard (run_greedy s)) ~blind)
   in
   (* The span's arguments are built only for a tracing sink. *)
   if not (Obs.tracing obs) then place ()

@@ -81,6 +81,7 @@ val evaluate :
 
 val run :
   ?obs:Tdfa_obs.Obs.sink ->
+  ?cancel:(unit -> bool) ->
   ?gradient_weight:float ->
   Chip.t ->
   policy ->
@@ -92,7 +93,10 @@ val run :
     precomputed core adjacency; only the returned assignment is turned
     into a [placement]. Traced as an [alloc.place] span (cores, tasks,
     policy); annealing adds an [alloc.anneal] instant (accepted moves,
-    improving moves, final temperature). *)
+    improving moves, final temperature). Annealing polls [cancel]
+    (default: never) every 256 moves.
+    @raise Tdfa_core.Analysis.Cancelled when [cancel] trips, carrying
+    the number of completed moves. *)
 
 val exhaustive :
   ?gradient_weight:float -> ?limit:int -> Chip.t -> Task.t list -> placement

@@ -16,6 +16,17 @@ type config = {
   core : Analysis.core;
 }
 
+let check_granularity g =
+  if g >= 1 then Ok ()
+  else Error (Printf.sprintf "granularity must be at least 1 (got %d)" g)
+
+let check_delta d =
+  if Float.is_finite d && d >= 0.0 then Ok ()
+  else
+    Error
+      (Printf.sprintf "delta must be a finite, non-negative kelvin value (got %g)"
+         d)
+
 let default ~layout =
   {
     settings = Analysis.default_settings;

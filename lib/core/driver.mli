@@ -48,6 +48,16 @@ val default : layout:Layout.t -> config
 (** First-fit policy, granularity 1, {!Analysis.default_settings},
     [Params.default], default dt, no recovery, {!Obs.null}. *)
 
+(** The boundary checks on user-supplied knobs, shared by the CLI flags
+    and the serve protocol; the error names the rejected value. *)
+
+val check_granularity : int -> (unit, string) result
+(** A thermal-state granularity below 1 is an error. *)
+
+val check_delta : float -> (unit, string) result
+(** A convergence threshold (K) that is negative or not finite is an
+    error. *)
+
 (** What to analyse — the closed set of input shapes. The first three
     descend from the legacy entry points; {!Warm_start} came with the
     incremental engine, and {!Trace} admits measured access streams

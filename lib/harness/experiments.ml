@@ -5,10 +5,16 @@ open Tdfa_core
 open Tdfa_workload
 open Tdfa_optim
 open Tdfa_report
+module Json = Tdfa_obs.Json
 
 let section title =
   Printf.printf "\n==== %s ====\n\n" title
 
+(* The BENCH_*.json records: one indented JSON document per file. *)
+let write_json path (v : Json.t) =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string_indented v);
+      output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)
 (* FIG1                                                                 *)
@@ -1537,40 +1543,26 @@ let e20_chain ~repeats ~target_k ~subject func edits =
       })
     edits
 
-let e20_write_json path r =
-  let oc = open_out path in
+let e20_json r =
   let event e =
-    Printf.sprintf
-      "    {\"subject\": \"%s\", \"edit\": \"%s\", \"mode\": \"%s\", \
-       \"total_blocks\": %d, \"t_cold_ms\": %.6f, \"t_warm_ms\": %.6f, \
-       \"speedup\": %.3f}"
-      e.subject e.edit e.emode e.blocks e.t_cold_ms e.t_warm_ms
-      e.e20_speedup
+    Json.Obj
+      [ ("subject", Str e.subject); ("edit", Str e.edit); ("mode", Str e.emode);
+        ("total_blocks", Int e.blocks); ("t_cold_ms", Float e.t_cold_ms);
+        ("t_warm_ms", Float e.t_warm_ms); ("speedup", Float e.e20_speedup) ]
   in
-  let events l = String.concat ",\n" (List.map event l) in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e20\",\n\
-    \  \"fingerprints_equal\": true,\n\
-    \  \"kernel_median_speedup\": %.3f,\n\
-    \  \"corpus_median_speedup\": %.3f,\n\
-    \  \"corpus_functions\": %d,\n\
-    \  \"classes\": [\n%s\n  ],\n\
-    \  \"kernel_events\": [\n%s\n  ],\n\
-    \  \"corpus_events\": [\n%s\n  ]\n\
-     }\n"
-    r.kernel_median r.corpus_median r.corpus_functions
-    (String.concat ",\n"
-       (List.map
-          (fun c ->
-            Printf.sprintf
-              "    {\"mode\": \"%s\", \"events\": %d, \"median_speedup\": \
-               %.3f}"
-              c.cls c.count c.cls_median)
-          r.e20_classes))
-    (events r.kernel_events)
-    (events r.corpus_events);
-  close_out oc
+  let cls c =
+    Json.Obj
+      [ ("mode", Str c.cls); ("events", Int c.count);
+        ("median_speedup", Float c.cls_median) ]
+  in
+  Json.Obj
+    [ ("experiment", Str "e20"); ("fingerprints_equal", Bool true);
+      ("kernel_median_speedup", Float r.kernel_median);
+      ("corpus_median_speedup", Float r.corpus_median);
+      ("corpus_functions", Int r.corpus_functions);
+      ("classes", List (List.map cls r.e20_classes));
+      ("kernel_events", List (List.map event r.kernel_events));
+      ("corpus_events", List (List.map event r.corpus_events)) ]
 
 (* Speedup of re-analysis through Incremental over a cold fixpoint
    across single-pass edits: the example-kernel suite (the 8 kernels
@@ -1642,7 +1634,7 @@ let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
       e20_classes = classes;
     }
   in
-  Option.iter (fun path -> e20_write_json path result) json;
+  Option.iter (fun path -> write_json path (e20_json result)) json;
   if not quiet then begin
     let table =
       Table.create
@@ -1770,29 +1762,20 @@ let e21_steady_pair ~repeats ~side =
     bit_identical = e21_bits_equal boxed flat;
   }
 
-let e21_write_json path r =
-  let oc = open_out path in
+let e21_json r =
   let pair p =
-    Printf.sprintf
-      "    {\"subject\": \"%s\", \"grid\": \"%s\", \"points\": %d, \
-       \"t_boxed_ms\": %.6f, \"t_flat_ms\": %.6f, \"speedup\": %.3f, \
-       \"bit_identical\": %b}"
-      p.e21_subject p.e21_grid p.e21_points p.t_boxed_ms p.t_flat_ms
-      p.e21_speedup p.bit_identical
+    Json.Obj
+      [ ("subject", Str p.e21_subject); ("grid", Str p.e21_grid);
+        ("points", Int p.e21_points); ("t_boxed_ms", Float p.t_boxed_ms);
+        ("t_flat_ms", Float p.t_flat_ms); ("speedup", Float p.e21_speedup);
+        ("bit_identical", Bool p.bit_identical) ]
   in
-  let pairs l = String.concat ",\n" (List.map pair l) in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e21\",\n\
-    \  \"fingerprints_equal\": %b,\n\
-    \  \"fixpoint_median_speedup\": %.3f,\n\
-    \  \"steady_median_speedup\": %.3f,\n\
-    \  \"fixpoint_pairs\": [\n%s\n  ],\n\
-    \  \"steady_pairs\": [\n%s\n  ]\n\
-     }\n"
-    r.all_bit_identical r.fixpoint_median r.steady_median
-    (pairs r.fixpoint_pairs) (pairs r.steady_pairs);
-  close_out oc
+  Json.Obj
+    [ ("experiment", Str "e21"); ("fingerprints_equal", Bool r.all_bit_identical);
+      ("fixpoint_median_speedup", Float r.fixpoint_median);
+      ("steady_median_speedup", Float r.steady_median);
+      ("fixpoint_pairs", List (List.map pair r.fixpoint_pairs));
+      ("steady_pairs", List (List.map pair r.steady_pairs)) ]
 
 (* Cost of the flat core against the boxed reference at matched bits:
    the E5/E8 kernels at the finest granularity on the standard 8x8 RF,
@@ -1836,7 +1819,7 @@ let e21 ?(quiet = false) ?(repeats = 3) ?(quick = false)
       all_bit_identical;
     }
   in
-  Option.iter (fun path -> e21_write_json path result) json;
+  Option.iter (fun path -> write_json path (e21_json result)) json;
   if not quiet then begin
     let table =
       Table.create
@@ -1910,26 +1893,22 @@ let e22_hot_cells info (func : Tdfa_ir.Func.t) ~windows =
       !hot)
     per_segment
 
-let e22_write_json path r =
-  let oc = open_out path in
+let e22_json r =
   let row w =
-    Printf.sprintf
-      "    {\"s\": %g, \"samples\": %d, \"windows\": %d, \
-       \"cells_touched\": %d, \"peak_k\": %.4f, \"vs_chessboard\": %.4f, \
-       \"persistence\": %.3f, \"distinct_hot\": %d}"
-      w.e22_s w.e22_samples w.e22_windows w.e22_cells_touched w.e22_peak_k
-      w.e22_vs_chessboard w.e22_persistence w.e22_distinct_hot
+    Json.Obj
+      [ ("s", Float w.e22_s); ("samples", Int w.e22_samples);
+        ("windows", Int w.e22_windows);
+        ("cells_touched", Int w.e22_cells_touched);
+        ("peak_k", Float w.e22_peak_k);
+        ("vs_chessboard", Float w.e22_vs_chessboard);
+        ("persistence", Float w.e22_persistence);
+        ("distinct_hot", Int w.e22_distinct_hot) ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e22\",\n\
-    \  \"chessboard_peak_k\": %.4f,\n\
-    \  \"uniform_matches_ir\": %b,\n\
-    \  \"rows\": [\n%s\n  ]\n\
-     }\n"
-    r.e22_chessboard_peak_k r.e22_uniform_matches_ir
-    (String.concat ",\n" (List.map row r.e22_rows));
-  close_out oc
+  Json.Obj
+    [ ("experiment", Str "e22");
+      ("chessboard_peak_k", Float r.e22_chessboard_peak_k);
+      ("uniform_matches_ir", Bool r.e22_uniform_matches_ir);
+      ("rows", List (List.map row r.e22_rows)) ]
 
 (* Skew study over the trace-ingestion frontend: synthetic Zipf streams
    of increasing exponent, direct-mapped onto the 8x8 file, against the
@@ -2025,7 +2004,7 @@ let e22 ?(quiet = false) ?(n = 20000) ?(json = Some "BENCH_trace.json") () =
       e22_uniform_matches_ir = !uniform_matches;
     }
   in
-  Option.iter (fun path -> e22_write_json path result) json;
+  Option.iter (fun path -> write_json path (e22_json result)) json;
   if not quiet then begin
     let table =
       Table.create
@@ -2142,42 +2121,30 @@ let e23_score ~repeats ~hot_k ~layout name func =
     e23_fixpoint_ms = fixpoint_ms;
   }
 
-let e23_write_json path r =
-  let oc = open_out path in
+let e23_json r =
   let row w =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"peak_k\": %.6f, \"limit_k\": %.6f, \
-       \"lo_k\": %.6f, \"hi_k\": %.6f, \"verdict\": \"%s\", \
-       \"cost_ratio\": %.3f}"
-      w.e23_name w.e23_peak_k w.e23_limit_k w.e23_lo_k w.e23_hi_k
-      w.e23_verdict
-      (w.e23_predict_ms /. Float.max w.e23_fixpoint_ms 1e-6)
+    Json.Obj
+      [ ("name", Str w.e23_name); ("peak_k", Float w.e23_peak_k);
+        ("limit_k", Float w.e23_limit_k); ("lo_k", Float w.e23_lo_k);
+        ("hi_k", Float w.e23_hi_k); ("verdict", Str w.e23_verdict);
+        ( "cost_ratio",
+          Float (w.e23_predict_ms /. Float.max w.e23_fixpoint_ms 1e-6) ) ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e23\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"corpus_functions\": %d,\n\
-    \  \"hot_functions\": %d,\n\
-    \  \"containment\": %b,\n\
-    \  \"certified_hot\": %d,\n\
-    \  \"possibly_hot\": %d,\n\
-    \  \"certified_hot_precision\": %.3f,\n\
-    \  \"possibly_hot_recall\": %.3f,\n\
-    \  \"kernels_decided\": %d,\n\
-    \  \"corpus_decided\": %d,\n\
-    \  \"decided_ratio\": %.3f,\n\
-    \  \"tightness_median_k\": %.4f,\n\
-    \  \"same_grid_cost_ratio\": %.3f,\n\
-    \  \"kernels\": [\n%s\n  ]\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    r.e23_corpus r.e23_hot r.e23_contained r.e23_certified_hot
-    r.e23_possibly_hot r.e23_precision r.e23_recall r.e23_kernels_decided
-    r.e23_corpus_decided r.e23_decided_ratio r.e23_tightness_median_k
-    r.e23_cost_ratio
-    (String.concat ",\n" (List.map row r.e23_kernel_rows));
-  close_out oc
+  Json.Obj
+    [ ("experiment", Str "e23");
+      ("host_cores", Int (Domain.recommended_domain_count ()));
+      ("corpus_functions", Int r.e23_corpus); ("hot_functions", Int r.e23_hot);
+      ("containment", Bool r.e23_contained);
+      ("certified_hot", Int r.e23_certified_hot);
+      ("possibly_hot", Int r.e23_possibly_hot);
+      ("certified_hot_precision", Float r.e23_precision);
+      ("possibly_hot_recall", Float r.e23_recall);
+      ("kernels_decided", Int r.e23_kernels_decided);
+      ("corpus_decided", Int r.e23_corpus_decided);
+      ("decided_ratio", Float r.e23_decided_ratio);
+      ("tightness_median_k", Float r.e23_tightness_median_k);
+      ("same_grid_cost_ratio", Float r.e23_cost_ratio);
+      ("kernels", List (List.map row r.e23_kernel_rows)) ]
 
 (* The certified bracket's report card over the E19 corpus and the 16
    example kernels: per-cell containment of the stopped and the
@@ -2241,7 +2208,7 @@ let e23 ?(quiet = false) ?(n = 120) ?(repeats = 3)
       e23_kernel_rows = kernel_rows;
     }
   in
-  Option.iter (fun path -> e23_write_json path result) json;
+  Option.iter (fun path -> write_json path (e23_json result)) json;
   if not quiet then begin
     Printf.printf
       "%d generated functions + %d kernels, %d hot at the delta = 1e-6 \
@@ -2315,26 +2282,18 @@ let e24_profile ~layout name func =
   let outcome = Analysis.fixpoint tc alloc.Alloc.func in
   Tdfa_alloc.Task.of_outcome ~core:layout ~name outcome
 
-let e24_write_json path r =
-  let oc = open_out path in
+let e24_json r =
   let row w =
-    Printf.sprintf
-      "    {\"policy\": \"%s\", \"peak_k\": %.6f, \"gradient_k\": %.6f, \
-       \"score\": %.6f, \"improvement_k\": %.6f}"
-      w.e24_policy w.e24_peak_k w.e24_gradient_k w.e24_score
-      w.e24_improvement_k
+    Json.Obj
+      [ ("policy", Str w.e24_policy); ("peak_k", Float w.e24_peak_k);
+        ("gradient_k", Float w.e24_gradient_k); ("score", Float w.e24_score);
+        ("improvement_k", Float w.e24_improvement_k) ]
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"e24\",\n\
-    \  \"tasks\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"all_policies_beat_round_robin\": %b,\n\
-    \  \"policies\": [\n%s\n  ]\n\
-     }\n"
-    r.e24_tasks r.e24_cores r.e24_all_beat_blind
-    (String.concat ",\n" (List.map row r.e24_rows));
-  close_out oc
+  Json.Obj
+    [ ("experiment", Str "e24"); ("tasks", Int r.e24_tasks);
+      ("cores", Int r.e24_cores);
+      ("all_policies_beat_round_robin", Bool r.e24_all_beat_blind);
+      ("policies", List (List.map row r.e24_rows)) ]
 
 (* The allocator shoot-out: the E23 corpus plus the 16 example kernels,
    each profiled through the real fixpoint, placed on a multi-core chip
@@ -2400,7 +2359,7 @@ let e24 ?(quiet = false) ?(n = 120) ?(chip_rows = 4) ?(chip_cols = 4)
         List.for_all (fun r -> r.e24_improvement_k > 0.0) aware;
     }
   in
-  Option.iter (fun path -> e24_write_json path result) json;
+  Option.iter (fun path -> write_json path (e24_json result)) json;
   if not quiet then begin
     Printf.printf
       "%d tasks (the E23-shaped corpus + %d kernels) on a %s chip of \

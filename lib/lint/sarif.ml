@@ -1,4 +1,5 @@
 open Tdfa_ir
+open Tdfa_obs.Json
 
 let version = "1.0.0"
 
@@ -6,65 +7,6 @@ let level_of_severity = function
   | Lint.Error -> "error"
   | Lint.Warn -> "warning"
   | Lint.Info -> "note"
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON emitter (objects keep insertion order, so the output    *)
-(* is deterministic)                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Int of int
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let add_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let rec add_json buf indent j =
-  let pad n = String.make (2 * n) ' ' in
-  match j with
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Str s -> add_string buf s
-  | Arr [] -> Buffer.add_string buf "[]"
-  | Arr items ->
-    Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad (indent + 1));
-        add_json buf (indent + 1) item)
-      items;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
-    Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
-    Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad (indent + 1));
-        add_string buf k;
-        Buffer.add_string buf ": ";
-        add_json buf (indent + 1) v)
-      fields;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
-    Buffer.add_char buf '}'
 
 (* ------------------------------------------------------------------ *)
 (* SARIF                                                                *)
@@ -110,21 +52,19 @@ let result_json ~rules uri (f : Lint.finding) =
                 ("artifactLocation", Obj [ ("uri", Str uri) ]);
                 ("region", Obj [ ("startLine", Int 1) ]);
               ] );
-          ("logicalLocations", Arr [ logical ]);
+          ("logicalLocations", List [ logical ]);
         ]
-    | None -> Obj [ ("logicalLocations", Arr [ logical ]) ]
+    | None -> Obj [ ("logicalLocations", List [ logical ]) ]
   in
   let base =
-    [
-      ("ruleId", Str f.Lint.rule_id);
-    ]
+    [ ("ruleId", Str f.Lint.rule_id) ]
     @ (match rule_index with
        | Some i -> [ ("ruleIndex", Int i) ]
        | None -> [])
     @ [
         ("level", Str (level_of_severity f.Lint.severity));
         ("message", Obj [ ("text", Str f.Lint.message) ]);
-        ("locations", Arr [ location ]);
+        ("locations", List [ location ]);
       ]
     @
     match f.Lint.hint with
@@ -145,7 +85,7 @@ let render ~rules inputs =
         ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
         ("version", Str "2.1.0");
         ( "runs",
-          Arr
+          List
             [
               Obj
                 [
@@ -160,15 +100,12 @@ let render ~rules inputs =
                               ( "informationUri",
                                 Str
                                   "https://example.org/tdfa/lint" );
-                              ("rules", Arr (List.map rule_json rules));
+                              ("rules", List (List.map rule_json rules));
                             ] );
                       ] );
-                  ("results", Arr results);
+                  ("results", List results);
                 ];
             ] );
       ]
   in
-  let buf = Buffer.create 4096 in
-  add_json buf 0 log;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  to_string_indented log ^ "\n"

@@ -1,4 +1,12 @@
-type value = Int of int | Float of float | Str of string | Bool of bool
+type value = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of value list
+  | Obj of (string * value) list
+
 type phase = Begin | End | Complete of float | Instant | Counter
 
 type event = {
@@ -34,7 +42,7 @@ type backend =
   | Null_backend
   | Memory of event list ref
   | Stderr
-  | Json of out_channel
+  | Lines of out_channel
   | Chrome of out_channel * bool ref (* channel, "first element" flag *)
 
 type sink = {
@@ -66,7 +74,7 @@ let make backend metrics =
 let memory () = make (Memory (ref [])) (Some (Hashtbl.create 32))
 let stderr_summary () = make Stderr (Some (Hashtbl.create 32))
 
-let json_file ~path = make (Json (open_out path)) (Some (Hashtbl.create 32))
+let json_file ~path = make (Lines (open_out path)) (Some (Hashtbl.create 32))
 
 let chrome_trace ~path =
   let oc = open_out path in
@@ -86,45 +94,6 @@ let locked t f =
 (* JSON rendering                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let add_json_float buf f =
-  if Float.is_finite f then
-    (* %.17g round-trips every float and is valid JSON (no inf/nan). *)
-    Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else add_json_string buf (Printf.sprintf "%h" f)
-
-let add_json_value buf = function
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> add_json_float buf f
-  | Str s -> add_json_string buf s
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-
-let add_json_args buf args =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
-      Buffer.add_char buf ':';
-      add_json_value buf v)
-    args;
-  Buffer.add_char buf '}'
-
 let phase_letter = function
   | Begin -> "B"
   | End -> "E"
@@ -134,58 +103,43 @@ let phase_letter = function
 
 (* One object of the Chrome trace_event format. *)
 let chrome_json e =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"name\":";
-  add_json_string buf e.name;
-  Buffer.add_string buf ",\"cat\":\"tdfa\",\"ph\":\"";
-  Buffer.add_string buf (phase_letter e.phase);
-  Buffer.add_string buf "\",\"ts\":";
-  add_json_float buf e.ts_us;
-  (match e.phase with
-   | Complete dur ->
-     Buffer.add_string buf ",\"dur\":";
-     add_json_float buf dur
-   | Instant -> Buffer.add_string buf ",\"s\":\"t\""
-   | _ -> ());
-  Buffer.add_string buf ",\"pid\":1,\"tid\":";
-  Buffer.add_string buf (string_of_int e.tid);
-  Buffer.add_string buf ",\"args\":";
-  add_json_args buf e.args;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Obj
+    ([
+       ("name", Str e.name);
+       ("cat", Str "tdfa");
+       ("ph", Str (phase_letter e.phase));
+       ("ts", Float e.ts_us);
+     ]
+    @ (match e.phase with
+       | Complete dur -> [ ("dur", Float dur) ]
+       | Instant -> [ ("s", Str "t") ]
+       | _ -> [])
+    @ [ ("pid", Int 1); ("tid", Int e.tid); ("args", Obj e.args) ])
 
 (* One object per line: the native schema (span ids and parent links
    made explicit, which the Chrome format leaves implicit in B/E
    nesting). *)
 let line_json e =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"name\":";
-  add_json_string buf e.name;
-  Buffer.add_string buf ",\"ph\":\"";
-  Buffer.add_string buf (phase_letter e.phase);
-  Buffer.add_string buf "\",\"ts_us\":";
-  add_json_float buf e.ts_us;
-  (match e.phase with
-   | Complete dur ->
-     Buffer.add_string buf ",\"dur_us\":";
-     add_json_float buf dur
-   | _ -> ());
-  Buffer.add_string buf ",\"tid\":";
-  Buffer.add_string buf (string_of_int e.tid);
-  Buffer.add_string buf ",\"id\":";
-  Buffer.add_string buf (string_of_int e.id);
-  Buffer.add_string buf ",\"parent\":";
-  Buffer.add_string buf (string_of_int e.parent);
-  Buffer.add_string buf ",\"args\":";
-  add_json_args buf e.args;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Obj
+    ([
+       ("name", Str e.name);
+       ("ph", Str (phase_letter e.phase));
+       ("ts_us", Float e.ts_us);
+     ]
+    @ (match e.phase with Complete dur -> [ ("dur_us", Float dur) ] | _ -> [])
+    @ [
+        ("tid", Int e.tid);
+        ("id", Int e.id);
+        ("parent", Int e.parent);
+        ("args", Obj e.args);
+      ])
 
 let value_to_string = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%g" f
   | Str s -> s
   | Bool b -> string_of_bool b
+  | (Null | List _ | Obj _) as v -> Json.to_string v
 
 let args_to_string args =
   String.concat " "
@@ -217,12 +171,12 @@ let emit t e =
             Printf.eprintf "[obs] %-32s %.3f ms %s\n%!" e.name (dur /. 1.0e3)
               (args_to_string e.args)
           | Begin -> ())
-        | Json oc ->
-          output_string oc (line_json e);
+        | Lines oc ->
+          output_string oc (Json.to_string (line_json e));
           output_char oc '\n'
         | Chrome (oc, first) ->
           if !first then first := false else output_string oc ",\n";
-          output_string oc (chrome_json e))
+          output_string oc (Json.to_string (chrome_json e)))
 
 let events t =
   locked t (fun () ->
@@ -233,7 +187,7 @@ let close t =
       if not !(t.closed) then begin
         t.closed := true;
         match t.backend with
-        | Json oc -> close_out oc
+        | Lines oc -> close_out oc
         | Chrome (oc, _) ->
           output_string oc "\n]\n";
           close_out oc

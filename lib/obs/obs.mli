@@ -33,9 +33,16 @@
 
 (** {1 Values and events} *)
 
-(** Typed argument values attached to events and rendered into JSON
-    ([Float] values that are not finite render as JSON strings). *)
-type value = Int of int | Float of float | Str of string | Bool of bool
+(** Argument values attached to events: JSON values, printed by the
+    one codec {!Json} (a [Float] that is not finite prints as [null]). *)
+type value = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of value list
+  | Obj of (string * value) list
 
 (** Event kinds, mirroring the Chrome [trace_event] phases. *)
 type phase =

@@ -21,6 +21,8 @@ let name = function
 let all =
   [ First_fit; Round_robin; Random 42; Chessboard; Thermal_spread; Bank_pack 4 ]
 
+let of_string s = List.find_opt (fun p -> String.equal (name p) s) all
+
 let bank_of_cell layout ~banks cell =
   let _, col = Layout.coord layout cell in
   col * banks / layout.Layout.cols

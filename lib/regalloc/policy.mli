@@ -31,6 +31,10 @@ val all : t list
 (** One of each, with a fixed seed for [Random] and 4 banks for
     [Bank_pack]. *)
 
+val of_string : string -> t option
+(** The member of {!all} with this {!name} — the one spelling table of
+    the CLI's [--policy] flag and the serve protocol's [policy] field. *)
+
 val bank_of_cell : Tdfa_floorplan.Layout.t -> banks:int -> int -> int
 (** The vertical bank (column stripe) a cell belongs to. *)
 

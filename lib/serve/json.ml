@@ -1,274 +1,4 @@
-(* A deliberately small JSON reader/printer for the serve protocol.
-   One value per line, no external dependency; the printer never emits
-   raw newlines, so a printed value is always a valid protocol frame. *)
+(* The codec lives in [Tdfa_obs.Json], below every emitter; this alias
+   keeps [Tdfa_serve.Json] working for the protocol's callers. *)
 
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-exception Parse_error of string
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f when not (Float.is_finite f) ->
-    (* JSON has no infinities or NaN: an unbounded or undefined value is
-       null, so a reply stays parseable. *)
-    Buffer.add_string buf "null"
-  | Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.1f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    escape buf s;
-    Buffer.add_char buf '"'
-  | List l ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf v)
-      l;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        escape buf k;
-        Buffer.add_string buf "\":";
-        emit buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let to_string v =
-  let buf = Buffer.create 256 in
-  emit buf v;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                              *)
-(* ------------------------------------------------------------------ *)
-
-type state = { src : string; mutable pos : int }
-
-let fail st msg =
-  raise (Parse_error (Printf.sprintf "at byte %d: %s" st.pos msg))
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | _ -> ()
-
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail st (Printf.sprintf "expected %c, got %c" c c')
-  | None -> fail st (Printf.sprintf "expected %c, got end of input" c)
-
-let literal st word v =
-  let n = String.length word in
-  if
-    st.pos + n <= String.length st.src
-    && String.equal (String.sub st.src st.pos n) word
-  then begin
-    st.pos <- st.pos + n;
-    v
-  end
-  else fail st (Printf.sprintf "expected %s" word)
-
-let utf8_of_code buf u =
-  (* Encode one Unicode scalar value. *)
-  if u < 0x80 then Buffer.add_char buf (Char.chr u)
-  else if u < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xc0 lor (u lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xe0 lor (u lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3f)));
-    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
-  end
-
-let parse_string st =
-  expect st '"';
-  let buf = Buffer.create 32 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-      advance st;
-      match peek st with
-      | None -> fail st "unterminated escape"
-      | Some c ->
-        advance st;
-        (match c with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'u' ->
-           if st.pos + 4 > String.length st.src then
-             fail st "truncated \\u escape";
-           let hex = String.sub st.src st.pos 4 in
-           (match int_of_string_opt ("0x" ^ hex) with
-            | Some u ->
-              st.pos <- st.pos + 4;
-              utf8_of_code buf u
-            | None -> fail st (Printf.sprintf "bad \\u escape %S" hex))
-         | c -> fail st (Printf.sprintf "bad escape \\%c" c));
-        go ())
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number st =
-  let start = st.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while
-    match peek st with Some c when is_num_char c -> true | _ -> false
-  do
-    advance st
-  done;
-  let s = String.sub st.src start (st.pos - start) in
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None -> (
-    match float_of_string_opt s with
-    | Some f -> Float f
-    | None -> fail st (Printf.sprintf "bad number %S" s))
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some '[' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some ']' then begin
-      advance st;
-      List []
-    end
-    else begin
-      let rec items acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          items (v :: acc)
-        | Some ']' ->
-          advance st;
-          List.rev (v :: acc)
-        | _ -> fail st "expected , or ] in array"
-      in
-      List (items [])
-    end
-  | Some '{' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some '}' then begin
-      advance st;
-      Obj []
-    end
-    else begin
-      let field () =
-        skip_ws st;
-        let k = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        (k, v)
-      in
-      let rec fields acc =
-        let kv = field () in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          fields (kv :: acc)
-        | Some '}' ->
-          advance st;
-          List.rev (kv :: acc)
-        | _ -> fail st "expected , or } in object"
-      in
-      Obj (fields [])
-    end
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st (Printf.sprintf "unexpected character %c" c)
-
-let of_string s =
-  let st = { src = s; pos = 0 } in
-  match parse_value st with
-  | v ->
-    skip_ws st;
-    if st.pos <> String.length s then Error "trailing garbage after value"
-    else Ok v
-  | exception Parse_error msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Accessors                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-let to_str = function Str s -> Some s | _ -> None
-let to_int = function Int i -> Some i | _ -> None
-
-let to_float = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None
-
-let to_bool = function Bool b -> Some b | _ -> None
-let str_member k v = Option.bind (member k v) to_str
-let int_member k v = Option.bind (member k v) to_int
-let float_member k v = Option.bind (member k v) to_float
-let bool_member k v = Option.bind (member k v) to_bool
+include Tdfa_obs.Json

@@ -56,16 +56,6 @@ type request = {
   seed : int;  (** place op: annealing seed *)
 }
 
-(* Same spellings as the CLI's --policy flag. *)
-let policy_of_string = function
-  | "first-fit" -> Some Policy.First_fit
-  | "round-robin" -> Some Policy.Round_robin
-  | "random" -> Some (Policy.Random 42)
-  | "chessboard" -> Some Policy.Chessboard
-  | "thermal-spread" -> Some Policy.Thermal_spread
-  | "bank-pack" -> Some (Policy.Bank_pack 4)
-  | _ -> None
-
 let request_of_json j =
   match Json.str_member "op" j with
   | None -> Error "missing \"op\""
@@ -84,7 +74,7 @@ let request_of_json j =
       let policy_name =
         Option.value ~default:"first-fit" (Json.str_member "policy" j)
       in
-      match policy_of_string policy_name with
+      match Policy.of_string policy_name with
       | None -> Error (Printf.sprintf "unknown policy %S" policy_name)
       | Some policy -> (
         let map_name =
@@ -96,7 +86,7 @@ let request_of_json j =
           let b key default =
             Option.value ~default (Json.bool_member key j)
           in
-          Ok
+          let req =
             {
               id;
               op;
@@ -125,7 +115,12 @@ let request_of_json j =
               sa_iters =
                 Option.value ~default:2000 (Json.int_member "sa_iters" j);
               seed = Option.value ~default:0 (Json.int_member "seed" j);
-            })))
+            }
+          in
+          Result.map
+            (fun () -> req)
+            (Result.bind (Tdfa.Driver.check_granularity req.granularity)
+               (fun () -> Tdfa.Driver.check_delta req.delta)))))
 
 let request_of_line line =
   match Json.of_string line with

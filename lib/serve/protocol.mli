@@ -52,10 +52,12 @@ type request = {
   seed : int;  (** place: annealing seed (default 0) *)
 }
 
-val policy_of_string : string -> Policy.t option
-(** Same spellings as the CLI [--policy] flag. *)
-
 val request_of_json : Json.t -> (request, string) result
+(** Fields absent or of the wrong type take their defaults. An unknown
+    op, policy or map, a granularity below 1, or a delta that is
+    negative or not finite is an error (the knobs through the CLI's own
+    checks, [Tdfa.Driver.check_granularity] and [check_delta]). *)
+
 val request_of_line : string -> (request, string) result
 
 (** {1 Responses} *)

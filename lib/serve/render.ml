@@ -216,8 +216,8 @@ let predict ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~pre_ra
    (the one [Place.run] already scored for its guard). Everything
    printed is deterministic (seeded annealing, fixed operation order),
    so the daemon ships the same bytes. *)
-let place ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~geometry
-    ~place_policy (funcs : Func.t list) =
+let place ?(obs = Tdfa_obs.Obs.null) ?cancel ~policy ~granularity ~delta
+    ~geometry ~place_policy (funcs : Func.t list) =
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.bprintf buf fmt in
   let cfg =
@@ -227,6 +227,7 @@ let place ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~geometry
       settings = { Analysis.default_settings with Analysis.delta_k = delta };
       policy;
       obs;
+      cancel;
     }
   in
   let inputs = List.map (fun f -> Tdfa.Driver.Unallocated f) funcs in

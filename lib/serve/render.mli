@@ -75,6 +75,7 @@ val predict :
 
 val place :
   ?obs:Obs.sink ->
+  ?cancel:(unit -> bool) ->
   policy:Policy.t ->
   granularity:int ->
   delta:float ->
@@ -91,7 +92,9 @@ val place :
     once inside {!Tdfa_alloc.Place.run}). Returns the text and the
     driver's [placed] result (for the CLI's JSON view); every printed
     quantity is deterministic, so the daemon ships the same bytes the
-    CLI prints. *)
+    CLI prints. [cancel] is the deadline token of the profile fixpoints
+    and the annealer.
+    @raise Tdfa_core.Analysis.Cancelled when [cancel] trips. *)
 
 val lint_report : display:string -> Tdfa_lint.Lint.finding list -> string
 (** The per-input text block of [tdfa lint] ([lint <display>: clean] or

@@ -60,16 +60,15 @@ let resolve t session (req : Protocol.request) =
   match (req.Protocol.kernel, req.Protocol.ir) with
   | Some _, Some _ -> Error "kernel and ir are mutually exclusive"
   | Some name, None -> (
-    match Tdfa_workload.Kernels.find name with
-    | Some f ->
+    match Tdfa_workload.Kernels.lookup name with
+    | Ok f ->
       (* A new program invalidates the resident prior. *)
       (match session.Session.func with
        | Some old when not (String.equal old.Func.name f.Func.name) ->
          session.Session.prior <- None
        | _ -> ());
       keep f
-    | None ->
-      Error (Printf.sprintf "unknown kernel %s (try list-kernels)" name))
+    | Error _ as e -> e)
   | None, Some source -> (
     match Parser.parse_func source with
     | f ->
@@ -86,6 +85,14 @@ let resolve t session (req : Protocol.request) =
 (* ------------------------------------------------------------------ *)
 (* Work handlers                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The request's deadline (its own [deadline_ms], else the daemon's),
+   started now, as a cancellation token. *)
+let cancel_token t (req : Protocol.request) =
+  let ms =
+    match req.Protocol.deadline_ms with None -> t.cfg.deadline_ms | ms -> ms
+  in
+  Option.map (fun ms -> Robust.cancel_of (Robust.deadline_after ~ms)) ms
 
 let mode_extra (r : Tdfa.Driver.result) =
   match r.Tdfa.Driver.incremental with
@@ -148,16 +155,7 @@ let handle_work t session (req : Protocol.request) ~rebuilding =
              Some
                (Fault.corrupt_recording ~seed:t.cfg.faults.Fault.Plan.seed p)
          | None -> ());
-      let deadline_ms =
-        match req.Protocol.deadline_ms with
-        | Some ms -> Some ms
-        | None -> t.cfg.deadline_ms
-      in
-      let deadline =
-        if rebuilding then None
-        else Option.map (fun ms -> Robust.deadline_after ~ms) deadline_ms
-      in
-      let cancel = Option.map Robust.cancel_of deadline in
+      let cancel = if rebuilding then None else cancel_token t req in
       let work ~degraded () =
         if (not rebuilding) && fires t Fault.Plan.Transient then begin
           Obs.incr obs "serve.injected.transient";
@@ -310,116 +308,79 @@ let status_response t session (req : Protocol.request) =
       ]
     ()
 
+(* The stateless ops: the request's own inputs, once checked, give a
+   render that runs under the request's deadline. Its text is the
+   reply; a tripped deadline or a raise is a structured error. *)
+let answer t (req : Protocol.request) render =
+  let obs = t.cfg.obs in
+  let error kind message =
+    Reply (Protocol.error_response ~id:req.Protocol.id ~kind ~message ())
+  in
+  match render with
+  | Error message -> error Protocol.Bad_request message
+  | Ok render -> (
+    match render (cancel_token t req) with
+    | output ->
+      Reply
+        (Protocol.ok_response ~id:req.Protocol.id ~op:req.Protocol.op ~output ())
+    | exception Tdfa_core.Analysis.Cancelled { iterations } ->
+      Obs.incr obs "serve.deadlines";
+      error Protocol.Deadline
+        (Printf.sprintf "deadline expired after %d iterations" iterations)
+    | exception e ->
+      Obs.incr obs "serve.failed";
+      error Protocol.Failed (Printexc.to_string e))
+
+let ( let* ) = Result.bind
+
 (* Trace replay: the sampled stream rides inline in the request (JSON
    escaping keeps it one frame line), so no session residency is
    involved — parse, compile, run, reply. The output is the exact text
    of the one-shot [tdfa trace] on the same stream. *)
 let handle_trace t (req : Protocol.request) =
-  let obs = t.cfg.obs in
-  let bad message =
-    Reply
-      (Protocol.error_response ~id:req.Protocol.id ~kind:Protocol.Bad_request
-         ~message ())
-  in
-  match req.Protocol.trace with
-  | None -> bad "trace op needs a \"trace\" field (inline sample text)"
-  | Some text -> (
-    match Tdfa_trace.Sample.parse text with
-    | Error msg -> bad (Printf.sprintf "trace parse error: %s" msg)
-    | Ok sample ->
-      let window_us = int_of_float (req.Protocol.window_ms *. 1000.0) in
-      if window_us <= 0 then bad "window_ms must be at least 0.001"
-      else begin
-        let deadline_ms =
-          match req.Protocol.deadline_ms with
-          | Some ms -> Some ms
-          | None -> t.cfg.deadline_ms
-        in
-        let deadline =
-          Option.map (fun ms -> Robust.deadline_after ~ms) deadline_ms
-        in
-        let cancel = Option.map Robust.cancel_of deadline in
-        match
-          Render.trace ~obs ?cancel ~window_us ~policy:req.Protocol.map
-            ~cells:req.Protocol.cells ~granularity:req.Protocol.granularity
-            ~delta:req.Protocol.delta ~recover:req.Protocol.recover sample
-        with
-        | out, _ ->
-          Reply
-            (Protocol.ok_response ~id:req.Protocol.id ~op:Protocol.Trace
-               ~output:out ())
-        | exception Tdfa_core.Analysis.Cancelled { iterations } ->
-          Obs.incr obs "serve.deadlines";
-          Reply
-            (Protocol.error_response ~id:req.Protocol.id
-               ~kind:Protocol.Deadline
-               ~message:
-                 (Printf.sprintf
-                    "deadline expired after %d fixpoint iterations"
-                    iterations)
-               ())
-        | exception e ->
-          Obs.incr obs "serve.failed";
-          Reply
-            (Protocol.error_response ~id:req.Protocol.id
-               ~kind:Protocol.Failed ~message:(Printexc.to_string e) ())
-      end)
+  answer t req
+    (let* text =
+       Option.to_result req.Protocol.trace
+         ~none:"trace op needs a \"trace\" field (inline sample text)"
+     in
+     let* sample =
+       Result.map_error (( ^ ) "trace parse error: ")
+         (Tdfa_trace.Sample.parse text)
+     in
+     let window_us = int_of_float (req.Protocol.window_ms *. 1000.0) in
+     if window_us <= 0 then Error "window_ms must be at least 0.001"
+     else
+       Ok
+         (fun cancel ->
+           fst
+             (Render.trace ~obs:t.cfg.obs ?cancel ~window_us
+                ~policy:req.Protocol.map ~cells:req.Protocol.cells
+                ~granularity:req.Protocol.granularity ~delta:req.Protocol.delta
+                ~recover:req.Protocol.recover sample)))
 
 (* Task placement: kernels ride by name in the request (no session
    residency — the task set is the input), and the shared renderer
    guarantees the reply is the exact text of the one-shot
-   [tdfa place]. *)
+   [tdfa place]. The deadline bounds the profile fixpoints and the
+   annealer. *)
 let handle_place t (req : Protocol.request) =
-  let obs = t.cfg.obs in
-  let bad message =
-    Reply
-      (Protocol.error_response ~id:req.Protocol.id ~kind:Protocol.Bad_request
-         ~message ())
-  in
-  let funcs =
-    match req.Protocol.kernels with
-    | None -> Ok (List.map snd Tdfa_workload.Kernels.all)
-    | Some names ->
-      List.fold_right
-        (fun name acc ->
-          match acc with
-          | Error _ as e -> e
-          | Ok fs -> (
-            match Tdfa_workload.Kernels.find (String.trim name) with
-            | Some f -> Ok (f :: fs)
-            | None ->
-              Error
-                (Printf.sprintf "unknown kernel %s (try list-kernels)"
-                   (String.trim name))))
-        (String.split_on_char ',' names)
-        (Ok [])
-  in
-  match funcs with
-  | Error msg -> bad msg
-  | Ok funcs -> (
-    match Tdfa_alloc.Chip.geometry_of_string req.Protocol.cores with
-    | Error msg -> bad msg
-    | Ok geometry -> (
-      match
-        Tdfa_alloc.Place.policy_of_string ~seed:req.Protocol.seed
-          ~iters:req.Protocol.sa_iters req.Protocol.place
-      with
-      | Error msg -> bad msg
-      | Ok place_policy -> (
-        match
-          Render.place ~obs ~policy:req.Protocol.policy
-            ~granularity:req.Protocol.granularity ~delta:req.Protocol.delta
-            ~geometry ~place_policy funcs
-        with
-        | out, _ ->
-          Reply
-            (Protocol.ok_response ~id:req.Protocol.id ~op:Protocol.Place
-               ~output:out ())
-        | exception e ->
-          Obs.incr obs "serve.failed";
-          Reply
-            (Protocol.error_response ~id:req.Protocol.id
-               ~kind:Protocol.Failed ~message:(Printexc.to_string e) ()))))
+  answer t req
+    (let* funcs =
+       match req.Protocol.kernels with
+       | None -> Ok (List.map snd Tdfa_workload.Kernels.all)
+       | Some names -> Tdfa_workload.Kernels.lookup_list names
+     in
+     let* geometry = Tdfa_alloc.Chip.geometry_of_string req.Protocol.cores in
+     let* place_policy =
+       Tdfa_alloc.Place.policy_of_string ~seed:req.Protocol.seed
+         ~iters:req.Protocol.sa_iters req.Protocol.place
+     in
+     Ok
+       (fun cancel ->
+         fst
+           (Render.place ~obs:t.cfg.obs ?cancel ~policy:req.Protocol.policy
+              ~granularity:req.Protocol.granularity ~delta:req.Protocol.delta
+              ~geometry ~place_policy funcs)))
 
 let handle_request t session ~rebuilding (req : Protocol.request) =
   Session.record session req;

@@ -26,7 +26,8 @@ type mode_result =
 (* Place mode: the jobs' thermal profiles decide where they run. Every
    input is analysed exactly as [run] would (allocation included), its
    fixpoint outcome folded into a [Tdfa_alloc.Task.t], and the multiset
-   placed onto an N-core chip whose cores carry [cfg.layout]. *)
+   placed onto an N-core chip whose cores carry [cfg.layout].
+   [cfg.cancel] bounds the annealer as well as the fixpoints. *)
 and placed = {
   profiles : Tdfa_alloc.Task.t list;
       (** per input, in submission order — names from the carrier
@@ -63,7 +64,8 @@ let place ?(geometry = (2, 2)) ?(policy = Tdfa_alloc.Place.Greedy)
       {
         profiles;
         chip;
-        placement = Tdfa_alloc.Place.run ~obs chip policy profiles;
+        placement =
+          Tdfa_alloc.Place.run ~obs ?cancel:cfg.cancel chip policy profiles;
       })
 
 let predict (cfg : config) input =

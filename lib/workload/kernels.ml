@@ -486,3 +486,18 @@ let all =
   ]
 
 let find name = List.assoc_opt name all
+
+let lookup name =
+  match find name with
+  | Some f -> Ok f
+  | None -> Error (Printf.sprintf "unknown kernel %s (try list-kernels)" name)
+
+let lookup_list names =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> (
+      match lookup (String.trim name) with
+      | Ok f -> go (f :: acc) rest
+      | Error _ as e -> e)
+  in
+  go [] (String.split_on_char ',' names)

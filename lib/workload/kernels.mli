@@ -82,3 +82,11 @@ val all : (string * Func.t) list
 (** Every kernel at its default size, in a stable order. *)
 
 val find : string -> Func.t option
+
+val lookup : string -> (Func.t, string) result
+(** {!find}, with the error every front end reports:
+    ["unknown kernel NAME (try list-kernels)"]. *)
+
+val lookup_list : string -> (Func.t list, string) result
+(** A comma-separated list of kernel names (blanks around a name
+    ignored), in order; the error names the first unknown one. *)

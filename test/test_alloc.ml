@@ -216,6 +216,31 @@ let test_empty_and_single () =
   Alcotest.(check int) "single task placed" 1 (List.length one.Place.assignment);
   Alcotest.(check bool) "peak above ambient" true (one.Place.peak_k > ambient)
 
+(* The annealer polls its cancellation token: a tripped token stops it
+   with [Analysis.Cancelled] carrying the completed moves, and a token
+   that never trips changes nothing. *)
+let test_anneal_cancel () =
+  let c = chip ~rows:2 ~cols:2 in
+  let tasks =
+    List.init 4 (fun i ->
+        mk_task (Printf.sprintf "t%d" i) ~mean_rise:(float_of_int (i + 1))
+          ~extra:1.0)
+  in
+  let sa = Place.Annealed { seed = 5; iters = 1000 } in
+  let polls = ref 0 in
+  (match
+     Place.run
+       ~cancel:(fun () ->
+         incr polls;
+         !polls > 2)
+       c sa tasks
+   with
+   | (_ : Place.placement) -> Alcotest.fail "annealing ignored cancel"
+   | exception Tdfa_core.Analysis.Cancelled { iterations } ->
+     Alcotest.(check int) "stopped at the third poll" 767 iterations);
+  Alcotest.(check bool) "an untripped token changes nothing" true
+    (Place.run ~cancel:(fun () -> false) c sa tasks = Place.run c sa tasks)
+
 (* ------------------------------------------------------------------ *)
 (* QCheck generators.                                                  *)
 
@@ -407,6 +432,7 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_never_worse_than_blind;
         QCheck_alcotest.to_alcotest qcheck_sa_zero_is_greedy;
         QCheck_alcotest.to_alcotest qcheck_assignment_shape;
+        tc "annealing honours cancel" `Quick test_anneal_cancel;
       ] );
     ( "alloc.oracle",
       [

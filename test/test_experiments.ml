@@ -464,6 +464,99 @@ let test_e22_trace_shape () =
   in
   Alcotest.(check bool) "skew heats" true (peak 1.5 >= peak 0.0)
 
+(* Every BENCH_*.json record the CI gates read with jq: written through
+   the one codec, it parses back and carries each gated key with the
+   JSON type the gate compares. Small runs; the writers do not depend on
+   the run size. *)
+let test_bench_json_keys () =
+  let module Json = Tdfa_obs.Json in
+  let read_back run =
+    let path = Filename.temp_file "tdfa-bench" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        ignore (run (Some path));
+        match
+          Json.of_string (In_channel.with_open_text path In_channel.input_all)
+        with
+        | Ok j -> j
+        | Error msg -> Alcotest.failf "BENCH json does not parse: %s" msg)
+  in
+  let field j k =
+    match Json.member k j with
+    | Some v -> v
+    | None -> Alcotest.failf "missing key %s in %s" k (Json.to_string j)
+  in
+  let bool_ j k =
+    match field j k with
+    | Json.Bool b -> b
+    | v -> Alcotest.failf "%s is not a boolean: %s" k (Json.to_string v)
+  in
+  let number j k =
+    match Json.to_float (field j k) with
+    | Some f -> f
+    | None -> Alcotest.failf "%s is not a number" k
+  in
+  let list_ j k =
+    match field j k with
+    | Json.List l -> l
+    | v -> Alcotest.failf "%s is not an array: %s" k (Json.to_string v)
+  in
+  let e20 =
+    read_back (fun json -> Experiments.e20 ~quiet:true ~n:2 ~repeats:1 ~json ())
+  in
+  Alcotest.(check bool) "e20 fingerprints_equal" true
+    (bool_ e20 "fingerprints_equal");
+  Alcotest.(check bool) "e20 medians positive" true
+    (number e20 "kernel_median_speedup" > 0.0
+    && number e20 "corpus_median_speedup" > 0.0);
+  Alcotest.(check bool) "e20 events and classes" true
+    (list_ e20 "kernel_events" <> [] && list_ e20 "classes" <> []);
+  let e21 =
+    read_back (fun json ->
+        Experiments.e21 ~quiet:true ~quick:true ~repeats:1 ~json ())
+  in
+  Alcotest.(check bool) "e21 fingerprints_equal" true
+    (bool_ e21 "fingerprints_equal");
+  List.iter
+    (fun k -> ignore (number e21 k))
+    [ "fixpoint_median_speedup"; "steady_median_speedup" ];
+  Alcotest.(check bool) "e21 pairs bit-identical" true
+    (List.for_all
+       (fun p -> bool_ p "bit_identical")
+       (list_ e21 "fixpoint_pairs" @ list_ e21 "steady_pairs")
+    && list_ e21 "steady_pairs" <> []);
+  let e22 = read_back (fun json -> Experiments.e22 ~quiet:true ~n:600 ~json ()) in
+  Alcotest.(check bool) "e22 uniform_matches_ir" true
+    (bool_ e22 "uniform_matches_ir");
+  Alcotest.(check bool) "e22 chessboard peak" true
+    (number e22 "chessboard_peak_k" > 0.0);
+  let rows = list_ e22 "rows" in
+  List.iter (fun r -> ignore (number r "peak_k")) rows;
+  Alcotest.(check int) "e22 rows" 4 (List.length rows);
+  let e23 =
+    read_back (fun json -> Experiments.e23 ~quiet:true ~n:4 ~repeats:1 ~json ())
+  in
+  Alcotest.(check bool) "e23 containment" true (bool_ e23 "containment");
+  List.iter
+    (fun k -> ignore (number e23 k))
+    [ "certified_hot_precision"; "possibly_hot_recall"; "decided_ratio";
+      "same_grid_cost_ratio"; "host_cores" ];
+  Alcotest.(check int) "e23 kernels" 16 (List.length (list_ e23 "kernels"));
+  let e24 =
+    read_back (fun json ->
+        Experiments.e24 ~quiet:true ~n:12 ~sa_iters:300 ~json ())
+  in
+  Alcotest.(check bool) "e24 all_policies_beat_round_robin" true
+    (bool_ e24 "all_policies_beat_round_robin");
+  let policies = list_ e24 "policies" in
+  Alcotest.(check int) "e24 policies" 4 (List.length policies);
+  List.iter
+    (fun p ->
+      ignore (field p "policy");
+      ignore (number p "improvement_k"))
+    policies
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -489,5 +582,7 @@ let suite =
         tc "E19 lint predictor" `Slow test_e19_predictor_shape;
         tc "E20 incremental warm-start" `Slow test_e20_incremental_shape;
         tc "E22 trace-ingestion skew" `Slow test_e22_trace_shape;
+        tc "E20-E24 BENCH json carries the gated keys" `Slow
+          test_bench_json_keys;
       ] );
   ]

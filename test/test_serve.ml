@@ -18,28 +18,40 @@ module Fault = Tdfa_verify.Fault
 
 let tricky_strings =
   [ ""; "a\"b"; "line\nbreak"; "tab\there"; "back\\slash"; "caf\xc3\xa9";
-    "nul\x00byte"; "{}[]:,"; " leading and trailing " ]
+    "nul\x00byte"; "{}[]:,"; " leading and trailing "; "\x01\x08\x0c\x1f\x7f";
+    "\xe2\x89\x88 \xf0\x9f\x94\xa5"; "\xff\xfe not UTF-8"; "\\u0041" ]
+
+(* Finite floats the printer must keep exact, and non-finite ones it
+   must print as null. *)
+let tricky_floats =
+  [ 0.0; -0.0; 1e15; -1e16; 99999999999999999.0; 1e17; 1.5e300; 5e-324;
+    Float.max_float; Float.min_float; Float.epsilon; 0.1; nan; infinity;
+    neg_infinity ]
 
 let gen_json =
   let open QCheck2.Gen in
+  let text =
+    oneof
+      [
+        oneofl tricky_strings;
+        string_size ~gen:printable (int_range 0 12);
+        string_size ~gen:char (int_range 0 12);
+      ]
+  in
   let scalar =
     oneof
       [
         return Json.Null;
         map (fun b -> Json.Bool b) bool;
         map (fun i -> Json.Int i) (int_range (-1_000_000_000) 1_000_000_000);
+        map (fun i -> Json.Int i) (oneofl [ min_int; max_int; 0 ]);
         map
           (fun (a, b) -> Json.Float (float_of_int a /. float_of_int b))
           (pair (int_range (-100_000) 100_000) (int_range 1 97));
-        map (fun s -> Json.Str s)
-          (oneof
-             [
-               oneofl tricky_strings;
-               string_size ~gen:printable (int_range 0 12);
-             ]);
+        map (fun f -> Json.Float f) (oneof [ oneofl tricky_floats; float ]);
+        map (fun s -> Json.Str s) text;
       ]
   in
-  let key = string_size ~gen:printable (int_range 0 6) in
   sized (fun size ->
       fix
         (fun self n ->
@@ -53,16 +65,26 @@ let gen_json =
                     (list_size (int_range 0 4) (self (n / 2))) );
                 ( 1,
                   map (fun kvs -> Json.Obj kvs)
-                    (list_size (int_range 0 4) (pair key (self (n / 2)))) );
+                    (list_size (int_range 0 4) (pair text (self (n / 2)))) );
               ])
         (min size 6))
 
+(* What a value reads back as: JSON has no infinities or NaN. *)
+let rec finite_only = function
+  | Json.Float f when not (Float.is_finite f) -> Json.Null
+  | Json.List l -> Json.List (List.map finite_only l)
+  | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, finite_only v)) kvs)
+  | v -> v
+
 let prop_json_roundtrip =
-  QCheck2.Test.make ~name:"serve: Json round-trips through one-line frames"
-    ~count:300 gen_json (fun j ->
-      let s = Json.to_string j in
-      String.for_all (fun c -> c <> '\n' && c <> '\r') s
-      && Json.of_string s = Ok j)
+  QCheck2.Test.make
+    ~name:"serve: Json round-trips, compact one-line frames and indented"
+    ~count:500 gen_json (fun j ->
+      let compact = Json.to_string j in
+      let expected = Ok (finite_only j) in
+      String.for_all (fun c -> c <> '\n' && c <> '\r') compact
+      && Json.of_string compact = expected
+      && Json.of_string (Json.to_string_indented j) = expected)
 
 let test_json_rejects () =
   let bad s =
@@ -73,6 +95,30 @@ let test_json_rejects () =
   List.iter bad
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "\"unterminated"; "1 2";
       "{\"a\":1} trailing"; "nan" ]
+
+let test_json_unicode_escapes () =
+  List.iter
+    (fun (frame, expected) ->
+      Alcotest.(check (result string string)) frame (Ok expected)
+        (Result.map
+           (function Json.Str s -> s | v -> Json.to_string v)
+           (Json.of_string frame)))
+    [
+      ({|"\u0041\u00e9\u20ac"|}, "A\xc3\xa9\xe2\x82\xac");
+      ({|"\uD83D\uDE00"|}, "\xf0\x9f\x98\x80");
+      ({|"\uD83D"|}, "\xef\xbf\xbd");
+      ({|"\uDE00x"|}, "\xef\xbf\xbdx");
+      ({|"\uD83D\u0041"|}, "\xef\xbf\xbdA");
+    ];
+  List.iter
+    (fun frame ->
+      Alcotest.(check bool) (frame ^ " rejected") true
+        (Result.is_error (Json.of_string frame)))
+    [ {|"\u12"|}; {|"\uzzzz"|}; {|"\uD83D\uzzzz"|} ];
+  Alcotest.(check bool) "513 levels rejected" true
+    (Result.is_error (Json.of_string (String.make 513 '[' ^ String.make 513 ']')));
+  Alcotest.(check bool) "512 levels accepted" true
+    (Result.is_ok (Json.of_string (String.make 512 '[' ^ String.make 512 ']')))
 
 (* --- Backoff -------------------------------------------------------------- *)
 
@@ -221,10 +267,17 @@ let test_request_parsing () =
   (match Protocol.request_of_line {|{"op":"explode"}|} with
    | Ok _ -> Alcotest.fail "accepted unknown op"
    | Error _ -> ());
+  let module Policy = Tdfa_regalloc.Policy in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Policy.name p ^ " round-trips") true
+        (Policy.of_string (Policy.name p) = Some p))
+    Policy.all;
   Alcotest.(check bool) "policy spellings match the CLI" true
-    (Protocol.policy_of_string "bank-pack" = Some (Tdfa_regalloc.Policy.Bank_pack 4)
-    && Protocol.policy_of_string "chessboard" = Some Tdfa_regalloc.Policy.Chessboard
-    && Protocol.policy_of_string "warp" = None)
+    (Policy.of_string "bank-pack" = Some (Policy.Bank_pack 4)
+    && Policy.of_string "chessboard" = Some Policy.Chessboard
+    && Policy.of_string "measured" = None
+    && Policy.of_string "warp" = None)
 
 (* --- Server: deterministic single-failure cases --------------------------- *)
 
@@ -405,6 +458,115 @@ let test_deadline_expires () =
   Alcotest.(check string) "session still serves" (oracle_analyze "fir")
     (expect_ok (reply (Server.handle_line t s (req_line (Some "fir")))))
 
+(* An annealed placement far longer than its deadline is cut short by
+   the annealer's poll and answered with the deadline error. *)
+let test_place_deadline () =
+  let t = server () in
+  let s = Session.create "t" in
+  let t0 = Unix.gettimeofday () in
+  let j =
+    reply
+      (Server.handle_line t s
+         (req_line ~op:"place"
+            ~extra:
+              [
+                ("kernels", Json.Str "fib,fir");
+                ("place", Json.Str "anneal");
+                ("sa_iters", Json.Int 5_000_000);
+                ("deadline_ms", Json.Float 100.0);
+              ]
+            None))
+  in
+  expect_error ~kind:"deadline" j;
+  Alcotest.(check bool) "answered within seconds" true
+    (Unix.gettimeofday () -. t0 < 5.0);
+  ignore
+    (expect_ok
+       (reply
+          (Server.handle_line t s
+             (req_line ~op:"place" ~extra:[ ("kernels", Json.Str "fib") ] None)))
+      : string)
+
+(* Knobs the analysis cannot run with are rejected at the frame, with
+   the CLI's message, before any work starts. *)
+let test_invalid_knobs_rejected () =
+  let t = server () in
+  let s = Session.create "t" in
+  List.iter
+    (fun (frame, needle) ->
+      let j = reply (Server.handle_line t s frame) in
+      expect_error ~kind:"bad-request" j;
+      let m = Option.value ~default:"" (Json.str_member "error" j) in
+      Alcotest.(check bool) (frame ^ " names the knob") true
+        (String.length m >= String.length needle
+        && String.sub m 0 (String.length needle) = needle))
+    [
+      ({|{"op":"analyze","kernel":"fib","delta":1e999}|}, "delta must be");
+      ({|{"op":"analyze","kernel":"fib","delta":-0.5}|}, "delta must be");
+      ({|{"op":"predict","kernel":"fib","granularity":0}|}, "granularity must");
+      ({|{"op":"place","kernels":"fib","granularity":-3}|}, "granularity must");
+    ];
+  Alcotest.(check string) "delta 0 is allowed" "ok"
+    (match
+       Protocol.request_of_line {|{"op":"analyze","kernel":"fib","delta":0}|}
+     with
+     | Ok _ -> "ok"
+     | Error m -> m)
+
+(* perfbench-shaped frames, mutated: every mutation is answered with a
+   typed result, never an exception. *)
+let fuzz_bases =
+  [
+    {|{"id":"fib/analyze","op":"analyze","ir":"func @f(%a) {\nentry:\n  ret %a\n}","incremental":true}|};
+    {|{"id":"fib/predict","op":"predict"}|};
+    {|{"id":"place-0","op":"place","cores":"8x8","place":"anneal","seed":1234567}|};
+    {|{"id":"trace-0","op":"trace","trace":"# tdfa trace v1\n0 r 0x1000\n","cells":4096}|};
+    {|{"id":"x","op":"lint","kernel":"fir","policy":"chessboard","granularity":2,"delta":0.1,"deadline_ms":250.0,"post_ra":true}|};
+  ]
+
+let gen_mutated_frame =
+  let open QCheck2.Gen in
+  let insert_at s i piece =
+    let i = max 0 (min i (String.length s)) in
+    String.sub s 0 i ^ piece ^ String.sub s i (String.length s - i)
+  in
+  let before_last_brace s piece =
+    match String.rindex_opt s '}' with
+    | Some i -> insert_at s i piece
+    | None -> s ^ piece
+  in
+  let mutation =
+    oneof
+      [
+        map (fun k s -> String.sub s 0 (k mod (String.length s + 1))) nat;
+        map2
+          (fun k c s ->
+            if s = "" then s
+            else
+              String.mapi
+                (fun i d -> if i = k mod String.length s then c else d)
+                s)
+          nat char;
+        return (fun s -> before_last_brace s {|,"sa_iters":123456789012345678901234567890|});
+        return (fun s -> before_last_brace s {|,"delta":1e999|});
+        return (fun s -> before_last_brace s {|,"granularity":-9223372036854775809|});
+        return (fun s -> before_last_brace s {|,"kernel":"\uD83D"|});
+        map (fun k s -> insert_at s (k mod (String.length s + 1)) "\\uD83D") nat;
+        return (fun s -> before_last_brace s (",\"x\":" ^ String.make 100_000 '['));
+        return (fun _ -> String.make 100_000 '[');
+      ]
+  in
+  map2
+    (fun base ms -> List.fold_left (fun s m -> m s) base ms)
+    (oneofl fuzz_bases)
+    (list_size (int_range 1 3) mutation)
+
+let prop_frames_never_raise =
+  QCheck2.Test.make ~name:"serve: mutated frames parse to Ok or Error"
+    ~count:500 ~print:(fun s -> String.escaped (String.sub s 0 (min 200 (String.length s))))
+    gen_mutated_frame (fun line ->
+      match Protocol.request_of_line line with Ok _ | Error _ -> true)
+
 let test_corrupt_recording_falls_back_cold () =
   (* Rate 1.0: the recording is poisoned before every warm reanalyze;
      the integrity digest must send the run cold with identical text. *)
@@ -578,6 +740,11 @@ let suite =
           test_place_geometry_bounded;
         tc "function without instructions is analysed" `Quick
           test_empty_function_served;
+        tc "place honours the request deadline" `Quick test_place_deadline;
+        tc "invalid delta and granularity are bad requests" `Quick
+          test_invalid_knobs_rejected;
+        tc "json \\u escapes and nesting depth" `Quick
+          test_json_unicode_escapes;
       ] );
     ( "serve.properties",
       List.map QCheck_alcotest.to_alcotest
@@ -585,5 +752,6 @@ let suite =
           prop_json_roundtrip;
           prop_delays_deterministic_and_bounded;
           prop_plan_text_roundtrip;
+          prop_frames_never_raise;
         ] );
   ]

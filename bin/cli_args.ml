@@ -226,13 +226,6 @@ let window_us_of_ms ms =
   end;
   us
 
-let load_trace path =
-  match Tdfa_trace.Sample.of_file path with
-  | Ok t -> t
-  | Error msg ->
-    Printf.eprintf "tdfa: %s: %s\n" path msg;
-    exit 1
-
 (* ------------------------------------------------------------------ *)
 (* Placement knobs                                                      *)
 (* ------------------------------------------------------------------ *)

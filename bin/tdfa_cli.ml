@@ -582,7 +582,14 @@ let batch files kernels jobs cache_dir policy granularity delta recover map
     List.map
       (fun path ->
         if Filename.check_suffix path ".trace" then (
-          match Tdfa_trace.Sample.of_file path with
+          match
+            let ( let* ) = Result.bind in
+            let* sample = Tdfa_trace.Sample.of_file path in
+            let* () =
+              Tdfa_trace.Compile.check ~window_us ~cells:batch_cells sample
+            in
+            Ok sample
+          with
           | Ok sample ->
             let compiled =
               Tdfa_trace.Compile.compile ~window_us ~policy:map
@@ -590,7 +597,9 @@ let batch files kernels jobs cache_dir policy granularity delta recover map
             in
             Ok
               (Tdfa_engine.Engine.trace_job
-                 ~stream_id:(Tdfa_trace.Compile.stream_id compiled)
+                 ~stream_id:
+                   (Tdfa_trace.Compile.stream_id ~window_us ~policy:map
+                      ~cells:batch_cells sample)
                  ~accesses:(Tdfa_trace.Compile.accesses compiled)
                  sample.Tdfa_trace.Sample.name
                  (Tdfa_trace.Compile.func compiled))
@@ -822,49 +831,66 @@ let client socket raw timeout_s =
 let trace file zipf stream addrs samples seed map cells window_ms granularity
     delta recover obs_req =
   let window_us = Cli_args.window_us_of_ms window_ms in
-  let sample =
+  let usage msg =
+    Printf.eprintf "tdfa: trace: %s\n" msg;
+    exit 2
+  in
+  (* The cell count is checked before anything is read or allocated. *)
+  Result.iter_error usage (Tdfa_trace.Mapping.check_cells cells);
+  (* The file is read inside the obs scope, so its parse is traced. *)
+  let load =
     match (file, zipf, stream) with
-    | Some path, None, false -> Cli_args.load_trace path
+    | Some path, None, false ->
+      fun obs ->
+        Result.map_error
+          (Printf.sprintf "%s: %s" path)
+          (Tdfa_trace.Sample.of_file ~obs path)
     | None, Some s, false ->
-      Tdfa_trace.Synth.zipf ~seed ~s ~addrs ~n:samples ()
+      fun _ -> Ok (Tdfa_trace.Synth.zipf ~seed ~s ~addrs ~n:samples ())
     | None, None, true ->
-      Tdfa_trace.Synth.stream ~seed ~footprint:addrs ~n:samples ()
-    | None, None, false ->
-      Printf.eprintf "tdfa: trace: pass a FILE, or --zipf S, or --stream\n";
-      exit 2
-    | _ ->
-      Printf.eprintf
-        "tdfa: trace: FILE, --zipf and --stream are mutually exclusive\n";
-      exit 2
+      fun _ ->
+        Ok (Tdfa_trace.Synth.stream ~seed ~footprint:addrs ~n:samples ())
+    | None, None, false -> usage "pass a FILE, or --zipf S, or --stream"
+    | _ -> usage "FILE, --zipf and --stream are mutually exclusive"
   in
   (* Same report wiring as analyze: the text lives in
      [Tdfa_serve.Render.trace], and SIGINT cancels the fixpoint
      cooperatively. *)
+  let run obs sample =
+    let interrupted = ref false in
+    let previous =
+      Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> interrupted := true))
+    in
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigint previous)
+      (fun () ->
+        match
+          Tdfa_serve.Render.trace ~obs
+            ~cancel:(fun () -> !interrupted)
+            ~window_us ~policy:map ~cells ~granularity ~delta ~recover sample
+        with
+        | out ->
+          print_string out;
+          0
+        | exception Analysis.Cancelled { iterations } ->
+          Printf.eprintf
+            "tdfa: trace: interrupted after %d fixpoint iterations\n"
+            iterations;
+          130)
+  in
   let rc =
     Cli_args.guard (fun () ->
         Cli_args.with_obs obs_req (fun obs ->
-            let interrupted = ref false in
-            let previous =
-              Sys.signal Sys.sigint
-                (Sys.Signal_handle (fun _ -> interrupted := true))
-            in
-            Fun.protect
-              ~finally:(fun () -> Sys.set_signal Sys.sigint previous)
-              (fun () ->
-                match
-                  Tdfa_serve.Render.trace ~obs
-                    ~cancel:(fun () -> !interrupted)
-                    ~window_us ~policy:map ~cells ~granularity ~delta
-                    ~recover sample
-                with
-                | out, _ ->
-                  print_string out;
-                  0
-                | exception Analysis.Cancelled { iterations } ->
-                  Printf.eprintf
-                    "tdfa: trace: interrupted after %d fixpoint iterations\n"
-                    iterations;
-                  130)))
+            match load obs with
+            | Error msg ->
+              Printf.eprintf "tdfa: %s\n" msg;
+              1
+            | Ok sample -> (
+              match Tdfa_trace.Compile.check ~window_us ~cells sample with
+              | Error msg ->
+                Printf.eprintf "tdfa: trace: %s\n" msg;
+                2
+              | Ok () -> run obs sample)))
   in
   if rc <> 0 then exit rc
 

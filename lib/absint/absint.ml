@@ -92,10 +92,7 @@ let predict ?(obs = Obs.null) ?delta_k ?max_iterations (cfg : Transfer.config)
         Option.value max_iterations ~default:defaults.Analysis.max_iterations;
     }
   in
-  let core =
-    Flat_core.prepare ~join:Flat_core.Join_max
-      ~delta_k:settings.Analysis.delta_k cfg func
-  in
+  let core = Analysis.prepare ~obs ~settings cfg func in
   (* The fixpoint, remembering the exits before each sweep and the last
      two sweep deltas: the lift extrapolates from both. *)
   let exits = Flat_core.exits core in
@@ -109,7 +106,8 @@ let predict ?(obs = Obs.null) ?delta_k ?max_iterations (cfg : Transfer.config)
     r
   in
   let iterations, final_delta_k, _, _ =
-    Analysis.sweep ~obs ~settings cfg func pass
+    Analysis.sweep ~obs ~skipped:(fun () -> Flat_core.skipped core) ~settings
+      cfg func pass
   in
   let monotone = monotone cfg in
   let num_cells = Tdfa_floorplan.Layout.num_cells cfg.Transfer.layout in

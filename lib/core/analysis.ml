@@ -96,19 +96,25 @@ let boxed_engine ~settings (cfg : Transfer.config) (func : Func.t) =
   in
   (pass, fun () -> (states_after, !exit_states))
 
-(* The flat engine: the same sweep on Flat_core's preallocated buffers,
-   bit-identical by construction. *)
-let flat_engine ~settings cfg func =
+let prepare ?(obs = Obs.null) ~settings (cfg : Transfer.config)
+    (func : Func.t) =
   let join =
     match settings.join with
     | Max -> Flat_core.Join_max
     | Average -> Flat_core.Join_average
   in
-  let t = Flat_core.prepare ~join ~delta_k:settings.delta_k cfg func in
-  let pass () = Flat_core.pass t in
-  (pass, fun () -> Flat_core.finalize t)
+  Obs.span obs "analysis.prepare"
+    ~args:[ ("func", Obs.Str func.Func.name) ]
+    (fun () -> Flat_core.prepare ~join ~delta_k:settings.delta_k cfg func)
 
-let sweep ?(obs = Obs.null) ?(cancel = fun () -> false) ~settings
+(* The flat engine: the same sweep on Flat_core's preallocated buffers,
+   bit-identical by construction. *)
+let flat_engine ?obs ~settings cfg func =
+  let t = prepare ?obs ~settings cfg func in
+  let pass () = Flat_core.pass t in
+  (pass, (fun () -> Flat_core.skipped t), fun () -> Flat_core.finalize t)
+
+let sweep ?(obs = Obs.null) ?(cancel = fun () -> false) ?skipped ~settings
     (cfg : Transfer.config) (func : Func.t) pass =
   let rec iterate n =
     (* Cooperative cancellation: consulted only between sweeps, so a
@@ -145,18 +151,26 @@ let sweep ?(obs = Obs.null) ?(cancel = fun () -> false) ~settings
         ]
       (fun () -> iterate 1)
   in
+  (match skipped with
+   | Some skipped when Obs.metering obs ->
+     Obs.incr obs ~by:(skipped ()) "analysis.instr_skipped"
+   | _ -> ());
   Obs.Fixpoint.verdict obs ~converged:ok ~iterations ~final_delta_k;
   r
 
 let fixpoint ?obs ?cancel ?(settings = default_settings) ?(core = Flat)
     (cfg : Transfer.config) (func : Func.t) =
-  let pass, finalize =
+  let pass, skipped, finalize =
     match core with
-    | Boxed -> boxed_engine ~settings cfg func
-    | Flat -> flat_engine ~settings cfg func
+    | Boxed ->
+      let pass, finalize = boxed_engine ~settings cfg func in
+      (pass, None, finalize)
+    | Flat ->
+      let pass, skipped, finalize = flat_engine ?obs ~settings cfg func in
+      (pass, Some skipped, finalize)
   in
   let iterations, final_delta_k, unstable, ok =
-    sweep ?obs ?cancel ~settings cfg func pass
+    sweep ?obs ?cancel ?skipped ~settings cfg func pass
   in
   let states_after, exit_states = finalize () in
   let result =
@@ -257,11 +271,17 @@ let fold_states info f init =
   Hashtbl.fold (fun _ s acc -> f acc s) info.states_after init
 
 let peak_map info =
-  match fold_states info (fun acc s -> Some (match acc with
-      | None -> Thermal_state.copy s
-      | Some a -> Thermal_state.join_max a s)) None with
-  | Some m -> m
-  | None -> Thermal_state.copy info.initial
+  let peak =
+    fold_states info
+      (fun acc s ->
+        match acc with
+        | None -> Some (Thermal_state.copy s)
+        | Some into ->
+          Thermal_state.join_max_into ~into s;
+          acc)
+      None
+  in
+  match peak with Some m -> m | None -> Thermal_state.copy info.initial
 
 let mean_map info =
   let count = Hashtbl.length info.states_after in

@@ -72,15 +72,24 @@ val fixpoint :
     [analysis.iteration] event per sweep (iteration number, largest
     per-instruction change, threshold, unstable count), the
     [analysis.escape_hatch] event when the iteration bound fires, and
-    the final [analysis.verdict]. Prefer driving it through
+    the final [analysis.verdict]. The flat core adds an
+    [analysis.prepare] span before the sweeps and, once per fixpoint,
+    the [analysis.instr_skipped] counter: the instruction visits its
+    sweeps skipped (see {!Flat_core.pass}). Prefer driving it through
     [Tdfa.Driver.run], which owns the observability wiring.
 
     [cancel] (default: never) is polled before each sweep;
     @raise Cancelled when it returns [true]. *)
 
+val prepare :
+  ?obs:Obs.sink -> settings:settings -> Transfer.config -> Func.t -> Flat_core.t
+(** The flat engine's workspace for [settings] ({!Flat_core.prepare}
+    with its join and delta), inside an [analysis.prepare] span. *)
+
 val sweep :
   ?obs:Obs.sink ->
   ?cancel:(unit -> bool) ->
+  ?skipped:(unit -> int) ->
   settings:settings ->
   Transfer.config ->
   Func.t ->
@@ -92,8 +101,11 @@ val sweep :
     [settings.max_iterations] sweeps have run. Returns the sweep count,
     the last sweep's largest change, the instructions still unstable and
     whether it converged. Emits the same [analysis.fixpoint] span and
-    telemetry as {!fixpoint}, and honours [cancel] the same way. For
-    callers that drive a {!Flat_core} workspace themselves. *)
+    telemetry as {!fixpoint}, and honours [cancel] the same way. When
+    given, [skipped] is read once after the last sweep and added to the
+    [analysis.instr_skipped] counter (pass {!Flat_core.skipped} of the
+    swept workspace). For callers that drive a {!Flat_core} workspace
+    themselves. *)
 
 val info : outcome -> info
 val converged : outcome -> bool

@@ -17,6 +17,10 @@ open Tdfa_ir
      states   n_slots x n_points: last sweep's state after each instr
      exits    n_labels x n_points: state after each terminator
 
+   plus one incoming-state snapshot per block, so that a block whose
+   joined input has not moved since it was last swept is skipped rather
+   than recomputed (see [reusable]).
+
    Every float operation is performed in the same order, on the same
    values, with the same NaN semantics as the boxed path (including
    Stdlib.Float.max's NaN propagation, replicated inline), so the two
@@ -60,6 +64,13 @@ type t = {
   states : float array;
   seen : bool array;
   exits : float array;
+  (* Sweep skipping: [incoming] holds, per block (row = position in
+     [blocks]), the joined incoming state its stored states and exit row
+     were last computed from; [valid] says whether that snapshot is
+     current; [skipped] counts the instruction visits skipped so far. *)
+  incoming : float array;
+  valid : bool array;
+  mutable skipped : int;
   (* Unboxed scratch cells for float accumulation: element 0 carries the
      running maximum of the loop at hand, element 1 a NaN flag (0/1).
      Keeping them in a float array rather than refs keeps the sweeps
@@ -177,6 +188,9 @@ let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
     states = Array.make (max 1 (n_slots * n_points)) 0.0;
     seen = Array.make (max 1 n_slots) false;
     exits = Array.make (max 1 (List.length labels * n_points)) ambient;
+    incoming = Array.make (max 1 (Array.length blocks * n_points)) 0.0;
+    valid = Array.make (max 1 (Array.length blocks)) false;
+    skipped = 0;
     fbuf = Array.make 2 0.0;
   }
 
@@ -274,17 +288,55 @@ let materialize t ~src ~pos =
   Thermal_state.of_points t.grid.Flat_grid.layout
     ~granularity:t.grid.Flat_grid.granularity ~src ~pos
 
+(* Whether block row [bi]'s stored states can be reused as they are:
+   its snapshot is current, the incoming state just joined into [t.cur]
+   is bit-equal to it, and its exit row is finite. The transfer is
+   deterministic, so an equal incoming state recomputes every stored
+   state bit for bit; and a NaN or infinity never leaves a point once it
+   reaches it (every phase updates a point as x + y or x - y of its own
+   value), so a finite exit row means every stored state of the block is
+   finite, and each recomputed change |x - x| would be exactly 0. *)
+let reusable t bi (b : blockc) =
+  let n = t.n_points in
+  t.valid.(bi)
+  &&
+  let cur = t.cur and snap = t.incoming and exits = t.exits in
+  let base = bi * n and ebase = b.b_id * n in
+  let p = ref 0 in
+  while
+    !p < n
+    && Int64.bits_of_float cur.(!p) = Int64.bits_of_float snap.(base + !p)
+    && exits.(ebase + !p) -. exits.(ebase + !p) = 0.0
+  do
+    incr p
+  done;
+  !p = n
+
 (* One full sweep over the function in reverse postorder — the flat
    counterpart of the boxed [pass] closure in Analysis.fixpoint. Returns
    the largest clamped change and the instructions still over delta, in
-   encounter order. *)
+   encounter order. A block whose stored states are [reusable] is not
+   recomputed: each of its instructions counts as change 0, which adds
+   nothing to the largest change and is unstable only when 0 > delta,
+   exactly as the full recomputation would report it. *)
 let pass t =
   let n = t.n_points in
   let worst = ref 0.0 in
   let unstable = ref [] in
-  Array.iter
-    (fun (b : blockc) ->
-      load_incoming t b;
+  for bi = 0 to Array.length t.blocks - 1 do
+    let b = t.blocks.(bi) in
+    load_incoming t b;
+    if reusable t bi b then begin
+      let k = Array.length b.b_slots in
+      t.skipped <- t.skipped + k;
+      if 0.0 > t.delta_k then
+        for index = 0 to k - 1 do
+          unstable := (b.b_label, index) :: !unstable
+        done
+    end
+    else begin
+      Array.blit t.cur 0 t.incoming (bi * n) n;
+      t.valid.(bi) <- true;
       for index = 0 to Array.length b.b_slots - 1 do
         let s = b.b_slot_base + index in
         apply t b.b_slots.(index);
@@ -304,9 +356,12 @@ let pass t =
         t.seen.(s) <- true
       done;
       apply t b.b_term;
-      Array.blit t.cur 0 t.exits (b.b_id * n) n)
-    t.blocks;
+      Array.blit t.cur 0 t.exits (b.b_id * n) n
+    end
+  done;
   (!worst, List.rev !unstable)
+
+let skipped t = t.skipped
 
 let exits t = t.exits
 
@@ -336,6 +391,8 @@ let post_fixpoint t u =
   let len = Array.length t.exits in
   if Array.length u <> len then invalid_arg "Flat_core.post_fixpoint";
   Array.blit u 0 t.exits 0 len;
+  (* The exit rows no longer follow from the snapshots. *)
+  Array.fill t.valid 0 (Array.length t.valid) false;
   ignore (pass t);
   let ok = ref true in
   for i = 0 to len - 1 do

@@ -30,7 +30,18 @@ val prepare : join:join -> delta_k:float -> Transfer.config -> Func.t -> t
 val pass : t -> float * (Label.t * int) list
 (** One sweep in reverse postorder: returns the largest clamped
     per-instruction change and the instructions still over delta, in
-    encounter order — the exact contract of the boxed pass. *)
+    encounter order — the exact contract of the boxed pass.
+
+    A block is skipped, not recomputed, when its joined incoming state
+    is bit-equal to the one its stored states were computed from and
+    its exit row is finite: the transfer is deterministic and a NaN or
+    infinity never leaves a point once reached, so every recomputed
+    state would be bit-equal and every change exactly 0. Its
+    instructions then count as change 0 (unstable only when
+    [0 > delta_k]), so the result is the full sweep's, bit for bit. *)
+
+val skipped : t -> int
+(** Instruction visits {!pass} has skipped since {!prepare}. *)
 
 val finalize :
   t ->
@@ -43,7 +54,9 @@ val exits : t -> float array
 (** The live exit buffer: one row of points per label of the function
     (in [Func.labels] order), the state after each terminator — what the
     next [pass] joins from. Shared, not copied: snapshot it with
-    [Array.copy] or [Array.blit]. *)
+    [Array.copy] or [Array.blit]. Callers must never write into it:
+    [pass] skips a block on the assumption that its exit row is the one
+    it computed ({!post_fixpoint} is the one way to load exits). *)
 
 val peak_points : t -> float array
 (** Per-point maximum over the last sweep's instruction states (fresh
@@ -58,4 +71,5 @@ val post_fixpoint : t -> float array -> bool
     [Join_max] or [Join_average]) a [true] makes [u] a post-fixpoint of
     the sweep, so every iterate from ambient stays below [u], and
     [peak_points] afterwards bounds every instruction state they reach.
-    Overwrites the workspace. *)
+    Overwrites the workspace and invalidates every block's skip
+    snapshot, so its sweep recomputes every block. *)

@@ -117,10 +117,16 @@ let request_of_json j =
               seed = Option.value ~default:0 (Json.int_member "seed" j);
             }
           in
-          Result.map
-            (fun () -> req)
-            (Result.bind (Tdfa.Driver.check_granularity req.granularity)
-               (fun () -> Tdfa.Driver.check_delta req.delta)))))
+          let ( let* ) = Result.bind in
+          let* () = Tdfa.Driver.check_granularity req.granularity in
+          let* () = Tdfa.Driver.check_delta req.delta in
+          (* Before the inline trace is even parsed: an oversized cell
+             count must cost nothing. *)
+          let* () =
+            if op = Trace then Tdfa_trace.Mapping.check_cells req.cells
+            else Ok ()
+          in
+          Ok req)))
 
 let request_of_line line =
   match Json.of_string line with

@@ -83,7 +83,9 @@ let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
 
 (* The one source of truth for what `tdfa trace' prints: stream
    summary, fixpoint verdict, predicted worst-case heatmap, and the RC
-   simulator's measured steady peak over the same windows. *)
+   simulator's measured steady peak over the same windows. Only the
+   text is returned: the driver result (every per-window state) is dead
+   once the heatmap is printed, before the RC side allocates. *)
 let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
     ~granularity ~delta ~recover (sample : Tdfa_trace.Sample.t) =
   let buf = Buffer.create 4096 in
@@ -145,7 +147,7 @@ let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
   in
   let measured_peak = Array.fold_left Float.max neg_infinity steady in
   pf "\nmeasured steady peak (RC simulator): %.2f K\n" measured_peak;
-  (Buffer.contents buf, r)
+  Buffer.contents buf
 
 (* The one source of truth for what `tdfa predict' prints: certified
    [lo, hi] peak bounds around the fixpoint (Tdfa_absint), the verdict

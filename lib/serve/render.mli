@@ -46,7 +46,7 @@ val trace :
   delta:float ->
   recover:bool ->
   Tdfa_trace.Sample.t ->
-  string * Tdfa.Driver.result
+  string
 (** Compile a sampled access stream ({!Tdfa_trace.Compile.compile} with
     the given mapping policy, cell count and window size), run the
     thermal fixpoint over it through {!Tdfa.Driver.run}'s [Trace]
@@ -55,6 +55,8 @@ val trace :
     heatmap on the near-square layout for [cells], and the RC
     simulator's measured steady peak over the same windows — the
     analysis-vs-measurement cross-check every trace run gets for free.
+    Returns only the text, so the fixpoint's states can be collected
+    before the RC solve runs.
 
     @raise Tdfa_core.Analysis.Cancelled when [cancel] trips. *)
 

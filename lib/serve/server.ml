@@ -345,18 +345,20 @@ let handle_trace t (req : Protocol.request) =
      in
      let* sample =
        Result.map_error (( ^ ) "trace parse error: ")
-         (Tdfa_trace.Sample.parse text)
+         (Tdfa_trace.Sample.parse ~obs:t.cfg.obs text)
      in
      let window_us = int_of_float (req.Protocol.window_ms *. 1000.0) in
      if window_us <= 0 then Error "window_ms must be at least 0.001"
      else
+       let* () =
+         Tdfa_trace.Compile.check ~window_us ~cells:req.Protocol.cells sample
+       in
        Ok
          (fun cancel ->
-           fst
-             (Render.trace ~obs:t.cfg.obs ?cancel ~window_us
-                ~policy:req.Protocol.map ~cells:req.Protocol.cells
-                ~granularity:req.Protocol.granularity ~delta:req.Protocol.delta
-                ~recover:req.Protocol.recover sample)))
+           Render.trace ~obs:t.cfg.obs ?cancel ~window_us
+             ~policy:req.Protocol.map ~cells:req.Protocol.cells
+             ~granularity:req.Protocol.granularity ~delta:req.Protocol.delta
+             ~recover:req.Protocol.recover sample))
 
 (* Task placement: kernels ride by name in the request (no session
    residency — the task set is the input), and the shared renderer

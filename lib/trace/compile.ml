@@ -17,12 +17,10 @@ type t = {
   entry : Label.t;
   events : Access.event list array;  (* one slot per window *)
   stats : stats;
-  stream_id : string;
 }
 
 let func t = t.func
 let stats t = t.stats
-let stream_id t = t.stream_id
 
 let accesses t label index =
   if Label.equal label t.entry && index >= 0 && index < Array.length t.events
@@ -31,7 +29,7 @@ let accesses t label index =
 
 let driver_input t = Driver.Trace { func = t.func; accesses = accesses t }
 
-let digest_of ~policy ~cells ~window_us (trace : Sample.t) =
+let stream_id ?(window_us = 1000) ~policy ~cells (trace : Sample.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "tdfa-trace-stream-1\n";
   Buffer.add_string buf (Mapping.policy_name policy);
@@ -66,9 +64,36 @@ let aggregate_window samples mapping =
         cell kind)
     !order
 
+let max_windows = 1 lsl 18
+let max_window_cells = 1 lsl 22
+
+let check ?(window_us = 1000) ~cells (trace : Sample.t) =
+  let ( let* ) = Result.bind in
+  let* () =
+    if window_us <= 0 then Error "window_us must be positive" else Ok ()
+  in
+  let* () = Mapping.check_cells cells in
+  let spans = Sample.duration_us trace / window_us in
+  if spans >= max_windows then
+    Error
+      (Printf.sprintf
+         "the trace spans more than %d windows of %d us (widen the window)"
+         max_windows window_us)
+  else
+    let windows = spans + 1 in
+    if windows * cells > max_window_cells then
+      Error
+        (Printf.sprintf
+           "%d windows x %d cells exceeds the budget of %d thermal points \
+            (fewer cells or a wider window)"
+           windows cells max_window_cells)
+    else Ok ()
+
 let compile ?(obs = Obs.null) ?(window_us = 1000) ~policy ~cells
     (trace : Sample.t) =
-  if window_us <= 0 then invalid_arg "Compile.compile: window_us must be positive";
+  (match check ~window_us ~cells trace with
+   | Ok () -> ()
+   | Error msg -> invalid_arg ("Compile.compile: " ^ msg));
   let mapping =
     Obs.span obs "trace.map"
       ~args:
@@ -123,7 +148,6 @@ let compile ?(obs = Obs.null) ?(window_us = 1000) ~policy ~cells
         writes = !writes;
         duration_us;
       };
-    stream_id = digest_of ~policy ~cells ~window_us trace;
   }
 
 let cell_var = Printf.sprintf "cell%d"
@@ -158,7 +182,9 @@ let exec_trace t =
     cell_of_var )
 
 let layout_of_cells cells =
-  if cells <= 0 then invalid_arg "Compile.layout_of_cells: cells must be positive";
+  (match Mapping.check_cells cells with
+   | Ok () -> ()
+   | Error msg -> invalid_arg ("Compile.layout_of_cells: " ^ msg));
   let rec best r = if cells mod r = 0 then r else best (r - 1) in
   let r0 = int_of_float (sqrt (float_of_int cells)) in
   let r0 = if (r0 + 1) * (r0 + 1) <= cells then r0 + 1 else r0 in

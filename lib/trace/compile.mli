@@ -37,7 +37,25 @@ val compile :
 (** Map then window. Default [window_us] is 1000 (1 ms per analysis
     instruction). Emits [trace.map] / [trace.window] spans and
     [trace.samples] / [trace.windows] counters to [obs].
-    @raise Invalid_argument if [window_us <= 0] or [cells <= 0]. *)
+    @raise Invalid_argument when {!check} rejects the arguments. *)
+
+val max_windows : int
+(** 2{^18}: the most windows {!check} lets a stream span (262 s of 1 ms
+    windows). Each window costs a carrier instruction and a stored state
+    whatever the cell count. *)
+
+val max_window_cells : int
+(** 2{^22}: the largest [windows * cells] {!check} accepts — that
+    product sizes the fixpoint's per-instruction state buffer (32 MiB of
+    floats at the limit, five times a 200-window, 4096-cell stream). *)
+
+val check : ?window_us:int -> cells:int -> Sample.t -> (unit, string) result
+(** The one size check in front of {!compile} and {!layout_of_cells}:
+    [window_us > 0], {!Mapping.check_cells}, at most {!max_windows}
+    windows and at most {!max_window_cells} for [windows * cells].
+    Reads only the sample timestamps and allocates nothing per sample,
+    so [tdfa trace] and the serve daemon reject an oversized request
+    before any work. [window_us] defaults to 1000 as in {!compile}. *)
 
 val func : t -> Func.t
 (** The carrier: one block of [windows] Nops ending in [ret]. *)
@@ -51,11 +69,13 @@ val driver_input : t -> Driver.input
 
 val stats : t -> stats
 
-val stream_id : t -> string
-(** Hex digest identifying the compiled stream — covers every sample,
-    the mapping policy, cell count and window size. Equal streams (by
-    content, not provenance) get equal ids; the engine keys its
-    result cache on this. *)
+val stream_id :
+  ?window_us:int -> policy:Mapping.policy -> cells:int -> Sample.t -> string
+(** Hex digest identifying the stream as {!compile} would compile it
+    with the same arguments — covers every sample, the mapping policy,
+    cell count and window size. Equal streams (by content, not
+    provenance) get equal ids; the engine keys its result cache on
+    this. Computed on demand: only batch trace jobs need it. *)
 
 val exec_trace : t -> Tdfa_exec.Trace.t * (Var.t -> int option)
 (** The same windows as a cycle-stamped execution trace (one cycle per
@@ -68,4 +88,5 @@ val layout_of_cells : int -> Layout.t
 (** Near-square grid holding the given cell count: the factor pair
     [rows * cols = cells] with rows <= cols and rows maximal (64 → 8x8,
     32 → 4x8, a prime like 7 → 1x7).
-    @raise Invalid_argument if [cells <= 0]. *)
+    @raise Invalid_argument when {!Mapping.check_cells} rejects
+    [cells]. *)

@@ -46,8 +46,17 @@ let word_counts (trace : Sample.t) =
 
 let distinct_words trace = Hashtbl.length (word_counts trace)
 
+let max_cells = 65536
+
+let check_cells cells =
+  if cells < 1 || cells > max_cells then
+    Error (Printf.sprintf "cells must be in 1..%d, got %d" max_cells cells)
+  else Ok ()
+
 let build ~policy ~cells trace =
-  if cells <= 0 then invalid_arg "Mapping.build: cells must be positive";
+  (match check_cells cells with
+   | Ok () -> ()
+   | Error msg -> invalid_arg ("Mapping.build: " ^ msg));
   let cell_of_word =
     match policy with
     | Direct -> fun w -> w mod cells

@@ -26,6 +26,15 @@ val cells : t -> int
 
 val cell_of_addr : t -> int -> int
 
+val max_cells : int
+(** 65536: the largest cell count {!build} accepts (a 256x256 register
+    file). *)
+
+val check_cells : int -> (unit, string) result
+(** [Ok ()] when [1 <= cells <= max_cells], else an error naming the
+    range. Allocates nothing, so callers can reject an oversized request
+    before any work. *)
+
 val build : policy:policy -> cells:int -> Sample.t -> t
 (** [Direct]: word index modulo [cells]. [Hashed]: splitmix-style mix of
     the word index, modulo [cells]. [Zipf_rank]: words ranked by
@@ -33,7 +42,7 @@ val build : policy:policy -> cells:int -> Sample.t -> t
     ascending address); rank [i] maps to cell [i mod cells]; words
     never seen in the trace fall back to the hashed mapping.
 
-    @raise Invalid_argument if [cells <= 0]. *)
+    @raise Invalid_argument when {!check_cells} rejects [cells]. *)
 
 val distinct_words : Sample.t -> int
 (** Number of distinct words the trace touches. *)

@@ -48,26 +48,12 @@ let kind_of_string = function
 let addr_of_string s =
   match int_of_string_opt s with Some a when a >= 0 -> Some a | _ -> None
 
-let split_fields line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
-
 (* `perf script -F comm,pid,time,event,addr` columns (PEBS memory
    sampling): "comm pid [cpu] time: event: addr". The optional [cpu]
    column is skipped, the trailing colon on the timestamp is dropped,
    the event keeps only its name (modifier suffixes like ":uP" and the
    trailing colon go), and the address is hexadecimal with or without
    its 0x prefix. *)
-let drop_trailing_colon s =
-  let n = String.length s in
-  if n > 0 && s.[n - 1] = ':' then String.sub s 0 (n - 1) else s
-
-let event_base s =
-  match String.index_opt s ':' with
-  | Some i -> String.sub s 0 i
-  | None -> s
-
 let hex_addr_of_string s =
   let s =
     if String.length s > 1 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X')
@@ -75,17 +61,6 @@ let hex_addr_of_string s =
     else "0x" ^ s
   in
   match int_of_string_opt s with Some a when a >= 0 -> Some a | _ -> None
-
-let perf_fields = function
-  | [ _comm; pid; t; ev; a ] when int_of_string_opt pid <> None ->
-      Some (t, ev, a)
-  | [ _comm; pid; cpu; t; ev; a ]
-    when int_of_string_opt pid <> None
-         && String.length cpu >= 2
-         && cpu.[0] = '['
-         && cpu.[String.length cpu - 1] = ']' ->
-      Some (t, ev, a)
-  | _ -> None
 
 let name_directive line =
   (* "# name: foo" (spacing flexible) *)
@@ -103,75 +78,196 @@ let name_directive line =
     if v = "" then None else Some v
   else None
 
-let parse ?(name = "trace") text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno name acc = function
-    | [] -> Ok { name; samples = List.rev acc }
-    | line :: rest -> (
-        let trimmed = String.trim line in
-        if trimmed = "" then go (lineno + 1) name acc rest
-        else if trimmed.[0] = '#' then
-          let name =
-            match name_directive trimmed with Some n -> n | None -> name
-          in
-          go (lineno + 1) name acc rest
-        else
-          let parsed =
-            match split_fields trimmed with
-            | [ t; k; a ] ->
-                Ok
-                  ( t,
-                    k,
-                    a,
-                    us_of_seconds_string t,
-                    kind_of_string k,
-                    addr_of_string a )
-            | fields -> (
-                match perf_fields fields with
-                | Some (t, ev, a) ->
-                    let t = drop_trailing_colon t and k = event_base ev in
-                    Ok
-                      ( t,
-                        k,
-                        a,
-                        us_of_seconds_string t,
-                        kind_of_string k,
-                        hex_addr_of_string a )
-                | None ->
-                    Error
-                      (Printf.sprintf
-                         "line %d: expected 3 fields or perf script \
-                          comm/pid/time/event/addr columns, got %d fields"
-                         lineno (List.length fields)))
-          in
-          match parsed with
-          | Error e -> Error e
-          | Ok (t, k, a, t_us, kind, addr) -> (
-              match (t_us, kind, addr) with
-              | Some t_us, Some kind, Some addr ->
-                  let prev = match acc with [] -> 0 | s :: _ -> s.t_us in
-                  if t_us < prev then
-                    Error
-                      (Printf.sprintf "line %d: timestamp goes backwards"
-                         lineno)
-                  else go (lineno + 1) name ({ t_us; kind; addr } :: acc) rest
-              | None, _, _ ->
-                  Error (Printf.sprintf "line %d: bad timestamp %S" lineno t)
-              | _, None, _ ->
-                  Error
-                    (Printf.sprintf
-                       "line %d: bad access kind %S (want R|W|load|store)"
-                       lineno k)
-              | _, _, None ->
-                  Error (Printf.sprintf "line %d: bad address %S" lineno a)))
-  in
-  go 1 name [] lines
+(* The scanner reads fields as [start, stop) ranges of the text, in
+   place. Each field reader has a fast path for the plain spelling
+   every sampler prints (digits, hex digits, R/W) that cannot overflow,
+   and hands anything else to the string reader above on a copy of the
+   field, so every accepted input and every value is exactly the
+   string readers'. *)
 
-let of_file path =
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* Digits of text.[a, b) in [base] (10 or 16) as an int, or -1 when
+   there are none, more than [max_len], or another character. *)
+let digits text a b ~base ~max_len =
+  if b <= a || b - a > max_len then -1
+  else
+    let rec go i acc =
+      if i = b then acc
+      else
+        let d =
+          match text.[i] with
+          | '0' .. '9' as c -> Char.code c - 48
+          | 'a' .. 'f' as c -> Char.code c - 87
+          | 'A' .. 'F' as c -> Char.code c - 55
+          | _ -> base
+        in
+        if d >= base then -1 else go (i + 1) ((acc * base) + d)
+    in
+    go a 0
+
+let sub text a b = String.sub text a (b - a)
+
+(* First index of [c] in text.[a, b), or [b]. *)
+let index_in text a b c =
+  let rec go i = if i = b || text.[i] = c then i else go (i + 1) in
+  go a
+
+let all_decimal text a b =
+  let rec go i = i = b || (text.[i] >= '0' && text.[i] <= '9' && go (i + 1)) in
+  go a
+
+let is_prefixed_hex text a b =
+  b - a > 1 && text.[a] = '0' && (text.[a + 1] = 'x' || text.[a + 1] = 'X')
+
+let seconds_field text a b =
+  let dot = index_in text a b '.' in
+  (* At most 12 whole digits keep w * 1_000_000 below max_int. *)
+  let w = if dot = a then 0 else digits text a dot ~base:10 ~max_len:12 in
+  if w >= 0 && (dot = b || all_decimal text (dot + 1) b) then begin
+    let f = ref 0 in
+    for i = dot + 1 to dot + 6 do
+      f := (!f * 10) + (if i < b then Char.code text.[i] - 48 else 0)
+    done;
+    Some ((w * 1_000_000) + !f)
+  end
+  else us_of_seconds_string (sub text a b)
+
+let kind_field text a b =
+  if b - a = 1 then
+    match text.[a] with
+    | 'R' | 'r' -> Some Access.Read
+    | 'W' | 'w' -> Some Access.Write
+    | _ -> None
+  else kind_of_string (sub text a b)
+
+(* 18 decimal or 15 hex digits stay below max_int. *)
+let addr_field text a b =
+  let v =
+    if is_prefixed_hex text a b then digits text (a + 2) b ~base:16 ~max_len:15
+    else digits text a b ~base:10 ~max_len:18
+  in
+  if v >= 0 then Some v else addr_of_string (sub text a b)
+
+let hex_addr_field text a b =
+  let v =
+    if is_prefixed_hex text a b then digits text (a + 2) b ~base:16 ~max_len:15
+    else digits text a b ~base:16 ~max_len:15
+  in
+  if v >= 0 then Some v else hex_addr_of_string (sub text a b)
+
+let is_int_field text a b =
+  digits text a b ~base:10 ~max_len:18 >= 0
+  || int_of_string_opt (sub text a b) <> None
+
+let max_fields = 6
+
+let parse_text ~name text =
+  let len = String.length text in
+  (* Start and stop of the first [max_fields] fields of the line. *)
+  let fs = Array.make (2 * max_fields) 0 in
+  let fa i = fs.(2 * i) and fb i = fs.((2 * i) + 1) in
+  let rec line start lineno name acc =
+    let stop =
+      match String.index_from_opt text start '\n' with
+      | Some i -> i
+      | None -> len
+    in
+    let next name acc =
+      if stop = len then Ok { name; samples = List.rev acc }
+      else line (stop + 1) (lineno + 1) name acc
+    in
+    let ls = ref start and le = ref stop in
+    while !ls < !le && is_space text.[!ls] do incr ls done;
+    while !le > !ls && is_space text.[!le - 1] do decr le done;
+    let ls = !ls and le = !le in
+    if ls = le then next name acc
+    else if text.[ls] = '#' then
+      next
+        (match name_directive (sub text ls le) with
+         | Some n -> n
+         | None -> name)
+        acc
+    else begin
+      (* Fields: maximal runs of characters other than space and tab. *)
+      let nf = ref 0 and i = ref ls in
+      while !i < le do
+        while !i < le && (text.[!i] = ' ' || text.[!i] = '\t') do incr i done;
+        if !i < le then begin
+          let a = !i in
+          while !i < le && text.[!i] <> ' ' && text.[!i] <> '\t' do incr i done;
+          if !nf < max_fields then begin
+            fs.(2 * !nf) <- a;
+            fs.((2 * !nf) + 1) <- !i
+          end;
+          incr nf
+        end
+      done;
+      let nf = !nf in
+      let perf_base =
+        if nf = 5 && is_int_field text (fa 1) (fb 1) then 2
+        else if
+          nf = 6
+          && is_int_field text (fa 1) (fb 1)
+          && fb 2 - fa 2 >= 2
+          && text.[fa 2] = '['
+          && text.[fb 2 - 1] = ']'
+        then 3
+        else -1
+      in
+      if nf <> 3 && perf_base < 0 then
+        Error
+          (Printf.sprintf
+             "line %d: expected 3 fields or perf script \
+              comm/pid/time/event/addr columns, got %d fields"
+             lineno nf)
+      else
+        (* Ranges of the time, kind and address fields; a perf line drops
+           the timestamp's trailing colon and the event's suffixes. *)
+        let ta, tb, ka, kb, aa, ab =
+          if nf = 3 then (fa 0, fb 0, fa 1, fb 1, fa 2, fb 2)
+          else
+            let ta = fa perf_base and tb = fb perf_base in
+            let tb = if text.[tb - 1] = ':' then tb - 1 else tb in
+            let ka = fa (perf_base + 1) and kb = fb (perf_base + 1) in
+            let kb = index_in text ka kb ':' in
+            (ta, tb, ka, kb, fa (perf_base + 2), fb (perf_base + 2))
+        in
+        let t_us = seconds_field text ta tb and kind = kind_field text ka kb in
+        let addr =
+          if nf = 3 then addr_field text aa ab else hex_addr_field text aa ab
+        in
+        match (t_us, kind, addr) with
+        | Some t_us, Some kind, Some addr ->
+          let prev = match acc with [] -> 0 | s :: _ -> s.t_us in
+          if t_us < prev then
+            Error (Printf.sprintf "line %d: timestamp goes backwards" lineno)
+          else next name ({ t_us; kind; addr } :: acc)
+        | None, _, _ ->
+          Error
+            (Printf.sprintf "line %d: bad timestamp %S" lineno (sub text ta tb))
+        | _, None, _ ->
+          Error
+            (Printf.sprintf
+               "line %d: bad access kind %S (want R|W|load|store)" lineno
+               (sub text ka kb))
+        | _, _, None ->
+          Error
+            (Printf.sprintf "line %d: bad address %S" lineno (sub text aa ab))
+    end
+  in
+  line 0 1 name []
+
+let parse ?(obs = Tdfa_obs.Obs.null) ?(name = "trace") text =
+  Tdfa_obs.Obs.span obs "trace.parse"
+    ~args:[ ("bytes", Tdfa_obs.Obs.Int (String.length text)) ]
+    (fun () -> parse_text ~name text)
+
+let of_file ?obs path =
   match In_channel.with_open_text path In_channel.input_all with
   | text ->
       let name = Filename.remove_extension (Filename.basename path) in
-      parse ~name text
+      parse ?obs ~name text
   | exception Sys_error msg -> Error msg
 
 let print t =

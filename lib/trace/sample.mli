@@ -50,12 +50,14 @@ val make : ?name:string -> sample list -> t
 val duration_us : t -> int
 (** Timestamp of the last sample (0 for an empty trace). *)
 
-val parse : ?name:string -> string -> (t, string) result
-(** Parse the text format. Errors carry the offending line number.
-    [name] (default ["trace"]) is used unless a [# name:] directive
-    overrides it. *)
+val parse :
+  ?obs:Tdfa_obs.Obs.sink -> ?name:string -> string -> (t, string) result
+(** Parse the text format in one pass over the string. Errors carry the
+    offending line number. [name] (default ["trace"]) is used unless a
+    [# name:] directive overrides it. Runs inside a [trace.parse] span
+    of [obs] (default {!Tdfa_obs.Obs.null}). *)
 
-val of_file : string -> (t, string) result
+val of_file : ?obs:Tdfa_obs.Obs.sink -> string -> (t, string) result
 (** {!parse} the file's contents, defaulting the trace name to the
     file's basename without extension. *)
 

@@ -196,6 +196,34 @@ let test_driver_core_parity () =
 
 (* --- Properties -------------------------------------------------------------- *)
 
+(* Bit-identity of two outcomes: fingerprint over every thermal point
+   (Marshal keeps float bits, NaN payloads included), iteration count,
+   final delta and unstable list. *)
+let same_outcome boxed flat =
+  let bi = Analysis.info boxed and fi = Analysis.info flat in
+  String.equal (fingerprint boxed) (fingerprint flat)
+  && bi.Analysis.iterations = fi.Analysis.iterations
+  && Int64.equal
+       (Int64.bits_of_float bi.Analysis.final_delta_k)
+       (Int64.bits_of_float fi.Analysis.final_delta_k)
+  && unstable_equal bi.Analysis.unstable fi.Analysis.unstable
+
+(* One Driver run per core on the same input. *)
+let run_cores ?(params = Params.default) ~granularity ~settings input =
+  let base =
+    {
+      (Tdfa_core.Driver.default ~layout) with
+      Tdfa_core.Driver.granularity;
+      settings;
+      params;
+    }
+  in
+  let run core =
+    (Tdfa_core.Driver.run { base with Tdfa_core.Driver.core } input)
+      .Tdfa_core.Driver.outcome
+  in
+  (run Analysis.Boxed, run Analysis.Flat)
+
 let print_case (f, (granularity, joini, deltai)) =
   Printf.sprintf "g=%d join=%d delta=%d on:\n%s" granularity joini deltai
     (Printer.func_to_string f)
@@ -222,13 +250,202 @@ let prop_flat_equals_boxed =
       in
       let boxed = Analysis.fixpoint ~settings ~core:Analysis.Boxed cfg af in
       let flat = Analysis.fixpoint ~settings ~core:Analysis.Flat cfg af in
-      let bi = Analysis.info boxed and fi = Analysis.info flat in
-      String.equal (fingerprint boxed) (fingerprint flat)
-      && bi.Analysis.iterations = fi.Analysis.iterations
-      && Int64.equal
-           (Int64.bits_of_float bi.Analysis.final_delta_k)
-           (Int64.bits_of_float fi.Analysis.final_delta_k)
-      && unstable_equal bi.Analysis.unstable fi.Analysis.unstable)
+      same_outcome boxed flat)
+
+(* The flat sweep skips a block whose incoming state is bit-equal to
+   its last one and whose exit row is finite. The next three properties
+   aim at the edges of that rule. *)
+
+(* Extreme coefficients drive states to NaN and +-infinity (zero
+   capacitance, unstable steps, NaN or infinite energies and ambients):
+   a block holding a non-finite state must be recomputed, never
+   skipped. Which payload a NaN carries is not fixed by OCaml's float
+   semantics (the compiler may commute the operands of +. and *.), and
+   the two engines do differ there, so these outcomes are compared
+   point by point with every NaN equal to every NaN and all other
+   values bit for bit. *)
+let same_bits_or_nan x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  || (Float.is_nan x && Float.is_nan y)
+
+let same_state a b =
+  Thermal_state.num_points a = Thermal_state.num_points b
+  &&
+  let ok = ref true in
+  for p = 0 to Thermal_state.num_points a - 1 do
+    if not (same_bits_or_nan (Thermal_state.get a p) (Thermal_state.get b p))
+    then ok := false
+  done;
+  !ok
+
+let same_outcome_up_to_nan_payload boxed flat =
+  let bi = Analysis.info boxed and fi = Analysis.info flat in
+  Analysis.converged boxed = Analysis.converged flat
+  && bi.Analysis.iterations = fi.Analysis.iterations
+  && same_bits_or_nan bi.Analysis.final_delta_k fi.Analysis.final_delta_k
+  && unstable_equal bi.Analysis.unstable fi.Analysis.unstable
+  && List.for_all2
+       (fun (k1, s1) (k2, s2) -> k1 = k2 && same_state s1 s2)
+       (Analysis.sorted_states bi) (Analysis.sorted_states fi)
+  && Label.Map.equal same_state bi.Analysis.exit_states fi.Analysis.exit_states
+
+let gen_extreme_params =
+  let open QCheck2.Gen in
+  let pick normal =
+    oneofl
+      [ normal; normal; 0.0; -.normal; normal *. 1e12; infinity;
+        neg_infinity; nan ]
+  in
+  let d = Params.default in
+  map
+    (fun (((a, c), (r, w)), ((lat, vert), (cap, (lw, lc)))) ->
+      {
+        Params.ambient_k = a;
+        clock_hz = c;
+        read_energy_j = r;
+        write_energy_j = w;
+        lateral_conductance_w_per_k = lat;
+        vertical_conductance_w_per_k = vert;
+        cell_capacitance_j_per_k = cap;
+        leakage_w = lw;
+        leakage_temp_coeff = lc;
+      })
+    (pair
+       (pair
+          (pair (pick d.Params.ambient_k) (pick d.Params.clock_hz))
+          (pair (pick d.Params.read_energy_j) (pick d.Params.write_energy_j)))
+       (pair
+          (pair
+             (pick d.Params.lateral_conductance_w_per_k)
+             (pick d.Params.vertical_conductance_w_per_k))
+          (pair
+             (pick d.Params.cell_capacitance_j_per_k)
+             (pair (pick d.Params.leakage_w) (pick d.Params.leakage_temp_coeff)))))
+
+let prop_flat_equals_boxed_extreme_params =
+  QCheck2.Test.make
+    ~name:"flat core == boxed core under NaN/infinity-forcing params"
+    ~count:120
+    ~print:(fun (f, (p, _)) ->
+      Format.asprintf "%a on:\n%s" Params.pp p (Printer.func_to_string f))
+    QCheck2.Gen.(pair gen_small (pair gen_extreme_params (int_range 0 1)))
+    (fun (f, (params, joini)) ->
+      let af, asg = post_ra f in
+      let settings =
+        {
+          Analysis.delta_k = 0.1;
+          max_iterations = 12;
+          join = (if joini = 0 then Analysis.Max else Analysis.Average);
+        }
+      in
+      let boxed, flat =
+        run_cores ~params ~granularity:2 ~settings
+          (Tdfa_core.Driver.Assigned (af, asg))
+      in
+      same_outcome_up_to_nan_payload boxed flat)
+
+(* delta = 0 keeps sweeping until nothing moves at all, so every
+   converged run ends on a sweep the skip rule could shortcut; a
+   negative delta makes every skipped instruction unstable. *)
+let prop_flat_equals_boxed_zero_delta =
+  QCheck2.Test.make ~name:"flat core == boxed core at delta 0 and below"
+    ~count:80
+    ~print:(fun (f, _) -> Printer.func_to_string f)
+    QCheck2.Gen.(pair gen_small (pair (int_range 0 1) (int_range 0 1)))
+    (fun (f, (joini, negi)) ->
+      let af, asg = post_ra f in
+      let settings =
+        {
+          Analysis.delta_k = (if negi = 0 then 0.0 else -1.0);
+          max_iterations = 60;
+          join = (if joini = 0 then Analysis.Max else Analysis.Average);
+        }
+      in
+      let boxed, flat =
+        run_cores ~granularity:2 ~settings
+          (Tdfa_core.Driver.Assigned (af, asg))
+      in
+      same_outcome boxed flat)
+
+(* A compiled trace's carrier is one acyclic block of Nops: its second
+   sweep is skipped whole. *)
+let prop_flat_equals_boxed_trace =
+  QCheck2.Test.make ~name:"flat core == boxed core on compiled traces"
+    ~count:40
+    QCheck2.Gen.(triple (int_range 0 30) (int_range 1 300) (int_range 1 99))
+    (fun (s10, samples, seed) ->
+      let sample =
+        Tdfa_trace.Synth.zipf ~seed ~s:(float_of_int s10 /. 10.0) ~addrs:48
+          ~n:samples ()
+      in
+      let compiled =
+        Tdfa_trace.Compile.compile ~window_us:200
+          ~policy:Tdfa_trace.Mapping.Hashed ~cells:n sample
+      in
+      let boxed, flat =
+        run_cores ~granularity:1 ~settings
+          (Tdfa_trace.Compile.driver_input compiled)
+      in
+      same_outcome boxed flat)
+
+(* --- Skip snapshots and post_fixpoint ---------------------------------------- *)
+
+(* post_fixpoint overwrites the exit rows, so it must not trust any
+   block snapshot: on a converged workspace (every snapshot valid) it
+   yields exactly what it yields on a freshly prepared one (none). *)
+let test_post_fixpoint_ignores_snapshots () =
+  List.iter
+    (fun (name, f) ->
+      let af, asg = post_ra f in
+      let cfg = config_of af asg in
+      let prepare () =
+        Flat_core.prepare ~join:Flat_core.Join_max ~delta_k:0.1 cfg af
+      in
+      let converged = prepare () in
+      let rec sweep k =
+        if k > 0 && snd (Flat_core.pass converged) <> [] then sweep (k - 1)
+      in
+      sweep 100;
+      let u =
+        Array.map (fun v -> v +. 0.5) (Array.copy (Flat_core.exits converged))
+      in
+      let fresh = prepare () in
+      let ok_c = Flat_core.post_fixpoint converged u in
+      let ok_f = Flat_core.post_fixpoint fresh u in
+      Alcotest.(check bool) (name ^ ": same verdict") ok_f ok_c;
+      Alcotest.(check bool) (name ^ ": same exits") true
+        (bits_equal (Flat_core.exits fresh) (Flat_core.exits converged));
+      Alcotest.(check bool) (name ^ ": same peak points") true
+        (bits_equal (Flat_core.peak_points fresh)
+           (Flat_core.peak_points converged)))
+    [ ("fib", Kernels.fib ()); ("fir", Kernels.fir ());
+      ("matmul", Kernels.matmul ()) ]
+
+(* --- peak_map ------------------------------------------------------------------ *)
+
+(* join_max_into is join_max in place: same bits, NaN and signed zeros
+   included, and not one word allocated. *)
+let test_join_max_into () =
+  let st vals =
+    let s = Thermal_state.create layout ~granularity:4 ~ambient_k:0.0 in
+    Array.iteri (fun p v -> Thermal_state.set s p v) vals;
+    s
+  in
+  let a = st [| 1.0; nan; -0.0; 0.0 |] and b = st [| 2.0; 3.0; 0.0; -0.0 |] in
+  let expect = Thermal_state.join_max a b in
+  let into = Thermal_state.copy a in
+  Thermal_state.join_max_into ~into b;
+  let points s = Array.init 4 (Thermal_state.get s) in
+  Alcotest.(check bool) "bitwise join_max" true
+    (bits_equal (points expect) (points into));
+  let x = Gc.minor_words () in
+  let y = Gc.minor_words () in
+  let overhead = y -. x in
+  let before = Gc.minor_words () in
+  Thermal_state.join_max_into ~into b;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "join_max_into allocates nothing" 0.0
+    (after -. before -. overhead)
 
 let suite =
   let tc = Alcotest.test_case in
@@ -246,8 +463,17 @@ let suite =
         tc "divergence identical across cores" `Quick test_divergence_parity;
         tc "driver core switch preserves the fingerprint" `Quick
           test_driver_core_parity;
+        tc "post_fixpoint ignores skip snapshots" `Quick
+          test_post_fixpoint_ignores_snapshots;
+        tc "join_max_into is join_max, allocation-free" `Quick
+          test_join_max_into;
       ] );
     ( "core_flat.properties",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_flat_equals_boxed ] );
+        [
+          prop_flat_equals_boxed;
+          prop_flat_equals_boxed_extreme_params;
+          prop_flat_equals_boxed_zero_delta;
+          prop_flat_equals_boxed_trace;
+        ] );
   ]

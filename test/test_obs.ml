@@ -468,6 +468,46 @@ let test_trace_span_shape () =
   | l ->
     Alcotest.failf "expected one thermal.steady span, got %d" (List.length l)
 
+(* A compiled trace is one acyclic block, so the fixpoint's second sweep
+   only confirms the first: the flat core skips every one of its
+   windows, reports that once as analysis.instr_skipped, and still
+   counts two iterations. The parse and the workspace build are spans
+   of their own. *)
+let test_trace_skip_counter () =
+  let t = Obs.memory () in
+  let text =
+    Tdfa_trace.Sample.print
+      (Tdfa_trace.Synth.zipf ~seed:4 ~s:1.0 ~addrs:32 ~n:500 ())
+  in
+  let sample = Result.get_ok (Tdfa_trace.Sample.parse ~obs:t text) in
+  let compiled =
+    Tdfa_trace.Compile.compile ~window_us:50 ~policy:Tdfa_trace.Mapping.Direct
+      ~cells:64 sample
+  in
+  let windows = (Tdfa_trace.Compile.stats compiled).Tdfa_trace.Compile.windows in
+  let r = Driver.run (driver_cfg t) (Tdfa_trace.Compile.driver_input compiled) in
+  let info = Analysis.info r.Driver.outcome in
+  Alcotest.(check bool) "several windows" true (windows > 10);
+  Alcotest.(check int) "two sweeps" 2 info.Analysis.iterations;
+  Alcotest.(check (option string)) "the whole second sweep is skipped"
+    (Some (string_of_int windows))
+    (List.assoc_opt "analysis.instr_skipped" (Obs.metrics_rows t));
+  let events = Obs.events t in
+  Alcotest.(check int) "one counter event per fixpoint" 1
+    (List.length (named events "analysis.instr_skipped" Obs.Counter));
+  Alcotest.(check int) "one trace.parse span" 1
+    (List.length (named events "trace.parse" Obs.Begin));
+  match
+    (named events "analysis.prepare" Obs.Begin,
+     named events "driver.run" Obs.Begin)
+  with
+  | [ prepare ], [ run ] ->
+    Alcotest.(check int) "prepare nests in driver.run" run.Obs.id
+      prepare.Obs.parent
+  | p, d ->
+    Alcotest.failf "expected 1/1 analysis.prepare/driver.run, got %d/%d"
+      (List.length p) (List.length d)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -489,5 +529,7 @@ let suite =
         tc "predict span shape" `Quick test_predict_span_shape;
         tc "place span shape" `Quick test_place_span_shape;
         tc "trace span shape" `Quick test_trace_span_shape;
+        tc "trace fixpoint skips its confirming sweep" `Quick
+          test_trace_skip_counter;
       ] );
   ]

@@ -513,6 +513,40 @@ let test_invalid_knobs_rejected () =
      | Ok _ -> "ok"
      | Error m -> m)
 
+(* A trace frame's cell count is checked at the frame, before its
+   inline stream is parsed: "cells":100000000 used to run the daemon out
+   of memory, and "cells":0 came back as a failed request. The window
+   budget is checked once the stream is parsed, before it is compiled. *)
+let test_trace_cells_rejected () =
+  let t = server () in
+  let s = Session.create "t" in
+  let frame ?(trace = "0.1 R 0x10\n") cells =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.Str "trace");
+           ("trace", Json.Str trace);
+           ("cells", Json.Int cells);
+         ])
+  in
+  List.iter
+    (fun cells ->
+      (match Protocol.request_of_line (frame cells) with
+       | Ok _ -> Alcotest.failf "cells %d passed the frame check" cells
+       | Error m ->
+         Alcotest.(check string) "message"
+           (Printf.sprintf "cells must be in 1..%d, got %d"
+              Tdfa_trace.Mapping.max_cells cells)
+           m);
+      expect_error ~kind:"bad-request"
+        (reply (Server.handle_line t s (frame cells))))
+    [ 0; -1; 100_000_000 ];
+  expect_error ~kind:"bad-request"
+    (reply
+       (Server.handle_line t s
+          (frame ~trace:"0 R 0x10\n9.5 W 0x18\n" Tdfa_trace.Mapping.max_cells)));
+  ignore (expect_ok (reply (Server.handle_line t s (frame 16))) : string)
+
 (* perfbench-shaped frames, mutated: every mutation is answered with a
    typed result, never an exception. *)
 let fuzz_bases =
@@ -741,6 +775,8 @@ let suite =
         tc "function without instructions is analysed" `Quick
           test_empty_function_served;
         tc "place honours the request deadline" `Quick test_place_deadline;
+        tc "trace cell counts out of range are bad requests" `Quick
+          test_trace_cells_rejected;
         tc "invalid delta and granularity are bad requests" `Quick
           test_invalid_knobs_rejected;
         tc "json \\u escapes and nesting depth" `Quick

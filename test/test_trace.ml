@@ -170,7 +170,7 @@ let test_stream_id_content_addressed () =
   let t1 = Synth.zipf ~seed:1 ~s:1.0 ~addrs:16 ~n:200 () in
   let t2 = Synth.zipf ~seed:2 ~s:1.0 ~addrs:16 ~n:200 () in
   let id ?(cells = 64) ?(policy = Mapping.Direct) t =
-    Compile.stream_id (Compile.compile ~policy ~cells t)
+    Compile.stream_id ~policy ~cells t
   in
   Alcotest.(check string) "same stream, same id" (id t1) (id t1);
   Alcotest.(check bool) "different samples, different id" true (id t1 <> id t2);
@@ -189,6 +189,65 @@ let test_layout_of_cells () =
   Alcotest.(check (pair int int)) "49" (7, 7) (dims 49);
   Alcotest.(check (pair int int)) "7 is prime" (1, 7) (dims 7);
   Alcotest.(check (pair int int)) "1" (1, 1) (dims 1)
+
+(* --- Size checks ------------------------------------------------------------ *)
+
+let tiny = Synth.zipf ~seed:1 ~s:1.0 ~addrs:16 ~n:50 ()
+
+let expect_cells_rejected cells =
+  (match Mapping.check_cells cells with
+   | Ok () -> Alcotest.failf "cells %d accepted" cells
+   | Error m ->
+     Alcotest.(check string) "message" 
+       (Printf.sprintf "cells must be in 1..%d, got %d" Mapping.max_cells cells)
+       m);
+  Alcotest.(check bool) "Compile.check rejects" true
+    (Result.is_error (Compile.check ~cells tiny));
+  (* The cell count is refused before anything is sized by it: far less
+     than one float per requested cell is allocated on the way out. *)
+  let before = Gc.allocated_bytes () in
+  (match Compile.compile ~policy:Mapping.Direct ~cells tiny with
+   | _ -> Alcotest.failf "compile with %d cells succeeded" cells
+   | exception Invalid_argument _ -> ());
+  (match Compile.layout_of_cells cells with
+   | _ -> Alcotest.failf "layout of %d cells succeeded" cells
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "rejected before allocating" true
+    (Gc.allocated_bytes () -. before < 65536.0)
+
+(* `tdfa trace --cells 0` used to die on an uncaught Invalid_argument,
+   and a serve frame with "cells":100000000 ran the daemon out of
+   memory. *)
+let test_cells_zero () = expect_cells_rejected 0
+let test_cells_negative () = expect_cells_rejected (-1)
+let test_cells_huge () = expect_cells_rejected 100_000_000
+
+let test_window_budget () =
+  let ok ?window_us cells t =
+    Alcotest.(check bool)
+      (Printf.sprintf "%d cells accepted" cells)
+      true
+      (Result.is_ok (Compile.check ?window_us ~cells t))
+  in
+  ok 1 tiny;
+  ok Mapping.max_cells tiny;
+  (* perfbench's trace stream: 20k samples over 200 windows, 4096 cells. *)
+  let long = Synth.zipf ~seed:7 ~s:1.0 ~addrs:8192 ~n:20_000 () in
+  ok 4096 long;
+  (* One second of 1 us windows on 64 cells is over the point budget; a
+     stream spanning a billion windows is refused by its window count
+     alone. *)
+  let one_s = Sample.make [ { Sample.t_us = 1_000_000; kind = Access.Read; addr = 0 } ] in
+  Alcotest.(check bool) "windows x cells over budget" true
+    (Result.is_error (Compile.check ~window_us:1 ~cells:64 one_s));
+  ok ~window_us:1000 64 one_s;
+  let far =
+    Sample.make [ { Sample.t_us = max_int; kind = Access.Read; addr = 0 } ]
+  in
+  Alcotest.(check bool) "too many windows" true
+    (Result.is_error (Compile.check ~window_us:1 ~cells:1 far));
+  Alcotest.(check bool) "window_us must be positive" true
+    (Result.is_error (Compile.check ~window_us:0 ~cells:64 tiny))
 
 (* --- Synthetic generators ------------------------------------------------- *)
 
@@ -339,12 +398,307 @@ let prop_print_parse_round_trip =
         String.equal t.Sample.name t'.Sample.name
         && t.Sample.samples = t'.Sample.samples)
 
+(* --- Scanner == split-based parser ----------------------------------------- *)
+
+(* The split-based parser [Sample.parse] used before it became a one-pass
+   scanner, kept verbatim as the oracle: on every input the scanner must
+   return the same samples or the same error text. *)
+module Split_parser = struct
+  open Sample
+
+  let us_of_seconds_string s =
+    let whole, frac =
+      match String.index_opt s '.' with
+      | None -> (s, "")
+      | Some i ->
+          (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+    in
+    let frac =
+      if String.length frac > 6 then String.sub frac 0 6
+      else frac ^ String.make (6 - String.length frac) '0'
+    in
+    let whole = if whole = "" then "0" else whole in
+    match (int_of_string_opt whole, int_of_string_opt ("1" ^ frac)) with
+    | Some w, Some f when w >= 0 -> Some ((w * 1_000_000) + f - 1_000_000)
+    | _ -> None
+
+  let kind_of_string = function
+    | "R" | "r" | "load" | "loads" | "mem-loads" -> Some Access.Read
+    | "W" | "w" | "store" | "stores" | "mem-stores" -> Some Access.Write
+    | _ -> None
+
+  let addr_of_string s =
+    match int_of_string_opt s with Some a when a >= 0 -> Some a | _ -> None
+
+  let split_fields line =
+    String.split_on_char ' ' line
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.filter (fun f -> f <> "")
+
+  (* `perf script -F comm,pid,time,event,addr` columns (PEBS memory
+     sampling): "comm pid [cpu] time: event: addr". The optional [cpu]
+     column is skipped, the trailing colon on the timestamp is dropped,
+     the event keeps only its name (modifier suffixes like ":uP" and the
+     trailing colon go), and the address is hexadecimal with or without
+     its 0x prefix. *)
+  let drop_trailing_colon s =
+    let n = String.length s in
+    if n > 0 && s.[n - 1] = ':' then String.sub s 0 (n - 1) else s
+
+  let event_base s =
+    match String.index_opt s ':' with
+    | Some i -> String.sub s 0 i
+    | None -> s
+
+  let hex_addr_of_string s =
+    let s =
+      if String.length s > 1 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X')
+      then s
+      else "0x" ^ s
+    in
+    match int_of_string_opt s with Some a when a >= 0 -> Some a | _ -> None
+
+  let perf_fields = function
+    | [ _comm; pid; t; ev; a ] when int_of_string_opt pid <> None ->
+        Some (t, ev, a)
+    | [ _comm; pid; cpu; t; ev; a ]
+      when int_of_string_opt pid <> None
+           && String.length cpu >= 2
+           && cpu.[0] = '['
+           && cpu.[String.length cpu - 1] = ']' ->
+        Some (t, ev, a)
+    | _ -> None
+
+  let name_directive line =
+    (* "# name: foo" (spacing flexible) *)
+    let body = String.sub line 1 (String.length line - 1) |> String.trim in
+    let prefix = "name:" in
+    if String.length body > String.length prefix
+       && String.lowercase_ascii (String.sub body 0 (String.length prefix))
+          = prefix
+    then
+      let v =
+        String.sub body (String.length prefix)
+          (String.length body - String.length prefix)
+        |> String.trim
+      in
+      if v = "" then None else Some v
+    else None
+
+  let parse ?(name = "trace") text =
+    let lines = String.split_on_char '\n' text in
+    let rec go lineno name acc = function
+      | [] -> Ok { name; samples = List.rev acc }
+      | line :: rest -> (
+          let trimmed = String.trim line in
+          if trimmed = "" then go (lineno + 1) name acc rest
+          else if trimmed.[0] = '#' then
+            let name =
+              match name_directive trimmed with Some n -> n | None -> name
+            in
+            go (lineno + 1) name acc rest
+          else
+            let parsed =
+              match split_fields trimmed with
+              | [ t; k; a ] ->
+                  Ok
+                    ( t,
+                      k,
+                      a,
+                      us_of_seconds_string t,
+                      kind_of_string k,
+                      addr_of_string a )
+              | fields -> (
+                  match perf_fields fields with
+                  | Some (t, ev, a) ->
+                      let t = drop_trailing_colon t and k = event_base ev in
+                      Ok
+                        ( t,
+                          k,
+                          a,
+                          us_of_seconds_string t,
+                          kind_of_string k,
+                          hex_addr_of_string a )
+                  | None ->
+                      Error
+                        (Printf.sprintf
+                           "line %d: expected 3 fields or perf script \
+                            comm/pid/time/event/addr columns, got %d fields"
+                           lineno (List.length fields)))
+            in
+            match parsed with
+            | Error e -> Error e
+            | Ok (t, k, a, t_us, kind, addr) -> (
+                match (t_us, kind, addr) with
+                | Some t_us, Some kind, Some addr ->
+                    let prev = match acc with [] -> 0 | s :: _ -> s.t_us in
+                    if t_us < prev then
+                      Error
+                        (Printf.sprintf "line %d: timestamp goes backwards"
+                           lineno)
+                    else go (lineno + 1) name ({ t_us; kind; addr } :: acc) rest
+                | None, _, _ ->
+                    Error (Printf.sprintf "line %d: bad timestamp %S" lineno t)
+                | _, None, _ ->
+                    Error
+                      (Printf.sprintf
+                         "line %d: bad access kind %S (want R|W|load|store)"
+                         lineno k)
+                | _, _, None ->
+                    Error (Printf.sprintf "line %d: bad address %S" lineno a)))
+    in
+    go 1 name [] lines
+end
+
+let example name =
+  let path =
+    if Sys.file_exists ("../examples/traces/" ^ name) then
+      "../examples/traces/" ^ name
+    else "examples/traces/" ^ name
+  in
+  In_channel.with_open_text path In_channel.input_all
+
+(* Tokens that probe int_of_string's corners: overflow, every radix
+   prefix, signs, underscores, and float spellings. *)
+let odd_tokens =
+  [ "99999999999999999999"; "4611686018427387903"; "4611686018427387904";
+    "0x7fffffffffffffff"; "0xffffffffffffffff"; "0x3fffffffffffffff";
+    "9999999999999999999"; "0x8000000000000000"; "0x10000000000000000";
+    "8000000000000000"; "9223372036854775807"; "9999999999999.5";
+    "999999999999999.5"; "1234567890123.000001"; "-1"; "+5"; "-0"; "1_000";
+    "0b101"; "0o17"; "0u12"; "0X1F"; "0x"; "0x_1"; "nan"; "inf"; "-inf";
+    "1e10"; "."; ".5"; "5."; "0.1234567"; "0.123456789x"; "0._5"; ":"; "[0]";
+    "[]"; "R"; "w"; "l"; "s"; "1"; "load"; "mem-loads:uP:"; "stores:"; "#" ]
+
+let gen_separator = QCheck2.Gen.oneofl [ " "; "  "; "\t"; " \t "; "\t\t" ]
+
+let gen_perf_line =
+  let open QCheck2.Gen in
+  let* sep = gen_separator in
+  let* comm = oneofl [ "stencil"; "a"; "perf-exec" ] in
+  let* pid = oneofl [ "4242"; "1"; "x12"; "0x10"; "-3" ] in
+  let* cpu = oneofl [ None; Some "[002]"; Some "[3]"; Some "[2"; Some "2]" ] in
+  let* secs = int_range 0 3 in
+  let* us = int_range 0 999_999 in
+  let* colon = bool in
+  let* event =
+    oneofl
+      [ "mem-loads:uP:"; "mem-stores:uP:"; "load"; "store:"; "R"; "cycles:";
+        ":uP"; "mem-loads" ]
+  in
+  let* addr = oneofl [ "1000"; "0x1008"; "0X10"; "ffff"; "zz"; "0x"; "7"; "" ] in
+  return
+    (String.concat sep
+       ([ comm; pid ]
+       @ Option.to_list cpu
+       @ [ Printf.sprintf "%d.%06d%s" secs us (if colon then ":" else "");
+           event ]
+       @ if addr = "" then [] else [ addr ]))
+
+let gen_plain_line =
+  let open QCheck2.Gen in
+  let* sep = gen_separator in
+  let* secs = int_range 0 3 in
+  let* us = int_range 0 999_999 in
+  let* kind = oneofl [ "R"; "W"; "r"; "w"; "load"; "loads"; "mem-stores"; "X" ] in
+  let* addr = oneofl [ "0x1000"; "4096"; "0x0"; "-8"; "0xg"; "12" ] in
+  return (String.concat sep [ Printf.sprintf "%d.%06d" secs us; kind; addr ])
+
+let gen_line =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, gen_plain_line);
+        (4, gen_perf_line);
+        (1, oneofl [ ""; "   "; "\t"; "# comment"; "# name: trace-x";
+                     "#name:y"; "# NAME:   spaced  "; "# name:"; "\012" ]);
+        (1, map2 (fun l e -> l ^ e) gen_plain_line (oneofl [ "\r"; " "; "\012" ]));
+      ])
+
+(* Lines in order, so that timestamps mostly go forward. *)
+let gen_lines =
+  QCheck2.Gen.(
+    list_size (int_range 0 12) gen_line >|= fun lines ->
+    let ts l =
+      match String.index_opt l '.' with
+      | Some i when i > 0 -> l.[i - 1]
+      | _ -> '0'
+    in
+    String.concat "\n" (List.stable_sort (fun a b -> compare (ts a) (ts b)) lines))
+
+(* One random edit of a text: truncate, flip a byte, or splice in an odd
+   token. *)
+let mutate text =
+  let open QCheck2.Gen in
+  let n = String.length text in
+  let* pos = int_range 0 (max 0 n) in
+  frequency
+    [
+      (1, return (String.sub text 0 pos));
+      ( 2,
+        let* c =
+          oneof [ oneofl [ '.'; ':'; ' '; '\t'; '\n'; '\r'; 'x'; '_'; '#'; '-';
+                           '0'; '9'; 'f'; '['; ']' ];
+                  char ]
+        in
+        return
+          (if n = 0 then String.make 1 c
+           else String.mapi (fun i x -> if i = min pos (n - 1) then c else x) text)
+      );
+      ( 3,
+        let* tok = oneofl odd_tokens in
+        (* Replace the field that starts at or after [pos]. *)
+        let rec field_start i =
+          if i >= n then n
+          else if (i = 0 || text.[i - 1] = ' ' || text.[i - 1] = '\n')
+                  && text.[i] <> ' ' && text.[i] <> '\n'
+          then i
+          else field_start (i + 1)
+        in
+        let a = field_start pos in
+        let rec field_end i =
+          if i >= n || text.[i] = ' ' || text.[i] = '\n' || text.[i] = '\t'
+          then i
+          else field_end (i + 1)
+        in
+        let b = field_end a in
+        return (String.sub text 0 a ^ tok ^ String.sub text b (n - b)) );
+    ]
+
+let gen_parse_input =
+  let open QCheck2.Gen in
+  let base =
+    frequency
+      [
+        (2, gen_trace >|= Sample.print);
+        (3, gen_lines);
+        (2, oneofl [ example "sample.trace"; example "perf_script.trace" ]);
+      ]
+  in
+  let* text = base in
+  let* edits = int_range 0 3 in
+  let rec apply k text = if k = 0 then return text else mutate text >>= apply (k - 1) in
+  apply edits text
+
+let prop_scanner_matches_split_parser =
+  QCheck2.Test.make ~name:"trace: scanner parse == split-based parse"
+    ~count:2000 ~print:(Printf.sprintf "%S") gen_parse_input (fun text ->
+      match (Sample.parse text, Split_parser.parse text) with
+      | Ok a, Ok b ->
+        String.equal a.Sample.name b.Sample.name
+        && a.Sample.samples = b.Sample.samples
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error e ->
+        QCheck2.Test.fail_reportf "scanner accepts, oracle says %s" e
+      | Error e, Ok _ ->
+        QCheck2.Test.fail_reportf "oracle accepts, scanner says %s" e)
+
 (* --- Engine trace jobs ---------------------------------------------------- *)
 
 let trace_job_of name sample =
   let c = Compile.compile ~policy:Mapping.Direct ~cells:64 sample in
   Tdfa_engine.Engine.trace_job
-    ~stream_id:(Compile.stream_id c)
+    ~stream_id:(Compile.stream_id ~policy:Mapping.Direct ~cells:64 sample)
     ~accesses:(Compile.accesses c) name (Compile.func c)
 
 let fast_spec =
@@ -396,6 +750,7 @@ let suite =
         Alcotest.test_case "microsecond timestamp resolution" `Quick
           test_parse_timestamp_resolution;
         QCheck_alcotest.to_alcotest prop_print_parse_round_trip;
+        QCheck_alcotest.to_alcotest prop_scanner_matches_split_parser;
       ] );
     ( "trace.mapping",
       [
@@ -412,6 +767,13 @@ let suite =
           test_stream_id_content_addressed;
         Alcotest.test_case "layout_of_cells near-square" `Quick
           test_layout_of_cells;
+        Alcotest.test_case "regression: cells 0 is rejected" `Quick
+          test_cells_zero;
+        Alcotest.test_case "regression: negative cells are rejected" `Quick
+          test_cells_negative;
+        Alcotest.test_case "regression: cells 100000000 is rejected" `Quick
+          test_cells_huge;
+        Alcotest.test_case "windows x cells budget" `Quick test_window_budget;
         QCheck_alcotest.to_alcotest prop_trace_matches_clean_room;
       ] );
     ( "trace.synth",

@@ -29,12 +29,15 @@ let obs_bench sink func =
     Alloc.allocate func Common.standard_layout ~policy:Policy.First_fit
   in
   let cfg =
-    { (Driver.default ~layout:Common.standard_layout) with Driver.obs = sink }
+    {
+      (Tdfa.Driver.default ~layout:Common.standard_layout) with
+      Tdfa.Driver.obs = sink;
+    }
   in
   fun () ->
     ignore
-      (Driver.run cfg
-         (Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment)))
+      (Tdfa.Driver.run cfg
+         (Tdfa.Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment)))
 
 let bechamel_tests () =
   let open Bechamel in
@@ -112,8 +115,8 @@ let bechamel_tests () =
         ~policy:Policy.First_fit
     in
     let config =
-      Driver.transfer_config
-        (Driver.default ~layout:Common.standard_layout)
+      Tdfa.Driver.transfer_config
+        (Tdfa.Driver.default ~layout:Common.standard_layout)
         alloc.Alloc.func alloc.Alloc.assignment
     in
     let r = Incremental.analyze config alloc.Alloc.func in
@@ -138,8 +141,8 @@ let bechamel_tests () =
       Alloc.allocate (Kernels.matmul ()) Common.standard_layout
         ~policy:Policy.First_fit
     in
-    ( Driver.transfer_config
-        (Driver.default ~layout:Common.standard_layout)
+    ( Tdfa.Driver.transfer_config
+        (Tdfa.Driver.default ~layout:Common.standard_layout)
         alloc.Alloc.func alloc.Alloc.assignment,
       alloc.Alloc.func )
   in

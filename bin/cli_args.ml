@@ -158,12 +158,11 @@ let incremental_arg =
   Arg.(value & flag
        & info [ "incremental" ]
            ~doc:
-             "Run each thermal re-analysis through the incremental \
-              engine: the previous result is returned when nothing the \
-              analysis reads changed, and the fixpoint runs cold \
-              otherwise. Results are bit-identical either way; only the \
-              re-analysis cost changes. Combine with $(b,--metrics) to \
-              see the incremental.* counters.")
+             "Run the analysis through the incremental engine that \
+              serve's reanalyze requests use. One invocation has no \
+              prior result to reuse, so the fixpoint runs cold and the \
+              report is bit-identical to a plain run. Combine with \
+              $(b,--metrics) to see the incremental.* counters.")
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"

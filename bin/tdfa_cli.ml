@@ -401,7 +401,7 @@ let policies kernel file =
         Policy.all;
       Tdfa_report.Table.print table)
 
-let optimize kernel file checked lint_gate on_violation incremental obs_req =
+let optimize kernel file checked lint_gate on_violation obs_req =
   Cli_args.with_func kernel file (fun f ->
     Cli_args.guard (fun () ->
       Cli_args.with_obs obs_req (fun obs ->
@@ -410,7 +410,7 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
       let base = Common.run_policy ~name f Policy.First_fit in
       let info = Analysis.info (Common.analyze_run base) in
       let cfg =
-        Driver.transfer_config (Driver.default ~layout)
+        Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout)
           base.Common.alloc.Alloc.func base.Common.alloc.Alloc.assignment
       in
       let critical =
@@ -436,10 +436,7 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
             f')
       in
       (* Thermal-consuming tail: allocate under the thermal policy, then
-         schedule and cooling NOPs with a re-analysis between each pass.
-         With [--incremental] each re-analysis reuses the previous
-         result when the function is unchanged; the results (and hence
-         the whole report) are bit-identical either way. *)
+         schedule and cooling NOPs with a re-analysis between each pass. *)
       let alloc =
         Alloc.allocate ~obs t.Tdfa_optim.Pipeline.func layout
           ~policy:Policy.Thermal_spread
@@ -447,16 +444,12 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
       let assignment = alloc.Alloc.assignment in
       let t = { t with Tdfa_optim.Pipeline.func = alloc.Alloc.func } in
       let reanalyze t =
-        let config =
-          Driver.transfer_config (Driver.default ~layout)
-            t.Tdfa_optim.Pipeline.func assignment
-        in
-        if incremental then
-          let t, r = Tdfa_optim.Pipeline.analyze ~obs t ~config in
-          (t, r.Incremental.outcome)
-        else (t, Analysis.fixpoint ~obs config t.Tdfa_optim.Pipeline.func)
+        (Tdfa.Driver.run
+           { (Tdfa.Driver.default ~layout) with obs }
+           (Tdfa.Driver.Assigned (t.Tdfa_optim.Pipeline.func, assignment)))
+          .outcome
       in
-      let t, sched_outcome = reanalyze t in
+      let sched_outcome = reanalyze t in
       let t =
         let peak = Analysis.peak_map (Analysis.info sched_outcome) in
         let mean = Thermal_state.mean peak in
@@ -471,7 +464,7 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
                  ~cell_of_var:(fun v -> Assignment.cell_of_var assignment v)
                  ~is_hot_cell:hot_cell))
       in
-      let t, nops_outcome = reanalyze t in
+      let nops_outcome = reanalyze t in
       let t =
         let info = Analysis.info nops_outcome in
         let peak = Analysis.peak_map info in
@@ -485,7 +478,7 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
           ~detail:"1 per hot instr" (fun f ->
             fst (Tdfa_optim.Nop_insert.apply f ~hot_after ~nops:1))
       in
-      let t, final_outcome = reanalyze t in
+      let final_outcome = reanalyze t in
       (* Measured metrics of the compiled code under its (already fixed)
          thermal-spread assignment. *)
       let run = Tdfa_exec.Interp.run_func t.Tdfa_optim.Pipeline.func in
@@ -519,7 +512,7 @@ let optimize kernel file checked lint_gate on_violation incremental obs_req =
       Printf.printf "cycles       %10d %10d\n" base.Common.cycles run.Tdfa_exec.Interp.cycles)))
 
 let compile kernel file policy granularity checked lint_gate on_violation
-    incremental obs_req =
+    obs_req =
   Cli_args.with_func kernel file (fun f ->
     Cli_args.guard (fun () ->
       Cli_args.with_obs obs_req (fun obs ->
@@ -528,7 +521,6 @@ let compile kernel file policy granularity checked lint_gate on_violation
         { Tdfa_optim.Compile.default_options with
           Tdfa_optim.Compile.policy;
           granularity;
-          incremental;
           checks = Cli_args.checks_of ~lint:lint_gate checked on_violation;
           obs;
         }
@@ -1067,8 +1059,7 @@ let optimize_cmd =
        ~doc:"Apply the thermal-aware pass pipeline and report the effect.")
     Term.(const optimize $ Cli_args.kernel_arg $ Cli_args.file_arg
           $ Cli_args.checked_arg $ Cli_args.lint_gate_arg
-          $ Cli_args.on_violation_arg $ Cli_args.incremental_arg
-          $ Cli_args.obs_term)
+          $ Cli_args.on_violation_arg $ Cli_args.obs_term)
 
 let compile_cmd =
   Cmd.v
@@ -1080,8 +1071,7 @@ let compile_cmd =
     Term.(const compile $ Cli_args.kernel_arg $ Cli_args.file_arg
           $ Cli_args.policy_arg $ Cli_args.granularity_arg
           $ Cli_args.checked_arg $ Cli_args.lint_gate_arg
-          $ Cli_args.on_violation_arg $ Cli_args.incremental_arg
-          $ Cli_args.obs_term)
+          $ Cli_args.on_violation_arg $ Cli_args.obs_term)
 
 let batch_files_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"FILES"
@@ -1306,7 +1296,9 @@ let main_cmd =
          (task-to-core placement): place; batch schedules its finished \
          jobs with the same flags.";
       `P "$(b,--recover) (divergence-recovery ladder): analyze, batch, trace.";
-      `P "$(b,--incremental) (reuse of unchanged re-analyses): analyze, optimize, compile.";
+      `P
+        "$(b,--incremental) (the incremental engine serve's reanalyze \
+         uses): analyze.";
       `P
         "$(b,--map), $(b,--cells), $(b,--window-ms) (sampled-trace \
          ingestion): trace; batch accepts $(b,--map) and \

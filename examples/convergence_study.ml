@@ -25,10 +25,10 @@ let () =
         }
       in
       let outcome =
-        Driver.outcome
-          (Driver.run
-             { (Driver.default ~layout) with Driver.settings }
-             (Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment)))
+        Tdfa.Driver.outcome
+          (Tdfa.Driver.run
+             { (Tdfa.Driver.default ~layout) with Tdfa.Driver.settings }
+             (Tdfa.Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment)))
       in
       let info = Analysis.info outcome in
       Printf.printf "%10g  %10d  %b\n" delta_k info.Analysis.iterations
@@ -42,13 +42,13 @@ let () =
     { Analysis.default_settings with Analysis.max_iterations = 60 }
   in
   let outcome =
-    Driver.outcome
-      (Driver.run
-         { (Driver.default ~layout) with
-           Driver.settings;
+    Tdfa.Driver.outcome
+      (Tdfa.Driver.run
+         { (Tdfa.Driver.default ~layout) with
+           Tdfa.Driver.settings;
            analysis_dt_s = Some 1.0e-4;
          }
-         (Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment)))
+         (Tdfa.Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment)))
   in
   let info = Analysis.info outcome in
   Printf.printf
@@ -58,8 +58,11 @@ let () =
     info.Analysis.iterations
     (List.length info.Analysis.unstable);
   let cfg =
-    Driver.transfer_config
-      { (Driver.default ~layout) with Driver.analysis_dt_s = Some 1.0e-4 }
+    Tdfa.Driver.transfer_config
+      {
+        (Tdfa.Driver.default ~layout) with
+        Tdfa.Driver.analysis_dt_s = Some 1.0e-4;
+      }
       alloc.Alloc.func alloc.Alloc.assignment
   in
   Printf.printf "transfer step stable at this dt? %b\n" (Transfer.is_stable cfg)

@@ -42,9 +42,9 @@ let () =
   (* 3. Run the thermal data-flow analysis of Fig. 2 through the
      [Driver] facade (one config record, one entry point). *)
   let outcome =
-    Driver.outcome
-      (Driver.run (Driver.default ~layout)
-         (Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment)))
+    Tdfa.Driver.outcome
+      (Tdfa.Driver.run (Tdfa.Driver.default ~layout)
+         (Tdfa.Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment)))
   in
   let info = Analysis.info outcome in
   Printf.printf "analysis %s after %d iterations\n"

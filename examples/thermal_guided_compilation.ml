@@ -38,13 +38,13 @@ let () =
      the variables responsible for them, with no thermal simulation in
      the loop. *)
   let outcome =
-    Driver.outcome
-      (Driver.run (Driver.default ~layout)
-         (Driver.Assigned (naive.Alloc.func, naive.Alloc.assignment)))
+    Tdfa.Driver.outcome
+      (Tdfa.Driver.run (Tdfa.Driver.default ~layout)
+         (Tdfa.Driver.Assigned (naive.Alloc.func, naive.Alloc.assignment)))
   in
   let info = Analysis.info outcome in
   let cfg =
-    Driver.transfer_config (Driver.default ~layout) naive.Alloc.func
+    Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) naive.Alloc.func
       naive.Alloc.assignment
   in
   let critical =

@@ -28,7 +28,7 @@ val max_cores : int
 
 val make : ?params:Params.t -> ?core:Layout.t -> rows:int -> cols:int -> unit -> t
 (** A chip of [rows x cols] cores. [core] is the register-file layout
-    every core carries ({!Tdfa_core.Setup.standard_layout}-shaped 8x8 by
+    every core carries (the standard 8x8 register file by
     default); [params] defaults to {!Params.default}. Precomputes the
     two cosine bases and the eigenvalue table: O(rows² + cols²)
     memory.

@@ -147,7 +147,7 @@ val recovery_ladder :
 (** Runs the ladder [Primary; Average_join; Coarser 2g; Coarser 4g],
     stopping at the first converging rung. [config_of] rebuilds the
     transfer configuration at a requested granularity (see
-    {!Driver.run} for the usual wiring). Every rung reports an
+    [Tdfa.Driver.run] for the usual wiring). Every rung reports an
     [analysis.recovery.rung] event to [obs], and each rung's fixpoint
     is itself instrumented as in {!fixpoint}. *)
 

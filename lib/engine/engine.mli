@@ -211,7 +211,7 @@ val analyze_job :
 (** Verify, allocate and analyse one job on the calling domain, no
     cache. The verification gate runs inside an [engine.verify] span
     (rejections count [engine.verify.rejections]); allocation and the
-    fixpoint are delegated to {!Tdfa_core.Driver.run} with the same
+    fixpoint are delegated to {!Tdfa.Driver.run} with the same
     [obs], so the job's trace nests driver, regalloc and fixpoint
     spans. @raise Failure when the IR fails verification. *)
 

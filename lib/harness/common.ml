@@ -37,21 +37,21 @@ let run_policy ?(layout = standard_layout) ~name func policy =
     metrics = Metrics.summarize layout measured;
   }
 
-(* Facade-based equivalent of the retired [Setup.run_post_ra] shape the
-   harness used everywhere: analyse an already-allocated function. *)
+(* Analyse an already-allocated function through the Driver — the
+   shape the harness uses everywhere. *)
 let analyze_assigned ?granularity ?settings ?analysis_dt_s
     ?(layout = standard_layout) func assignment =
-  let base = Driver.default ~layout in
+  let base = Tdfa.Driver.default ~layout in
   let cfg =
     {
       base with
-      Driver.granularity =
-        Option.value granularity ~default:base.Driver.granularity;
-      settings = Option.value settings ~default:base.Driver.settings;
+      Tdfa.Driver.granularity =
+        Option.value granularity ~default:base.granularity;
+      settings = Option.value settings ~default:base.settings;
       analysis_dt_s;
     }
   in
-  (Driver.run cfg (Driver.Assigned (func, assignment))).Driver.outcome
+  (Tdfa.Driver.run cfg (Tdfa.Driver.Assigned (func, assignment))).outcome
 
 let analyze_run ?granularity ?settings ?(layout = standard_layout) run =
   analyze_assigned ?granularity ?settings ~layout run.alloc.Alloc.func

@@ -36,8 +36,8 @@ val analyze_assigned :
   Func.t ->
   Assignment.t ->
   Analysis.outcome
-(** Post-assignment thermal data-flow analysis via the {!Driver}
-    facade (the shape the retired [Setup.run_post_ra] had). *)
+(** Post-assignment thermal data-flow analysis through
+    [Tdfa.Driver.run]'s [Assigned] input. *)
 
 val analyze_run :
   ?granularity:int ->

@@ -377,8 +377,8 @@ let measure_with_assignment func assignment =
 (* Criticality ranking of a baseline run. *)
 let critical_of (base : Common.run) info =
   let cfg =
-    Driver.transfer_config
-      (Driver.default ~layout:Common.standard_layout)
+    Tdfa.Driver.transfer_config
+      (Tdfa.Driver.default ~layout:Common.standard_layout)
       base.Common.alloc.Alloc.func base.Common.alloc.Alloc.assignment
   in
   Criticality.critical_vars cfg info base.Common.alloc.Alloc.func
@@ -542,8 +542,8 @@ let e7 ?(quiet = false) () =
         (* Pre-allocation prediction: original function, predicted
            placement. *)
         let cfg =
-          Driver.transfer_config
-            (Driver.default ~layout:Common.standard_layout)
+          Tdfa.Driver.transfer_config
+            (Tdfa.Driver.default ~layout:Common.standard_layout)
             func
             (Placement.predict func Common.standard_layout)
         in
@@ -1504,7 +1504,7 @@ let e20_chain ~repeats ~target_k ~subject func edits =
   let layout = Common.standard_layout in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let asg = alloc.Alloc.assignment in
-  let cfg f = Driver.transfer_config (Driver.default ~layout) f asg in
+  let cfg f = Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) f asg in
   let last = ref (Incremental.analyze (cfg alloc.Alloc.func) alloc.Alloc.func)
   and cur = ref alloc.Alloc.func in
   List.map
@@ -1711,8 +1711,8 @@ let e21_fixpoint_pair ~repeats ~side ~g name func =
   in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let cfg =
-    Driver.transfer_config
-      { (Driver.default ~layout) with Driver.granularity = g }
+    Tdfa.Driver.transfer_config
+      { (Tdfa.Driver.default ~layout) with Tdfa.Driver.granularity = g }
       alloc.Alloc.func alloc.Alloc.assignment
   in
   let boxed, t_boxed_ms =
@@ -1921,7 +1921,7 @@ let e22 ?(quiet = false) ?(n = 20000) ?(json = Some "BENCH_trace.json") () =
        steady-state peak, hot-cell persistence";
   let cells = 64 in
   let layout = Tdfa_trace.Compile.layout_of_cells cells in
-  let cfg = Driver.default ~layout in
+  let cfg = Tdfa.Driver.default ~layout in
   (* E3's breakdown point: chessboard at ~50% pressure (live = 32). *)
   let cb_run =
     Common.run_policy ~name:"high_pressure"
@@ -1943,16 +1943,16 @@ let e22 ?(quiet = false) ?(n = 20000) ?(json = Some "BENCH_trace.json") () =
         in
         let stats = Tdfa_trace.Compile.stats compiled in
         let r =
-          Driver.run cfg (Tdfa_trace.Compile.driver_input compiled)
+          Tdfa.Driver.run cfg (Tdfa_trace.Compile.driver_input compiled)
         in
-        let info = Analysis.info r.Driver.outcome in
+        let info = Analysis.info r.outcome in
         if s = 0.0 then begin
           (* The same events through a hand-assembled Configured input
              must reproduce the Trace path bit for bit. *)
           let accesses = Tdfa_trace.Compile.accesses compiled in
           let config =
-            Transfer.make_config ~params:cfg.Driver.params
-              ~granularity:cfg.Driver.granularity ~max_frequency:1.0
+            Transfer.make_config ~params:cfg.Tdfa.Driver.params
+              ~granularity:cfg.Tdfa.Driver.granularity ~max_frequency:1.0
               ~layout
               ~block_frequency:(fun _ -> 1.0)
               ~accesses_of_instr:(fun label index _ -> accesses label index)
@@ -1960,12 +1960,13 @@ let e22 ?(quiet = false) ?(n = 20000) ?(json = Some "BENCH_trace.json") () =
               ()
           in
           let by_hand =
-            Driver.run cfg
-              (Driver.Configured (config, Tdfa_trace.Compile.func compiled))
+            Tdfa.Driver.run cfg
+              (Tdfa.Driver.Configured
+                 (config, Tdfa_trace.Compile.func compiled))
           in
           uniform_matches :=
-            Tdfa_engine.Engine.fingerprint by_hand.Driver.outcome
-            = Tdfa_engine.Engine.fingerprint r.Driver.outcome;
+            Tdfa_engine.Engine.fingerprint by_hand.outcome
+            = Tdfa_engine.Engine.fingerprint r.outcome;
           if not !uniform_matches then
             failwith
               "E22: Trace input diverged from the hand-built Configured \
@@ -2081,7 +2082,7 @@ let e23_reference =
 let e23_score ~repeats ~hot_k ~layout name func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let f = alloc.Alloc.func and asg = alloc.Alloc.assignment in
-  let tc = Driver.transfer_config (Driver.default ~layout) f asg in
+  let tc = Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) f asg in
   let outcome, fixpoint_ms =
     e20_time_ms ~repeats (fun () -> Analysis.fixpoint tc f)
   in
@@ -2276,7 +2277,7 @@ type e24_result = {
 let e24_profile ~layout name func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let tc =
-    Driver.transfer_config (Driver.default ~layout) alloc.Alloc.func
+    Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) alloc.Alloc.func
       alloc.Alloc.assignment
   in
   let outcome = Analysis.fixpoint tc alloc.Alloc.func in

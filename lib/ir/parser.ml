@@ -239,14 +239,21 @@ let parse_blocks st =
   loop []
 
 let parse_one_func st =
-  (match next st with
-   | Tid "func", _ -> ()
-   | t, l -> fail_at l (Printf.sprintf "expected 'func', found '%s'" (string_of_token t)));
+  let line =
+    match next st with
+    | Tid "func", l -> l
+    | t, l ->
+      fail_at l
+        (Printf.sprintf "expected 'func', found '%s'" (string_of_token t))
+  in
   let name = expect_at st in
   let params = parse_args st in
   expect st Tlbrace;
   let blocks = parse_blocks st in
-  Func.make ~name ~params blocks
+  if blocks = [] then
+    fail_at line (Printf.sprintf "function @%s has no blocks" name);
+  try Func.make ~name ~params blocks
+  with Invalid_argument msg -> fail_at line msg
 
 let parse_program src =
   let st = { toks = tokenize src } in
@@ -257,7 +264,7 @@ let parse_program src =
   in
   let funcs = loop [] in
   if funcs = [] then raise (Error "no functions in input");
-  Program.of_funcs funcs
+  try Program.of_funcs funcs with Invalid_argument msg -> raise (Error msg)
 
 let parse_func src =
   let p = parse_program src in

@@ -83,11 +83,9 @@ let make_ctx ?(obs = Obs.null) ?assignment ~layout func =
   in
   let bounds =
     lazy
-      (Tdfa_absint.Absint.predict ~obs
-         (Tdfa_core.Driver.transfer_config
-            (Tdfa_core.Driver.default ~layout)
-            func assignment)
-         func)
+      (Tdfa.Driver.predict
+         { (Tdfa.Driver.default ~layout) with obs }
+         (Tdfa.Driver.Assigned (func, assignment)))
   in
   {
     func;

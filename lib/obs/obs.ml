@@ -41,7 +41,6 @@ type registry = (string, metric) Hashtbl.t
 type backend =
   | Null_backend
   | Memory of event list ref
-  | Stderr
   | Lines of out_channel
   | Chrome of out_channel * bool ref (* channel, "first element" flag *)
 
@@ -72,7 +71,6 @@ let make backend metrics =
   }
 
 let memory () = make (Memory (ref [])) (Some (Hashtbl.create 32))
-let stderr_summary () = make Stderr (Some (Hashtbl.create 32))
 
 let json_file ~path = make (Lines (open_out path)) (Some (Hashtbl.create 32))
 
@@ -134,17 +132,6 @@ let line_json e =
         ("args", Obj e.args);
       ])
 
-let value_to_string = function
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
-  | Str s -> s
-  | Bool b -> string_of_bool b
-  | (Null | List _ | Obj _) as v -> Json.to_string v
-
-let args_to_string args =
-  String.concat " "
-    (List.map (fun (k, v) -> k ^ "=" ^ value_to_string v) args)
-
 (* ------------------------------------------------------------------ *)
 (* Emission                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -160,17 +147,6 @@ let emit t e =
         match t.backend with
         | Null_backend -> ()
         | Memory events -> events := e :: !events
-        | Stderr -> (
-          match e.phase with
-          | End ->
-            (* duration smuggled through the End event's args by [span] *)
-            Printf.eprintf "[obs] %-32s %s\n%!" e.name (args_to_string e.args)
-          | Instant | Counter ->
-            Printf.eprintf "[obs] %-32s %s\n%!" e.name (args_to_string e.args)
-          | Complete dur ->
-            Printf.eprintf "[obs] %-32s %.3f ms %s\n%!" e.name (dur /. 1.0e3)
-              (args_to_string e.args)
-          | Begin -> ())
         | Lines oc ->
           output_string oc (Json.to_string (line_json e));
           output_char oc '\n'
@@ -191,7 +167,7 @@ let close t =
         | Chrome (oc, _) ->
           output_string oc "\n]\n";
           close_out oc
-        | Null_backend | Memory _ | Stderr -> ()
+        | Null_backend | Memory _ -> ()
       end)
 
 (* ------------------------------------------------------------------ *)

@@ -79,10 +79,6 @@ val memory : unit -> sink
 (** Records every event in memory (with a registry attached); read them
     back with {!events}. Meant for tests. *)
 
-val stderr_summary : unit -> sink
-(** Human-readable summary on stderr: one line per closed span (with
-    its duration) and per instant event. *)
-
 val json_file : path:string -> sink
 (** Structured log: one JSON object per event, one per line, streamed
     to [path]. Call {!close} to flush. @raise Sys_error if [path]

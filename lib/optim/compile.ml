@@ -9,7 +9,6 @@ type options = {
   split_critical : bool;
   schedule : bool;
   cooling_nops : int;
-  incremental : bool;
   policy : Policy.t;
   granularity : int;
   settings : Analysis.settings;
@@ -25,7 +24,6 @@ let default_options =
     split_critical = true;
     schedule = true;
     cooling_nops = 0;
-    incremental = false;
     policy = Policy.Thermal_spread;
     granularity = 1;
     settings = Analysis.default_settings;
@@ -43,31 +41,17 @@ type result = {
 
 let driver_config opts ~layout =
   {
-    (Driver.default ~layout) with
-    Driver.granularity = opts.granularity;
+    (Tdfa.Driver.default ~layout) with
+    Tdfa.Driver.granularity = opts.granularity;
     settings = opts.settings;
     policy = opts.policy;
     obs = opts.obs;
   }
 
 let analyze_with opts ~layout func assignment =
-  (Driver.run (driver_config opts ~layout) (Driver.Assigned (func, assignment)))
-    .Driver.outcome
-
-(* Analysis for a thermal-consuming pass. Through the incremental engine
-   when [opts.incremental], which reuses the pipeline's last result if
-   the function is unchanged — the outcome is bit-identical to the cold
-   path either way, so the flag changes cost, never results. *)
-let analyze_step opts ~layout t assignment =
-  if opts.incremental then begin
-    let config =
-      Driver.transfer_config (driver_config opts ~layout) t.Pipeline.func
-        assignment
-    in
-    let t, r = Pipeline.analyze ~obs:opts.obs ~settings:opts.settings t ~config in
-    (t, r.Incremental.outcome)
-  end
-  else (t, analyze_with opts ~layout t.Pipeline.func assignment)
+  (Tdfa.Driver.run (driver_config opts ~layout)
+     (Tdfa.Driver.Assigned (func, assignment)))
+    .outcome
 
 let run ?(options = default_options) ~layout func =
   let opts = options in
@@ -103,7 +87,7 @@ let run ?(options = default_options) ~layout func =
     analyze_with opts ~layout scout.Alloc.func scout.Alloc.assignment
   in
   let cfg =
-    Driver.transfer_config (driver_config opts ~layout) scout.Alloc.func
+    Tdfa.Driver.transfer_config (driver_config opts ~layout) scout.Alloc.func
       scout.Alloc.assignment
   in
   let critical =
@@ -142,7 +126,7 @@ let run ?(options = default_options) ~layout func =
   (* Thermal-aware scheduling against the real assignment. *)
   let t =
     if opts.schedule then begin
-      let t, outcome = analyze_step opts ~layout t assignment in
+      let outcome = analyze_with opts ~layout t.Pipeline.func assignment in
       let peak = Analysis.peak_map (Analysis.info outcome) in
       let mean = Thermal_state.mean peak in
       let hot_cell c =
@@ -160,7 +144,7 @@ let run ?(options = default_options) ~layout func =
   in
   let t =
     if opts.cooling_nops > 0 then begin
-      let t, outcome = analyze_step opts ~layout t assignment in
+      let outcome = analyze_with opts ~layout t.Pipeline.func assignment in
       let info = Analysis.info outcome in
       let peak = Analysis.peak_map info in
       let mean = Thermal_state.mean peak in
@@ -175,6 +159,6 @@ let run ?(options = default_options) ~layout func =
     end
     else t
   in
-  let t, analysis = analyze_step opts ~layout t assignment in
   let func = t.Pipeline.func in
+  let analysis = analyze_with opts ~layout func assignment in
   { func; assignment; analysis; critical; steps = t.Pipeline.steps }

@@ -17,11 +17,6 @@ type options = {
   split_critical : bool;
   schedule : bool;
   cooling_nops : int;  (** NOPs after each predicted-hot instruction; 0 disables *)
-  incremental : bool;
-      (** run the analyses between thermal-consuming passes through
-          {!Pipeline.analyze}, reusing the previous result when the
-          function is unchanged; results are bit-identical, only
-          re-analysis cost changes *)
   policy : Policy.t;
   granularity : int;
   settings : Analysis.settings;

@@ -41,11 +41,7 @@ type step = {
   diagnostics : Tdfa_verify.Check.diagnostic list;
 }
 
-type t = {
-  func : Func.t;
-  steps : step list;
-  thermal : Tdfa_core.Incremental.prior option;
-}
+type t = { func : Func.t; steps : step list }
 
 let static_cycles func =
   let loops = Loops.analyze func in
@@ -59,24 +55,7 @@ let static_cycles func =
 let step ?(status = Applied) ?(diagnostics = []) ~pass ~detail func =
   { pass; detail; cycles_after = static_cycles func; status; diagnostics }
 
-let start func =
-  {
-    func;
-    steps = [ step ~pass:"original" ~detail:"" func ];
-    thermal = None;
-  }
-
-let analyze ?(obs = Obs.null) ?(settings = Tdfa_core.Analysis.default_settings)
-    t ~config =
-  (* Re-analysis between thermal-consuming passes: reuse the result kept
-     since the last analyze when the function is unchanged, and keep
-     this run's result for the next one. The result is bit-identical to
-     a cold fixpoint on the current function (see Tdfa_core.Incremental). *)
-  let r =
-    Tdfa_core.Incremental.analyze ~obs ~settings ?prior:t.thermal config
-      t.func
-  in
-  ({ t with thermal = Some r.Tdfa_core.Incremental.prior }, r)
+let start func = { func; steps = [ step ~pass:"original" ~detail:"" func ] }
 
 let status_name = function
   | Applied -> "applied"
@@ -105,43 +84,34 @@ let apply ?(obs = Obs.null) ?checks t ~name ~detail f =
              ]);
     t'
   in
+  (* Record the pass boundary, continuing from [func]. *)
+  let push ?status ?diagnostics func =
+    finish
+      {
+        func;
+        steps = t.steps @ [ step ?status ?diagnostics ~pass:name ~detail func ];
+      }
+  in
   Obs.span obs "pipeline.apply"
     ~args:[ ("pass", Obs.Str name) ]
     (fun () ->
       let func = f t.func in
       match checks with
-      | None ->
-        finish { t with func; steps = t.steps @ [ step ~pass:name ~detail func ] }
+      | None -> push func
       | Some { policy; verify } -> (
         match Obs.span obs "pipeline.verify"
                 ~args:[ ("pass", Obs.Str name) ]
                 (fun () -> verify func)
         with
-        | [] ->
-          finish { t with func; steps = t.steps @ [ step ~pass:name ~detail func ] }
+        | [] -> push func
         | diagnostics -> (
           match policy with
           | Fail -> raise (Verification_failed { pass = name; diagnostics })
-          | Warn ->
-            finish
-              {
-                t with
-                func;
-                steps =
-                  t.steps
-                  @ [ step ~status:Warned ~diagnostics ~pass:name ~detail func ];
-              }
+          | Warn -> push ~status:Warned ~diagnostics func
           | Degrade ->
             (* Discard the pass: continue from the pre-pass IR, keeping the
                skip (and why) in the step log. *)
-            finish
-              {
-                t with
-                steps =
-                  t.steps
-                  @ [ step ~status:Skipped ~diagnostics ~pass:name ~detail
-                        t.func ];
-              })))
+            push ~status:Skipped ~diagnostics t.func)))
 
 let skipped_passes t =
   List.filter_map

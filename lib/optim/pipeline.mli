@@ -50,28 +50,9 @@ type step = {
       (** verification findings on the pass output (empty when clean) *)
 }
 
-type t = {
-  func : Func.t;
-  steps : step list;
-  thermal : Tdfa_core.Incremental.prior option;
-      (** result of the last {!analyze}, carried across passes so the
-          next re-analysis can reuse it if the function is unchanged *)
-}
+type t = { func : Func.t; steps : step list }
 
 val start : Func.t -> t
-
-val analyze :
-  ?obs:Obs.sink ->
-  ?settings:Tdfa_core.Analysis.settings ->
-  t ->
-  config:Tdfa_core.Transfer.config ->
-  t * Tdfa_core.Incremental.result
-(** Thermal analysis of the pipeline's current function for a
-    thermal-consuming pass, answered from the analysis kept since the
-    last [analyze] when the passes applied in between left the function
-    unchanged. The outcome is bit-identical to a cold fixpoint on
-    [t.func]; the returned pipeline state keeps this result for the
-    next re-analysis. *)
 
 val apply :
   ?obs:Obs.sink ->

@@ -4,6 +4,53 @@ open Tdfa_regalloc
 open Tdfa_core
 open Tdfa_harness
 
+(* The driver configuration every renderer runs under: the request's
+   fidelity knobs on top of [Tdfa.Driver.default]. [policy] only
+   matters for [Unallocated] inputs; the other renderers allocate
+   first, through [allocate]. *)
+let driver_config ?(layout = Common.standard_layout) ?policy ?cancel
+    ?(recover = false) ~obs ~granularity ~delta () =
+  let base = Tdfa.Driver.default ~layout in
+  {
+    base with
+    Tdfa.Driver.granularity;
+    settings = { Analysis.default_settings with Analysis.delta_k = delta };
+    policy = Option.value policy ~default:base.policy;
+    recover;
+    obs;
+    cancel;
+  }
+
+(* The analyze/predict prelude. Pre-RA: predictive placement on the
+   original function (§4's ambitious mode). Post-RA: allocate first,
+   exact registers. Returns the function to analyse, its assignment and
+   the mode line of the report. *)
+let allocate ~obs ~policy ~pre_ra f =
+  if pre_ra then
+    (f, Placement.predict f Common.standard_layout, "pre-RA (predictive)")
+  else
+    let alloc = Alloc.allocate ~obs f Common.standard_layout ~policy in
+    ( alloc.Alloc.func,
+      alloc.Alloc.assignment,
+      Printf.sprintf "post-RA, policy %s" (Policy.name policy) )
+
+(* The recovery-ladder block of the analyze and trace reports, printed
+   only when the ladder climbed past its first rung. *)
+let print_recovery buf (r : Tdfa.Driver.result) =
+  match r.recovery with
+  | Some rec_ when List.length rec_.Analysis.attempts > 1 ->
+    Buffer.add_string buf "divergence-recovery ladder:\n";
+    List.iter
+      (fun (a : Analysis.attempt) ->
+        Printf.bprintf buf "  %-16s %s after %d iterations\n"
+          (Analysis.fallback_name a.Analysis.fallback)
+          (if a.Analysis.converged then "converged" else "diverged")
+          a.Analysis.iterations)
+      rec_.Analysis.attempts;
+    Printf.bprintf buf "using %s\n\n"
+      (Analysis.fallback_name rec_.Analysis.used)
+  | _ -> ()
+
 (* The one source of truth for what `tdfa analyze' prints. The CLI
    prints this string to stdout; the daemon ships the same string in
    its response frame — byte-identity between the two front ends is by
@@ -13,31 +60,8 @@ let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.bprintf buf fmt in
   let name = f.Func.name in
-  let settings =
-    { Analysis.default_settings with Analysis.delta_k = delta }
-  in
-  (* Pre-RA: predictive placement on the original function (§4's
-     ambitious mode). Post-RA: allocate first, exact registers. *)
-  let func, assignment, mode =
-    if pre_ra then
-      (f, Placement.predict f Common.standard_layout, "pre-RA (predictive)")
-    else begin
-      let alloc = Alloc.allocate ~obs f Common.standard_layout ~policy in
-      ( alloc.Alloc.func,
-        alloc.Alloc.assignment,
-        Printf.sprintf "post-RA, policy %s" (Policy.name policy) )
-    end
-  in
-  let cfg =
-    {
-      (Tdfa.Driver.default ~layout:Common.standard_layout) with
-      Tdfa.Driver.granularity;
-      settings;
-      recover;
-      obs;
-      cancel;
-    }
-  in
+  let func, assignment, mode = allocate ~obs ~policy ~pre_ra f in
+  let cfg = driver_config ?cancel ~recover ~obs ~granularity ~delta () in
   (* Under [--incremental] a single analysis still runs cold (unless a
      resident prior is supplied, as by the daemon's reanalyze), but it
      goes through the incremental engine so a prior is kept and the
@@ -47,19 +71,8 @@ let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
     else Tdfa.Driver.Assigned (func, assignment)
   in
   let r = Tdfa.Driver.run cfg input in
-  (match r.Tdfa.Driver.recovery with
-   | Some rec_ when List.length rec_.Analysis.attempts > 1 ->
-     pf "divergence-recovery ladder:\n";
-     List.iter
-       (fun (a : Analysis.attempt) ->
-         pf "  %-16s %s after %d iterations\n"
-           (Analysis.fallback_name a.Analysis.fallback)
-           (if a.Analysis.converged then "converged" else "diverged")
-           a.Analysis.iterations)
-       rec_.Analysis.attempts;
-     pf "using %s\n\n" (Analysis.fallback_name rec_.Analysis.used)
-   | _ -> ());
-  let outcome = r.Tdfa.Driver.outcome in
+  print_recovery buf r;
+  let outcome = r.outcome in
   let info = Analysis.info outcome in
   pf "kernel %s, %s: analysis %s after %d iterations (last delta %.4f K)\n\n"
     name mode
@@ -104,33 +117,12 @@ let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
     (Tdfa_trace.Mapping.policy_name policy)
     cells stats.Tdfa_trace.Compile.cells_touched
     stats.Tdfa_trace.Compile.reads stats.Tdfa_trace.Compile.writes;
-  let settings =
-    { Analysis.default_settings with Analysis.delta_k = delta }
-  in
   let cfg =
-    {
-      (Tdfa.Driver.default ~layout) with
-      Tdfa.Driver.granularity;
-      settings;
-      recover;
-      obs;
-      cancel;
-    }
+    driver_config ~layout ?cancel ~recover ~obs ~granularity ~delta ()
   in
   let r = Tdfa.Driver.run cfg (Tdfa_trace.Compile.driver_input compiled) in
-  (match r.Tdfa.Driver.recovery with
-   | Some rec_ when List.length rec_.Analysis.attempts > 1 ->
-     pf "divergence-recovery ladder:\n";
-     List.iter
-       (fun (a : Analysis.attempt) ->
-         pf "  %-16s %s after %d iterations\n"
-           (Analysis.fallback_name a.Analysis.fallback)
-           (if a.Analysis.converged then "converged" else "diverged")
-           a.Analysis.iterations)
-       rec_.Analysis.attempts;
-     pf "using %s\n\n" (Analysis.fallback_name rec_.Analysis.used)
-   | _ -> ());
-  let outcome = r.Tdfa.Driver.outcome in
+  print_recovery buf r;
+  let outcome = r.outcome in
   let info = Analysis.info outcome in
   pf "analysis %s after %d iterations (last delta %.4f K)\n\n"
     (if Analysis.converged outcome then "converged" else "DID NOT converge")
@@ -159,24 +151,8 @@ let predict ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~pre_ra
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.bprintf buf fmt in
   let name = f.Func.name in
-  let func, assignment, mode =
-    if pre_ra then
-      (f, Placement.predict f Common.standard_layout, "pre-RA (predictive)")
-    else begin
-      let alloc = Alloc.allocate ~obs f Common.standard_layout ~policy in
-      ( alloc.Alloc.func,
-        alloc.Alloc.assignment,
-        Printf.sprintf "post-RA, policy %s" (Policy.name policy) )
-    end
-  in
-  let cfg =
-    {
-      (Tdfa.Driver.default ~layout:Common.standard_layout) with
-      Tdfa.Driver.granularity;
-      settings = { Analysis.default_settings with Analysis.delta_k = delta };
-      obs;
-    }
-  in
+  let func, assignment, mode = allocate ~obs ~policy ~pre_ra f in
+  let cfg = driver_config ~obs ~granularity ~delta () in
   let b = Tdfa.Driver.predict cfg (Tdfa.Driver.Assigned (func, assignment)) in
   let open Tdfa_absint in
   let hot_k = Tdfa_lint.Rules.hot_threshold in
@@ -222,23 +198,14 @@ let place ?(obs = Tdfa_obs.Obs.null) ?cancel ~policy ~granularity ~delta
     ~geometry ~place_policy (funcs : Func.t list) =
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.bprintf buf fmt in
-  let cfg =
-    {
-      (Tdfa.Driver.default ~layout:Common.standard_layout) with
-      Tdfa.Driver.granularity;
-      settings = { Analysis.default_settings with Analysis.delta_k = delta };
-      policy;
-      obs;
-      cancel;
-    }
-  in
+  let cfg = driver_config ~policy ?cancel ~obs ~granularity ~delta () in
   let inputs = List.map (fun f -> Tdfa.Driver.Unallocated f) funcs in
   let placed = Tdfa.Driver.place ~geometry ~policy:place_policy cfg inputs in
   let open Tdfa_alloc in
-  let chip = placed.Tdfa.Driver.chip in
-  let p = placed.Tdfa.Driver.placement in
+  let chip = placed.chip in
+  let p = placed.placement in
   pf "placing %d task(s) on a %s chip of %dx%d-cell cores, policy %s\n\n"
-    (List.length placed.Tdfa.Driver.profiles)
+    (List.length placed.profiles)
     (Chip.geometry_to_string chip)
     (Chip.core chip).Tdfa_floorplan.Layout.rows
     (Chip.core chip).Tdfa_floorplan.Layout.cols
@@ -250,7 +217,7 @@ let place ?(obs = Tdfa_obs.Obs.null) ?cancel ~policy ~granularity ~delta
         match Float.compare (Task.sustained_w b) (Task.sustained_w a) with
         | 0 -> Task.compare a b
         | n -> n)
-      placed.Tdfa.Driver.profiles
+      placed.profiles
   in
   List.iter
     (fun (t : Task.t) ->

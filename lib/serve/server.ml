@@ -466,10 +466,56 @@ let handle_line t session line =
 (* The socket loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
+module Framer = struct
+  type frame = Line of string | Oversized
+
+  type t = {
+    buf : Buffer.t;  (** the current frame's bytes so far *)
+    mutable discarding : bool;  (** inside an oversized frame *)
+  }
+
+  let max_frame = 64 * 1024 * 1024
+
+  let create () = { buf = Buffer.create 4096; discarding = false }
+
+  let rec newline bytes i len =
+    if i >= len then None
+    else if Bytes.get bytes i = '\n' then Some i
+    else newline bytes (i + 1) len
+
+  (* Each byte is scanned once: only the new bytes are searched for a
+     newline, and only the unfinished frame is kept. *)
+  let feed t bytes len =
+    let frames = ref [] in
+    let rec go start =
+      match newline bytes start len with
+      | Some i ->
+        if t.discarding then t.discarding <- false
+        else if Buffer.length t.buf + (i - start) > max_frame then
+          frames := Oversized :: !frames
+        else begin
+          Buffer.add_subbytes t.buf bytes start (i - start);
+          frames := Line (Buffer.contents t.buf) :: !frames
+        end;
+        Buffer.reset t.buf;
+        go (i + 1)
+      | None ->
+        if not t.discarding then
+          if Buffer.length t.buf + (len - start) > max_frame then begin
+            Buffer.reset t.buf;
+            t.discarding <- true;
+            frames := Oversized :: !frames
+          end
+          else Buffer.add_subbytes t.buf bytes start (len - start)
+    in
+    go 0;
+    List.rev !frames
+end
+
 type client = {
   fd : Unix.file_descr;
   session : Session.t;
-  mutable pending : string;
+  framer : Framer.t;
 }
 
 let write_all fd s =
@@ -505,7 +551,7 @@ let run ?(ready = fun () -> ()) t ~socket_path =
       let session = Session.create ~max_log:t.cfg.max_log
           (Printf.sprintf "client-%d" !counter)
       in
-      clients := { fd; session; pending = "" } :: !clients;
+      clients := { fd; session; framer = Framer.create () } :: !clients;
       t.sessions <- List.length !clients;
       Obs.incr obs "serve.accepts"
   in
@@ -514,31 +560,27 @@ let run ?(ready = fun () -> ()) t ~socket_path =
     | () -> ()
     | exception Unix.Unix_error _ -> drop c
   in
-  let feed c data =
-    c.pending <- c.pending ^ data;
-    let rec drain () =
-      if not t.shutting_down then
-        match String.index_opt c.pending '\n' with
-        | None -> ()
-        | Some i ->
-          let line = String.sub c.pending 0 i in
-          c.pending <-
-            String.sub c.pending (i + 1)
-              (String.length c.pending - i - 1);
-          (if String.trim line <> "" then
-             match handle_line t c.session line with
-             | Reply j -> respond c j
-             | Dropped -> drop c
-             | Shutdown_now j -> respond c j);
-          drain ()
-    in
-    drain ()
+  let serve_frame c = function
+    | _ when t.shutting_down -> ()
+    | Framer.Line line when String.trim line = "" -> ()
+    | Framer.Line line -> (
+      match handle_line t c.session line with
+      | Reply j | Shutdown_now j -> respond c j
+      | Dropped -> drop c)
+    | Framer.Oversized ->
+      Obs.incr obs "serve.oversized_frames";
+      respond c
+        (Protocol.error_response ~id:"" ~kind:Protocol.Bad_request
+           ~message:
+             (Printf.sprintf "frame exceeds %d bytes; discarded"
+                Framer.max_frame)
+           ())
   in
+  let bytes = Bytes.create 65536 in
   let read c =
-    let bytes = Bytes.create 65536 in
     match Unix.read c.fd bytes 0 65536 with
     | 0 -> drop c
-    | n -> feed c (Bytes.sub_string bytes 0 n)
+    | n -> List.iter (serve_frame c) (Framer.feed c.framer bytes n)
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       drop c
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

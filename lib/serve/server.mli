@@ -72,6 +72,26 @@ val handle_line : t -> Session.t -> string -> outcome
     session is rebuilt. The chaos property suite drives this directly,
     no socket needed. *)
 
+(** The transport's line framing, linear in the bytes received: each
+    read is scanned once and only the unfinished frame is kept. A frame
+    longer than [max_frame] bytes is reported as [Oversized] as soon as
+    it overflows (the daemon answers [bad-request]) and its bytes are
+    discarded up to its newline. *)
+module Framer : sig
+  type frame = Line of string | Oversized
+  type t
+
+  val max_frame : int
+  (** 64 MiB. *)
+
+  val create : unit -> t
+
+  val feed : t -> Bytes.t -> int -> frame list
+  (** [feed t bytes len] takes the first [len] bytes of [bytes] and
+      returns the frames they complete, in order (lines without their
+      newline). *)
+end
+
 val run : ?ready:(unit -> unit) -> t -> socket_path:string -> unit
 (** Bind [socket_path] (unlinking any stale file), call [ready] once
     listening, and serve clients from a single-threaded [select] loop

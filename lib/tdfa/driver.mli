@@ -1,16 +1,10 @@
 (** The single entry-point facade of the analysis stack.
 
-    PR 1–2 grew six overlapping ways to run the thermal data-flow
-    analysis ([Analysis.run], [Analysis.run_with_recovery],
-    [Setup.run_post_ra], [Setup.run_post_ra_with_recovery],
-    [Setup.allocate_and_run], [Setup.allocate_and_run_with_recovery]).
-    This module collapses them into one [run] over one {!config}
-    record, so every knob — analysis settings, allocation policy,
-    divergence recovery, observability sink — is set in exactly one
-    place and threads uniformly through allocation, analysis and
-    recovery. The legacy functions survived as
-    thin deprecated wrappers for five releases and are now deleted:
-    {!input} is the closed set of ways to run the analysis.
+    One [run] over one {!config} record, so every knob — analysis
+    settings, allocation policy, divergence recovery, observability
+    sink — is set in exactly one place and threads uniformly through
+    allocation, analysis and recovery. {!input} is the closed set of
+    ways to run the analysis.
 
     [run] is pure in the same sense as the batch engine requires:
     everything it reads is in the {!config} and the {!input}, so
@@ -18,12 +12,17 @@
     reproducible from its arguments alone (the [obs] sink is the one
     deliberate effect channel).
 
-    The library [tdfa] re-exports this module as [Tdfa.Driver]. *)
+    Besides [run], the same {!config} and {!input} feed {!predict}
+    (certified bounds instead of the analysis maps) and {!place}
+    (thermal profiles onto a multi-core chip): every front end — CLI,
+    serve, lint, the optimisation pipeline, the batch engine — reaches
+    the fixpoint through this module. *)
 
 open Tdfa_ir
 open Tdfa_floorplan
 open Tdfa_thermal
 open Tdfa_regalloc
+open Tdfa_core
 open Tdfa_obs
 
 type config = {
@@ -58,19 +57,17 @@ val check_delta : float -> (unit, string) result
 (** A convergence threshold (K) that is negative or not finite is an
     error. *)
 
-(** What to analyse — the closed set of input shapes. The first three
-    descend from the legacy entry points; {!Warm_start} came with the
-    incremental engine, and {!Trace} admits measured access streams
-    that never were IR at all (see [Tdfa_trace]). *)
+(** What to analyse — the closed set of input shapes. {!Trace} admits
+    measured access streams that never were IR at all (see
+    [Tdfa_trace]). *)
 type input =
   | Unallocated of Func.t
       (** allocate registers with [config.policy] first, then analyse
-          the rewritten function (ex [Setup.allocate_and_run]) *)
+          the rewritten function *)
   | Assigned of Func.t * Assignment.t
-      (** post-RA: registers are known exactly (ex
-          [Setup.run_post_ra]) *)
+      (** post-RA: registers are known exactly *)
   | Configured of Transfer.config * Func.t
-      (** a prebuilt transfer configuration (ex [Analysis.run]); under
+      (** a prebuilt transfer configuration; under
           [recover], coarser ladder rungs reuse this configuration
           unchanged since its granularity cannot be rebuilt *)
   | Warm_start of {
@@ -139,8 +136,8 @@ val config_of_input : config -> input -> prepared
     {!transfer_config} for assigned inputs (allocating first, in a
     [driver.allocate] span, for {!Unallocated}), the prebuilt one for
     {!Configured}, and frequency-1 stream events with silent
-    terminators for {!Trace}. [run] and the predict mode both go
-    through it. *)
+    terminators for {!Trace}. {!run} and {!predict} both go through
+    it. *)
 
 val run : config -> input -> result
 (** The one entry point. Emits, through [config.obs]: a [driver.run]
@@ -155,3 +152,34 @@ val run : config -> input -> result
 
 val outcome : result -> Analysis.outcome
 (** Convenience projection of {!result.outcome}. *)
+
+val predict : config -> input -> Tdfa_absint.Absint.t
+(** Certified [lo, hi] steady-state bounds ({!Tdfa_absint.Absint.predict})
+    instead of the analysis maps: the stopped fixpoint below, a verified
+    post-fixpoint above, under [config.settings]' delta and iteration
+    cap. Accepts the same inputs as {!run} (allocation still happens for
+    {!Unallocated}) and emits one [driver.predict] span around the
+    fixpoint and the certificate check. *)
+
+(** The jobs' thermal profiles placed onto an N-core chip. *)
+type placed = {
+  profiles : Tdfa_alloc.Task.t list;
+      (** per input, in submission order — names from the carrier
+          functions *)
+  chip : Tdfa_alloc.Chip.t;  (** the chip the profiles were placed on *)
+  placement : Tdfa_alloc.Place.placement;
+      (** carries the round-robin baseline peak it was guarded against *)
+}
+
+val place :
+  ?geometry:int * int ->
+  ?policy:Tdfa_alloc.Place.policy ->
+  config ->
+  input list ->
+  placed
+(** Analyse every input exactly as {!run} would (allocation included),
+    fold each fixpoint outcome into a {!Tdfa_alloc.Task.t} and place the
+    multiset onto a [geometry] (rows, cols; default 2x2) chip whose
+    cores carry [config.layout], with [policy] (default greedy).
+    [config.cancel] bounds the annealer as well as the fixpoints. Emits
+    one [driver.place] span. *)

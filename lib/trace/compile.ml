@@ -27,7 +27,7 @@ let accesses t label index =
   then t.events.(index)
   else []
 
-let driver_input t = Driver.Trace { func = t.func; accesses = accesses t }
+let driver_input t = Tdfa.Driver.Trace { func = t.func; accesses = accesses t }
 
 let stream_id ?(window_us = 1000) ~policy ~cells (trace : Sample.t) =
   let buf = Buffer.create 4096 in

@@ -64,7 +64,7 @@ val accesses : t -> Label.t -> int -> Access.event list
 (** Events of the given instruction, in first-touch order within the
     window; empty off the carrier block. *)
 
-val driver_input : t -> Driver.input
+val driver_input : t -> Tdfa.Driver.input
 (** [Trace { func; accesses }] — feed straight to [Tdfa.Driver.run]. *)
 
 val stats : t -> stats

@@ -259,6 +259,8 @@ module Plan = struct
       all_sites;
     Buffer.contents buf
 
+  let max_stall_ms = 60_000.0
+
   let of_string source =
     let lines = String.split_on_char '\n' source in
     let rec go lineno acc = function
@@ -289,10 +291,17 @@ module Plan = struct
               | Some seed -> go (lineno + 1) { acc with seed } rest
               | None -> Error (Printf.sprintf "line %d: bad seed %S" lineno v))
             | "stall-ms" -> (
+              (* A stall must stay a bounded sleep: [Unix.sleepf] rejects
+                 non-finite durations and a huge one wedges a worker. *)
               match float_of_string_opt v with
-              | Some stall_ms when stall_ms >= 0.0 ->
+              | Some stall_ms when stall_ms >= 0.0 && stall_ms <= max_stall_ms
+                ->
                 go (lineno + 1) { acc with stall_ms } rest
-              | _ ->
+              | Some _ ->
+                Error
+                  (Printf.sprintf "line %d: stall-ms %S not in [0, %g]" lineno
+                     v max_stall_ms)
+              | None ->
                 Error (Printf.sprintf "line %d: bad stall-ms %S" lineno v))
             | _ -> (
               match (site_of_string key, float_of_string_opt v) with

@@ -99,7 +99,9 @@ module Plan : sig
   type t = {
     seed : int;
     rates : (site * float) list;  (** per-opportunity probabilities *)
-    stall_ms : float;  (** duration of an injected worker stall *)
+    stall_ms : float;
+        (** duration of an injected worker stall; {!of_string} accepts
+            only finite values in [0, 60000] ms *)
   }
 
   val none : t

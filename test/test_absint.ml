@@ -16,7 +16,9 @@ let layout = Tdfa_floorplan.Layout.make ~rows:8 ~cols:8 ()
 let config_of func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let f = alloc.Alloc.func in
-  (Driver.transfer_config (Driver.default ~layout) f alloc.Alloc.assignment, f)
+  ( Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) f
+      alloc.Alloc.assignment,
+    f )
 
 let gen_corpus_func = Generator.gen_func ~max_pool:44 ~max_depth:3 ()
 
@@ -85,8 +87,11 @@ let unstable_step_uncertified () =
   in
   let f = alloc.Alloc.func in
   let tc =
-    Driver.transfer_config
-      { (Driver.default ~layout) with Driver.analysis_dt_s = Some 1.0e-4 }
+    Tdfa.Driver.transfer_config
+      {
+        (Tdfa.Driver.default ~layout) with
+        Tdfa.Driver.analysis_dt_s = Some 1.0e-4;
+      }
       f alloc.Alloc.assignment
   in
   let b = Absint.predict ~max_iterations:40 tc f in

@@ -15,16 +15,16 @@ let ambient = Params.default.Params.ambient_k
 (* Post-RA analysis through the Driver facade, in the optional-argument
    shape the retired pre-facade wrapper had. *)
 let run_post_ra ?settings ?granularity ?analysis_dt_s ~layout func assignment =
-  let d = Driver.default ~layout in
+  let d = Tdfa.Driver.default ~layout in
   let cfg =
     {
       d with
-      Driver.settings = Option.value settings ~default:d.Driver.settings;
-      granularity = Option.value granularity ~default:d.Driver.granularity;
+      Tdfa.Driver.settings = Option.value settings ~default:d.settings;
+      granularity = Option.value granularity ~default:d.granularity;
       analysis_dt_s;
     }
   in
-  (Driver.run cfg (Driver.Assigned (func, assignment))).Driver.outcome
+  (Tdfa.Driver.run cfg (Tdfa.Driver.Assigned (func, assignment))).outcome
 
 (* --- Thermal_state ------------------------------------------------------ *)
 
@@ -325,7 +325,7 @@ let test_criticality_ranks_loop_vars_first () =
   let func = Tdfa_workload.Kernels.fib () in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let cfg =
-    Driver.transfer_config (Driver.default ~layout) alloc.Alloc.func
+    Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) alloc.Alloc.func
       alloc.Alloc.assignment
   in
   let outcome = run_post_ra ~layout alloc.Alloc.func alloc.Alloc.assignment in
@@ -355,7 +355,7 @@ let test_critical_vars_subset_of_ranked () =
   let func = Tdfa_workload.Kernels.fir () in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let cfg =
-    Driver.transfer_config (Driver.default ~layout) alloc.Alloc.func
+    Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) alloc.Alloc.func
       alloc.Alloc.assignment
   in
   let outcome = run_post_ra ~layout alloc.Alloc.func alloc.Alloc.assignment in

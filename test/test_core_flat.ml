@@ -24,8 +24,8 @@ let settings =
   }
 
 let config_of ?(granularity = 2) func assignment =
-  Driver.transfer_config
-    { (Driver.default ~layout) with Driver.granularity }
+  Tdfa.Driver.transfer_config
+    { (Tdfa.Driver.default ~layout) with Tdfa.Driver.granularity }
     func assignment
 
 let post_ra f =
@@ -183,16 +183,16 @@ let test_divergence_parity () =
    identically to the default flat one. *)
 let test_driver_core_parity () =
   let af, asg = post_ra (Kernels.stencil ()) in
-  let base = Tdfa_core.Driver.default ~layout in
+  let base = Tdfa.Driver.default ~layout in
   let run core =
-    Tdfa_core.Driver.run
-      { base with Tdfa_core.Driver.core; granularity = 2 }
-      (Tdfa_core.Driver.Assigned (af, asg))
+    Tdfa.Driver.run
+      { base with Tdfa.Driver.core; granularity = 2 }
+      (Tdfa.Driver.Assigned (af, asg))
   in
   let boxed = run Analysis.Boxed and flat = run Analysis.Flat in
   Alcotest.(check string) "driver outcomes fingerprint equal"
-    (fingerprint boxed.Tdfa_core.Driver.outcome)
-    (fingerprint flat.Tdfa_core.Driver.outcome)
+    (fingerprint boxed.outcome)
+    (fingerprint flat.outcome)
 
 (* --- Properties -------------------------------------------------------------- *)
 
@@ -212,15 +212,15 @@ let same_outcome boxed flat =
 let run_cores ?(params = Params.default) ~granularity ~settings input =
   let base =
     {
-      (Tdfa_core.Driver.default ~layout) with
-      Tdfa_core.Driver.granularity;
+      (Tdfa.Driver.default ~layout) with
+      Tdfa.Driver.granularity;
       settings;
       params;
     }
   in
   let run core =
-    (Tdfa_core.Driver.run { base with Tdfa_core.Driver.core } input)
-      .Tdfa_core.Driver.outcome
+    (Tdfa.Driver.run { base with Tdfa.Driver.core } input)
+      .Tdfa.Driver.outcome
   in
   (run Analysis.Boxed, run Analysis.Flat)
 
@@ -340,7 +340,7 @@ let prop_flat_equals_boxed_extreme_params =
       in
       let boxed, flat =
         run_cores ~params ~granularity:2 ~settings
-          (Tdfa_core.Driver.Assigned (af, asg))
+          (Tdfa.Driver.Assigned (af, asg))
       in
       same_outcome_up_to_nan_payload boxed flat)
 
@@ -363,7 +363,7 @@ let prop_flat_equals_boxed_zero_delta =
       in
       let boxed, flat =
         run_cores ~granularity:2 ~settings
-          (Tdfa_core.Driver.Assigned (af, asg))
+          (Tdfa.Driver.Assigned (af, asg))
       in
       same_outcome boxed flat)
 

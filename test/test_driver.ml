@@ -7,6 +7,7 @@
 
 open Tdfa_workload
 open Tdfa_core
+module Driver = Tdfa.Driver
 
 let layout = Tdfa_floorplan.Layout.make ~rows:8 ~cols:8 ()
 let gen_small = Generator.gen_func ~max_pool:10 ~max_depth:1 ~max_length:6 ()

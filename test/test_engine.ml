@@ -252,19 +252,19 @@ let prop_parallel_equals_sequential =
           | Error _ -> false
           | Ok (r : Engine.report) ->
             let seq =
-              let d = Tdfa_core.Driver.default ~layout in
-              Tdfa_core.Driver.run
+              let d = Tdfa.Driver.default ~layout in
+              Tdfa.Driver.run
                 {
                   d with
-                  Tdfa_core.Driver.params = fast_spec.Engine.params;
+                  Tdfa.Driver.params = fast_spec.Engine.params;
                   granularity = fast_spec.Engine.granularity;
                   settings = fast_spec.Engine.settings;
                   policy = fast_spec.Engine.policy;
                 }
-                (Tdfa_core.Driver.Unallocated f)
+                (Tdfa.Driver.Unallocated f)
             in
-            let alloc = Option.get seq.Tdfa_core.Driver.alloc in
-            let outcome = seq.Tdfa_core.Driver.outcome in
+            let alloc = Option.get seq.alloc in
+            let outcome = seq.outcome in
             let info = Tdfa_core.Analysis.info outcome in
             String.equal r.Engine.fingerprint (Engine.fingerprint outcome)
             && r.Engine.converged = Tdfa_core.Analysis.converged outcome

@@ -24,8 +24,8 @@ let settings =
   }
 
 let config_of ?(granularity = 2) func assignment =
-  Driver.transfer_config
-    { (Driver.default ~layout) with Driver.granularity }
+  Tdfa.Driver.transfer_config
+    { (Tdfa.Driver.default ~layout) with Tdfa.Driver.granularity }
     func assignment
 
 let post_ra f =

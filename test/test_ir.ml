@@ -287,7 +287,28 @@ let test_parser_errors () =
   expect_error "func @f() { entry: %x = bogus %y ret }";
   expect_error "func f() { entry: ret }";
   expect_error "";
-  expect_error "func @f() { entry: %x = const 1 }"
+  expect_error "func @f() { entry: %x = const 1 }";
+  (* Structural errors Func.make and Program.of_funcs would reject with
+     Invalid_argument: no blocks, a repeated label, a repeated name. *)
+  expect_error "func @f() {\n}\n";
+  expect_error "func @f() { a: ret a: ret }";
+  expect_error "func @f() { a: ret } func @f() { a: ret }"
+
+(* Label and name checks are hashed: a 50k-block function parses in
+   linear time, and a repeated label at its end is still caught. *)
+let test_parser_many_blocks () =
+  let n = 50_000 in
+  let buf = Buffer.create (n * 12) in
+  Buffer.add_string buf "func @f() {\n";
+  for i = 0 to n - 1 do
+    Buffer.add_string buf (Printf.sprintf "b%d: ret\n" i)
+  done;
+  let body = Buffer.contents buf in
+  let f = Parser.parse_func (body ^ "}\n") in
+  Alcotest.(check int) "all blocks" n (List.length f.Func.blocks);
+  match Parser.parse_func (body ^ "b0: ret\n}\n") with
+  | (_ : Func.t) -> Alcotest.fail "expected duplicate-label error"
+  | exception Parser.Error _ -> ()
 
 let test_parser_program_multifunc () =
   let src = "func @a() {\nentry:\n  ret\n}\nfunc @b() {\nentry:\n  ret\n}\n" in
@@ -407,6 +428,7 @@ let suite =
         tc "parse errors" `Quick test_parser_errors;
         tc "multi-function program" `Quick test_parser_program_multifunc;
         tc "program lookup" `Quick test_program_lookup;
+        tc "many blocks" `Quick test_parser_many_blocks;
       ] );
     ( "ir.validate",
       [

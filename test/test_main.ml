@@ -10,4 +10,5 @@ let () =
    @ Test_experiments.suite @ Test_verify.suite @ Test_engine.suite
    @ Test_obs.suite @ Test_driver.suite @ Test_lint.suite
    @ Test_incremental.suite @ Test_serve.suite @ Test_core_flat.suite
-   @ Test_trace.suite @ Test_absint.suite @ Test_alloc.suite)
+   @ Test_trace.suite @ Test_absint.suite @ Test_alloc.suite
+   @ Test_fuzz.suite)

@@ -44,10 +44,9 @@ let test_windowed_counts_empty_trace () =
   Alcotest.(check int) "one empty window" 1 (Array.length windows)
 
 let test_estimated_program_cycles_tracks_trips () =
-  let open Tdfa_dataflow in
   let f8 = Tdfa_workload.Kernels.fib ~n:8 () in
   let f80 = Tdfa_workload.Kernels.fib ~n:80 () in
-  let est f = Tdfa_core.Setup.estimated_program_cycles f (Loops.analyze f) in
+  let est = Tdfa_optim.Pipeline.static_cycles in
   Alcotest.(check bool) "10x trips ~ 10x cycles" true
     (est f80 > 8.0 *. est f8);
   (* The estimate approximates the interpreter's cycle count. *)

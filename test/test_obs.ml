@@ -18,14 +18,14 @@ let fast_settings =
 
 let driver_cfg obs =
   {
-    (Driver.default ~layout) with
-    Driver.granularity = 2;
+    (Tdfa.Driver.default ~layout) with
+    Tdfa.Driver.granularity = 2;
     settings = fast_settings;
     obs;
   }
 
 let run_fib obs =
-  Driver.run (driver_cfg obs) (Driver.Unallocated (Kernels.fib ()))
+  Tdfa.Driver.run (driver_cfg obs) (Tdfa.Driver.Unallocated (Kernels.fib ()))
 
 (* Minimal JSON validator — enough of RFC 8259 for what the sinks emit,
    so the well-formedness tests carry no external dependency. *)
@@ -297,7 +297,7 @@ let test_chrome_trace_wellformed () =
   let body = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
   Alcotest.(check bool) "run converged" true
-    (Analysis.converged r.Driver.outcome);
+    (Analysis.converged r.outcome);
   Alcotest.(check bool) "valid JSON" true (json_valid body);
   Alcotest.(check char) "array document" '[' body.[0];
   Alcotest.(check int) "every B has an E"
@@ -329,7 +329,7 @@ let test_json_lines_wellformed () =
 let test_fixpoint_iteration_count () =
   let t = Obs.memory () in
   let r = run_fib t in
-  let info = Analysis.info r.Driver.outcome in
+  let info = Analysis.info r.outcome in
   let events = Obs.events t in
   let iterations =
     List.length
@@ -342,7 +342,7 @@ let test_fixpoint_iteration_count () =
   in
   Alcotest.(check bool) "verdict matches outcome" true
     (List.assoc "converged" verdict.Obs.args
-     = Obs.Bool (Analysis.converged r.Driver.outcome));
+     = Obs.Bool (Analysis.converged r.outcome));
   Alcotest.(check bool) "iterations histogram recorded" true
     (List.mem_assoc "analysis.iterations" (Obs.metrics_rows t));
   Alcotest.(check string) "one analysis run" "1"
@@ -350,9 +350,9 @@ let test_fixpoint_iteration_count () =
 
 let test_recovery_rung_events () =
   let t = Obs.memory () in
-  let cfg = { (driver_cfg t) with Driver.recover = true } in
-  let r = Driver.run cfg (Driver.Unallocated (Kernels.fib ())) in
-  (match r.Driver.recovery with
+  let cfg = { (driver_cfg t) with Tdfa.Driver.recover = true } in
+  let r = Tdfa.Driver.run cfg (Tdfa.Driver.Unallocated (Kernels.fib ())) in
+  (match r.recovery with
    | Some rec_ ->
      let rungs =
        List.length
@@ -365,14 +365,14 @@ let test_recovery_rung_events () =
        rungs
    | None -> Alcotest.fail "recover = true must produce a recovery log")
 
-(* Predict mode's span shape: one driver.predict span holding exactly
+(* Driver.predict's span shape: one driver.predict span holding exactly
    one analysis.fixpoint span and one absint.certify instant, both its
    direct children. *)
 let test_predict_span_shape () =
   let t = Obs.memory () in
   ignore
-    (Tdfa.Driver.run_mode ~mode:Tdfa.Driver.Predict (driver_cfg t)
-       (Driver.Unallocated (Kernels.fib ())));
+    (Tdfa.Driver.predict (driver_cfg t)
+       (Tdfa.Driver.Unallocated (Kernels.fib ())));
   let events = Obs.events t in
   let named name phase =
     List.filter (fun e -> e.Obs.name = name && e.Obs.phase = phase) events
@@ -428,7 +428,7 @@ let test_place_span_shape () =
       (List.assoc "policy" place.Obs.args
        = Obs.Str
            (Tdfa_alloc.Place.policy_name
-              placed.Tdfa.Driver.placement.Tdfa_alloc.Place.policy));
+              placed.placement.Tdfa_alloc.Place.policy));
     Alcotest.(check int) "anneal nests in alloc.place" place.Obs.id
       anneal.Obs.parent;
     let accepted = int_arg anneal "accepted" in
@@ -485,8 +485,10 @@ let test_trace_skip_counter () =
       ~cells:64 sample
   in
   let windows = (Tdfa_trace.Compile.stats compiled).Tdfa_trace.Compile.windows in
-  let r = Driver.run (driver_cfg t) (Tdfa_trace.Compile.driver_input compiled) in
-  let info = Analysis.info r.Driver.outcome in
+  let r =
+    Tdfa.Driver.run (driver_cfg t) (Tdfa_trace.Compile.driver_input compiled)
+  in
+  let info = Analysis.info r.outcome in
   Alcotest.(check bool) "several windows" true (windows > 10);
   Alcotest.(check int) "two sweeps" 2 info.Analysis.iterations;
   Alcotest.(check (option string)) "the whole second sweep is skipped"

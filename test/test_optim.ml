@@ -28,7 +28,7 @@ let check_semantics name f f' =
 let critical_of func =
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
   let cfg =
-    Driver.transfer_config (Driver.default ~layout) alloc.Alloc.func
+    Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) alloc.Alloc.func
       alloc.Alloc.assignment
   in
   let outcome =

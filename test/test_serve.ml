@@ -243,6 +243,87 @@ let test_plan_parse_errors () =
       (Fault.Plan.rate p Fault.Plan.Transient)
   | Error msg -> Alcotest.failf "rejected valid plan: %s" msg
 
+(* [Unix.sleepf] raises EINVAL on an infinite stall and a huge finite
+   one wedges a worker: only finite stalls in [0, 60000] ms parse, and
+   the error names the rejected value. *)
+let test_plan_stall_bounded () =
+  List.iter
+    (fun v ->
+      match Fault.Plan.of_string ("stall-ms = " ^ v) with
+      | Ok _ -> Alcotest.failf "accepted stall-ms = %s" v
+      | Error msg ->
+        let needle = Printf.sprintf "%S" v in
+        let rec has i =
+          i + String.length needle <= String.length msg
+          && (String.sub msg i (String.length needle) = needle || has (i + 1))
+        in
+        Alcotest.(check bool) ("error names " ^ v) true (has 0))
+    [ "inf"; "-inf"; "nan"; "1e300"; "2e24"; "60000.5"; "-0.1" ];
+  List.iter
+    (fun (v, ms) ->
+      match Fault.Plan.of_string ("stall-ms = " ^ v) with
+      | Ok p -> Alcotest.(check (float 0.0)) v ms p.Fault.Plan.stall_ms
+      | Error msg -> Alcotest.failf "rejected stall-ms = %s: %s" v msg)
+    [ ("0", 0.0); ("40", 40.0); ("60000", 60000.0) ]
+
+(* --- Transport framing ---------------------------------------------------- *)
+
+(* Feed [input] to a fresh framer in [piece]-byte reads. *)
+let frames_of ~piece input =
+  let fr = Server.Framer.create () in
+  let n = String.length input in
+  let rec go off acc =
+    if off >= n then List.concat (List.rev acc)
+    else
+      let len = min piece (n - off) in
+      let bytes = Bytes.of_string (String.sub input off len) in
+      go (off + len) (Server.Framer.feed fr bytes len :: acc)
+  in
+  go 0 []
+
+let frame_testable =
+  Alcotest.testable
+    (fun ppf -> function
+      | Server.Framer.Line l ->
+        Format.fprintf ppf "Line(%d bytes)" (String.length l)
+      | Server.Framer.Oversized -> Format.fprintf ppf "Oversized")
+    ( = )
+
+(* A frame split across reads is reassembled the same whatever the read
+   size; an oversized one is reported once and skipped to its newline,
+   and the frames around it are untouched. *)
+let test_framer_split_and_bound () =
+  let big = String.make 200_000 'x' in
+  let input = "{\"a\":1}\n" ^ big ^ "\n\nlast" in
+  let expect =
+    Server.Framer.[ Line "{\"a\":1}"; Line big; Line "" ]
+  in
+  List.iter
+    (fun piece ->
+      Alcotest.(check (list frame_testable))
+        (Printf.sprintf "%d-byte reads" piece)
+        expect (frames_of ~piece input))
+    [ 1; 7; 65536; String.length input ];
+  (* One byte over the bound, fed in 64 KiB reads without building the
+     frame in memory: the frame is dropped as soon as it overflows, and
+     the frames on either side of it come through whole. *)
+  let fr = Server.Framer.create () in
+  let feed str = Server.Framer.feed fr (Bytes.of_string str) (String.length str) in
+  let before = feed "small\n" in
+  let piece = Bytes.make 65536 'y' in
+  let rec fill left acc =
+    if left = 0 then List.concat (List.rev acc)
+    else
+      let len = min left (Bytes.length piece) in
+      fill (left - len) (Server.Framer.feed fr piece len :: acc)
+  in
+  let during = fill (Server.Framer.max_frame + 1) [] in
+  let after = feed "\nafter\n" in
+  Alcotest.(check (list frame_testable))
+    "oversized frame at the real bound"
+    Server.Framer.[ Line "small"; Oversized; Line "after" ]
+    (before @ during @ after)
+
 (* --- Protocol ------------------------------------------------------------- *)
 
 let test_request_parsing () =
@@ -390,6 +471,18 @@ let test_bad_inputs () =
     (reply
        (Server.handle_line t s
           (req_line ~extra:[ ("ir", Json.Str broken) ] None)))
+
+(* A function with no blocks is a parse error, answered as a bad
+   request: the session is not torn down and keeps answering. *)
+let test_empty_function_bad_request () =
+  let t = server () in
+  let s = Session.create "t" in
+  expect_error ~kind:"bad-request"
+    (reply
+       (Server.handle_line t s
+          (req_line ~extra:[ ("ir", Json.Str "func @f() {\n}\n") ] None)));
+  Alcotest.(check string) "analyze still answers" (oracle_analyze "fib")
+    (expect_ok (reply (Server.handle_line t s (req_line (Some "fib")))))
 
 (* An oversized chip is rejected before any work starts (a 1000x1000
    greedy placement would score 16 million candidates), and the daemon
@@ -781,6 +874,12 @@ let suite =
           test_invalid_knobs_rejected;
         tc "json \\u escapes and nesting depth" `Quick
           test_json_unicode_escapes;
+        tc "framing: split reads reassemble, oversized frames bounded"
+          `Quick test_framer_split_and_bound;
+        tc "fault plan stall-ms finite and bounded" `Quick
+          test_plan_stall_bounded;
+        tc "function with no blocks is a bad request" `Quick
+          test_empty_function_bad_request;
       ] );
     ( "serve.properties",
       List.map QCheck_alcotest.to_alcotest

@@ -1,7 +1,7 @@
 (* The trace frontend: text format round-trip, mapping policies, the
    window compiler, the synthetic generators' distributions, and the
    engine's trace jobs. The load-bearing property is clean-room
-   equivalence: a compiled stream fed through [Driver.run (Trace ...)]
+   equivalence: a compiled stream fed through [Tdfa.Driver.run (Trace ...)]
    must fingerprint-equal an independent reimplementation of the
    window/map pipeline written here from the spec — aggregation by
    weight, first-touch ordering and carrier construction are all
@@ -19,7 +19,8 @@ let settings =
     max_iterations = 100;
   }
 
-let base_cfg = { (Driver.default ~layout) with Driver.granularity = 2; settings }
+let base_cfg =
+  { (Tdfa.Driver.default ~layout) with Tdfa.Driver.granularity = 2; settings }
 let fp = Tdfa_engine.Engine.fingerprint
 
 (* --- Parsing -------------------------------------------------------------- *)
@@ -348,7 +349,7 @@ let by_hand ~window_us ~cells (trace : Sample.t) =
     then events.(index)
     else []
   in
-  Driver.Trace { func; accesses }
+  Tdfa.Driver.Trace { func; accesses }
 
 let prop_trace_matches_clean_room =
   QCheck2.Test.make
@@ -363,12 +364,12 @@ let prop_trace_matches_clean_room =
         Compile.compile ~policy:Mapping.Direct ~cells:64 sample
       in
       let produced =
-        Driver.run base_cfg (Compile.driver_input compiled)
+        Tdfa.Driver.run base_cfg (Compile.driver_input compiled)
       in
       let reference =
-        Driver.run base_cfg (by_hand ~window_us:1000 ~cells:64 sample)
+        Tdfa.Driver.run base_cfg (by_hand ~window_us:1000 ~cells:64 sample)
       in
-      String.equal (fp produced.Driver.outcome) (fp reference.Driver.outcome))
+      String.equal (fp produced.outcome) (fp reference.outcome))
 
 let gen_trace =
   let open QCheck2.Gen in

@@ -313,13 +313,13 @@ let recovery_with max_iterations =
       Tdfa_core.Analysis.max_iterations;
     }
   in
-  let d = Tdfa_core.Driver.default ~layout in
+  let d = Tdfa.Driver.default ~layout in
   let r =
-    Tdfa_core.Driver.run
-      { d with Tdfa_core.Driver.settings; recover = true }
-      (Tdfa_core.Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment))
+    Tdfa.Driver.run
+      { d with Tdfa.Driver.settings; recover = true }
+      (Tdfa.Driver.Assigned (alloc.Alloc.func, alloc.Alloc.assignment))
   in
-  Option.get r.Tdfa_core.Driver.recovery
+  Option.get r.recovery
 
 let test_recovery_not_needed () =
   let module A = Tdfa_core.Analysis in

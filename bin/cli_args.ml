@@ -154,16 +154,6 @@ let recover_arg =
               Average join, then at coarser granularities, and report \
               which fallback converged.")
 
-let incremental_arg =
-  Arg.(value & flag
-       & info [ "incremental" ]
-           ~doc:
-             "Run the analysis through the incremental engine that \
-              serve's reanalyze requests use. One invocation has no \
-              prior result to reuse, so the fixpoint runs cold and the \
-              report is bit-identical to a plain run. Combine with \
-              $(b,--metrics) to see the incremental.* counters.")
-
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Size of the analysis domain pool (parallel workers).")

@@ -250,8 +250,7 @@ let simulate kernel file policy =
       print_string (Heatmap.render Common.standard_layout run.Common.measured);
       Format.printf "@\n%a@\n" Metrics.pp_summary run.Common.metrics))
 
-let analyze kernel file policy granularity delta pre_ra recover incremental
-    obs_req =
+let analyze kernel file policy granularity delta pre_ra recover obs_req =
   (* The report text lives in [Tdfa_serve.Render.analyze], shared with
      the serve daemon so the two front ends are byte-identical by
      construction. SIGINT trips a cooperative cancellation token polled
@@ -272,8 +271,8 @@ let analyze kernel file policy granularity delta pre_ra recover incremental
               match
                 Tdfa_serve.Render.analyze ~obs
                   ~cancel:(fun () -> !interrupted)
-                  ~policy ~granularity ~delta ~pre_ra ~recover ~incremental
-                  f
+                  ~policy ~granularity ~delta ~pre_ra ~recover
+                  ~incremental:false f
               with
               | out, _ ->
                 print_string out;
@@ -972,8 +971,7 @@ let analyze_cmd =
     Term.(
       const analyze $ Cli_args.kernel_arg $ Cli_args.file_arg
       $ Cli_args.policy_arg $ Cli_args.granularity_arg $ Cli_args.delta_arg
-      $ pre_ra_arg $ Cli_args.recover_arg $ Cli_args.incremental_arg
-      $ Cli_args.obs_term)
+      $ pre_ra_arg $ Cli_args.recover_arg $ Cli_args.obs_term)
 
 let predict_json_arg =
   Arg.(value & flag
@@ -1296,9 +1294,6 @@ let main_cmd =
          (task-to-core placement): place; batch schedules its finished \
          jobs with the same flags.";
       `P "$(b,--recover) (divergence-recovery ladder): analyze, batch, trace.";
-      `P
-        "$(b,--incremental) (the incremental engine serve's reanalyze \
-         uses): analyze.";
       `P
         "$(b,--map), $(b,--cells), $(b,--window-ms) (sampled-trace \
          ingestion): trace; batch accepts $(b,--map) and \

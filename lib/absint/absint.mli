@@ -14,7 +14,8 @@
     above [start], in particular below the limit — whether the run
     stopped on the [delta_k] test or on the iteration cap. The stopped
     run's per-cell peak map is therefore [lo_cells], bit for bit the
-    {!Tdfa_core.Analysis.peak_map} of the same fixpoint.
+    {!Tdfa_core.Analysis.peak_map} of the same fixpoint: both are
+    {!Tdfa_core.Flat_core.peak_rows} of its state rows.
 
     {b Upper bound (Knaster–Tarski).} Any [u >= start] with [F u <= u]
     lies above every iterate, hence above the limit and above any

@@ -10,10 +10,12 @@ let default_settings = { delta_k = 0.05; max_iterations = 200; join = Max }
 type info = {
   iterations : int;
   final_delta_k : float;
-  states_after : (Label.t * int, Thermal_state.t) Hashtbl.t;
-  exit_states : Thermal_state.t Label.Map.t;
   unstable : (Label.t * int) list;
   initial : Thermal_state.t;
+  slots : Flat_core.slots;
+  states : float array;
+  exits : float array;
+  sum_order : int array;
 }
 
 type outcome = Converged of info | Diverged of info
@@ -39,12 +41,12 @@ let core_name = function Boxed -> "boxed" | Flat -> "flat"
 let boxed_engine ~settings (cfg : Transfer.config) (func : Func.t) =
   let order = Func.reverse_postorder func in
   let entry = Func.entry_label func in
-  let states_after : (Label.t * int, Thermal_state.t) Hashtbl.t =
+  let table : (Label.t * int, Thermal_state.t) Hashtbl.t =
     Hashtbl.create 256
   in
-  let exit_states = ref Label.Map.empty in
+  let exit_map = ref Label.Map.empty in
   let exit_state l =
-    match Label.Map.find_opt l !exit_states with
+    match Label.Map.find_opt l !exit_map with
     | Some s -> s
     | None -> Transfer.fresh_state cfg
   in
@@ -73,7 +75,7 @@ let boxed_engine ~settings (cfg : Transfer.config) (func : Func.t) =
             let after = Transfer.instr cfg label index i !state in
             (* "If the change in I's thermal state exceeds delta". *)
             let change =
-              match Hashtbl.find_opt states_after (label, index) with
+              match Hashtbl.find_opt table (label, index) with
               | Some prev -> Thermal_state.max_delta prev after
               | None -> infinity
             in
@@ -86,15 +88,34 @@ let boxed_engine ~settings (cfg : Transfer.config) (func : Func.t) =
               if change < infinity then change else settings.delta_k +. 1.0
             in
             worst := Float.max !worst contribution;
-            Hashtbl.replace states_after (label, index) after;
+            Hashtbl.replace table (label, index) after;
             state := after)
           block.Block.body;
         let after_term = Transfer.terminator cfg label block.Block.term !state in
-        exit_states := Label.Map.add label after_term !exit_states)
+        exit_map := Label.Map.add label after_term !exit_map)
       order;
     (!worst, List.rev !unstable)
   in
-  (pass, fun () -> (states_after, !exit_states))
+  (* Packed once, after the last sweep, into the flat result layout. *)
+  let finalize () =
+    let slots = Flat_core.slots func in
+    let n = Thermal_state.num_points (Transfer.fresh_state cfg) in
+    let nb = Array.length slots.Flat_core.blocks in
+    let states = Array.make (slots.Flat_core.first.(nb) * n) 0.0 in
+    Flat_core.iter_slots slots (fun label index row ->
+        Thermal_state.blit_points
+          (Hashtbl.find table (label, index))
+          ~dst:states ~pos:(row * n));
+    let exits = Array.make (nb * n) 0.0 in
+    Array.iteri
+      (fun b label ->
+        Thermal_state.blit_points
+          (Label.Map.find label !exit_map)
+          ~dst:exits ~pos:(b * n))
+      slots.Flat_core.blocks;
+    (slots, states, exits)
+  in
+  (pass, finalize)
 
 let prepare ?(obs = Obs.null) ~settings (cfg : Transfer.config)
     (func : Func.t) =
@@ -158,6 +179,16 @@ let sweep ?(obs = Obs.null) ?(cancel = fun () -> false) ?skipped ~settings
   Obs.Fixpoint.verdict obs ~converged:ok ~iterations ~final_delta_k;
   r
 
+(* The order [mean_map] sums the state rows in: the fold order of a
+   [Hashtbl.create 256] keyed by (label, index) and filled in reverse
+   postorder. Float addition is not associative, and that is the order
+   the published means (printed in full by [place --json]) summed in. *)
+let sum_order slots =
+  let tbl = Hashtbl.create 256 in
+  Flat_core.iter_slots slots (fun label index row ->
+      Hashtbl.replace tbl (label, index) row);
+  Array.of_list (List.rev (Hashtbl.fold (fun _ row acc -> row :: acc) tbl []))
+
 let fixpoint ?obs ?cancel ?(settings = default_settings) ?(core = Flat)
     (cfg : Transfer.config) (func : Func.t) =
   let pass, skipped, finalize =
@@ -172,15 +203,17 @@ let fixpoint ?obs ?cancel ?(settings = default_settings) ?(core = Flat)
   let iterations, final_delta_k, unstable, ok =
     sweep ?obs ?cancel ?skipped ~settings cfg func pass
   in
-  let states_after, exit_states = finalize () in
+  let slots, states, exits = finalize () in
   let result =
     {
       iterations;
       final_delta_k;
-      states_after;
-      exit_states;
       unstable;
       initial = Transfer.fresh_state cfg;
+      slots;
+      states;
+      exits;
+      sum_order = sum_order slots;
     }
   in
   if ok then Converged result else Diverged result
@@ -255,50 +288,38 @@ let recovery_ladder ?(obs = Obs.null) ?cancel ?(settings = default_settings)
   in
   climb [] ladder
 
+let state_of_points info ~src ~pos =
+  Thermal_state.of_points
+    (Thermal_state.layout info.initial)
+    ~granularity:(Thermal_state.granularity info.initial)
+    ~src ~pos
+
 let state_after info label index =
-  match Hashtbl.find_opt info.states_after (label, index) with
-  | Some s -> s
-  | None -> raise Not_found
-
-let sorted_states info =
-  Hashtbl.fold (fun k s acc -> (k, s) :: acc) info.states_after []
-  |> List.sort (fun ((l1, i1), _) ((l2, i2), _) ->
-         match Label.compare l1 l2 with
-         | 0 -> Int.compare i1 i2
-         | c -> c)
-
-let fold_states info f init =
-  Hashtbl.fold (fun _ s acc -> f acc s) info.states_after init
+  let { Flat_core.first; block_row; _ } = info.slots in
+  match Label.Map.find_opt label block_row with
+  | Some b when index >= 0 && first.(b) + index < first.(b + 1) ->
+    state_of_points info ~src:info.states
+      ~pos:((first.(b) + index) * Thermal_state.num_points info.initial)
+  | _ -> raise Not_found
 
 let peak_map info =
-  let peak =
-    fold_states info
-      (fun acc s ->
-        match acc with
-        | None -> Some (Thermal_state.copy s)
-        | Some into ->
-          Thermal_state.join_max_into ~into s;
-          acc)
-      None
-  in
-  match peak with Some m -> m | None -> Thermal_state.copy info.initial
+  let n_points = Thermal_state.num_points info.initial in
+  let ambient = Thermal_state.get info.initial 0 in
+  state_of_points info ~pos:0
+    ~src:(Flat_core.peak_rows ~n_points ~ambient info.states)
 
 let mean_map info =
-  let count = Hashtbl.length info.states_after in
-  let acc =
-    fold_states info
-      (fun acc s ->
-        match acc with
-        | None ->
-          let c = Thermal_state.copy s in
-          Some c
-        | Some a ->
-          Thermal_state.map_points a (fun p t -> t +. Thermal_state.get s p);
-          Some a)
-      None
-  in
-  match acc with
-  | Some a ->
-    Thermal_state.map_points a (fun _ t -> t /. float_of_int count);
-    a
-  | None -> Thermal_state.copy info.initial
+  let n = Thermal_state.num_points info.initial in
+  let order = info.sum_order and states = info.states in
+  if Array.length order = 0 then Thermal_state.copy info.initial
+  else begin
+    let acc = Array.sub states (order.(0) * n) n in
+    for k = 1 to Array.length order - 1 do
+      let base = order.(k) * n in
+      for p = 0 to n - 1 do
+        acc.(p) <- acc.(p) +. states.(base + p)
+      done
+    done;
+    let count = float_of_int (Array.length order) in
+    state_of_points info ~pos:0 ~src:(Array.map (fun t -> t /. count) acc)
+  end

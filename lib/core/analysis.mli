@@ -24,14 +24,20 @@ val default_settings : settings
 type info = {
   iterations : int;
   final_delta_k : float;  (** largest last-round change *)
-  states_after : (Label.t * int, Thermal_state.t) Hashtbl.t;
-      (** thermal state after each instruction — the output of Fig. 2 *)
-  exit_states : Thermal_state.t Label.Map.t;  (** state after each terminator *)
   unstable : (Label.t * int) list;
       (** instructions still changing by more than delta in the last
           iteration (empty when converged) *)
   initial : Thermal_state.t;  (** the all-ambient state the fixpoint starts from *)
+  slots : Flat_core.slots;  (** the row of each program point *)
+  states : float array;
+      (** the output of Fig. 2: the state after each instruction, one
+          row per slot *)
+  exits : float array;
+      (** the state after each terminator, one row per block *)
+  sum_order : int array;  (** the row order {!mean_map} sums in *)
 }
+(** The fixpoint result, in the flat layout both cores fill; read it
+    through {!state_after}, {!peak_map} and {!mean_map}. *)
 
 type outcome = Converged of info | Diverged of info
 
@@ -46,9 +52,8 @@ exception Cancelled of { iterations : int }
     analysis without poisoning the process. *)
 
 (** Which engine executes the sweeps. Both produce bit-identical
-    {!info} — same states, same iteration counts, same hashtable fold
-    order — certified by the differential battery in
-    [test/test_core_flat.ml]. *)
+    {!info} — same state and exit rows, same iteration counts —
+    certified by the differential battery in [test/test_core_flat.ml]. *)
 type core =
   | Boxed
       (** the reference engine: functional {!Thermal_state} values, one
@@ -152,17 +157,14 @@ val recovery_ladder :
     is itself instrumented as in {!fixpoint}. *)
 
 val state_after : info -> Label.t -> int -> Thermal_state.t
-(** @raise Not_found for an unknown program point. *)
-
-val sorted_states : info -> ((Label.t * int) * Thermal_state.t) list
-(** [states_after] as a list ordered by (label, instruction index) — a
-    deterministic view of the full analysis output, independent of hash
-    iteration order, for digesting or diffing two runs. *)
+(** The state after instruction [index] of block [label] (a fresh
+    copy).
+    @raise Not_found for an unknown program point. *)
 
 val peak_map : info -> Thermal_state.t
 (** Pointwise maximum over all per-instruction states — the predicted
-    worst-case map. A copy of [initial] for a function without
-    instructions. *)
+    worst-case map ({!Flat_core.peak_rows}). A copy of [initial] for a
+    function without instructions. *)
 
 val mean_map : info -> Thermal_state.t
 (** Pointwise mean over all per-instruction states — the predicted

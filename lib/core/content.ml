@@ -3,10 +3,12 @@ let digest v = Digest.to_hex (Digest.string (encode v))
 
 let outcome o =
   let info = Analysis.info o in
+  let slots = info.Analysis.slots in
   digest
     ( Analysis.converged o,
       info.Analysis.iterations,
       info.Analysis.final_delta_k,
-      Analysis.sorted_states info,
-      Tdfa_ir.Label.Map.bindings info.Analysis.exit_states,
+      (slots.Flat_core.blocks, slots.Flat_core.first),
+      info.Analysis.states,
+      info.Analysis.exits,
       info.Analysis.unstable )

@@ -21,8 +21,8 @@ val digest : 'a -> string
 
 val outcome : Analysis.outcome -> string
 (** The digest of an analysis result, in a fixed order: convergence,
-    iteration count and last-round change, every per-instruction state
-    ({!Analysis.sorted_states}), the exit state of every block, and the
-    still-unstable instructions. The [initial] state is left out: the
-    inputs fix it. Independent of the order the per-instruction table
-    was filled in; flipping any one bit of any of these changes it. *)
+    iteration count and last-round change, the slot table (its blocks
+    and first rows), the state and exit arrays, and the still-unstable
+    instructions. The [initial] state and the sum order are left out:
+    the inputs fix the one, the slot table the other. Flipping any one
+    bit of any of these changes it. *)

@@ -15,19 +15,46 @@ open Tdfa_ir
      cur      the state being advanced through the current block
      scratch  the diffusion read copy (one blit per instruction)
      states   n_slots x n_points: last sweep's state after each instr
-     exits    n_labels x n_points: state after each terminator
+     exits    n_blocks x n_points: state after each terminator
 
    plus one incoming-state snapshot per block, so that a block whose
    joined input has not moved since it was last swept is skipped rather
-   than recomputed (see [reusable]).
+   than recomputed (see [reusable]). [states] and [exits], laid out by
+   [slots], are the analysis result itself.
 
    Every float operation is performed in the same order, on the same
-   values, with the same NaN semantics as the boxed path (including
-   Stdlib.Float.max's NaN propagation, replicated inline), so the two
-   cores produce bit-identical Analysis.info — certified by the
-   differential battery in test_core_flat.ml. *)
+   values, with the same NaN and signed-zero semantics as the boxed path
+   (including Stdlib.Float.max's, replicated inline), so the two cores
+   produce bit-identical Analysis.info — certified by the differential
+   battery in test_core_flat.ml. *)
 
 type join = Join_max | Join_average
+
+type slots = {
+  blocks : Label.t array;
+  first : int array;
+  block_row : int Label.Map.t;
+}
+
+let slots func =
+  let blocks = Array.of_list (Func.reverse_postorder func) in
+  let first = Array.make (Array.length blocks + 1) 0 in
+  let block_row = ref Label.Map.empty in
+  Array.iteri
+    (fun b label ->
+      block_row := Label.Map.add label b !block_row;
+      first.(b + 1) <-
+        first.(b) + Block.num_instrs (Func.find_block func label))
+    blocks;
+  { blocks; first; block_row = !block_row }
+
+let iter_slots s f =
+  Array.iteri
+    (fun b label ->
+      for index = 0 to s.first.(b + 1) - s.first.(b) - 1 do
+        f label index (s.first.(b) + index)
+      done)
+    s.blocks
 
 (* One program point with its precompiled heating events: the thermal
    points touched and the exact per-event temperature increment
@@ -35,13 +62,13 @@ type join = Join_max | Join_average
    composed in the boxed expression order). *)
 type slot = { sl_points : int array; sl_inc : float array }
 
+(* Block row b: its position in [slots.blocks] and its row in [exits]. *)
 type blockc = {
-  b_label : Label.t;
-  b_id : int;  (* row in [exits] *)
   b_entry : bool;
-  b_preds : int array;  (* predecessor rows, in Func.predecessors order *)
+  b_preds : int array;
+      (* predecessor rows, in Func.predecessors order; -1 (read as
+         ambient, like the boxed join's fresh state) if unreachable *)
   b_slots : slot array;  (* one per body instruction *)
-  b_slot_base : int;  (* row of first body instruction in [states] *)
   b_term : slot;
 }
 
@@ -56,11 +83,12 @@ type t = {
   c_cpoint : float;
   c_lambda : float;
   c_kappa : float;
+  slots : slots;
   blocks : blockc array;  (* reverse postorder *)
   n_points : int;
-  n_slots : int;
   cur : float array;
   scratch : float array;
+  ambient_row : float array;
   states : float array;
   seen : bool array;
   exits : float array;
@@ -78,7 +106,7 @@ type t = {
   fbuf : float array;
 }
 
-let compile_slot (cfg : Transfer.config) ~duty events =
+let compile_slot (cfg : Transfer.config) (grid : Flat_grid.t) ~duty events =
   let p = cfg.Transfer.params in
   let clock = p.Tdfa_thermal.Params.clock_hz in
   let c_point = Transfer.point_capacitance cfg in
@@ -97,8 +125,7 @@ let compile_slot (cfg : Transfer.config) ~duty events =
          into one precomputed increment is bit-safe because it is the
          same operations on the same values in the same order. *)
       let power = energy *. e.Access.weight *. clock *. duty in
-      (* Cells here; [prepare]'s resolve pass maps them to points. *)
-      sl_points.(k) <- e.Access.cell;
+      sl_points.(k) <- grid.Flat_grid.point_of_cell.(e.Access.cell);
       sl_inc.(k) <- power *. dt /. c_point)
     events;
   { sl_points; sl_inc }
@@ -108,66 +135,38 @@ let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
     Flat_grid.make cfg.Transfer.layout ~granularity:cfg.Transfer.granularity
   in
   let p = cfg.Transfer.params in
-  let order = Func.reverse_postorder func in
+  let slots = slots func in
   let entry = Func.entry_label func in
-  (* Rows in [exits] cover every label of the function — an unreachable
-     predecessor's row is never written and keeps its ambient fill,
-     which is exactly the fresh state the boxed join reads for it. *)
-  let labels = Func.labels func in
-  let id_of = Hashtbl.create 32 in
-  List.iteri (fun i l -> Hashtbl.replace id_of l i) labels;
-  let n_points = grid.Flat_grid.n_points in
-  let slot_base = ref 0 in
-  let blocks =
-    Array.of_list
-      (List.map
-         (fun label ->
-           let block = Func.find_block func label in
-           let duty =
-             Float.min 1.0
-               (cfg.Transfer.block_frequency label
-               /. cfg.Transfer.max_frequency)
-           in
-           let resolve slot =
-             {
-               slot with
-               sl_points =
-                 Array.map
-                   (fun cell -> grid.Flat_grid.point_of_cell.(cell))
-                   slot.sl_points;
-             }
-           in
-           let b_slots =
-             Array.mapi
-               (fun index i ->
-                 resolve
-                   (compile_slot cfg ~duty
-                      (cfg.Transfer.accesses_of_instr label index i)))
-               block.Block.body
-           in
-           let b_term =
-             resolve
-               (compile_slot cfg ~duty
-                  (cfg.Transfer.accesses_of_term label block.Block.term))
-           in
-           let b_slot_base = !slot_base in
-           slot_base := b_slot_base + Array.length b_slots;
-           {
-             b_label = label;
-             b_id = Hashtbl.find id_of label;
-             b_entry = Label.equal label entry;
-             b_preds =
-               Array.of_list
-                 (List.map
-                    (fun l -> Hashtbl.find id_of l)
-                    (Func.predecessors func label));
-             b_slots;
-             b_slot_base;
-             b_term;
-           })
-         order)
+  let row_of l =
+    match Label.Map.find_opt l slots.block_row with Some b -> b | None -> -1
   in
-  let n_slots = !slot_base in
+  let n_points = grid.Flat_grid.n_points in
+  let blocks =
+    Array.map
+      (fun label ->
+        let block = Func.find_block func label in
+        let duty =
+          Float.min 1.0
+            (cfg.Transfer.block_frequency label /. cfg.Transfer.max_frequency)
+        in
+        {
+          b_entry = Label.equal label entry;
+          b_preds =
+            Array.of_list (List.map row_of (Func.predecessors func label));
+          b_slots =
+            Array.mapi
+              (fun index i ->
+                compile_slot cfg grid ~duty
+                  (cfg.Transfer.accesses_of_instr label index i))
+              block.Block.body;
+          b_term =
+            compile_slot cfg grid ~duty
+              (cfg.Transfer.accesses_of_term label block.Block.term);
+        })
+      slots.blocks
+  in
+  let n_blocks = Array.length blocks in
+  let n_slots = slots.first.(n_blocks) in
   let ambient = p.Tdfa_thermal.Params.ambient_k in
   {
     grid;
@@ -180,23 +179,20 @@ let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
     c_cpoint = Transfer.point_capacitance cfg;
     c_lambda = Transfer.diffusion_coeff cfg;
     c_kappa = Transfer.cooling_coeff cfg;
+    slots;
     blocks;
     n_points;
-    n_slots;
     cur = Array.make n_points ambient;
     scratch = Array.make n_points ambient;
-    states = Array.make (max 1 (n_slots * n_points)) 0.0;
-    seen = Array.make (max 1 n_slots) false;
-    exits = Array.make (max 1 (List.length labels * n_points)) ambient;
-    incoming = Array.make (max 1 (Array.length blocks * n_points)) 0.0;
-    valid = Array.make (max 1 (Array.length blocks)) false;
+    ambient_row = Array.make n_points ambient;
+    states = Array.make (n_slots * n_points) 0.0;
+    seen = Array.make n_slots false;
+    exits = Array.make (n_blocks * n_points) ambient;
+    incoming = Array.make (n_blocks * n_points) 0.0;
+    valid = Array.make n_blocks false;
     skipped = 0;
     fbuf = Array.make 2 0.0;
   }
-
-(* Stdlib.Float.max replicated inline (if y > x, or x is the only NaN,
-   take y): NaN propagates exactly as in the boxed joins. *)
-let[@inline] fmax_bits x y = if y > x || (y <> y && x = x) then y else x
 
 (* One transfer-function application, in place on [t.cur]. The four
    phases run in the boxed order: heating, leakage, diffusion (read from
@@ -262,31 +258,41 @@ let max_delta_slot t base =
     if d <> d then acc.(1) <- 1.0
   done
 
+(* [into.(p) <- Stdlib.Float.max into.(p) src.(base + p)] for the [n]
+   points, bit for bit. Float.max reads sign bits through a C call on
+   every pair; two float comparisons settle every pair but equal zeros
+   (where the signs decide) and NaNs (whose payload Float.max picks),
+   and only those reach Float.max itself. *)
+let max_into into src ~base n =
+  for p = 0 to n - 1 do
+    let x = into.(p) and y = src.(base + p) in
+    if y > x then into.(p) <- y
+    else if not (x > y || (x = y && x <> 0.0)) then
+      into.(p) <- Float.max x y
+  done
+
 (* Joined incoming state of a block, into [t.cur]. *)
 let load_incoming t (b : blockc) =
   let n = t.n_points in
-  let cur = t.cur and exits = t.exits in
+  let cur = t.cur in
   if b.b_entry || Array.length b.b_preds = 0 then
     Array.fill cur 0 n t.c_ambient
   else begin
-    Array.blit exits (b.b_preds.(0) * n) cur 0 n;
+    let first = b.b_preds.(0) in
+    if first < 0 then Array.fill cur 0 n t.c_ambient
+    else Array.blit t.exits (first * n) cur 0 n;
     for k = 1 to Array.length b.b_preds - 1 do
-      let base = b.b_preds.(k) * n in
+      let row = b.b_preds.(k) in
+      let src = if row < 0 then t.ambient_row else t.exits in
+      let base = if row < 0 then 0 else row * n in
       match t.join with
-      | Join_max ->
-        for p = 0 to n - 1 do
-          cur.(p) <- fmax_bits cur.(p) exits.(base + p)
-        done
+      | Join_max -> max_into cur src ~base n
       | Join_average ->
         for p = 0 to n - 1 do
-          cur.(p) <- (cur.(p) +. exits.(base + p)) /. 2.0
+          cur.(p) <- (cur.(p) +. src.(base + p)) /. 2.0
         done
     done
   end
-
-let materialize t ~src ~pos =
-  Thermal_state.of_points t.grid.Flat_grid.layout
-    ~granularity:t.grid.Flat_grid.granularity ~src ~pos
 
 (* Whether block row [bi]'s stored states can be reused as they are:
    its snapshot is current, the incoming state just joined into [t.cur]
@@ -296,17 +302,17 @@ let materialize t ~src ~pos =
    reaches it (every phase updates a point as x + y or x - y of its own
    value), so a finite exit row means every stored state of the block is
    finite, and each recomputed change |x - x| would be exactly 0. *)
-let reusable t bi (b : blockc) =
+let reusable t bi =
   let n = t.n_points in
   t.valid.(bi)
   &&
   let cur = t.cur and snap = t.incoming and exits = t.exits in
-  let base = bi * n and ebase = b.b_id * n in
+  let base = bi * n in
   let p = ref 0 in
   while
     !p < n
     && Int64.bits_of_float cur.(!p) = Int64.bits_of_float snap.(base + !p)
-    && exits.(ebase + !p) -. exits.(ebase + !p) = 0.0
+    && exits.(base + !p) -. exits.(base + !p) = 0.0
   do
     incr p
   done;
@@ -324,21 +330,21 @@ let pass t =
   let worst = ref 0.0 in
   let unstable = ref [] in
   for bi = 0 to Array.length t.blocks - 1 do
-    let b = t.blocks.(bi) in
+    let b = t.blocks.(bi) and label = t.slots.blocks.(bi) in
     load_incoming t b;
-    if reusable t bi b then begin
+    if reusable t bi then begin
       let k = Array.length b.b_slots in
       t.skipped <- t.skipped + k;
       if 0.0 > t.delta_k then
         for index = 0 to k - 1 do
-          unstable := (b.b_label, index) :: !unstable
+          unstable := (label, index) :: !unstable
         done
     end
     else begin
       Array.blit t.cur 0 t.incoming (bi * n) n;
       t.valid.(bi) <- true;
       for index = 0 to Array.length b.b_slots - 1 do
-        let s = b.b_slot_base + index in
+        let s = t.slots.first.(bi) + index in
         apply t b.b_slots.(index);
         let change =
           if t.seen.(s) then begin
@@ -347,7 +353,7 @@ let pass t =
           end
           else infinity
         in
-        if change > t.delta_k then unstable := (b.b_label, index) :: !unstable;
+        if change > t.delta_k then unstable := (label, index) :: !unstable;
         let contribution =
           if change < infinity then change else t.delta_k +. 1.0
         in
@@ -356,7 +362,7 @@ let pass t =
         t.seen.(s) <- true
       done;
       apply t b.b_term;
-      Array.blit t.cur 0 t.exits (b.b_id * n) n
+      Array.blit t.cur 0 t.exits (bi * n) n
     end
   done;
   (!worst, List.rev !unstable)
@@ -365,23 +371,23 @@ let skipped t = t.skipped
 
 let exits t = t.exits
 
-(* Per-point maximum over the last sweep's instruction states — the flat
-   counterpart of Analysis.peak_map (maximum is order-independent, so
-   the result is the same float per point). A function without
-   instructions has no states: the map stays at ambient. *)
+(* Last row to first: states warm along a run, so a late row mostly
+   holds the maximum already and [max_into]'s branch is predictable.
+   Forwards, a 200-window trace took a new maximum at about half of all
+   points and the fold ran 2.4x slower. *)
+let peak_rows ~n_points ~ambient states =
+  let rows = Array.length states / n_points in
+  if rows = 0 then Array.make n_points ambient
+  else begin
+    let peak = Array.sub states ((rows - 1) * n_points) n_points in
+    for r = rows - 2 downto 0 do
+      max_into peak states ~base:(r * n_points) n_points
+    done;
+    peak
+  end
+
 let peak_points t =
-  let n = t.n_points in
-  let peak = Array.make n t.c_ambient in
-  if t.n_slots > 0 then begin
-    Array.blit t.states 0 peak 0 n;
-    for s = 1 to t.n_slots - 1 do
-      let base = s * n in
-      for p = 0 to n - 1 do
-        peak.(p) <- fmax_bits peak.(p) t.states.(base + p)
-      done
-    done
-  end;
-  peak
+  peak_rows ~n_points:t.n_points ~ambient:t.c_ambient t.states
 
 (* The certificate sweep: load [u] as the exit states, sweep once, and
    report whether no new exit exceeds [u] (a NaN fails the test). The
@@ -400,28 +406,4 @@ let post_fixpoint t u =
   done;
   !ok
 
-(* Materialize the final flat buffers into the boxed Analysis.info
-   shape. The hashtable is created and filled exactly as the boxed pass
-   does on its first sweep (same initial size, same replace order), so
-   its internal bucket layout — and therefore the fold order seen by
-   mean_map's float accumulation — is identical. *)
-let finalize t =
-  let n = t.n_points in
-  let states_after : (Label.t * int, Thermal_state.t) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let exit_states = ref Label.Map.empty in
-  Array.iter
-    (fun (b : blockc) ->
-      Array.iteri
-        (fun index _ ->
-          let s = b.b_slot_base + index in
-          Hashtbl.replace states_after (b.b_label, index)
-            (materialize t ~src:t.states ~pos:(s * n)))
-        b.b_slots;
-      exit_states :=
-        Label.Map.add b.b_label
-          (materialize t ~src:t.exits ~pos:(b.b_id * n))
-          !exit_states)
-    t.blocks;
-  (states_after, !exit_states)
+let finalize t = (t.slots, t.states, t.exits)

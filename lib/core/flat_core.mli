@@ -3,22 +3,39 @@
 
     [prepare] compiles everything iteration-invariant — access events
     into (point, increment) arrays, point neighbourhoods into a CSR
-    table, the per-point transfer coefficients — and allocates the four
+    table, the per-point transfer coefficients — and allocates the
     working buffers once. [pass] then sweeps the whole function in place:
     no state copies, no neighbour lists, no per-visit access lists.
 
-    Every float operation replays the boxed path bitwise (same order,
-    same values, same Stdlib.Float.max NaN semantics), so [finalize]
-    materializes an {!Analysis.info}-shaped result that is
-    indistinguishable — including hashtable fold order — from the boxed
-    core's. Certified by the differential battery in
-    [test/test_core_flat.ml]. Callers go through {!Analysis.fixpoint}
-    (core = [Flat], the default); this interface exists for the kernel
-    tests and benchmarks. *)
+    Its state and exit buffers, laid out by {!slots}, become the arrays
+    of {!Analysis.info} uncopied; the boxed reference engine packs its
+    result into the same layout. Every float operation replays the boxed
+    path bitwise (same order, same values, same Stdlib.Float.max NaN and
+    signed-zero semantics), so both cores fill the same bits — certified
+    by the differential battery in [test/test_core_flat.ml]. Callers go
+    through {!Analysis.fixpoint}; the sweep interface exists for
+    [Tdfa_absint], the kernel tests and benchmarks. *)
 
 open Tdfa_ir
 
 type join = Join_max | Join_average
+
+type slots = {
+  blocks : Label.t array;
+      (** the reachable blocks in reverse postorder; block [b]'s exit is
+          exit row [b] *)
+  first : int array;
+      (** instruction [i] of block [b] is state row [first.(b) + i];
+          [first.(Array.length blocks)] is the row count *)
+  block_row : int Label.Map.t;  (** [b] of each label in [blocks] *)
+}
+(** The slot numbering of the flat result (rows of [n_points] floats). *)
+
+val slots : Func.t -> slots
+(** The numbering both cores use. *)
+
+val iter_slots : slots -> (Label.t -> int -> int -> unit) -> unit
+(** [iter_slots s f] calls [f label index row] for each row, in order. *)
 
 type t
 
@@ -43,25 +60,25 @@ val pass : t -> float * (Label.t * int) list
 val skipped : t -> int
 (** Instruction visits {!pass} has skipped since {!prepare}. *)
 
-val finalize :
-  t ->
-  (Label.t * int, Thermal_state.t) Hashtbl.t
-  * Thermal_state.t Label.Map.t
-(** Materialize the flat buffers into the boxed result shape
-    ([states_after], [exit_states]). *)
+val finalize : t -> slots * float array * float array
+(** The slot table and the state and exit buffers, handed over without
+    copying: a later sweep of the workspace overwrites them. *)
 
 val exits : t -> float array
-(** The live exit buffer: one row of points per label of the function
-    (in [Func.labels] order), the state after each terminator — what the
-    next [pass] joins from. Shared, not copied: snapshot it with
+(** The live exit buffer: what the next [pass] joins from (an
+    unreachable predecessor has no row and joins as ambient). Shared,
+    not copied: snapshot it with
     [Array.copy] or [Array.blit]. Callers must never write into it:
     [pass] skips a block on the assumption that its exit row is the one
     it computed ({!post_fixpoint} is the one way to load exits). *)
 
+val peak_rows : n_points:int -> ambient:float -> float array -> float array
+(** The per-point [Stdlib.Float.max] of the rows of a state buffer,
+    folded from the last row to the first, bit for bit (fresh array;
+    all [ambient] without rows): {!Analysis.peak_map}'s points. *)
+
 val peak_points : t -> float array
-(** Per-point maximum over the last sweep's instruction states (fresh
-    array) — the point values of {!Analysis.peak_map}, bit for bit.
-    All-ambient for a function without instructions. *)
+(** {!peak_rows} of the last sweep's instruction states. *)
 
 val post_fixpoint : t -> float array -> bool
 (** [post_fixpoint t u] is the certificate sweep: load [u] (same length

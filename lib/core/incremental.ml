@@ -27,17 +27,14 @@ let prior_intact p = String.equal p.p_digest (Content.outcome p.p_outcome)
    so the poison is still detectable. *)
 let poison_prior ~seed p =
   let info = Analysis.info p.p_outcome in
-  match Analysis.sorted_states info with
-  | [] -> { p with p_digest = "" }
-  | states ->
-    let point, s = List.nth states (abs seed mod List.length states) in
-    let s = Thermal_state.copy s in
-    let target = abs (seed / 13) mod Thermal_state.num_points s in
-    Thermal_state.map_points s (fun pt t ->
-        if pt = target then t +. 1.0 else t);
-    let states_after = Hashtbl.copy info.Analysis.states_after in
-    Hashtbl.replace states_after point s;
-    let info = { info with Analysis.states_after } in
+  let n = Thermal_state.num_points info.Analysis.initial in
+  let rows = Array.length info.Analysis.states / n in
+  if rows = 0 then { p with p_digest = "" }
+  else
+    let states = Array.copy info.Analysis.states in
+    let i = (abs seed mod rows * n) + (abs (seed / 13) mod n) in
+    states.(i) <- states.(i) +. 1.0;
+    let info = { info with Analysis.states } in
     let p_outcome =
       match p.p_outcome with
       | Analysis.Converged _ -> Analysis.Converged info

@@ -74,13 +74,6 @@ let join_max a b =
   assert (num_points a = num_points b);
   { a with temps = Array.mapi (fun i v -> Float.max v b.temps.(i)) a.temps }
 
-let join_max_into ~into b =
-  assert (num_points into = num_points b);
-  let a = into.temps and b = b.temps in
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- Float.max a.(i) b.(i)
-  done
-
 let join_average a b =
   assert (num_points a = num_points b);
   { a with temps = Array.mapi (fun i v -> (v +. b.temps.(i)) /. 2.0) a.temps }

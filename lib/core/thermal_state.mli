@@ -41,10 +41,6 @@ val equal_within : float -> t -> t -> bool
 val join_max : t -> t -> t
 (** Pointwise maximum — the conservative merge for reliability analysis. *)
 
-val join_max_into : into:t -> t -> unit
-(** [join_max_into ~into s] sets [into <- join_max into s] in place,
-    bit for bit, without allocating. *)
-
 val join_average : t -> t -> t
 
 val blend : into:t -> t -> weight:float -> unit

@@ -255,7 +255,7 @@ module Cache = struct
      of the payload) followed by the raw marshalled report, so a torn
      or bit-rotted payload is detected before [Marshal.from_string] can
      trip over it. *)
-  let magic = "tdfa-engine-cache-4"
+  let magic = "tdfa-engine-cache-5"
 
   type backend = Memory of (string, report) Hashtbl.t | Disk of string
   type t = { mutex : Mutex.t; backend : backend }

@@ -5,9 +5,9 @@ open Tdfa_core
 open Tdfa_harness
 
 (* The driver configuration every renderer runs under: the request's
-   fidelity knobs on top of [Tdfa.Driver.default]. [policy] only
-   matters for [Unallocated] inputs; the other renderers allocate
-   first, through [allocate]. *)
+   fidelity knobs on top of [Tdfa.Driver.default]. [policy] allocates
+   [Unallocated] inputs, and the [driver.run] span names it for the
+   renderers that allocate first, through [allocate]. *)
 let driver_config ?(layout = Common.standard_layout) ?policy ?cancel
     ?(recover = false) ~obs ~granularity ~delta () =
   let base = Tdfa.Driver.default ~layout in
@@ -61,11 +61,12 @@ let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
   let pf fmt = Printf.bprintf buf fmt in
   let name = f.Func.name in
   let func, assignment, mode = allocate ~obs ~policy ~pre_ra f in
-  let cfg = driver_config ?cancel ~recover ~obs ~granularity ~delta () in
-  (* Under [--incremental] a single analysis still runs cold (unless a
-     resident prior is supplied, as by the daemon's reanalyze), but it
-     goes through the incremental engine so a prior is kept and the
-     incremental.* telemetry appears. *)
+  let cfg =
+    driver_config ~policy ?cancel ~recover ~obs ~granularity ~delta ()
+  in
+  (* A serve frame with [incremental] goes through the incremental
+     engine, which reuses the session's resident [prior] when nothing
+     changed and keeps a new prior for the next reanalyze. *)
   let input =
     if incremental then Tdfa.Driver.Warm_start { func; assignment; prior }
     else Tdfa.Driver.Assigned (func, assignment)
@@ -152,7 +153,7 @@ let predict ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~pre_ra
   let pf fmt = Printf.bprintf buf fmt in
   let name = f.Func.name in
   let func, assignment, mode = allocate ~obs ~policy ~pre_ra f in
-  let cfg = driver_config ~obs ~granularity ~delta () in
+  let cfg = driver_config ~policy ~obs ~granularity ~delta () in
   let b = Tdfa.Driver.predict cfg (Tdfa.Driver.Assigned (func, assignment)) in
   let open Tdfa_absint in
   let hot_k = Tdfa_lint.Rules.hot_threshold in

@@ -224,6 +224,48 @@ let run_cores ?(params = Params.default) ~granularity ~settings input =
   in
   (run Analysis.Boxed, run Analysis.Flat)
 
+(* An unreachable block has no exit row: a join reads it as ambient, as
+   the boxed join reads the fresh state for it — whether it is the first
+   predecessor (loaded) or a later one (joined). The generators never
+   produce unreachable blocks. *)
+let test_unreachable_predecessor () =
+  let f =
+    Parser.parse_func
+      {|func @u() {
+entry:
+  %a = const 1
+  %c = const 0
+  br %c, left, right
+dead:
+  %d = add %a, %a
+  jmp merge
+left:
+  %x = add %a, %a
+  jmp merge
+right:
+  %y = mul %a, %a
+  jmp merge
+merge:
+  %z = add %a, %a
+  %w = slt %z, %a
+  br %w, merge, out
+out:
+  ret
+dead2:
+  %e = mul %a, %a
+  jmp merge
+}|}
+  in
+  let af, asg = post_ra f in
+  let cfg = config_of af asg in
+  List.iter
+    (fun join ->
+      let settings = { settings with Analysis.join } in
+      let boxed = Analysis.fixpoint ~settings ~core:Analysis.Boxed cfg af in
+      let flat = Analysis.fixpoint ~settings ~core:Analysis.Flat cfg af in
+      Alcotest.(check bool) "flat == boxed" true (same_outcome boxed flat))
+    [ Analysis.Max; Analysis.Average ]
+
 let print_case (f, (granularity, joini, deltai)) =
   Printf.sprintf "g=%d join=%d delta=%d on:\n%s" granularity joini deltai
     (Printer.func_to_string f)
@@ -268,15 +310,13 @@ let same_bits_or_nan x y =
   Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   || (Float.is_nan x && Float.is_nan y)
 
-let same_state a b =
-  Thermal_state.num_points a = Thermal_state.num_points b
-  &&
-  let ok = ref true in
-  for p = 0 to Thermal_state.num_points a - 1 do
-    if not (same_bits_or_nan (Thermal_state.get a p) (Thermal_state.get b p))
-    then ok := false
-  done;
-  !ok
+let same_points a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits_or_nan a b
+
+let same_slots (a : Flat_core.slots) (b : Flat_core.slots) =
+  Array.length a.Flat_core.blocks = Array.length b.Flat_core.blocks
+  && Array.for_all2 Label.equal a.Flat_core.blocks b.Flat_core.blocks
+  && a.Flat_core.first = b.Flat_core.first
 
 let same_outcome_up_to_nan_payload boxed flat =
   let bi = Analysis.info boxed and fi = Analysis.info flat in
@@ -284,10 +324,9 @@ let same_outcome_up_to_nan_payload boxed flat =
   && bi.Analysis.iterations = fi.Analysis.iterations
   && same_bits_or_nan bi.Analysis.final_delta_k fi.Analysis.final_delta_k
   && unstable_equal bi.Analysis.unstable fi.Analysis.unstable
-  && List.for_all2
-       (fun (k1, s1) (k2, s2) -> k1 = k2 && same_state s1 s2)
-       (Analysis.sorted_states bi) (Analysis.sorted_states fi)
-  && Label.Map.equal same_state bi.Analysis.exit_states fi.Analysis.exit_states
+  && same_slots bi.Analysis.slots fi.Analysis.slots
+  && same_points bi.Analysis.states fi.Analysis.states
+  && same_points bi.Analysis.exits fi.Analysis.exits
 
 let gen_extreme_params =
   let open QCheck2.Gen in
@@ -423,29 +462,28 @@ let test_post_fixpoint_ignores_snapshots () =
 
 (* --- peak_map ------------------------------------------------------------------ *)
 
-(* join_max_into is join_max in place: same bits, NaN and signed zeros
-   included, and not one word allocated. *)
-let test_join_max_into () =
-  let st vals =
-    let s = Thermal_state.create layout ~granularity:4 ~ambient_k:0.0 in
-    Array.iteri (fun p v -> Thermal_state.set s p v) vals;
-    s
+(* peak_rows is Float.max folded from the last row to the first, bit for
+   bit, over every pair of special values: signed zeros, NaNs of either
+   sign, infinities. *)
+let test_peak_rows_is_float_max () =
+  let specials =
+    [| 0.0; -0.0; nan; -.nan; infinity; neg_infinity; 1.0; -1.0; 318.0 |]
   in
-  let a = st [| 1.0; nan; -0.0; 0.0 |] and b = st [| 2.0; 3.0; 0.0; -0.0 |] in
-  let expect = Thermal_state.join_max a b in
-  let into = Thermal_state.copy a in
-  Thermal_state.join_max_into ~into b;
-  let points s = Array.init 4 (Thermal_state.get s) in
-  Alcotest.(check bool) "bitwise join_max" true
-    (bits_equal (points expect) (points into));
-  let x = Gc.minor_words () in
-  let y = Gc.minor_words () in
-  let overhead = y -. x in
-  let before = Gc.minor_words () in
-  Thermal_state.join_max_into ~into b;
-  let after = Gc.minor_words () in
-  Alcotest.(check (float 0.0)) "join_max_into allocates nothing" 0.0
-    (after -. before -. overhead)
+  let k = Array.length specials in
+  let n = k * k in
+  (* Row 0 and row 1 hold every ordered pair at some point. *)
+  let states =
+    Array.init (2 * n) (fun i ->
+        let p = i mod n in
+        if i < n then specials.(p / k) else specials.(p mod k))
+  in
+  let expect =
+    Array.init n (fun p -> Float.max states.(n + p) states.(p))
+  in
+  Alcotest.(check bool) "bitwise Float.max" true
+    (bits_equal expect (Flat_core.peak_rows ~n_points:n ~ambient:0.0 states));
+  Alcotest.(check bool) "no rows: ambient" true
+    (bits_equal [| 5.0; 5.0 |] (Flat_core.peak_rows ~n_points:2 ~ambient:5.0 [||]))
 
 let suite =
   let tc = Alcotest.test_case in
@@ -463,10 +501,12 @@ let suite =
         tc "divergence identical across cores" `Quick test_divergence_parity;
         tc "driver core switch preserves the fingerprint" `Quick
           test_driver_core_parity;
+        tc "an unreachable predecessor joins as ambient" `Quick
+          test_unreachable_predecessor;
         tc "post_fixpoint ignores skip snapshots" `Quick
           test_post_fixpoint_ignores_snapshots;
-        tc "join_max_into is join_max, allocation-free" `Quick
-          test_join_max_into;
+        tc "peak_rows is Float.max, signed zeros and NaNs included" `Quick
+          test_peak_rows_is_float_max;
       ] );
     ( "core_flat.properties",
       List.map QCheck_alcotest.to_alcotest

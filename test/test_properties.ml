@@ -238,6 +238,74 @@ let prop_random_programs_interprocedurally_analyzable =
       | (_ : Tdfa_exec.Interp.outcome) -> true
       | exception Tdfa_exec.Interp.Out_of_fuel _ -> false)
 
+(* --- No CLI-reachable configuration yields a non-finite temperature --- *)
+
+(* Every value the analysis result holds (state and exit rows) and both
+   maps derived from it. *)
+let finite_result outcome =
+  let info = Tdfa_core.Analysis.info outcome in
+  let finite = Array.for_all Float.is_finite in
+  let map m = Tdfa_core.Thermal_state.to_cell_array (m info) in
+  finite info.Tdfa_core.Analysis.states
+  && finite info.Tdfa_core.Analysis.exits
+  && finite (map Tdfa_core.Analysis.peak_map)
+  && finite (map Tdfa_core.Analysis.mean_map)
+
+(* The knobs [tdfa analyze] accepts, over their accepted ranges. *)
+let gen_delta = QCheck2.Gen.oneofl [ 0.0; 1e-6; 0.05; 1.0; 1e6 ]
+
+let prop_cli_analyze_finite =
+  QCheck2.Test.make
+    ~name:"analyze: no CLI configuration yields a non-finite temperature"
+    ~count:60
+    ~print:(fun ((k, p, g), (d, pre_ra, recover)) ->
+      Printf.sprintf "-k %s -p %s -g %d -d %g%s%s" k (Policy.name p) g d
+        (if pre_ra then " --pre-ra" else "")
+        (if recover then " --recover" else ""))
+    QCheck2.Gen.(
+      pair
+        (triple
+           (oneofl (List.map fst Kernels.all))
+           (oneofl Policy.all) (int_range 1 9))
+        (triple gen_delta bool bool))
+    (fun ((kernel, policy, granularity), (delta, pre_ra, recover)) ->
+      let _, r =
+        Tdfa_serve.Render.analyze ~policy ~granularity ~delta ~pre_ra ~recover
+          ~incremental:false (List.assoc kernel Kernels.all)
+      in
+      finite_result r.Tdfa.Driver.outcome)
+
+(* [tdfa trace --zipf] on small layouts, run as [Render.trace] runs it. *)
+let prop_cli_trace_finite =
+  QCheck2.Test.make
+    ~name:"trace: no CLI configuration yields a non-finite temperature"
+    ~count:40
+    QCheck2.Gen.(
+      pair
+        (triple (oneofl [ 1; 16; 64 ])
+           (oneofl Tdfa_trace.Mapping.all_policies) (int_range 1 9))
+        (triple gen_delta bool (int_range 0 1000)))
+    (fun ((cells, policy, granularity), (delta, recover, seed)) ->
+      let sample =
+        Tdfa_trace.Synth.zipf ~seed ~s:1.0 ~addrs:256 ~n:400 ()
+      in
+      let compiled = Tdfa_trace.Compile.compile ~policy ~cells sample in
+      let base =
+        Tdfa.Driver.default ~layout:(Tdfa_trace.Compile.layout_of_cells cells)
+      in
+      let cfg =
+        {
+          base with
+          Tdfa.Driver.granularity;
+          recover;
+          settings =
+            { Tdfa_core.Analysis.default_settings with delta_k = delta };
+        }
+      in
+      finite_result
+        (Tdfa.Driver.run cfg (Tdfa_trace.Compile.driver_input compiled))
+          .Tdfa.Driver.outcome)
+
 let suite =
   [
     ( "properties",
@@ -259,5 +327,7 @@ let suite =
           prop_trace_window_totals;
           prop_compile_driver_preserves_semantics;
           prop_random_programs_interprocedurally_analyzable;
+          prop_cli_analyze_finite;
+          prop_cli_trace_finite;
         ] );
   ]

@@ -9,11 +9,15 @@ open Tdfa_ir
    list per point in the diffusion fold, three closure traversals and
    the access-event list of the instruction. This kernel precompiles
    everything iteration-invariant once — access events become (point,
-   increment) arrays, neighbourhoods a CSR table, per-point cell counts
-   a float array — and then sweeps entirely in place over four buffers:
+   increment) arrays, per-point cell counts a float array — and then
+   runs each transfer as one fused step over two buffers: heating in
+   place, leakage into a scratch copy, and diffusion with cooling as a
+   single row-major grid stencil back (no neighbour table: neighbours
+   sit at fixed offsets, and only rim points test which exist). The
+   sweep keeps
 
      cur      the state being advanced through the current block
-     scratch  the diffusion read copy (one blit per instruction)
+     scratch  the post-leakage state the stencil reads
      states   n_slots x n_points: last sweep's state after each instr
      exits    n_blocks x n_points: state after each terminator
 
@@ -130,6 +134,24 @@ let compile_slot (cfg : Transfer.config) (grid : Flat_grid.t) ~duty events =
     events;
   { sl_points; sl_inc }
 
+(* One spare state buffer per domain: a caller that has read the last
+   of an outcome hands its [states] back through [recycle], and the next
+   [prepare] needing exactly that many floats takes it instead of
+   allocating. Every row is written by the first sweep before any sweep
+   reads it (a row is read only once [seen]), so the buffer's old
+   contents never show. *)
+let spare = Domain.DLS.new_key (fun () -> [||])
+
+let recycle states = Domain.DLS.set spare states
+
+let take_states len =
+  let b = Domain.DLS.get spare in
+  if Array.length b = len then begin
+    Domain.DLS.set spare [||];
+    b
+  end
+  else Array.make len 0.0
+
 let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
   let grid =
     Flat_grid.make cfg.Transfer.layout ~granularity:cfg.Transfer.granularity
@@ -185,7 +207,7 @@ let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
     cur = Array.make n_points ambient;
     scratch = Array.make n_points ambient;
     ambient_row = Array.make n_points ambient;
-    states = Array.make (n_slots * n_points) 0.0;
+    states = take_states (n_slots * n_points);
     seen = Array.make n_slots false;
     exits = Array.make (n_blocks * n_points) ambient;
     incoming = Array.make (n_blocks * n_points) 0.0;
@@ -194,9 +216,31 @@ let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
     fbuf = Array.make 2 0.0;
   }
 
-(* One transfer-function application, in place on [t.cur]. The four
-   phases run in the boxed order: heating, leakage, diffusion (read from
-   the scratch copy), cooling. *)
+(* Diffusion then cooling of the point at grid row [r], column [c] on
+   the grid's rim: reads the post-leakage state in [t.scratch], writes
+   [t.cur], and tests which of the four neighbours exist. The exchange
+   folds up, left, right, down from [0.0 +.], the boxed list order, so
+   a point with no neighbours still adds [lambda *. 0.0]. *)
+let rim_point t r c =
+  let rows = t.grid.Flat_grid.point_rows
+  and cols = t.grid.Flat_grid.point_cols in
+  let s = t.scratch in
+  let p = (r * cols) + c in
+  let temp = s.(p) in
+  let acc = 0.0 in
+  let acc = if r > 0 then acc +. (s.(p - cols) -. temp) else acc in
+  let acc = if c > 0 then acc +. (s.(p - 1) -. temp) else acc in
+  let acc = if c < cols - 1 then acc +. (s.(p + 1) -. temp) else acc in
+  let acc = if r < rows - 1 then acc +. (s.(p + cols) -. temp) else acc in
+  let d = temp +. (t.c_lambda *. acc) in
+  t.cur.(p) <- d -. (t.c_kappa *. (d -. t.c_ambient))
+
+(* One transfer-function application, in place on [t.cur], in the boxed
+   phase order. Heating adds in place; leakage writes the post-leakage
+   state into [t.scratch], which diffusion reads as its pre-step copy;
+   diffusion and cooling then run as one row-major stencil pass back
+   into [t.cur]. Cooling is pointwise, so applying it to each diffused
+   value as soon as it is computed changes no bit. *)
 let apply t (slot : slot) =
   let n = t.n_points in
   let cur = t.cur and scratch = t.scratch in
@@ -219,29 +263,36 @@ let apply t (slot : slot) =
     let d = temp -. amb in
     let excess = if d > 0.0 || d <> d then d else 0.0 in
     let leak = lw *. (1.0 +. (lc *. excess)) *. cells.(p) in
-    cur.(p) <- temp +. (leak *. dt /. cp)
+    scratch.(p) <- temp +. (leak *. dt /. cp)
   done;
-  (* Diffusion: every point reads its neighbours from the pre-step copy,
-     folding exchanges in CSR (= boxed list) order. *)
-  Array.blit cur 0 scratch 0 n;
-  let off = t.grid.Flat_grid.neigh_off
-  and nb = t.grid.Flat_grid.neigh
-  and lambda = t.c_lambda in
-  let acc = t.fbuf in
-  for p = 0 to n - 1 do
-    let temp = scratch.(p) in
-    acc.(0) <- 0.0;
-    for k = off.(p) to off.(p + 1) - 1 do
-      acc.(0) <- acc.(0) +. (scratch.(nb.(k)) -. temp)
+  (* Diffusion and cooling: the first and last grid rows and the first
+     and last point of every other row take the rim path; interior
+     points have all four neighbours. *)
+  let rows = t.grid.Flat_grid.point_rows
+  and cols = t.grid.Flat_grid.point_cols
+  and lambda = t.c_lambda
+  and kappa = t.c_kappa in
+  for c = 0 to cols - 1 do
+    rim_point t 0 c
+  done;
+  for r = 1 to rows - 2 do
+    rim_point t r 0;
+    let base = r * cols in
+    for p = base + 1 to base + cols - 2 do
+      let temp = scratch.(p) in
+      let acc = 0.0 +. (scratch.(p - cols) -. temp) in
+      let acc = acc +. (scratch.(p - 1) -. temp) in
+      let acc = acc +. (scratch.(p + 1) -. temp) in
+      let acc = acc +. (scratch.(p + cols) -. temp) in
+      let d = temp +. (lambda *. acc) in
+      cur.(p) <- d -. (kappa *. (d -. amb))
     done;
-    cur.(p) <- temp +. (lambda *. acc.(0))
+    if cols > 1 then rim_point t r (cols - 1)
   done;
-  (* Cooling. *)
-  let kappa = t.c_kappa in
-  for p = 0 to n - 1 do
-    let temp = cur.(p) in
-    cur.(p) <- temp -. (kappa *. (temp -. amb))
-  done
+  if rows > 1 then
+    for c = 0 to cols - 1 do
+      rim_point t (rows - 1) c
+    done
 
 (* Largest pointwise |cur - states[slot]|, with Thermal_state.max_delta's
    NaN stickiness (any NaN difference poisons the maximum): the result

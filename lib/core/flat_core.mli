@@ -2,10 +2,14 @@
     and block sweep recompiled onto preallocated flat float arrays.
 
     [prepare] compiles everything iteration-invariant — access events
-    into (point, increment) arrays, point neighbourhoods into a CSR
-    table, the per-point transfer coefficients — and allocates the
-    working buffers once. [pass] then sweeps the whole function in place:
-    no state copies, no neighbour lists, no per-visit access lists.
+    into (point, increment) arrays, the per-point transfer
+    coefficients — and allocates the working buffers once. [pass] then
+    sweeps the whole function in place, one fused step per program
+    point: heating in place, leakage into a scratch row, and diffusion
+    with cooling as a single row-major grid stencil (neighbours at fixed
+    offsets; only rim points test which exist). No state copies, no
+    neighbour lists, no per-visit access lists, and nothing allocated
+    but the unstable list a pass returns.
 
     Its state and exit buffers, laid out by {!slots}, become the arrays
     of {!Analysis.info} uncopied; the boxed reference engine packs its
@@ -63,6 +67,17 @@ val skipped : t -> int
 val finalize : t -> slots * float array * float array
 (** The slot table and the state and exit buffers, handed over without
     copying: a later sweep of the workspace overwrites them. *)
+
+val recycle : float array -> unit
+(** [recycle states] hands a state buffer whose last reader is done
+    with it (the [states] of an {!Analysis.info} nothing will read
+    again) to the next {!prepare} on this domain that needs a buffer of
+    exactly its length; that [prepare] takes it instead of allocating,
+    and its first sweep overwrites every row. One buffer is kept; a
+    later [recycle] replaces it. A daemon answering trace requests
+    thereby keeps one multi-megabyte state buffer instead of
+    allocating a fresh one per request and leaving the last ones to the
+    major GC. Never recycle a buffer that is still read. *)
 
 val exits : t -> float array
 (** The live exit buffer: what the next [pass] joins from (an

@@ -1,21 +1,15 @@
 open Tdfa_floorplan
 
 (* The struct-of-arrays mirror of Thermal_state's point grid: every
-   geometric query the boxed representation answers through closures and
-   lists is precomputed here into flat arrays, once per (layout,
-   granularity). The neighbour sets are stored CSR-style in the exact
-   order Thermal_state.point_neighbors produces them (up, left, right,
-   down), because the diffusion step folds exchanges in that order and
-   float addition does not commute bitwise. *)
+   per-point query the boxed representation answers through closures
+   is precomputed here into flat arrays, once per (layout, granularity).
+   Neighbourhoods need no table: the grid is row-major, so the diffusion
+   step in Flat_core reads a point's neighbours at fixed offsets. *)
 
 type t = {
-  layout : Layout.t;
-  granularity : int;
   point_rows : int;
   point_cols : int;
   n_points : int;
-  neigh_off : int array;  (* n_points + 1 CSR offsets *)
-  neigh : int array;  (* flat neighbour indices, up/left/right/down *)
   cells_f : float array;  (* cells aggregated per point, as float *)
   point_of_cell : int array;  (* num_cells *)
 }
@@ -42,38 +36,4 @@ let make layout ~granularity =
         let row, col = Layout.coord layout cell in
         ((row / granularity) * point_cols) + (col / granularity))
   in
-  let neigh_of p =
-    let pr = p / point_cols and pc = p mod point_cols in
-    List.filter_map
-      (fun (r, c) ->
-        if r >= 0 && r < point_rows && c >= 0 && c < point_cols then
-          Some ((r * point_cols) + c)
-        else None)
-      [ (pr - 1, pc); (pr, pc - 1); (pr, pc + 1); (pr + 1, pc) ]
-  in
-  let lists = Array.init n_points neigh_of in
-  let neigh_off = Array.make (n_points + 1) 0 in
-  Array.iteri
-    (fun p l -> neigh_off.(p + 1) <- neigh_off.(p) + List.length l)
-    lists;
-  let neigh = Array.make neigh_off.(n_points) 0 in
-  Array.iteri
-    (fun p l -> List.iteri (fun k q -> neigh.(neigh_off.(p) + k) <- q) l)
-    lists;
-  {
-    layout;
-    granularity;
-    point_rows;
-    point_cols;
-    n_points;
-    neigh_off;
-    neigh;
-    cells_f;
-    point_of_cell;
-  }
-
-let num_points t = t.n_points
-let degree t p = t.neigh_off.(p + 1) - t.neigh_off.(p)
-
-let neighbors t p =
-  Array.to_list (Array.sub t.neigh t.neigh_off.(p) (degree t p))
+  { point_rows; point_cols; n_points; cells_f; point_of_cell }

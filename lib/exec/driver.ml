@@ -28,14 +28,15 @@ let simulate_trace ?(window_cycles = default_window_cycles) model trace ~cell_of
     windows;
   sim
 
-let steady_temps ?(obs = Tdfa_obs.Obs.null) ?leak_mask model trace
-    ~cell_of_var =
+let steady_of_counts ?(obs = Tdfa_obs.Obs.null) ?leak_mask model ~cycles
+    ~reads ~writes =
   let module Obs = Tdfa_obs.Obs in
   let t0 = if Obs.tracing obs then Obs.now_us obs else 0.0 in
   let p = Rc_model.params model in
   let n = Rc_model.num_nodes model in
-  let reads, writes = Trace.access_counts trace ~cell_of_var ~num_cells:n in
-  let cycles = max 1 (Trace.cycles trace) in
+  if Array.length reads <> n || Array.length writes <> n then
+    invalid_arg "Driver.steady_of_counts: one count per cell";
+  let cycles = max 1 cycles in
   let avg_power = power_of_counts p ~window_cycles:cycles ~reads ~writes in
   let gated i =
     match leak_mask with Some mask -> not mask.(i) | None -> false
@@ -68,3 +69,11 @@ let steady_temps ?(obs = Tdfa_obs.Obs.null) ?leak_mask model trace
         ]
       ();
   temps
+
+let steady_temps ?obs ?leak_mask model trace ~cell_of_var =
+  let reads, writes =
+    Trace.access_counts trace ~cell_of_var
+      ~num_cells:(Rc_model.num_nodes model)
+  in
+  steady_of_counts ?obs ?leak_mask model ~cycles:(Trace.cycles trace) ~reads
+    ~writes

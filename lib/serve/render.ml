@@ -97,9 +97,12 @@ let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
 
 (* The one source of truth for what `tdfa trace' prints: stream
    summary, fixpoint verdict, predicted worst-case heatmap, and the RC
-   simulator's measured steady peak over the same windows. Only the
-   text is returned: the driver result (every per-window state) is dead
-   once the heatmap is printed, before the RC side allocates. *)
+   simulator's measured steady peak over the same windows. The measured
+   side runs first, from the compiled per-cell counts, so its model and
+   solver buffers are dead before the fixpoint takes its state buffer.
+   Only the text is returned: the driver result (every per-window
+   state) is read for the last time by the heatmap, and its state
+   buffer goes back to the flat core for the next trace. *)
 let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
     ~granularity ~delta ~recover (sample : Tdfa_trace.Sample.t) =
   let buf = Buffer.create 4096 in
@@ -118,6 +121,13 @@ let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
     (Tdfa_trace.Mapping.policy_name policy)
     cells stats.Tdfa_trace.Compile.cells_touched
     stats.Tdfa_trace.Compile.reads stats.Tdfa_trace.Compile.writes;
+  (* Measured side: the same windows through the RC simulator. *)
+  let reads, writes = Tdfa_trace.Compile.access_counts compiled in
+  let model = Rc_model.build layout Params.default in
+  let steady =
+    Tdfa_exec.Driver.steady_of_counts ~obs model
+      ~cycles:stats.Tdfa_trace.Compile.windows ~reads ~writes
+  in
   let cfg =
     driver_config ~layout ?cancel ~recover ~obs ~granularity ~delta ()
   in
@@ -132,12 +142,7 @@ let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
   pf "predicted worst-case map (peak %.2f K):\n" (Thermal_state.peak peak);
   Buffer.add_string buf
     (Heatmap.render layout (Thermal_state.to_cell_array peak));
-  (* Measured side: the same windows through the RC simulator. *)
-  let exec_trace, cell_of_var = Tdfa_trace.Compile.exec_trace compiled in
-  let model = Rc_model.build layout Params.default in
-  let steady =
-    Tdfa_exec.Driver.steady_temps ~obs model exec_trace ~cell_of_var
-  in
+  Flat_core.recycle info.Analysis.states;
   let measured_peak = Array.fold_left Float.max neg_infinity steady in
   pf "\nmeasured steady peak (RC simulator): %.2f K\n" measured_peak;
   Buffer.contents buf

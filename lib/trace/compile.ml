@@ -16,6 +16,8 @@ type t = {
   func : Func.t;
   entry : Label.t;
   events : Access.event list array;  (* one slot per window *)
+  reads : int array;  (* whole-stream accesses per cell *)
+  writes : int array;
   stats : stats;
 }
 
@@ -43,37 +45,26 @@ let stream_id ?(window_us = 1000) ~policy ~cells (trace : Sample.t) =
     trace.Sample.samples;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Aggregate one window's samples per (cell, kind), keeping first-touch
-   order so the event list is a deterministic function of the stream. *)
-let aggregate_window samples mapping =
-  let counts = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (s : Sample.sample) ->
-      let cell = Mapping.cell_of_addr mapping s.Sample.addr in
-      let key = (cell, s.Sample.kind) in
-      match Hashtbl.find_opt counts key with
-      | Some n -> Hashtbl.replace counts key (n + 1)
-      | None ->
-          Hashtbl.add counts key 1;
-          order := key :: !order)
-    samples;
-  List.rev_map
-    (fun (cell, kind) ->
-      Access.event ~weight:(float_of_int (Hashtbl.find counts (cell, kind)))
-        cell kind)
-    !order
-
 let max_windows = 1 lsl 18
 let max_window_cells = 1 lsl 22
 
-let check ?(window_us = 1000) ~cells (trace : Sample.t) =
+(* [check] that also returns the last timestamp. {!compile} windows the
+   stream in one ordered pass, so a hand-built record whose samples go
+   back in time is refused here rather than misfiled. *)
+let checked_duration ~window_us ~cells (trace : Sample.t) =
   let ( let* ) = Result.bind in
   let* () =
     if window_us <= 0 then Error "window_us must be positive" else Ok ()
   in
   let* () = Mapping.check_cells cells in
-  let spans = Sample.duration_us trace / window_us in
+  let rec last prev = function
+    | [] -> Ok prev
+    | (s : Sample.sample) :: rest ->
+        if s.Sample.t_us < prev then Error "samples are out of time order"
+        else last s.Sample.t_us rest
+  in
+  let* duration_us = last 0 trace.Sample.samples in
+  let spans = duration_us / window_us in
   if spans >= max_windows then
     Error
       (Printf.sprintf
@@ -87,13 +78,18 @@ let check ?(window_us = 1000) ~cells (trace : Sample.t) =
            "%d windows x %d cells exceeds the budget of %d thermal points \
             (fewer cells or a wider window)"
            windows cells max_window_cells)
-    else Ok ()
+    else Ok duration_us
+
+let check ?(window_us = 1000) ~cells trace =
+  Result.map ignore (checked_duration ~window_us ~cells trace)
 
 let compile ?(obs = Obs.null) ?(window_us = 1000) ~policy ~cells
     (trace : Sample.t) =
-  (match check ~window_us ~cells trace with
-   | Ok () -> ()
-   | Error msg -> invalid_arg ("Compile.compile: " ^ msg));
+  let duration_us =
+    match checked_duration ~window_us ~cells trace with
+    | Ok d -> d
+    | Error msg -> invalid_arg ("Compile.compile: " ^ msg)
+  in
   let mapping =
     Obs.span obs "trace.map"
       ~args:
@@ -103,32 +99,66 @@ let compile ?(obs = Obs.null) ?(window_us = 1000) ~policy ~cells
         ]
       (fun () -> Mapping.build ~policy ~cells trace)
   in
-  let duration_us = Sample.duration_us trace in
   let windows = (duration_us / window_us) + 1 in
-  let events =
-    Obs.span obs "trace.window"
-      ~args:[ ("windows", Obs.Int windows); ("window_us", Obs.Int window_us) ]
-      (fun () ->
-        let per_window = Array.make windows [] in
-        List.iter
-          (fun (s : Sample.sample) ->
-            let w = s.Sample.t_us / window_us in
-            per_window.(w) <- s :: per_window.(w))
-          trace.Sample.samples;
-        Array.map (fun ss -> aggregate_window (List.rev ss) mapping) per_window)
-  in
-  let samples = List.length trace.Sample.samples in
-  Obs.incr obs ~by:samples "trace.samples";
+  let events = Array.make windows [] in
+  let reads = Array.make cells 0 and writes = Array.make cells 0 in
+  Obs.span obs "trace.window"
+    ~args:[ ("windows", Obs.Int windows); ("window_us", Obs.Int window_us) ]
+    (fun () ->
+      (* One pass: samples arrive in window order (Sample.t is
+         nondecreasing in time), so each window's events are aggregated
+         per (cell, kind) in [count], slot [2 * cell + kind], and
+         flushed when the next window starts. [order] lists the window's
+         slots in first-touch order, so the event list is a
+         deterministic function of the stream; flushing resets exactly
+         those slots. *)
+      let count = Array.make (2 * cells) 0 in
+      let order = Array.make (2 * cells) 0 in
+      let n_order = ref 0 in
+      let flush w =
+        let evs = ref [] in
+        for k = !n_order - 1 downto 0 do
+          let slot = order.(k) in
+          let kind = if slot land 1 = 0 then Access.Read else Access.Write in
+          evs :=
+            Access.event ~weight:(float_of_int count.(slot)) (slot lsr 1) kind
+            :: !evs;
+          count.(slot) <- 0
+        done;
+        events.(w) <- !evs;
+        n_order := 0
+      in
+      let cur = ref 0 in
+      List.iter
+        (fun (s : Sample.sample) ->
+          let w = s.Sample.t_us / window_us in
+          if w <> !cur then begin
+            flush !cur;
+            cur := w
+          end;
+          let cell = Mapping.cell_of_addr mapping s.Sample.addr in
+          let slot =
+            match s.Sample.kind with
+            | Access.Read ->
+                reads.(cell) <- reads.(cell) + 1;
+                2 * cell
+            | Access.Write ->
+                writes.(cell) <- writes.(cell) + 1;
+                (2 * cell) + 1
+          in
+          if count.(slot) = 0 then begin
+            order.(!n_order) <- slot;
+            incr n_order
+          end;
+          count.(slot) <- count.(slot) + 1)
+        trace.Sample.samples;
+      flush !cur);
+  let sum = Array.fold_left ( + ) 0 in
+  let n_reads = sum reads and n_writes = sum writes in
+  let touched = ref 0 in
+  Array.iteri (fun c r -> if r + writes.(c) > 0 then incr touched) reads;
+  Obs.incr obs ~by:(n_reads + n_writes) "trace.samples";
   Obs.incr obs ~by:windows "trace.windows";
-  let touched = Hashtbl.create 16 in
-  let reads = ref 0 and writes = ref 0 in
-  List.iter
-    (fun (s : Sample.sample) ->
-      Hashtbl.replace touched (Mapping.cell_of_addr mapping s.Sample.addr) ();
-      match s.Sample.kind with
-      | Access.Read -> incr reads
-      | Access.Write -> incr writes)
-    trace.Sample.samples;
   let b = Builder.create ~name:trace.Sample.name ~params:[] in
   for _ = 1 to windows do
     Builder.nop b
@@ -139,13 +169,15 @@ let compile ?(obs = Obs.null) ?(window_us = 1000) ~policy ~cells
     func;
     entry = Func.entry_label func;
     events;
+    reads;
+    writes;
     stats =
       {
-        samples;
+        samples = n_reads + n_writes;
         windows;
-        cells_touched = Hashtbl.length touched;
-        reads = !reads;
-        writes = !writes;
+        cells_touched = !touched;
+        reads = n_reads;
+        writes = n_writes;
         duration_us;
       };
   }
@@ -180,6 +212,8 @@ let exec_trace t =
   ( Tdfa_exec.Trace.of_events ~cycles:(Array.length t.events)
       (List.rev !events),
     cell_of_var )
+
+let access_counts t = (Array.copy t.reads, Array.copy t.writes)
 
 let layout_of_cells cells =
   (match Mapping.check_cells cells with

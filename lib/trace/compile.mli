@@ -35,7 +35,11 @@ val compile :
   Sample.t ->
   t
 (** Map then window. Default [window_us] is 1000 (1 ms per analysis
-    instruction). Emits [trace.map] / [trace.window] spans and
+    instruction). After {!check}'s timestamp walk (and, for
+    [Zipf_rank], {!Mapping.build}'s count), one pass over the samples
+    windows each, maps its address once and aggregates it per (cell,
+    kind) into its window's events, counting per-cell reads and writes
+    as it goes. Emits [trace.map] / [trace.window] spans and
     [trace.samples] / [trace.windows] counters to [obs].
     @raise Invalid_argument when {!check} rejects the arguments. *)
 
@@ -51,8 +55,10 @@ val max_window_cells : int
 
 val check : ?window_us:int -> cells:int -> Sample.t -> (unit, string) result
 (** The one size check in front of {!compile} and {!layout_of_cells}:
-    [window_us > 0], {!Mapping.check_cells}, at most {!max_windows}
-    windows and at most {!max_window_cells} for [windows * cells].
+    [window_us > 0], {!Mapping.check_cells}, samples in nondecreasing
+    time order (what {!Sample.make} and {!Sample.parse} guarantee; a
+    record built by hand may break it), at most {!max_windows} windows
+    and at most {!max_window_cells} for [windows * cells].
     Reads only the sample timestamps and allocates nothing per sample,
     so [tdfa trace] and the serve daemon reject an oversized request
     before any work. [window_us] defaults to 1000 as in {!compile}. *)
@@ -82,7 +88,16 @@ val exec_trace : t -> Tdfa_exec.Trace.t * (Var.t -> int option)
     window, synthetic variables named [cell<i>]) plus the matching
     [cell_of_var], for driving the RC simulator's measured side
     ([Tdfa_exec.Driver.steady_temps]) against the analysis. Aggregated
-    weights are expanded back to one event per access. *)
+    weights are expanded back to one event per access. {!access_counts}
+    gives the same per-cell totals without the expansion. *)
+
+val access_counts : t -> int array * int array
+(** Whole-stream totals per cell, [(reads, writes)], each of length
+    [cells] (fresh arrays, counted by {!compile}'s pass): the
+    aggregated weights summed over every window. Equal to
+    [Tdfa_exec.Trace.access_counts] of {!exec_trace} without expanding
+    a single event, so the measured side
+    ([Tdfa_exec.Driver.steady_of_counts]) reads it directly. *)
 
 val layout_of_cells : int -> Layout.t
 (** Near-square grid holding the given cell count: the factor pair

@@ -60,16 +60,16 @@ let test_grid_matches_thermal_state () =
           let grid = Flat_grid.make layout ~granularity:g in
           let st = Thermal_state.create layout ~granularity:g ~ambient_k:0.0 in
           Alcotest.(check int) "num_points" (Thermal_state.num_points st)
-            (Flat_grid.num_points grid);
+            grid.Flat_grid.n_points;
+          Alcotest.(check (pair int int)) "point rows x cols"
+            (Thermal_state.point_rows st, Thermal_state.point_cols st)
+            (grid.Flat_grid.point_rows, grid.Flat_grid.point_cols);
           for cell = 0 to Layout.num_cells layout - 1 do
             Alcotest.(check int) "point_of_cell"
               (Thermal_state.point_of_cell st cell)
               grid.Flat_grid.point_of_cell.(cell)
           done;
-          for p = 0 to Flat_grid.num_points grid - 1 do
-            Alcotest.(check (list int)) "neighbors"
-              (Thermal_state.point_neighbors st p)
-              (Flat_grid.neighbors grid p);
+          for p = 0 to grid.Flat_grid.n_points - 1 do
             Alcotest.(check (float 0.0)) "cells per point"
               (float_of_int (Thermal_state.cells_per_point st p))
               grid.Flat_grid.cells_f.(p)
@@ -427,6 +427,102 @@ let prop_flat_equals_boxed_trace =
       in
       same_outcome boxed flat)
 
+(* The flat stencil has a rim path (first and last rows and columns,
+   where a neighbour may be missing) and an interior path: the degenerate
+   and skewed shapes below put every point on the rim (1x1, 1x9, 9x1,
+   2x2, and any granularity >= a side), give rows or columns only one
+   interior point, or leave a coarse rim of partial points (5x7 at
+   granularity 2-4). A random program allocated on the 8x8 file is
+   folded onto each shape (cell c heats cell c mod cells), and every
+   case runs every shape, granularity and join. *)
+let grid_shapes = [ (1, 1); (1, 9); (9, 1); (2, 2); (3, 7); (7, 3); (5, 7) ]
+
+let prop_flat_equals_boxed_grid_shapes =
+  QCheck2.Test.make
+    ~name:"flat core == boxed core on every grid shape and granularity"
+    ~count:12
+    ~print:(fun f -> Printer.func_to_string f)
+    gen_small
+    (fun f ->
+      let af, asg = post_ra f in
+      let cfg8 = config_of ~granularity:1 af asg in
+      List.for_all
+        (fun (rows, cols) ->
+          let layout = Layout.make ~rows ~cols () in
+          let cells = Layout.num_cells layout in
+          let fold evs =
+            List.map
+              (fun (e : Access.event) ->
+                { e with Access.cell = e.Access.cell mod cells })
+              evs
+          in
+          List.for_all
+            (fun granularity ->
+              let cfg =
+                {
+                  cfg8 with
+                  Transfer.layout;
+                  granularity;
+                  accesses_of_instr =
+                    (fun l k i -> fold (cfg8.Transfer.accesses_of_instr l k i));
+                  accesses_of_term =
+                    (fun l t -> fold (cfg8.Transfer.accesses_of_term l t));
+                }
+              in
+              List.for_all
+                (fun join ->
+                  let settings = { settings with Analysis.join } in
+                  let run core = Analysis.fixpoint ~settings ~core cfg af in
+                  same_outcome (run Analysis.Boxed) (run Analysis.Flat))
+                [ Analysis.Max; Analysis.Average ])
+            [ 1; 2; 3; 4 ])
+        grid_shapes)
+
+(* A sweep writes only into the workspace: over a 64x64 grid and a
+   200-window trace, [Flat_core.pass] allocates nothing beyond the
+   unstable list it returns and its result pair. The first sweep finds
+   every window unstable, the second skips the whole carrier block. *)
+let test_pass_zero_alloc () =
+  let cells = 4096 in
+  let layout = Layout.make ~rows:64 ~cols:64 () in
+  let sample =
+    Tdfa_trace.Synth.zipf ~seed:3 ~s:1.0 ~addrs:cells ~n:4000 ~period_us:50 ()
+  in
+  let compiled =
+    Tdfa_trace.Compile.compile ~policy:Tdfa_trace.Mapping.Direct ~cells sample
+  in
+  Alcotest.(check int) "200 windows" 200
+    (Tdfa_trace.Compile.stats compiled).Tdfa_trace.Compile.windows;
+  let prepared =
+    Tdfa.Driver.config_of_input
+      (Tdfa.Driver.default ~layout)
+      (Tdfa_trace.Compile.driver_input compiled)
+  in
+  let t =
+    Flat_core.prepare ~join:Flat_core.Join_max ~delta_k:0.05
+      (prepared.Tdfa.Driver.config_of ~granularity:1)
+      prepared.Tdfa.Driver.func
+  in
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let overhead = b -. a in
+  List.iter
+    (fun sweep ->
+      let before = Gc.minor_words () in
+      let _, unstable = Flat_core.pass t in
+      let after = Gc.minor_words () in
+      (* Per unstable instruction a (label, index) pair and a cons cell,
+         plus the cons cell of the List.rev that puts the list in
+         encounter order; then the result pair and the boxed largest
+         change. *)
+      let allowed = float_of_int ((List.length unstable * 9) + 3 + 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "sweep %d: %.0f words for %d unstable" sweep
+           (after -. before -. overhead) (List.length unstable))
+        true
+        (after -. before -. overhead <= allowed))
+    [ 1; 2 ]
+
 (* --- Skip snapshots and post_fixpoint ---------------------------------------- *)
 
 (* post_fixpoint overwrites the exit rows, so it must not trust any
@@ -457,6 +553,37 @@ let test_post_fixpoint_ignores_snapshots () =
       Alcotest.(check bool) (name ^ ": same peak points") true
         (bits_equal (Flat_core.peak_points fresh)
            (Flat_core.peak_points converged)))
+    [ ("fib", Kernels.fib ()); ("fir", Kernels.fir ());
+      ("matmul", Kernels.matmul ()) ]
+
+(* --- Recycled state buffers ---------------------------------------------------- *)
+
+(* A recycled state buffer is overwritten before it is read: a fixpoint
+   that takes one full of NaNs fills the same bits as one on a fresh
+   buffer, and it takes the buffer rather than allocating. A buffer of
+   another length is not taken. *)
+let test_recycled_states () =
+  List.iter
+    (fun (name, f) ->
+      let af, asg = post_ra f in
+      let cfg = config_of af asg in
+      let run () = Analysis.fixpoint ~settings ~core:Analysis.Flat cfg af in
+      let fresh = run () in
+      let len = Array.length (Analysis.info fresh).Analysis.states in
+      let other = Array.make (len + 1) nan in
+      Flat_core.recycle other;
+      let untouched = run () in
+      Alcotest.(check bool) (name ^ ": other length not taken") false
+        ((Analysis.info untouched).Analysis.states == other);
+      let junk = Array.make len nan in
+      Flat_core.recycle junk;
+      let reused = run () in
+      Alcotest.(check bool) (name ^ ": takes the recycled buffer") true
+        ((Analysis.info reused).Analysis.states == junk);
+      Alcotest.(check bool) (name ^ ": same outcome") true
+        (same_outcome fresh reused);
+      Alcotest.(check bool) (name ^ ": taken once") false
+        ((Analysis.info (run ())).Analysis.states == junk))
     [ ("fib", Kernels.fib ()); ("fir", Kernels.fir ());
       ("matmul", Kernels.matmul ()) ]
 
@@ -507,6 +634,10 @@ let suite =
           test_post_fixpoint_ignores_snapshots;
         tc "peak_rows is Float.max, signed zeros and NaNs included" `Quick
           test_peak_rows_is_float_max;
+        tc "a fixpoint sweep allocates only its unstable list" `Quick
+          test_pass_zero_alloc;
+        tc "a recycled state buffer changes no bit" `Quick
+          test_recycled_states;
       ] );
     ( "core_flat.properties",
       List.map QCheck_alcotest.to_alcotest
@@ -515,5 +646,6 @@ let suite =
           prop_flat_equals_boxed_extreme_params;
           prop_flat_equals_boxed_zero_delta;
           prop_flat_equals_boxed_trace;
+          prop_flat_equals_boxed_grid_shapes;
         ] );
   ]

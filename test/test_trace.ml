@@ -694,6 +694,157 @@ let prop_scanner_matches_split_parser =
       | Error e, Ok _ ->
         QCheck2.Test.fail_reportf "oracle accepts, scanner says %s" e)
 
+(* --- One-pass compiler == per-window aggregation ----------------------------- *)
+
+(* [Compile.compile]'s windowing before it became one pass, kept
+   verbatim as the oracle: bucket the samples per window, aggregate each
+   bucket per (cell, kind) in a Hashtbl in first-touch order, then walk
+   the samples again for the touched cells and the read/write counts. *)
+module Window_reference = struct
+  let aggregate_window samples mapping =
+    let counts = Hashtbl.create 16 in
+    let order = ref [] in
+    List.iter
+      (fun (s : Sample.sample) ->
+        let cell = Mapping.cell_of_addr mapping s.Sample.addr in
+        let key = (cell, s.Sample.kind) in
+        match Hashtbl.find_opt counts key with
+        | Some n -> Hashtbl.replace counts key (n + 1)
+        | None ->
+            Hashtbl.add counts key 1;
+            order := key :: !order)
+      samples;
+    List.rev_map
+      (fun (cell, kind) ->
+        Access.event ~weight:(float_of_int (Hashtbl.find counts (cell, kind)))
+          cell kind)
+      !order
+
+  let compile ~window_us ~policy ~cells (trace : Sample.t) =
+    let mapping = Mapping.build ~policy ~cells trace in
+    let duration_us = Sample.duration_us trace in
+    let windows = (duration_us / window_us) + 1 in
+    let events =
+      let per_window = Array.make windows [] in
+      List.iter
+        (fun (s : Sample.sample) ->
+          let w = s.Sample.t_us / window_us in
+          per_window.(w) <- s :: per_window.(w))
+        trace.Sample.samples;
+      Array.map (fun ss -> aggregate_window (List.rev ss) mapping) per_window
+    in
+    let samples = List.length trace.Sample.samples in
+    let touched = Hashtbl.create 16 in
+    let reads = ref 0 and writes = ref 0 in
+    List.iter
+      (fun (s : Sample.sample) ->
+        Hashtbl.replace touched (Mapping.cell_of_addr mapping s.Sample.addr) ();
+        match s.Sample.kind with
+        | Access.Read -> incr reads
+        | Access.Write -> incr writes)
+      trace.Sample.samples;
+    ( events,
+      {
+        Compile.samples;
+        windows;
+        cells_touched = Hashtbl.length touched;
+        reads = !reads;
+        writes = !writes;
+        duration_us;
+      } )
+end
+
+let gen_compile_case =
+  let open QCheck2.Gen in
+  let* zipf = bool in
+  let* seed = int_range 0 999 in
+  let* n = int_range 0 400 in
+  let* period_us = oneofl [ 1; 10; 70 ] in
+  let* policy = oneofl Mapping.all_policies in
+  let* cells = oneofl [ 1; 7; 64; 4096 ] in
+  (* 7 and 25 us windows under 70 us sampling leave empty windows. *)
+  let* window_us = oneofl [ 7; 25; 100; 1000 ] in
+  let sample =
+    if zipf then
+      Synth.zipf ~period_us ~seed ~s:(float_of_int (seed mod 20) /. 10.0)
+        ~addrs:(1 + (seed mod 300)) ~n ()
+    else
+      Synth.stream ~period_us ~seed ~footprint:(1 + (seed mod 200)) ~n ()
+  in
+  return (sample, policy, cells, window_us)
+
+let print_compile_case (sample, policy, cells, window_us) =
+  Printf.sprintf "%s, %d samples, policy %s, %d cells, window %d us"
+    sample.Sample.name
+    (List.length sample.Sample.samples)
+    (Mapping.policy_name policy) cells window_us
+
+let same_events a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Access.event) (y : Access.event) ->
+         x.Access.cell = y.Access.cell
+         && x.Access.kind = y.Access.kind
+         && Int64.equal
+              (Int64.bits_of_float x.Access.weight)
+              (Int64.bits_of_float y.Access.weight))
+       a b
+
+let prop_compile_matches_window_reference =
+  QCheck2.Test.make
+    ~name:"trace: one-pass compile == per-window aggregation"
+    ~count:300 ~print:print_compile_case gen_compile_case
+    (fun (sample, policy, cells, window_us) ->
+      match Compile.check ~window_us ~cells sample with
+      | Error _ -> (
+          match Compile.compile ~window_us ~policy ~cells sample with
+          | _ -> QCheck2.Test.fail_report "compile accepts what check rejects"
+          | exception Invalid_argument _ -> true)
+      | Ok () ->
+          let c = Compile.compile ~window_us ~policy ~cells sample in
+          let ref_events, ref_stats =
+            Window_reference.compile ~window_us ~policy ~cells sample
+          in
+          let entry = Tdfa_ir.Func.entry_label (Compile.func c) in
+          let reads, writes = Compile.access_counts c in
+          let trace, cell_of_var = Compile.exec_trace c in
+          let ex_reads, ex_writes =
+            Tdfa_exec.Trace.access_counts trace ~cell_of_var ~num_cells:cells
+          in
+          Compile.stats c = ref_stats
+          && Array.length ref_events = ref_stats.Compile.windows
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun w evs -> same_events (Compile.accesses c entry w) evs)
+                  ref_events)
+          && reads = ex_reads && writes = ex_writes)
+
+(* [Render.trace] hands its state buffer back for the next trace: the
+   same stream rendered again on the recycled buffer, before and after
+   a different stream, prints the same bytes. *)
+let test_render_trace_recycled () =
+  let render sample =
+    Tdfa_serve.Render.trace ~policy:Mapping.Hashed ~cells:64 ~granularity:1
+      ~delta:0.05 ~recover:false sample
+  in
+  let a = Synth.zipf ~seed:11 ~s:1.0 ~addrs:96 ~n:900 () in
+  let b = Synth.stream ~seed:12 ~footprint:40 ~n:900 () in
+  let first = render a in
+  let other = render b in
+  Alcotest.(check string) "same text on a recycled buffer" first (render a);
+  Alcotest.(check string) "other stream unchanged" other (render b)
+
+(* A Sample.t record built by hand may break the time order Sample.make
+   enforces; the one-pass windowing refuses it instead of misfiling. *)
+let test_compile_out_of_order () =
+  let s t_us = { Sample.t_us; kind = Access.Read; addr = 8 } in
+  let bad = { Sample.name = "bad"; samples = [ s 5000; s 10 ] } in
+  Alcotest.(check bool) "check rejects" true
+    (Result.is_error (Compile.check ~cells:64 bad));
+  Alcotest.check_raises "compile raises"
+    (Invalid_argument "Compile.compile: samples are out of time order")
+    (fun () -> ignore (Compile.compile ~policy:Mapping.Direct ~cells:64 bad))
+
 (* --- Engine trace jobs ---------------------------------------------------- *)
 
 let trace_job_of name sample =
@@ -776,6 +927,11 @@ let suite =
           test_cells_huge;
         Alcotest.test_case "windows x cells budget" `Quick test_window_budget;
         QCheck_alcotest.to_alcotest prop_trace_matches_clean_room;
+        QCheck_alcotest.to_alcotest prop_compile_matches_window_reference;
+        Alcotest.test_case "regression: out-of-order samples are rejected"
+          `Quick test_compile_out_of_order;
+        Alcotest.test_case "render on a recycled state buffer" `Quick
+          test_render_trace_recycled;
       ] );
     ( "trace.synth",
       [

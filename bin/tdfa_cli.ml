@@ -907,9 +907,9 @@ let experiments id =
     | "e19" -> ignore (Experiments.e19 ())
     | "e20" -> ignore (Experiments.e20 ())
     | "e20-quick" ->
-      (* CI smoke: a small corpus, single timing rep — the fingerprint
-         assertions still run on every event. *)
-      ignore (Experiments.e20 ~n:12 ~repeats:1 ())
+      (* CI smoke: a small corpus — the fingerprint assertions still
+         run on every event. *)
+      ignore (Experiments.e20 ~n:12 ())
     | "e21" -> ignore (Experiments.e21 ())
     | "e21-quick" ->
       (* CI smoke: small grid ladder, single timing rep — bit-identity

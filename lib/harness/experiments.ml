@@ -10,12 +10,6 @@ module Json = Tdfa_obs.Json
 let section title =
   Printf.printf "\n==== %s ====\n\n" title
 
-(* The BENCH_*.json records: one indented JSON document per file. *)
-let write_json path (v : Json.t) =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string_indented v);
-      output_char oc '\n')
-
 (* ------------------------------------------------------------------ *)
 (* FIG1                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -541,13 +535,11 @@ let e7 ?(quiet = false) () =
         let post = Common.predicted_cells post_info in
         (* Pre-allocation prediction: original function, predicted
            placement. *)
-        let cfg =
-          Tdfa.Driver.transfer_config
-            (Tdfa.Driver.default ~layout:Common.standard_layout)
-            func
-            (Placement.predict func Common.standard_layout)
+        let pre_info =
+          Analysis.info
+            (Common.analyze_assigned func
+               (Placement.predict func Common.standard_layout))
         in
-        let pre_info = Analysis.info (Analysis.fixpoint cfg func) in
         let pre = Common.predicted_cells pre_info in
         let post_rep =
           Accuracy.compare_fields ~predicted:post ~measured:run.Common.measured
@@ -1413,35 +1405,83 @@ let e19 ?(quiet = false) ?(n = 120) ?(hot_k = Tdfa_lint.Rules.hot_threshold)
   result
 
 (* ------------------------------------------------------------------ *)
-(* E20                                                                  *)
+(* E20-E24: one benchmark record                                        *)
 (* ------------------------------------------------------------------ *)
 
-type e20_event = {
+type row = {
   subject : string;
-  edit : string;
-  emode : string;  (** identity / cold as seen by Incremental *)
-  blocks : int;
-  t_cold_ms : float;
-  t_warm_ms : float;
-  e20_speedup : float;
+  metric : string;
+  unit : string;
+  value : float;
+  n : int;
 }
 
-type e20_class = { cls : string; count : int; cls_median : float }
+let row ?(n = 1) subject metric unit value = { subject; metric; unit; value; n }
+let count ?n subject metric k = row ?n subject metric "count" (float_of_int k)
 
-type e20_result = {
-  kernel_events : e20_event list;
-  corpus_events : e20_event list;
-  corpus_functions : int;
-  kernel_median : float;
-  corpus_median : float;
-  e20_classes : e20_class list;
-}
+let flag ?n subject metric b =
+  row ?n subject metric "bool" (if b then 1.0 else 0.0)
+
+let median = function
+  | [] -> 0.0
+  | l ->
+    let a = List.sort Float.compare l in
+    List.nth a (List.length a / 2)
+
+(* Best-of-[repeats] wall time in ms, with the result of the last call. *)
+let best_of_ms ~repeats f =
+  let best = ref infinity and result = ref None in
+  for _ = 1 to max 1 repeats do
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
+    if dt < !best then best := dt;
+    result := Some r
+  done;
+  (Option.get !result, !best)
+
+(* The one BENCH_*.json writer and the one table printer. *)
+let report ~quiet ~json experiment rows =
+  let row_json r =
+    Json.Obj
+      [ ("subject", Str r.subject); ("metric", Str r.metric);
+        ("unit", Str r.unit); ("value", Float r.value); ("n", Int r.n) ]
+  in
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            (Json.to_string_indented
+               (Json.Obj
+                  [ ("experiment", Str experiment);
+                    ("host_cores", Int (Domain.recommended_domain_count ()));
+                    ("rows", List (List.map row_json rows)) ]));
+          output_char oc '\n'))
+    json;
+  if not quiet then begin
+    let table =
+      Table.create ~headers:[ "subject"; "metric"; "value"; "unit"; "n" ]
+    in
+    List.iter
+      (fun r ->
+        Table.add_row table
+          [ r.subject; r.metric; Printf.sprintf "%.6g" r.value; r.unit;
+            string_of_int r.n ])
+      rows;
+    Table.print table;
+    Option.iter (Printf.printf "wrote %s\n") json
+  end;
+  rows
+
+(* ------------------------------------------------------------------ *)
+(* E20                                                                  *)
+(* ------------------------------------------------------------------ *)
 
 (* The single-pass edits the optimize→analyze loop produces, applied to
    already-allocated code. Several are no-ops on clean kernels — that is
    the point: the re-analysis event stream of a real pipeline is a mix
    of identity requests (the key matches, the cached result answers) and
-   edited functions that run cold, and E20 reports each class honestly. *)
+   edited functions that run cold, and E20 counts each class. *)
 let e20_edits =
   let open Tdfa_ir in
   [
@@ -1472,41 +1512,28 @@ let e20_edits =
     ("unroll", fun f -> fst (Unroll.apply f ~factor:2));
   ]
 
-let e20_median = function
-  | [] -> 0.0
-  | l ->
-    let a = List.sort Float.compare l in
-    List.nth a (List.length a / 2)
-
-let e20_time_ms ~repeats f =
-  let best = ref infinity and result = ref None in
-  for _ = 1 to max 1 repeats do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, !best)
-
 (* One thermally-guided optimize→analyze chain: analyse the function
    once, then walk the pass list the way the compile driver does — a
    pass only fires while the latest analysis still shows heat above
    [target_k]; either way the loop issues a re-analysis request to
-   confirm where it stands. Each request is measured cold vs through
-   Incremental with the previous prior, results are asserted
-   bitwise-identical (fingerprint over every thermal point — any
-   divergence is a hard failure, no tolerance), and the new prior
-   chains into the next step. Skipped passes are re-analyses of an
-   unchanged function: exactly the identity traffic a pass-quiescence
-   driver generates. *)
-let e20_chain ~repeats ~target_k ~subject func edits =
+   confirm where it stands. Each request runs cold ([Assigned]) and
+   from the previous prior ([Warm_start]); the two fingerprints over
+   every thermal point must be equal (any divergence raises, there is
+   no tolerance), and the new prior chains into the next step. Skipped
+   passes are re-analyses of an unchanged function: exactly the
+   identity traffic a pass-quiescence driver generates. Returns each
+   event's name and reuse mode. *)
+let e20_chain ~target_k ~subject func edits =
   let layout = Common.standard_layout in
+  let cfg = Tdfa.Driver.default ~layout in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
-  let asg = alloc.Alloc.assignment in
-  let cfg f = Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) f asg in
-  let last = ref (Incremental.analyze (cfg alloc.Alloc.func) alloc.Alloc.func)
-  and cur = ref alloc.Alloc.func in
+  let assignment = alloc.Alloc.assignment in
+  let warm prior func =
+    Option.get
+      (Tdfa.Driver.run cfg (Tdfa.Driver.Warm_start { func; assignment; prior }))
+        .incremental
+  in
+  let last = ref (warm None alloc.Alloc.func) and cur = ref alloc.Alloc.func in
   List.map
     (fun (edit, pass) ->
       let peak =
@@ -1516,64 +1543,29 @@ let e20_chain ~repeats ~target_k ~subject func edits =
       let hot = peak >= target_k in
       let edit = if hot then edit else edit ^ "-skipped" in
       let f' = if hot then pass !cur else !cur in
-      let c = cfg f' in
-      let cold, t_cold_ms =
-        e20_time_ms ~repeats (fun () -> Analysis.fixpoint c f')
-      in
-      let warm, t_warm_ms =
-        e20_time_ms ~repeats (fun () ->
-            Incremental.analyze ~prior:!last.Incremental.prior c f')
-      in
+      let cold = Tdfa.Driver.run cfg (Tdfa.Driver.Assigned (f', assignment)) in
+      let inc = warm (Some !last.Incremental.prior) f' in
       let fp = Tdfa_engine.Engine.fingerprint in
-      if not (String.equal (fp warm.Incremental.outcome) (fp cold)) then
+      if not (String.equal (fp inc.Incremental.outcome) (fp cold.outcome)) then
         failwith
           (Printf.sprintf
              "E20: incremental result diverged from cold on %s after %s"
              subject edit);
-      last := warm;
+      last := inc;
       cur := f';
-      {
-        subject;
-        edit;
-        emode = Incremental.mode_name warm.Incremental.mode;
-        blocks = List.length f'.Tdfa_ir.Func.blocks;
-        t_cold_ms;
-        t_warm_ms;
-        e20_speedup = t_cold_ms /. Float.max t_warm_ms 1e-6;
-      })
+      (subject ^ "/" ^ edit, inc.Incremental.mode))
     edits
 
-let e20_json r =
-  let event e =
-    Json.Obj
-      [ ("subject", Str e.subject); ("edit", Str e.edit); ("mode", Str e.emode);
-        ("total_blocks", Int e.blocks); ("t_cold_ms", Float e.t_cold_ms);
-        ("t_warm_ms", Float e.t_warm_ms); ("speedup", Float e.e20_speedup) ]
-  in
-  let cls c =
-    Json.Obj
-      [ ("mode", Str c.cls); ("events", Int c.count);
-        ("median_speedup", Float c.cls_median) ]
-  in
-  Json.Obj
-    [ ("experiment", Str "e20"); ("fingerprints_equal", Bool true);
-      ("kernel_median_speedup", Float r.kernel_median);
-      ("corpus_median_speedup", Float r.corpus_median);
-      ("corpus_functions", Int r.corpus_functions);
-      ("classes", List (List.map cls r.e20_classes));
-      ("kernel_events", List (List.map event r.kernel_events));
-      ("corpus_events", List (List.map event r.corpus_events)) ]
-
-(* Speedup of re-analysis through Incremental over a cold fixpoint
-   across single-pass edits: the example-kernel suite (the 8 kernels
-   shipped as examples/ir) plus a generated corpus. Fingerprint equality
-   between the two is asserted on every event. *)
-let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
+(* Re-analysis through the incremental engine across single-pass edits:
+   the example-kernel suite (the 8 kernels shipped as examples/ir) plus
+   a generated corpus. Fingerprint equality with a cold run is asserted
+   on every event; the rows count events per reuse mode. *)
+let e20 ?(quiet = false) ?(n = 120) ?(target_k = 337.0)
     ?(json = Some "BENCH_incremental.json") () =
   if not quiet then
     section
-      "E20 - incremental re-analysis: speedup vs cold re-analysis across \
-       single-pass edits";
+      "E20 - incremental re-analysis across single-pass edits: reuse \
+       modes, bit-identical to cold";
   let example_kernels =
     [ "crc"; "fir"; "high_pressure"; "horner"; "idct_row"; "matmul";
       "scale"; "stencil" ]
@@ -1582,7 +1574,7 @@ let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
     List.concat_map
       (fun name ->
         match Kernels.find name with
-        | Some f -> e20_chain ~repeats ~target_k ~subject:name f e20_edits
+        | Some f -> e20_chain ~target_k ~subject:name f e20_edits
         | None -> [])
       example_kernels
   in
@@ -1601,98 +1593,37 @@ let e20 ?(quiet = false) ?(n = 120) ?(repeats = 3) ?(target_k = 337.0)
     List.concat
       (List.mapi
          (fun i f ->
-           e20_chain ~repeats ~target_k
+           e20_chain ~target_k
              ~subject:(Printf.sprintf "gen%03d" i)
              f corpus_edits)
          corpus)
   in
-  let speedups l = List.map (fun e -> e.e20_speedup) l in
-  let all_events = kernel_events @ corpus_events in
-  let classes =
+  let all = kernel_events @ corpus_events in
+  let total = List.length all in
+  let modes =
     List.filter_map
-      (fun cls ->
-        let matches =
-          List.filter (fun e -> String.equal e.emode cls) all_events
-        in
-        if matches = [] then None
+      (fun mode ->
+        let k = List.length (List.filter (fun (_, m) -> m = mode) all) in
+        if k = 0 then None
         else
-          Some
-            {
-              cls;
-              count = List.length matches;
-              cls_median = e20_median (speedups matches);
-            })
-      [ "identity"; "cold" ]
+          Some (count ~n:total ("mode " ^ Incremental.mode_name mode) "events" k))
+      [ Incremental.Identity; Incremental.Cold ]
   in
-  let result =
-    {
-      kernel_events;
-      corpus_events;
-      corpus_functions = n;
-      kernel_median = e20_median (speedups kernel_events);
-      corpus_median = e20_median (speedups corpus_events);
-      e20_classes = classes;
-    }
-  in
-  Option.iter (fun path -> write_json path (e20_json result)) json;
-  if not quiet then begin
-    let table =
-      Table.create
-        ~headers:
-          [ "kernel"; "edit"; "mode"; "blocks"; "cold(ms)"; "reuse(ms)";
-            "speedup" ]
-    in
-    List.iter
-      (fun e ->
-        Table.add_row table
-          [
-            e.subject;
-            e.edit;
-            e.emode;
-            string_of_int e.blocks;
-            Printf.sprintf "%.3f" e.t_cold_ms;
-            Printf.sprintf "%.3f" e.t_warm_ms;
-            Printf.sprintf "%.1fx" e.e20_speedup;
-          ])
-      kernel_events;
-    Table.print table;
-    Printf.printf
-      "\nevery incremental result bit-identical to cold (fingerprints over \
-       all thermal points)\n";
-    List.iter
-      (fun c ->
-        Printf.printf "%-9s %4d events  median %.1fx\n" c.cls c.count
-          c.cls_median)
-      classes;
-    Printf.printf
-      "median speedup: %.1fx on the example kernels (target >= 3x), %.1fx \
-       on %d generated functions\n"
-      result.kernel_median result.corpus_median n;
-    Option.iter (Printf.printf "wrote %s\n") json
-  end;
-  result
+  report ~quiet ~json "e20"
+    (List.map
+       (fun (event, mode) -> flag event "identity" (mode = Incremental.Identity))
+       kernel_events
+    @ [
+        count ~n:(List.length example_kernels) "kernels" "events"
+          (List.length kernel_events);
+        count ~n "corpus" "events" (List.length corpus_events);
+      ]
+    @ modes
+    @ [ flag ~n:total "all events" "fingerprints_equal" true ])
 
 (* ------------------------------------------------------------------ *)
 (* E21 - flat-array core vs boxed reference                             *)
 (* ------------------------------------------------------------------ *)
-
-type e21_pair = {
-  e21_subject : string;
-  e21_grid : string;  (* thermal grid, e.g. "8x8 g=1" or "32x32" *)
-  e21_points : int;
-  t_boxed_ms : float;
-  t_flat_ms : float;
-  e21_speedup : float;
-  bit_identical : bool;
-}
-
-type e21_result = {
-  fixpoint_pairs : e21_pair list;
-  steady_pairs : e21_pair list;
-  fixpoint_median : float;
-  steady_median : float;
-  all_bit_identical : bool;
-}
 
 let e21_bits_equal a b =
   Array.length a = Array.length b
@@ -1700,40 +1631,43 @@ let e21_bits_equal a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
+(* One pair's rows and its speedup; a pair that is not bit-identical is
+   a result, not noise, and raises. *)
+let e21_pair_rows ~repeats ~subject ~points ~identical t_boxed_ms t_flat_ms =
+  if not identical then
+    failwith
+      ("E21: flat core diverged bitwise from the boxed reference on "
+      ^ subject);
+  let speedup = t_boxed_ms /. Float.max t_flat_ms 1e-6 in
+  ( speedup,
+    [ count subject "points" points;
+      row ~n:repeats subject "speedup" "ratio" speedup;
+      flag subject "bit_identical" true ] )
+
 (* One boxed-vs-flat fixpoint pair on a [side x side] RF at granularity
-   [g]: best-of-[repeats] each way, engine fingerprints asserted equal
-   (the flat core's contract is bit-identity, so a mismatch is a result,
-   not noise). *)
+   [g], the same prebuilt transfer configuration through the Driver with
+   [core] set each way, compared by engine fingerprint. *)
 let e21_fixpoint_pair ~repeats ~side ~g name func =
   let layout =
     if side = 8 then Common.standard_layout
     else Tdfa_floorplan.Layout.make ~rows:side ~cols:side ()
   in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
-  let cfg =
-    Tdfa.Driver.transfer_config
-      { (Tdfa.Driver.default ~layout) with Tdfa.Driver.granularity = g }
-      alloc.Alloc.func alloc.Alloc.assignment
+  let cfg = { (Tdfa.Driver.default ~layout) with Tdfa.Driver.granularity = g } in
+  let input =
+    Tdfa.Driver.Configured
+      ( Tdfa.Driver.transfer_config cfg alloc.Alloc.func alloc.Alloc.assignment,
+        alloc.Alloc.func )
   in
-  let boxed, t_boxed_ms =
-    e20_time_ms ~repeats (fun () ->
-        Analysis.fixpoint ~core:Analysis.Boxed cfg alloc.Alloc.func)
-  in
-  let flat, t_flat_ms =
-    e20_time_ms ~repeats (fun () ->
-        Analysis.fixpoint ~core:Analysis.Flat cfg alloc.Alloc.func)
-  in
+  let run core () = (Tdfa.Driver.run { cfg with core } input).outcome in
+  let boxed, t_boxed_ms = best_of_ms ~repeats (run Analysis.Boxed) in
+  let flat, t_flat_ms = best_of_ms ~repeats (run Analysis.Flat) in
   let fp = Tdfa_engine.Engine.fingerprint in
-  {
-    e21_subject = name;
-    e21_grid = Printf.sprintf "%dx%d g=%d" side side g;
-    e21_points =
-      Thermal_state.num_points (Analysis.peak_map (Analysis.info flat));
-    t_boxed_ms;
-    t_flat_ms;
-    e21_speedup = t_boxed_ms /. Float.max t_flat_ms 1e-6;
-    bit_identical = String.equal (fp boxed) (fp flat);
-  }
+  e21_pair_rows ~repeats
+    ~subject:(Printf.sprintf "%s %dx%d g=%d" name side side g)
+    ~points:(Thermal_state.num_points (Analysis.peak_map (Analysis.info flat)))
+    ~identical:(String.equal (fp boxed) (fp flat))
+    t_boxed_ms t_flat_ms
 
 (* One boxed-vs-flat steady-state pair on a [side x side] RC network:
    Rc_model.steady_state against Rc_flat.solve_seq on the same power
@@ -1746,36 +1680,15 @@ let e21_steady_pair ~repeats ~side =
     Array.init n (fun i -> float_of_int ((i * 37) mod 101) *. 1.0e-5)
   in
   let boxed, t_boxed_ms =
-    e20_time_ms ~repeats (fun () -> Rc_model.steady_state model ~power)
+    best_of_ms ~repeats (fun () -> Rc_model.steady_state model ~power)
   in
   let ws = Rc_flat.make model in
   let flat, t_flat_ms =
-    e20_time_ms ~repeats (fun () -> Rc_flat.solve_seq ws ~power)
+    best_of_ms ~repeats (fun () -> Rc_flat.solve_seq ws ~power)
   in
-  {
-    e21_subject = "steady";
-    e21_grid = Printf.sprintf "%dx%d" side side;
-    e21_points = n;
-    t_boxed_ms;
-    t_flat_ms;
-    e21_speedup = t_boxed_ms /. Float.max t_flat_ms 1e-6;
-    bit_identical = e21_bits_equal boxed flat;
-  }
-
-let e21_json r =
-  let pair p =
-    Json.Obj
-      [ ("subject", Str p.e21_subject); ("grid", Str p.e21_grid);
-        ("points", Int p.e21_points); ("t_boxed_ms", Float p.t_boxed_ms);
-        ("t_flat_ms", Float p.t_flat_ms); ("speedup", Float p.e21_speedup);
-        ("bit_identical", Bool p.bit_identical) ]
-  in
-  Json.Obj
-    [ ("experiment", Str "e21"); ("fingerprints_equal", Bool r.all_bit_identical);
-      ("fixpoint_median_speedup", Float r.fixpoint_median);
-      ("steady_median_speedup", Float r.steady_median);
-      ("fixpoint_pairs", List (List.map pair r.fixpoint_pairs));
-      ("steady_pairs", List (List.map pair r.steady_pairs)) ]
+  e21_pair_rows ~repeats
+    ~subject:(Printf.sprintf "steady %dx%d" side side)
+    ~points:n ~identical:(e21_bits_equal boxed flat) t_boxed_ms t_flat_ms
 
 (* Cost of the flat core against the boxed reference at matched bits:
    the E5/E8 kernels at the finest granularity on the standard 8x8 RF,
@@ -1805,69 +1718,22 @@ let e21 ?(quiet = false) ?(repeats = 3) ?(quick = false)
   let steady_pairs =
     List.map (fun side -> e21_steady_pair ~repeats ~side) (8 :: fine_sides)
   in
-  let all = fixpoint_pairs @ steady_pairs in
-  let all_bit_identical = List.for_all (fun p -> p.bit_identical) all in
-  if not all_bit_identical then
-    failwith "E21: flat core diverged bitwise from the boxed reference";
-  let median l = e20_median (List.map (fun p -> p.e21_speedup) l) in
-  let result =
-    {
-      fixpoint_pairs;
-      steady_pairs;
-      fixpoint_median = median fixpoint_pairs;
-      steady_median = median steady_pairs;
-      all_bit_identical;
-    }
+  let summary subject pairs =
+    row ~n:(List.length pairs) subject "median_speedup" "ratio"
+      (median (List.map fst pairs))
   in
-  Option.iter (fun path -> write_json path (e21_json result)) json;
-  if not quiet then begin
-    let table =
-      Table.create
-        ~headers:
-          [ "subject"; "grid"; "points"; "boxed(ms)"; "flat(ms)"; "speedup" ]
-    in
-    List.iter
-      (fun p ->
-        Table.add_row table
-          [
-            p.e21_subject;
-            p.e21_grid;
-            string_of_int p.e21_points;
-            Printf.sprintf "%.3f" p.t_boxed_ms;
-            Printf.sprintf "%.3f" p.t_flat_ms;
-            Printf.sprintf "%.1fx" p.e21_speedup;
-          ])
-      all;
-    Table.print table;
-    Printf.printf
-      "\nevery pair bit-identical (fingerprints / raw IEEE-754 bits)\n";
-    Printf.printf
-      "median speedup: %.1fx on the fixpoint, %.1fx on the steady solve\n"
-      result.fixpoint_median result.steady_median;
-    Option.iter (Printf.printf "wrote %s\n") json
-  end;
-  result
+  let pairs = fixpoint_pairs @ steady_pairs in
+  report ~quiet ~json "e21"
+    (List.concat_map snd pairs
+    @ [
+        summary "fixpoint" fixpoint_pairs;
+        summary "steady" steady_pairs;
+        flag ~n:(List.length pairs) "all pairs" "fingerprints_equal" true;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E22                                                                  *)
 (* ------------------------------------------------------------------ *)
-
-type e22_row = {
-  e22_s : float;
-  e22_samples : int;
-  e22_windows : int;
-  e22_cells_touched : int;
-  e22_peak_k : float;
-  e22_vs_chessboard : float;
-  e22_persistence : float;
-  e22_distinct_hot : int;
-}
-
-type e22_result = {
-  e22_rows : e22_row list;
-  e22_chessboard_peak_k : float;
-  e22_uniform_matches_ir : bool;
-}
 
 (* Hottest cell per time segment, from the per-window analysis states:
    segment = ~1/10th of the windows, its map = pointwise max over its
@@ -1893,23 +1759,6 @@ let e22_hot_cells info (func : Tdfa_ir.Func.t) ~windows =
       !hot)
     per_segment
 
-let e22_json r =
-  let row w =
-    Json.Obj
-      [ ("s", Float w.e22_s); ("samples", Int w.e22_samples);
-        ("windows", Int w.e22_windows);
-        ("cells_touched", Int w.e22_cells_touched);
-        ("peak_k", Float w.e22_peak_k);
-        ("vs_chessboard", Float w.e22_vs_chessboard);
-        ("persistence", Float w.e22_persistence);
-        ("distinct_hot", Int w.e22_distinct_hot) ]
-  in
-  Json.Obj
-    [ ("experiment", Str "e22");
-      ("chessboard_peak_k", Float r.e22_chessboard_peak_k);
-      ("uniform_matches_ir", Bool r.e22_uniform_matches_ir);
-      ("rows", List (List.map row r.e22_rows)) ]
-
 (* Skew study over the trace-ingestion frontend: synthetic Zipf streams
    of increasing exponent, direct-mapped onto the 8x8 file, against the
    chessboard policy's peak at its 50%-pressure breakdown (E3's
@@ -1932,169 +1781,104 @@ let e22 ?(quiet = false) ?(n = 20000) ?(json = Some "BENCH_trace.json") () =
     Thermal_state.peak
       (Analysis.peak_map (Analysis.info (Common.analyze_run cb_run)))
   in
-  let uniform_matches = ref false in
-  let rows =
-    List.map
-      (fun s ->
-        let sample = Tdfa_trace.Synth.zipf ~seed:42 ~s ~addrs:cells ~n () in
-        let compiled =
-          Tdfa_trace.Compile.compile
-            ~policy:Tdfa_trace.Mapping.Direct ~cells sample
-        in
-        let stats = Tdfa_trace.Compile.stats compiled in
-        let r =
-          Tdfa.Driver.run cfg (Tdfa_trace.Compile.driver_input compiled)
-        in
-        let info = Analysis.info r.outcome in
-        if s = 0.0 then begin
-          (* The same events through a hand-assembled Configured input
-             must reproduce the Trace path bit for bit. *)
-          let accesses = Tdfa_trace.Compile.accesses compiled in
-          let config =
-            Transfer.make_config ~params:cfg.Tdfa.Driver.params
-              ~granularity:cfg.Tdfa.Driver.granularity ~max_frequency:1.0
-              ~layout
-              ~block_frequency:(fun _ -> 1.0)
-              ~accesses_of_instr:(fun label index _ -> accesses label index)
-              ~accesses_of_term:(fun _ _ -> [])
-              ()
-          in
-          let by_hand =
-            Tdfa.Driver.run cfg
-              (Tdfa.Driver.Configured
-                 (config, Tdfa_trace.Compile.func compiled))
-          in
-          uniform_matches :=
-            Tdfa_engine.Engine.fingerprint by_hand.outcome
-            = Tdfa_engine.Engine.fingerprint r.outcome;
-          if not !uniform_matches then
-            failwith
-              "E22: Trace input diverged from the hand-built Configured \
-               equivalent on the uniform stream"
-        end;
-        let hot =
-          e22_hot_cells info (Tdfa_trace.Compile.func compiled)
-            ~windows:stats.Tdfa_trace.Compile.windows
-        in
-        let pairs = max 1 (Array.length hot - 1) in
-        let agreeing = ref 0 in
-        for i = 0 to Array.length hot - 2 do
-          if hot.(i) = hot.(i + 1) then incr agreeing
-        done;
-        let distinct =
-          List.length
-            (List.sort_uniq compare (Array.to_list hot))
-        in
-        let peak_k = Thermal_state.peak (Analysis.peak_map info) in
-        {
-          e22_s = s;
-          e22_samples = stats.Tdfa_trace.Compile.samples;
-          e22_windows = stats.Tdfa_trace.Compile.windows;
-          e22_cells_touched = stats.Tdfa_trace.Compile.cells_touched;
-          e22_peak_k = peak_k;
-          e22_vs_chessboard = peak_k /. cb_peak;
-          e22_persistence = float_of_int !agreeing /. float_of_int pairs;
-          e22_distinct_hot = distinct;
-        })
-      [ 0.0; 0.5; 1.0; 1.5 ]
-  in
-  let result =
-    {
-      e22_rows = rows;
-      e22_chessboard_peak_k = cb_peak;
-      e22_uniform_matches_ir = !uniform_matches;
-    }
-  in
-  Option.iter (fun path -> write_json path (e22_json result)) json;
-  if not quiet then begin
-    let table =
-      Table.create
-        ~headers:
-          [
-            "zipf s"; "windows"; "touched"; "peak(K)"; "vs chessboard";
-            "persistence"; "hot cells";
-          ]
+  let stream s =
+    let subject = Printf.sprintf "zipf s=%.1f" s in
+    let sample = Tdfa_trace.Synth.zipf ~seed:42 ~s ~addrs:cells ~n () in
+    let compiled =
+      Tdfa_trace.Compile.compile ~policy:Tdfa_trace.Mapping.Direct ~cells
+        sample
     in
-    List.iter
-      (fun w ->
-        Table.add_row table
-          [
-            Printf.sprintf "%.1f" w.e22_s;
-            string_of_int w.e22_windows;
-            string_of_int w.e22_cells_touched;
-            Table.fk w.e22_peak_k;
-            Printf.sprintf "%.2fx" w.e22_vs_chessboard;
-            Printf.sprintf "%.2f" w.e22_persistence;
-            string_of_int w.e22_distinct_hot;
-          ])
-      rows;
-    Table.print table;
-    Printf.printf
-      "\nchessboard peak at the 50%%-pressure breakdown: %.2f K\n" cb_peak;
-    Printf.printf
-      "uniform (s=0) stream fingerprint-equal to the hand-built \
-       access-stream run\n";
-    Option.iter (Printf.printf "wrote %s\n") json
-  end;
-  result
+    let stats = Tdfa_trace.Compile.stats compiled in
+    let r = Tdfa.Driver.run cfg (Tdfa_trace.Compile.driver_input compiled) in
+    let info = Analysis.info r.outcome in
+    let uniform =
+      if s <> 0.0 then []
+      else begin
+        (* The same events through a hand-assembled Configured input
+           must reproduce the Trace path bit for bit. *)
+        let accesses = Tdfa_trace.Compile.accesses compiled in
+        let config =
+          Transfer.make_config ~params:cfg.Tdfa.Driver.params
+            ~granularity:cfg.Tdfa.Driver.granularity ~max_frequency:1.0
+            ~layout
+            ~block_frequency:(fun _ -> 1.0)
+            ~accesses_of_instr:(fun label index _ -> accesses label index)
+            ~accesses_of_term:(fun _ _ -> [])
+            ()
+        in
+        let by_hand =
+          Tdfa.Driver.run cfg
+            (Tdfa.Driver.Configured (config, Tdfa_trace.Compile.func compiled))
+        in
+        if
+          Tdfa_engine.Engine.fingerprint by_hand.outcome
+          <> Tdfa_engine.Engine.fingerprint r.outcome
+        then
+          failwith
+            "E22: Trace input diverged from the hand-built Configured \
+             equivalent on the uniform stream";
+        [ flag subject "matches_ir" true ]
+      end
+    in
+    let windows = stats.Tdfa_trace.Compile.windows in
+    let hot = e22_hot_cells info (Tdfa_trace.Compile.func compiled) ~windows in
+    let pairs = max 1 (Array.length hot - 1) in
+    let agreeing = ref 0 in
+    for i = 0 to Array.length hot - 2 do
+      if hot.(i) = hot.(i + 1) then incr agreeing
+    done;
+    let distinct = List.length (List.sort_uniq compare (Array.to_list hot)) in
+    let peak_k = Thermal_state.peak (Analysis.peak_map info) in
+    [
+      count subject "samples" stats.Tdfa_trace.Compile.samples;
+      count subject "windows" windows;
+      count subject "cells_touched" stats.Tdfa_trace.Compile.cells_touched;
+      row ~n:windows subject "peak_k" "K" peak_k;
+      row ~n:windows subject "vs_chessboard" "ratio" (peak_k /. cb_peak);
+      row ~n:pairs subject "persistence" "ratio"
+        (float_of_int !agreeing /. float_of_int pairs);
+      count ~n:(Array.length hot) subject "distinct_hot" distinct;
+    ]
+    @ uniform
+  in
+  report ~quiet ~json "e22"
+    (row "chessboard" "peak_k" "K" cb_peak
+    :: List.concat_map stream [ 0.0; 0.5; 1.0; 1.5 ])
 
 (* ------------------------------------------------------------------ *)
 (* E23                                                                  *)
 (* ------------------------------------------------------------------ *)
-
-type e23_row = {
-  e23_name : string;
-  e23_peak_k : float;
-  e23_limit_k : float;
-  e23_lo_k : float;
-  e23_hi_k : float;
-  e23_verdict : string;
-  e23_predict_ms : float;
-  e23_fixpoint_ms : float;
-}
-
-type e23_result = {
-  e23_corpus : int;
-  e23_hot : int;
-  e23_contained : bool;
-  e23_certified_hot : int;
-  e23_possibly_hot : int;
-  e23_precision : float;
-  e23_recall : float;
-  e23_kernels_decided : int;
-  e23_corpus_decided : int;
-  e23_decided_ratio : float;
-  e23_tightness_median_k : float;
-  e23_cost_ratio : float;
-  e23_kernel_rows : e23_row list;
-}
 
 (* The tight reference standing in for the limit: delta = 1e-6, with an
    iteration cap that the slowest corpus function stays under. *)
 let e23_reference =
   { Analysis.default_settings with Analysis.delta_k = 1e-6; max_iterations = 5000 }
 
-(* One function through [predict] and the two fixpoints it must bracket:
-   the stopped run at the default delta (its peak map is [lo], timed
+(* One function through [predict] and the two fixpoints it must bracket,
+   all through the Driver on one prebuilt transfer configuration: the
+   stopped run at the default delta (its peak map is [lo], timed
    best-of-[repeats] on the same grid as predict) and the delta = 1e-6
    reference. Containment of both is checked per cell — a single cell
    outside its interval is a soundness bug and raises. *)
 let e23_score ~repeats ~hot_k ~layout name func =
+  let cfg = Tdfa.Driver.default ~layout in
   let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
-  let f = alloc.Alloc.func and asg = alloc.Alloc.assignment in
-  let tc = Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) f asg in
-  let outcome, fixpoint_ms =
-    e20_time_ms ~repeats (fun () -> Analysis.fixpoint tc f)
+  let f = alloc.Alloc.func in
+  let input =
+    Tdfa.Driver.Configured
+      (Tdfa.Driver.transfer_config cfg f alloc.Alloc.assignment, f)
   in
-  let bounds, predict_ms =
-    e20_time_ms ~repeats (fun () -> Tdfa_absint.Absint.predict tc f)
-  in
-  let open Tdfa_absint in
+  let run cfg () = (Tdfa.Driver.run cfg input).outcome in
   let peak_cells o =
     Thermal_state.to_cell_array (Analysis.peak_map (Analysis.info o))
   in
+  let outcome, fixpoint_ms = best_of_ms ~repeats (run cfg) in
+  let bounds, predict_ms =
+    best_of_ms ~repeats (fun () -> Tdfa.Driver.predict cfg input)
+  in
   let stopped = peak_cells outcome in
-  let limit = peak_cells (Analysis.fixpoint ~settings:e23_reference tc f) in
+  let limit = peak_cells (run { cfg with settings = e23_reference } ()) in
+  let open Tdfa_absint in
   let check what cells =
     Array.iteri
       (fun c t ->
@@ -2111,41 +1895,17 @@ let e23_score ~repeats ~hot_k ~layout name func =
   check "stopped fixpoint" stopped;
   check "reference fixpoint" limit;
   let peak = Array.fold_left Float.max neg_infinity in
-  {
-    e23_name = name;
-    e23_peak_k = peak stopped;
-    e23_limit_k = peak limit;
-    e23_lo_k = bounds.Absint.peak_lo_k;
-    e23_hi_k = bounds.Absint.peak_hi_k;
-    e23_verdict = Absint.verdict_name (Absint.verdict ~hot_k bounds);
-    e23_predict_ms = predict_ms;
-    e23_fixpoint_ms = fixpoint_ms;
-  }
-
-let e23_json r =
-  let row w =
-    Json.Obj
-      [ ("name", Str w.e23_name); ("peak_k", Float w.e23_peak_k);
-        ("limit_k", Float w.e23_limit_k); ("lo_k", Float w.e23_lo_k);
-        ("hi_k", Float w.e23_hi_k); ("verdict", Str w.e23_verdict);
-        ( "cost_ratio",
-          Float (w.e23_predict_ms /. Float.max w.e23_fixpoint_ms 1e-6) ) ]
-  in
-  Json.Obj
-    [ ("experiment", Str "e23");
-      ("host_cores", Int (Domain.recommended_domain_count ()));
-      ("corpus_functions", Int r.e23_corpus); ("hot_functions", Int r.e23_hot);
-      ("containment", Bool r.e23_contained);
-      ("certified_hot", Int r.e23_certified_hot);
-      ("possibly_hot", Int r.e23_possibly_hot);
-      ("certified_hot_precision", Float r.e23_precision);
-      ("possibly_hot_recall", Float r.e23_recall);
-      ("kernels_decided", Int r.e23_kernels_decided);
-      ("corpus_decided", Int r.e23_corpus_decided);
-      ("decided_ratio", Float r.e23_decided_ratio);
-      ("tightness_median_k", Float r.e23_tightness_median_k);
-      ("same_grid_cost_ratio", Float r.e23_cost_ratio);
-      ("kernels", List (List.map row r.e23_kernel_rows)) ]
+  let verdict = Absint.verdict ~hot_k bounds in
+  ( [
+      row name "peak_k" "K" (peak stopped);
+      row name "limit_k" "K" (peak limit);
+      row name "lo_k" "K" bounds.Absint.peak_lo_k;
+      row name "hi_k" "K" bounds.Absint.peak_hi_k;
+      flag name "certified_hot" (verdict = Absint.Certified_hot);
+      flag name "certified_cool" (verdict = Absint.Certified_cool);
+    ],
+    predict_ms,
+    fixpoint_ms )
 
 (* The certified bracket's report card over the E19 corpus and the 16
    example kernels: per-cell containment of the stopped and the
@@ -2174,133 +1934,59 @@ let e23 ?(quiet = false) ?(n = 120) ?(repeats = 3)
         e23_score ~repeats ~hot_k ~layout (Printf.sprintf "gen%03d" i) f)
       corpus
   in
-  let kernel_rows =
+  let kernels =
     List.map
       (fun (name, f) -> e23_score ~repeats ~hot_k ~layout name f)
       Kernels.all
   in
-  let all = scored @ kernel_rows in
-  let count p l = List.length (List.filter p l) in
-  let is_hot r = r.e23_limit_k >= hot_k in
-  let certified = List.filter (fun r -> r.e23_verdict = "certified-hot") all in
+  let all = scored @ kernels in
+  let total = List.length all in
+  let get metric (rows, _, _) =
+    (List.find (fun r -> String.equal r.metric metric) rows).value
+  in
+  let count_of p l = List.length (List.filter p l) in
+  let is_hot s = get "limit_k" s >= hot_k in
+  let certified = List.filter (fun s -> get "certified_hot" s = 1.0) all in
   (* hi >= threshold: certified-hot or straddling — the
      zero-false-negative side of the pair *)
-  let possibly = List.filter (fun r -> r.e23_hi_k >= hot_k) all in
-  let decided r = r.e23_verdict <> "straddles" in
+  let possibly = List.filter (fun s -> get "hi_k" s >= hot_k) all in
+  let decided s = get "certified_hot" s = 1.0 || get "certified_cool" s = 1.0 in
   let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 all in
-  let result =
-    {
-      e23_corpus = n;
-      e23_hot = count is_hot all;
-      e23_contained = true (* e23_score raised otherwise *);
-      e23_certified_hot = List.length certified;
-      e23_possibly_hot = List.length possibly;
-      e23_precision = ratio (count is_hot certified) (List.length certified);
-      e23_recall = ratio (count is_hot possibly) (count is_hot all);
-      e23_kernels_decided = count decided kernel_rows;
-      e23_corpus_decided = count decided scored;
-      e23_decided_ratio = ratio (count decided all) (List.length all);
-      e23_tightness_median_k =
-        e20_median (List.map (fun r -> r.e23_hi_k -. r.e23_lo_k) all);
-      e23_cost_ratio =
-        sum (fun r -> r.e23_predict_ms)
-        /. Float.max (sum (fun r -> r.e23_fixpoint_ms)) 1e-6;
-      e23_kernel_rows = kernel_rows;
-    }
-  in
-  Option.iter (fun path -> write_json path (e23_json result)) json;
-  if not quiet then begin
-    Printf.printf
-      "%d generated functions + %d kernels, %d hot at the delta = 1e-6 \
-       reference (peak >= %.1f K, first-fit); every cell of the stopped and \
-       the reference fixpoint inside its certified interval\n\n"
-      n (List.length kernel_rows) result.e23_hot hot_k;
-    let table =
-      Table.create
-        ~headers:
-          [ "kernel"; "fixpoint(K)"; "limit(K)"; "lo(K)"; "hi(K)"; "verdict" ]
-    in
-    List.iter
-      (fun r ->
-        Table.add_row table
-          [
-            r.e23_name;
-            Table.fk r.e23_peak_k;
-            Table.fk r.e23_limit_k;
-            Table.fk r.e23_lo_k;
-            Table.fk r.e23_hi_k;
-            r.e23_verdict;
-          ])
-      kernel_rows;
-    Table.print table;
-    Printf.printf
-      "\ncertified-hot: %d flagged, precision %.2f (gate: 1.00)\n"
-      result.e23_certified_hot result.e23_precision;
-    Printf.printf "possibly-hot:  %d flagged, recall %.2f (gate: 1.00)\n"
-      result.e23_possibly_hot result.e23_recall;
-    Printf.printf
-      "decided: %d/%d kernels, %d/%d corpus functions (ratio %.2f)\n"
-      result.e23_kernels_decided (List.length kernel_rows)
-      result.e23_corpus_decided n result.e23_decided_ratio;
-    Printf.printf "bracket width hi-lo: median %.4f K\n"
-      result.e23_tightness_median_k;
-    Printf.printf
-      "predict / same-grid fixpoint time: %.2fx (%d host core(s))\n"
-      result.e23_cost_ratio (Domain.recommended_domain_count ());
-    Option.iter (Printf.printf "wrote %s\n") json
-  end;
-  result
+  let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 all in
+  let summary metric unit value = row ~n:total "all" metric unit value in
+  report ~quiet ~json "e23"
+    (List.concat_map (fun (rows, _, _) -> rows) kernels
+    @ [
+        count ~n:total "all" "hot" (count_of is_hot all);
+        flag ~n:total "all" "containment" true (* e23_score raised otherwise *);
+        count ~n:total "all" "certified_hot" (List.length certified);
+        count ~n:total "all" "possibly_hot" (List.length possibly);
+        summary "certified_hot_precision" "ratio"
+          (ratio (count_of is_hot certified) (List.length certified));
+        summary "possibly_hot_recall" "ratio"
+          (ratio (count_of is_hot possibly) (count_of is_hot all));
+        count ~n:(List.length kernels) "kernels" "decided"
+          (count_of decided kernels);
+        count ~n "corpus" "decided" (count_of decided scored);
+        summary "decided_ratio" "ratio" (ratio (count_of decided all) total);
+        summary "bracket_width_median" "K"
+          (median (List.map (fun s -> get "hi_k" s -. get "lo_k" s) all));
+        summary "cost_ratio" "ratio"
+          (sum (fun (_, predict_ms, _) -> predict_ms)
+          /. Float.max (sum (fun (_, _, fixpoint_ms) -> fixpoint_ms)) 1e-6);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E24                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type e24_row = {
-  e24_policy : string;
-  e24_peak_k : float;
-  e24_gradient_k : float;
-  e24_score : float;
-  e24_improvement_k : float;
-}
-
-type e24_result = {
-  e24_tasks : int;
-  e24_cores : int;
-  e24_rows : e24_row list;
-  e24_all_beat_blind : bool;
-}
-
-(* Profile one function into an allocator task: first-fit register
-   allocation, the real fixpoint, and the fixpoint's maps folded into
-   sustained per-cell power — the same path `tdfa place` takes. *)
-let e24_profile ~layout name func =
-  let alloc = Alloc.allocate func layout ~policy:Policy.First_fit in
-  let tc =
-    Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout) alloc.Alloc.func
-      alloc.Alloc.assignment
-  in
-  let outcome = Analysis.fixpoint tc alloc.Alloc.func in
-  Tdfa_alloc.Task.of_outcome ~core:layout ~name outcome
-
-let e24_json r =
-  let row w =
-    Json.Obj
-      [ ("policy", Str w.e24_policy); ("peak_k", Float w.e24_peak_k);
-        ("gradient_k", Float w.e24_gradient_k); ("score", Float w.e24_score);
-        ("improvement_k", Float w.e24_improvement_k) ]
-  in
-  Json.Obj
-    [ ("experiment", Str "e24"); ("tasks", Int r.e24_tasks);
-      ("cores", Int r.e24_cores);
-      ("all_policies_beat_round_robin", Bool r.e24_all_beat_blind);
-      ("policies", List (List.map row r.e24_rows)) ]
-
 (* The allocator shoot-out: the E23 corpus plus the 16 example kernels,
-   each profiled through the real fixpoint, placed on a multi-core chip
-   by all three thermal-aware policies and the thermally blind
-   round-robin baseline. The never-worse guarantee (every aware policy's
-   peak <= round-robin's) is asserted, not just reported. *)
+   each profiled through the real fixpoint (first-fit allocation, the
+   fixpoint's maps folded into sustained per-cell power — the same path
+   `tdfa place` takes), placed on a multi-core chip by all three
+   thermal-aware policies and the thermally blind round-robin baseline.
+   The never-worse guarantee (every aware policy's peak <= round-robin's)
+   is asserted, not just reported. *)
 let e24 ?(quiet = false) ?(n = 120) ?(chip_rows = 4) ?(chip_cols = 4)
     ?(sa_iters = 2000) ?(json = Some "BENCH_alloc.json") () =
   if not quiet then
@@ -2314,83 +2000,49 @@ let e24 ?(quiet = false) ?(n = 120) ?(chip_rows = 4) ?(chip_cols = 4)
       ~n
       (Generator.gen_func ~max_pool:44 ~max_depth:3 ~max_length:10 ())
   in
+  let profile name func =
+    Tdfa_alloc.Task.of_outcome ~core:layout ~name
+      (Tdfa.Driver.run (Tdfa.Driver.default ~layout)
+         (Tdfa.Driver.Unallocated func))
+        .outcome
+  in
   let tasks =
-    List.mapi
-      (fun i f -> e24_profile ~layout (Printf.sprintf "gen%03d" i) f)
-      corpus
-    @ List.map (fun (name, f) -> e24_profile ~layout name f) Kernels.all
+    List.mapi (fun i f -> profile (Printf.sprintf "gen%03d" i) f) corpus
+    @ List.map (fun (name, f) -> profile name f) Kernels.all
   in
-  let chip = Tdfa_alloc.Chip.make ~core:layout ~rows:chip_rows ~cols:chip_cols () in
   let open Tdfa_alloc in
+  let chip = Chip.make ~core:layout ~rows:chip_rows ~cols:chip_cols () in
   let blind = Place.run chip Place.Round_robin tasks in
-  let rows =
-    List.map
-      (fun policy ->
-        let p = Place.run chip policy tasks in
-        {
-          e24_policy = Place.policy_name policy;
-          e24_peak_k = p.Place.peak_k;
-          e24_gradient_k = p.Place.gradient_k;
-          e24_score = p.Place.score;
-          e24_improvement_k = blind.Place.peak_k -. p.Place.peak_k;
-        })
+  let aware =
+    [ Place.Greedy; Place.Coolest_neighbor;
+      Place.Annealed { seed = 0; iters = sa_iters } ]
+  in
+  let placed policy =
+    let p = Place.run chip policy tasks in
+    let name = Place.policy_name policy in
+    if p.Place.peak_k > blind.Place.peak_k +. 1e-9 then
+      failwith
+        (Printf.sprintf
+           "E24: never-worse guarantee broken: %s peak %.6f K above \
+            round-robin %.6f K"
+           name p.Place.peak_k blind.Place.peak_k);
+    ( p.Place.peak_k < blind.Place.peak_k,
       [
-        Place.Round_robin;
-        Place.Greedy;
-        Place.Coolest_neighbor;
-        Place.Annealed { seed = 0; iters = sa_iters };
-      ]
+        row name "peak_k" "K" p.Place.peak_k;
+        row name "gradient_k" "K" p.Place.gradient_k;
+        row name "score" "K" p.Place.score;
+        row name "improvement_k" "K" (blind.Place.peak_k -. p.Place.peak_k);
+      ] )
   in
-  let aware = List.tl rows in
-  List.iter
-    (fun r ->
-      if r.e24_peak_k > blind.Place.peak_k +. 1e-9 then
-        failwith
-          (Printf.sprintf
-             "E24: never-worse guarantee broken: %s peak %.6f K above \
-              round-robin %.6f K"
-             r.e24_policy r.e24_peak_k blind.Place.peak_k))
-    aware;
-  let result =
-    {
-      e24_tasks = List.length tasks;
-      e24_cores = Chip.num_cores chip;
-      e24_rows = rows;
-      e24_all_beat_blind =
-        List.for_all (fun r -> r.e24_improvement_k > 0.0) aware;
-    }
-  in
-  Option.iter (fun path -> write_json path (e24_json result)) json;
-  if not quiet then begin
-    Printf.printf
-      "%d tasks (the E23-shaped corpus + %d kernels) on a %s chip of \
-       %d-cell cores\n\n"
-      result.e24_tasks (List.length Kernels.all)
-      (Chip.geometry_to_string chip)
-      (Tdfa_floorplan.Layout.num_cells layout);
-    let table =
-      Table.create
-        ~headers:[ "policy"; "peak(K)"; "gradient(K)"; "score"; "vs blind(K)" ]
-    in
-    List.iter
-      (fun r ->
-        Table.add_row table
-          [
-            r.e24_policy;
-            Table.fk r.e24_peak_k;
-            Table.fk r.e24_gradient_k;
-            Printf.sprintf "%.2f" r.e24_score;
-            Printf.sprintf "%+.2f" (-.r.e24_improvement_k);
-          ])
-      rows;
-    Table.print table;
-    Printf.printf
-      "\nall thermal-aware policies beat round-robin: %b (never-worse \
-       guarantee asserted on every row)\n"
-      result.e24_all_beat_blind;
-    Option.iter (Printf.printf "wrote %s\n") json
-  end;
-  result
+  let placements = List.map placed (Place.Round_robin :: aware) in
+  report ~quiet ~json "e24"
+    (List.concat_map snd placements
+    @ [
+        count "chip" "tasks" (List.length tasks);
+        count "chip" "cores" (Chip.num_cores chip);
+        flag ~n:(List.length aware) "aware policies" "beat_round_robin"
+          (List.for_all fst (List.tl placements));
+      ])
 
 let run_all () =
   let (_ : fig1_result) = fig1 () in
@@ -2411,9 +2063,9 @@ let run_all () =
   let (_ : e17_row list) = e17 () in
   let (_ : e18_scaling_row list * e18_cache_row list) = e18 () in
   let (_ : e19_result) = e19 () in
-  let (_ : e20_result) = e20 () in
-  let (_ : e21_result) = e21 () in
-  let (_ : e22_result) = e22 () in
-  let (_ : e23_result) = e23 () in
-  let (_ : e24_result) = e24 () in
+  let (_ : row list) = e20 () in
+  let (_ : row list) = e21 () in
+  let (_ : row list) = e22 () in
+  let (_ : row list) = e23 () in
+  let (_ : row list) = e24 () in
   ()

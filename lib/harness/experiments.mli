@@ -229,68 +229,43 @@ val e19 : ?quiet:bool -> ?n:int -> ?hot_k:float -> unit -> e19_result
     predictor is the pre-allocation lint context of the [lint]
     subcommand. Reports per-rule precision and recall. *)
 
-type e20_event = {
-  subject : string;  (** kernel or generated-function name *)
-  edit : string;  (** the single pass applied before re-analysis *)
-  emode : string;
-      (** {!Tdfa_core.Incremental.mode_name} of the re-analysis:
-          identity or cold *)
-  blocks : int;
-  t_cold_ms : float;  (** best-of-[repeats] cold fixpoint time *)
-  t_warm_ms : float;
-      (** best-of-[repeats] time through {!Tdfa_core.Incremental.analyze}
-          with the previous prior *)
-  e20_speedup : float;
-}
+(** {2 E20–E24: one benchmark record}
 
-type e20_class = { cls : string; count : int; cls_median : float }
+    E20–E24 each return a list of {!row}s, print them as one table and
+    write them as [BENCH_*.json] through one writer:
+    [{"experiment", "host_cores", "rows"}], every row an object with
+    exactly the five fields below. Each experiment also asserts its
+    guarantee while it runs (fingerprint equality, per-cell
+    containment, never worse than round-robin) and raises on a
+    violation, so a returned [1] in a [bool] row is the asserted
+    outcome. [json] names the file to write ([None] skips it). *)
 
-type e20_result = {
-  kernel_events : e20_event list;  (** the 8 examples/ir kernels *)
-  corpus_events : e20_event list;  (** the generated corpus *)
-  corpus_functions : int;
-  kernel_median : float;
-  corpus_median : float;
-  e20_classes : e20_class list;  (** per-mode medians: identity and cold *)
+type row = {
+  subject : string;  (** what was measured: a kernel, a pair, ["all"] *)
+  metric : string;
+  unit : string;  (** ["K"], ["ratio"], ["count"] or ["bool"] *)
+  value : float;  (** booleans as 0/1 *)
+  n : int;  (** observations behind the value, at least 1 *)
 }
 
 val e20 :
   ?quiet:bool ->
   ?n:int ->
-  ?repeats:int ->
   ?target_k:float ->
   ?json:string option ->
   unit ->
-  e20_result
-(** Incremental re-analysis vs cold re-analysis across
-    single-pass edits: every example kernel and [n] (default 120)
-    generated functions run a thermally-guided optimize→analyze chain —
-    a pass fires only while the latest analysis shows heat above
-    [target_k] (default 337 K), and every step issues a re-analysis
-    request either way, mirroring a pass-quiescence driver. Each request
-    is timed both cold and through {!Tdfa_core.Incremental.analyze}
-    with the previous prior. The two fingerprints (every thermal point)
-    are asserted equal on every event — any divergence raises, there is no
-    tolerance. [json] (default [Some "BENCH_incremental.json"]) writes
-    the machine-readable benchmark; pass [None] to skip. *)
-
-type e21_pair = {
-  e21_subject : string;  (** kernel name, or ["steady"] *)
-  e21_grid : string;  (** thermal grid, e.g. ["8x8 g=1"] or ["80x80"] *)
-  e21_points : int;
-  t_boxed_ms : float;  (** best-of-[repeats] boxed-core time *)
-  t_flat_ms : float;  (** best-of-[repeats] flat-core time *)
-  e21_speedup : float;
-  bit_identical : bool;
-}
-
-type e21_result = {
-  fixpoint_pairs : e21_pair list;
-  steady_pairs : e21_pair list;
-  fixpoint_median : float;
-  steady_median : float;
-  all_bit_identical : bool;
-}
+  row list
+(** Incremental re-analysis across single-pass edits: every example
+    kernel and [n] (default 120) generated functions run a
+    thermally-guided optimize→analyze chain — a pass fires only while
+    the latest analysis shows heat above [target_k] (default 337 K),
+    and every step issues a re-analysis request either way. Each
+    request runs cold ([Assigned]) and from the previous prior
+    ([Warm_start]) through {!Tdfa.Driver.run}; the two fingerprints
+    over every thermal point must be equal on every event. Rows: per
+    kernel event whether the prior answered it ([identity]), events per
+    set and per reuse mode, and [fingerprints_equal]. [json] defaults to
+    [Some "BENCH_incremental.json"]. *)
 
 val e21 :
   ?quiet:bool ->
@@ -298,122 +273,46 @@ val e21 :
   ?quick:bool ->
   ?json:string option ->
   unit ->
-  e21_result
-(** Cost of the flat-array core ({!Tdfa_core.Flat_core} through
-    [Analysis.fixpoint], {!Tdfa_thermal.Rc_flat} for the RC solve)
-    against the boxed reference, at matched bits: the E5/E8 kernels at
-    the finest granularity on the standard 8x8 RF, the same analysis on
-    9x/16x (and 100x unless [quick]) finer thermal grids, and the RC
-    steady-state solve across the same grid ladder. Every pair's results
-    are asserted bit-identical (engine fingerprints for the fixpoint,
-    raw IEEE-754 bits for the solver) — a mismatch raises. [json]
-    (default [Some "BENCH_core.json"]) writes the machine-readable
-    benchmark; pass [None] to skip. *)
+  row list
+(** Cost of the flat-array core against the boxed reference at matched
+    bits: the E5/E8 kernels at the finest granularity on the standard
+    8x8 RF and matmul on a 9x (and, unless [quick], 16x) finer thermal
+    grid, each run through {!Tdfa.Driver.run} with [core = Boxed] and
+    [core = Flat] on one prebuilt [Configured] input, plus the RC
+    steady-state solve ({!Tdfa_thermal.Rc_model} against
+    {!Tdfa_thermal.Rc_flat}) on 8x8 and 9x, 16x (and, unless [quick],
+    100x) finer grids. Every pair is asserted
+    bit-identical (engine fingerprints, raw IEEE-754 bits). Rows: per
+    pair its points and its best-of-[repeats] flat-over-boxed speedup,
+    and the median speedup of the fixpoint and of the steady pairs.
+    [json] defaults to [Some "BENCH_core.json"]. *)
 
-type e22_row = {
-  e22_s : float;  (** Zipf exponent of the generated stream *)
-  e22_samples : int;
-  e22_windows : int;
-  e22_cells_touched : int;
-  e22_peak_k : float;  (** analysis worst-case peak over the stream *)
-  e22_vs_chessboard : float;
-      (** peak relative to the chessboard policy's at the 50%-pressure
-          breakdown point — how a skewed measured stream compares to the
-          worst structured IR workload *)
-  e22_persistence : float;
-      (** fraction of consecutive time segments whose hottest cell is
-          the same cell (1.0 = one cell stays hottest throughout) *)
-  e22_distinct_hot : int;  (** distinct hottest cells across segments *)
-}
-
-type e22_result = {
-  e22_rows : e22_row list;  (** one per Zipf exponent *)
-  e22_chessboard_peak_k : float;
-  e22_uniform_matches_ir : bool;
-      (** the s = 0 stream through the [Trace] input fingerprints equal
-          to the same events through a hand-built [Configured] input *)
-}
-
-val e22 : ?quiet:bool -> ?n:int -> ?json:string option -> unit -> e22_result
+val e22 : ?quiet:bool -> ?n:int -> ?json:string option -> unit -> row list
 (** Trace-ingestion skew study: synthetic Zipf(s) streams for
     s ∈ {0, 0.5, 1.0, 1.5} over 64 words ([n] samples each, default
     20000), direct-mapped onto the 8x8 file, analysed through the
-    [Trace] driver input. Reports the steady-state peak per exponent,
-    its ratio to the chessboard policy's peak at the 50%-pressure
-    breakdown (E3's reference point), and hot-cell persistence across
-    ~10 time segments. The s = 0 (uniform) stream is additionally run
-    through a hand-assembled [Configured] input and asserted
-    fingerprint-equal to the [Trace] path — a mismatch raises. [json]
-    (default [Some "BENCH_trace.json"]) writes the machine-readable
-    benchmark; pass [None] to skip. *)
-
-type e23_row = {
-  e23_name : string;
-  e23_peak_k : float;  (** peak of the fixpoint at the default delta *)
-  e23_limit_k : float;  (** peak of the delta = 1e-6 reference fixpoint *)
-  e23_lo_k : float;  (** certified lower bound on the peak *)
-  e23_hi_k : float;  (** certified upper bound *)
-  e23_verdict : string;  (** certified-hot / straddles / certified-cool *)
-  e23_predict_ms : float;  (** [predict], best of the repeats *)
-  e23_fixpoint_ms : float;  (** the same-grid fixpoint, best of the repeats *)
-}
-
-type e23_result = {
-  e23_corpus : int;
-  e23_hot : int;  (** functions hot at the reference fixpoint *)
-  e23_contained : bool;
-      (** every cell of the stopped and the reference fixpoint landed
-          inside its certified interval (a violation raises instead of
-          reporting [false]) *)
-  e23_certified_hot : int;
-  e23_possibly_hot : int;
-  e23_precision : float;  (** of certified-hot; the zero-FP gate is 1.0 *)
-  e23_recall : float;  (** of possibly-hot; the zero-FN gate is 1.0 *)
-  e23_kernels_decided : int;  (** kernels with a definite verdict *)
-  e23_corpus_decided : int;  (** corpus functions with a definite verdict *)
-  e23_decided_ratio : float;  (** over corpus and kernels together *)
-  e23_tightness_median_k : float;  (** median [hi - lo] of the peak *)
-  e23_cost_ratio : float;
-      (** total predict time over total same-grid fixpoint time *)
-  e23_kernel_rows : e23_row list;  (** the 16 example kernels, named *)
-}
+    [Trace] driver input. Rows per stream: samples, windows, cells
+    touched, steady-state peak, its ratio to the chessboard policy's
+    peak at the 50%-pressure breakdown (E3's reference point, its own
+    row), hot-cell persistence across ~10 time segments and distinct
+    hot cells. The s = 0 stream is also run through a hand-assembled
+    [Configured] input and asserted fingerprint-equal ([matches_ir]).
+    [json] defaults to [Some "BENCH_trace.json"]. *)
 
 val e23 :
-  ?quiet:bool ->
-  ?n:int ->
-  ?repeats:int ->
-  ?json:string option ->
-  unit ->
-  e23_result
-(** Report card for the certified bracket ({!Tdfa_absint.Absint}): the
-    E19 corpus ([n] generated functions, same seed) plus the 16 example
-    kernels, each run through [predict], the same-grid fixpoint at the
+  ?quiet:bool -> ?n:int -> ?repeats:int -> ?json:string option -> unit -> row list
+(** Report card for the certified bracket: the E19 corpus ([n]
+    generated functions, same seed) plus the 16 example kernels, each
+    run through {!Tdfa.Driver.predict}, the same-grid fixpoint at the
     default delta (timed best-of-[repeats]) and a delta = 1e-6
-    reference fixpoint. Checks per-cell containment of both fixpoints
-    (raises on any violation), scores the certified-hot / possibly-hot
-    pair against the reference verdict at
-    {!Tdfa_lint.Rules.hot_threshold} (precision resp. recall must be
-    1.0), and reports the decided ratio, the median bracket width and
-    the cost ratio [predict_ms / fixpoint_ms]. [json] (default
-    [Some "BENCH_absint.json"]) writes the machine-readable benchmark;
-    pass [None] to skip. *)
-
-type e24_row = {
-  e24_policy : string;
-  e24_peak_k : float;
-  e24_gradient_k : float;
-  e24_score : float;
-  e24_improvement_k : float;  (** round-robin peak minus this peak *)
-}
-
-type e24_result = {
-  e24_tasks : int;
-  e24_cores : int;
-  e24_rows : e24_row list;  (** round-robin first, then the aware policies *)
-  e24_all_beat_blind : bool;
-      (** strict improvement on every thermal-aware row; the weak
-          never-worse guarantee is asserted (a violation raises) *)
-}
+    reference fixpoint, all on one [Configured] input. Checks per-cell
+    containment of both fixpoints (raises on any violation). Rows: per
+    kernel the fixpoint, reference and bracket peaks and its verdict;
+    over all subjects the certified-hot precision and possibly-hot
+    recall against the reference verdict at
+    {!Tdfa_lint.Rules.hot_threshold}, the decided ratio, the median
+    bracket width and the cost ratio [predict / fixpoint] time. [json]
+    defaults to [Some "BENCH_absint.json"]. *)
 
 val e24 :
   ?quiet:bool ->
@@ -423,17 +322,17 @@ val e24 :
   ?sa_iters:int ->
   ?json:string option ->
   unit ->
-  e24_result
+  row list
 (** The allocator shoot-out ({!Tdfa_alloc.Place}): [n] generated
     functions (default 120) plus the 16 example kernels, each profiled
-    through the real fixpoint into a {!Tdfa_alloc.Task}, then placed on
+    through {!Tdfa.Driver.run} into a {!Tdfa_alloc.Task}, then placed on
     a [chip_rows x chip_cols] chip (default 4x4) of standard-layout
     cores by round-robin, greedy, coolest-neighbor and seeded annealing
     ([sa_iters], default 2000). Raises if any thermal-aware policy
-    exceeds round-robin's peak — the structural never-worse guarantee —
-    and reports whether all three strictly beat it. [json] (default
-    [Some "BENCH_alloc.json"]) writes the machine-readable benchmark;
-    pass [None] to skip. *)
+    exceeds round-robin's peak. Rows: per policy peak, gradient, score
+    and improvement over round-robin, and whether all three aware
+    policies strictly beat it. [json] defaults to
+    [Some "BENCH_alloc.json"]. *)
 
 val run_all : unit -> unit
 (** Print every report in order. *)

@@ -30,6 +30,7 @@ let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
       r
     end
   in
+  let cells = Tdfa_floorplan.Layout.num_cells layout in
   let rec attempt func all_spilled round =
     if round > max_rounds then
       failwith
@@ -66,6 +67,16 @@ let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
         max_pressure = Liveness.max_pressure liveness;
       }
     end
+    else if cells < 2 then
+      (* Spill code stores a value through a slot address held at the
+         same time, so every later round needs two cells again: without
+         this stop each round roughly doubles the code until the cap. *)
+      failwith
+        (Printf.sprintf
+           "Alloc.allocate: the register file has %d cell but %d \
+            variable(s) must spill, and spill code needs 2 cells at once"
+           cells
+           (Var.Set.cardinal outcome.Coloring.spilled))
     else begin
       Obs.incr obs
         ~by:(Var.Set.cardinal outcome.Coloring.spilled)

@@ -35,7 +35,9 @@ val allocate :
     count.
     @raise Failure when spilling does not reach a colouring within
     [max_rounds] (default 16) — in practice only possible if the register
-    file is degenerately small. *)
+    file is degenerately small — and at once when a one-cell file needs
+    any spill, since spill code holds a value and its slot address at
+    the same time. *)
 
 val cell_of_var : result -> Var.t -> int option
 (** Lookup into the final assignment (spill temporaries included). *)

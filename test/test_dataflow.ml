@@ -1,6 +1,5 @@
 (* Tests of the data-flow framework: the generic solver, liveness,
-   reaching definitions, available expressions, bitwidth intervals,
-   dominators, loops and the use/def index. *)
+   reaching definitions, dominators, loops and the use/def index. *)
 
 open Tdfa_ir
 open Tdfa_dataflow
@@ -139,95 +138,6 @@ let test_reaching_defs_kill () =
   match Reaching_defs.Def_set.choose_opt defs with
   | Some d -> Alcotest.(check int) "surviving def is index 1" 1 d.Reaching_defs.Def.index
   | None -> Alcotest.fail "no def"
-
-(* --- Available expressions --------------------------------------------- *)
-
-let test_available_exprs_diamond () =
-  (* (a+b) computed in both branches is available at the join; the
-     branch-specific products are not. *)
-  let f =
-    Func.make ~name:"avail" ~params:[ var "a"; var "b" ]
-      [
-        Block.make (lbl "entry")
-          [ Instr.Binop (Instr.Slt, var "c", var "a", var "b") ]
-          (Block.Branch (var "c", lbl "t", lbl "e"));
-        Block.make (lbl "t")
-          [
-            Instr.Binop (Instr.Add, var "s", var "a", var "b");
-            Instr.Binop (Instr.Mul, var "p", var "a", var "a");
-          ]
-          (Block.Jump (lbl "join"));
-        Block.make (lbl "e")
-          [ Instr.Binop (Instr.Add, var "s", var "a", var "b") ]
-          (Block.Jump (lbl "join"));
-        Block.make (lbl "join") [] (Block.Return (Some (var "s")));
-      ]
-  in
-  let av = Available_exprs.analyze f in
-  let at_join = Available_exprs.available_in av (lbl "join") in
-  Alcotest.(check bool) "a+b available" true
-    (Available_exprs.Expr_set.mem (Instr.Add, var "a", var "b") at_join);
-  Alcotest.(check bool) "a*a not available (one branch only)" false
-    (Available_exprs.Expr_set.mem (Instr.Mul, var "a", var "a") at_join);
-  Alcotest.(check bool) "entry has none" true
-    (Available_exprs.Expr_set.is_empty
-       (Available_exprs.available_in av (lbl "entry")))
-
-let test_available_exprs_killed_by_redef () =
-  let f =
-    Func.make ~name:"kill" ~params:[ var "a"; var "b" ]
-      [
-        Block.make (lbl "entry")
-          [
-            Instr.Binop (Instr.Add, var "s", var "a", var "b");
-            Instr.Const (var "a", 0);
-          ]
-          (Block.Jump (lbl "next"));
-        Block.make (lbl "next") [] (Block.Return (Some (var "s")));
-      ]
-  in
-  let av = Available_exprs.analyze f in
-  Alcotest.(check bool) "redefining an operand kills the expression" false
-    (Available_exprs.Expr_set.mem
-       (Instr.Add, var "a", var "b")
-       (Available_exprs.available_in av (lbl "next")))
-
-(* --- Bitwidth ----------------------------------------------------------- *)
-
-let test_bitwidth_constants () =
-  let f = straight_line () in
-  let bw = Bitwidth.analyze f in
-  (* k = 3 -> [3,3], 2 bits. *)
-  Alcotest.(check int) "const 3 needs 2 bits" 2
-    (Bitwidth.Interval.bitwidth (Bitwidth.interval_out bw (lbl "entry") (var "k")))
-
-let test_bitwidth_comparison_is_bool () =
-  let f = loop_func () in
-  let bw = Bitwidth.analyze f in
-  let iv = Bitwidth.interval_out bw (lbl "header") (var "c") in
-  Alcotest.(check int) "slt result is one bit" 1 (Bitwidth.Interval.bitwidth iv)
-
-let test_bitwidth_loop_widens () =
-  let f = loop_func () in
-  let bw = Bitwidth.analyze f in
-  (* x grows in the loop; widening must terminate the analysis and x's
-     interval must cover [0, 10] at the very least. *)
-  match Bitwidth.interval_out bw (lbl "body") (var "x") with
-  | Bitwidth.Interval.Range (lo, hi) ->
-    (* At the body exit x was just incremented, so lo is 1. *)
-    Alcotest.(check bool) "covers 1" true (lo <= 1);
-    Alcotest.(check bool) "covers growth" true (hi >= 10)
-  | Bitwidth.Interval.Bot -> Alcotest.fail "x has no interval"
-
-let test_interval_ops () =
-  let open Bitwidth.Interval in
-  Alcotest.(check bool) "join" true
-    (equal (Range (1, 5)) (join (Range (1, 3)) (Range (2, 5))));
-  Alcotest.(check bool) "join bot" true (equal (Range (1, 1)) (join Bot (of_const 1)));
-  Alcotest.(check int) "bitwidth of [0,255]" 8 (bitwidth (Range (0, 255)));
-  Alcotest.(check int) "bitwidth of [-128,127]" 8 (bitwidth (Range (-128, 127)));
-  Alcotest.(check int) "bitwidth of bot" 0 (bitwidth Bot);
-  Alcotest.(check int) "bitwidth of top" 64 (bitwidth top)
 
 (* --- Dominators ---------------------------------------------------------- *)
 
@@ -416,35 +326,6 @@ let test_use_def_weighted () =
   let wn = Use_def.weighted_access_count ud loops (var "n") in
   Alcotest.(check bool) "loop variable outweighs loop bound" true (wx > wn)
 
-let test_available_exprs_loop_invariant () =
-  (* An expression over loop-invariant operands computed before the loop
-     is available inside it. *)
-  let f =
-    Func.make ~name:"li" ~params:[ var "a"; var "b" ]
-      [
-        Block.make (lbl "entry")
-          [
-            Instr.Binop (Instr.Mul, var "p", var "a", var "b");
-            Instr.Const (var "i", 0);
-            Instr.Const (var "n", 4);
-            Instr.Const (var "one", 1);
-          ]
-          (Block.Jump (lbl "header"));
-        Block.make (lbl "header")
-          [ Instr.Binop (Instr.Slt, var "c", var "i", var "n") ]
-          (Block.Branch (var "c", lbl "body", lbl "exit"));
-        Block.make (lbl "body")
-          [ Instr.Binop (Instr.Add, var "i", var "i", var "one") ]
-          (Block.Jump (lbl "header"));
-        Block.make (lbl "exit") [] (Block.Return (Some (var "p")));
-      ]
-  in
-  let av = Available_exprs.analyze f in
-  Alcotest.(check bool) "a*b available in the loop body" true
-    (Available_exprs.Expr_set.mem
-       (Instr.Mul, var "a", var "b")
-       (Available_exprs.available_in av (lbl "body")))
-
 let test_dominators_nested_loops () =
   let f = Tdfa_workload.Kernels.matmul ~n:2 () in
   let dom = Dominators.analyze f in
@@ -555,19 +436,6 @@ let suite =
       [
         tc "loop defs merge" `Quick test_reaching_defs_loop;
         tc "redefinition kills" `Quick test_reaching_defs_kill;
-      ] );
-    ( "dataflow.available-exprs",
-      [
-        tc "diamond intersection" `Quick test_available_exprs_diamond;
-        tc "killed by operand redef" `Quick test_available_exprs_killed_by_redef;
-        tc "loop invariant" `Quick test_available_exprs_loop_invariant;
-      ] );
-    ( "dataflow.bitwidth",
-      [
-        tc "constants" `Quick test_bitwidth_constants;
-        tc "comparison is 1 bit" `Quick test_bitwidth_comparison_is_bool;
-        tc "loop widens" `Quick test_bitwidth_loop_widens;
-        tc "interval ops" `Quick test_interval_ops;
       ] );
     ( "dataflow.dominators",
       [

@@ -394,168 +394,195 @@ let test_e19_predictor_shape () =
         (row.Experiments.recall >= 0.0 && row.Experiments.recall <= 1.0))
     r.Experiments.rows
 
+(* E20–E24 return rows: the value of one (subject, metric) row. *)
+let value rows subject metric =
+  match
+    List.find_opt
+      (fun (r : Experiments.row) ->
+        r.Experiments.subject = subject && r.Experiments.metric = metric)
+      rows
+  with
+  | Some r -> r.Experiments.value
+  | None -> Alcotest.failf "no row %s / %s" subject metric
+
+let with_metric metric rows =
+  List.filter (fun (r : Experiments.row) -> r.Experiments.metric = metric) rows
+
 let test_e20_incremental_shape () =
   (* A tiny corpus keeps this in test budget; the fingerprint equality
      between reuse and cold is asserted inside e20 itself on every event,
      so reaching the return value at all means no divergence. *)
-  let r = Experiments.e20 ~quiet:true ~n:2 ~repeats:1 ~json:None () in
-  Alcotest.(check int) "corpus size recorded" 2 r.Experiments.corpus_functions;
+  let rows = Experiments.e20 ~quiet:true ~n:2 ~json:None () in
+  let v = value rows in
   (* 8 example kernels x 7 single-pass edits. *)
-  Alcotest.(check int) "kernel event count" 56
-    (List.length r.Experiments.kernel_events);
-  Alcotest.(check bool) "corpus events present" true
-    (r.Experiments.corpus_events <> []);
-  Alcotest.(check bool) "kernel median positive" true
-    (r.Experiments.kernel_median > 0.0);
-  Alcotest.(check bool) "corpus median positive" true
-    (r.Experiments.corpus_median > 0.0);
-  Alcotest.(check bool) "class breakdown present" true
-    (r.Experiments.e20_classes <> []);
-  List.iter
-    (fun (e : Experiments.e20_event) ->
-      Alcotest.(check bool)
-        (e.Experiments.subject ^ "/" ^ e.Experiments.edit ^ " timings positive")
-        true
-        (e.Experiments.t_cold_ms > 0.0 && e.Experiments.t_warm_ms > 0.0
-        && e.Experiments.e20_speedup > 0.0))
-    (r.Experiments.kernel_events @ r.Experiments.corpus_events)
+  Alcotest.(check int) "one identity row per kernel event" 56
+    (List.length (with_metric "identity" rows));
+  Alcotest.(check (float 0.0)) "kernel event count" 56.0 (v "kernels" "events");
+  (* 2 generated functions x 3 edits. *)
+  Alcotest.(check (float 0.0)) "corpus event count" 6.0 (v "corpus" "events");
+  let modes =
+    List.filter
+      (fun (r : Experiments.row) ->
+        String.starts_with ~prefix:"mode " r.Experiments.subject)
+      rows
+  in
+  Alcotest.(check bool) "mode breakdown present" true (modes <> []);
+  Alcotest.(check (float 0.0)) "modes partition the events" 62.0
+    (List.fold_left (fun acc (r : Experiments.row) -> acc +. r.Experiments.value)
+       0.0 modes);
+  Alcotest.(check (float 0.0)) "fingerprints equal" 1.0
+    (v "all events" "fingerprints_equal")
 
 let test_e22_trace_shape () =
   (* A small stream keeps this in test budget; the Trace-vs-Configured
      fingerprint equality at s = 0 is asserted inside e22 itself, so
      reaching the return value at all means the two paths agree. *)
-  let r = Experiments.e22 ~quiet:true ~n:600 ~json:None () in
-  Alcotest.(check int) "one row per exponent" 4
-    (List.length r.Experiments.e22_rows);
-  Alcotest.(check bool) "uniform stream matches hand-built IR" true
-    r.Experiments.e22_uniform_matches_ir;
-  Alcotest.(check bool) "chessboard reference positive" true
-    (r.Experiments.e22_chessboard_peak_k > 0.0);
+  let rows = Experiments.e22 ~quiet:true ~n:600 ~json:None () in
+  let cb = value rows "chessboard" "peak_k" in
+  Alcotest.(check bool) "chessboard reference positive" true (cb > 0.0);
+  Alcotest.(check (float 0.0)) "uniform stream matches hand-built IR" 1.0
+    (value rows "zipf s=0.0" "matches_ir");
+  Alcotest.(check int) "one peak per exponent and the reference" 5
+    (List.length (with_metric "peak_k" rows));
+  let peak s = value rows (Printf.sprintf "zipf s=%.1f" s) "peak_k" in
   List.iter
-    (fun (row : Experiments.e22_row) ->
-      let tag = Printf.sprintf "s=%g" row.Experiments.e22_s in
-      Alcotest.(check int) (tag ^ " samples") 600 row.Experiments.e22_samples;
-      Alcotest.(check bool) (tag ^ " windows positive") true
-        (row.Experiments.e22_windows > 0);
+    (fun s ->
+      let tag = Printf.sprintf "zipf s=%.1f" s in
+      let v = value rows tag in
+      Alcotest.(check (float 0.0)) (tag ^ " samples") 600.0 (v "samples");
+      Alcotest.(check bool) (tag ^ " windows positive") true (v "windows" > 0.0);
       Alcotest.(check bool) (tag ^ " cells touched on an 8x8 file") true
-        (row.Experiments.e22_cells_touched > 0
-        && row.Experiments.e22_cells_touched <= 64);
+        (v "cells_touched" > 0.0 && v "cells_touched" <= 64.0);
       Alcotest.(check bool) (tag ^ " peak above ambient") true
-        (row.Experiments.e22_peak_k > 300.0);
+        (v "peak_k" > 300.0);
       Alcotest.(check bool) (tag ^ " ratio consistent") true
-        (abs_float
-           (row.Experiments.e22_vs_chessboard
-           -. (row.Experiments.e22_peak_k /. r.Experiments.e22_chessboard_peak_k))
-        < 1e-9);
+        (abs_float (v "vs_chessboard" -. (v "peak_k" /. cb)) < 1e-9);
       Alcotest.(check bool) (tag ^ " persistence in [0,1]") true
-        (row.Experiments.e22_persistence >= 0.0
-        && row.Experiments.e22_persistence <= 1.0);
+        (v "persistence" >= 0.0 && v "persistence" <= 1.0);
       Alcotest.(check bool) (tag ^ " distinct hot cells sane") true
-        (row.Experiments.e22_distinct_hot >= 1
-        && row.Experiments.e22_distinct_hot <= 64))
-    r.Experiments.e22_rows;
+        (v "distinct_hot" >= 1.0 && v "distinct_hot" <= 64.0))
+    [ 0.0; 0.5; 1.0; 1.5 ];
   (* Skew concentrates heat: the s = 1.5 stream must run at least as
      hot as the uniform one. *)
-  let peak s =
-    (List.find
-       (fun (row : Experiments.e22_row) -> row.Experiments.e22_s = s)
-       r.Experiments.e22_rows)
-      .Experiments.e22_peak_k
-  in
   Alcotest.(check bool) "skew heats" true (peak 1.5 >= peak 0.0)
 
-(* Every BENCH_*.json record the CI gates read with jq: written through
-   the one codec, it parses back and carries each gated key with the
-   JSON type the gate compares. Small runs; the writers do not depend on
-   the run size. *)
+(* Every BENCH_*.json record, written by the one writer, parses back
+   into the one shape — exactly the keys experiment, host_cores and
+   rows; every row exactly subject, metric, unit, value and n, with
+   non-empty strings, a finite value and n >= 1 — and carries the rows
+   the CI gates read. Small runs; the writer does not depend on the run
+   size. *)
 let test_bench_json_keys () =
   let module Json = Tdfa_obs.Json in
-  let read_back run =
+  let keys = function
+    | Json.Obj kv -> List.sort compare (List.map fst kv)
+    | v -> Alcotest.failf "not an object: %s" (Json.to_string v)
+  in
+  let read_back name run =
     let path = Filename.temp_file "tdfa-bench" ".json" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        ignore (run (Some path));
-        match
-          Json.of_string (In_channel.with_open_text path In_channel.input_all)
-        with
-        | Ok j -> j
-        | Error msg -> Alcotest.failf "BENCH json does not parse: %s" msg)
+    let j =
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          ignore (run (Some path) : Experiments.row list);
+          match
+            Json.of_string (In_channel.with_open_text path In_channel.input_all)
+          with
+          | Ok j -> j
+          | Error msg -> Alcotest.failf "%s does not parse: %s" name msg)
+    in
+    Alcotest.(check (list string)) (name ^ " top-level keys")
+      [ "experiment"; "host_cores"; "rows" ] (keys j);
+    Alcotest.(check (option string)) (name ^ " experiment") (Some name)
+      (Json.str_member "experiment" j);
+    Alcotest.(check bool) (name ^ " host_cores") true
+      (Option.value ~default:0 (Json.int_member "host_cores" j) >= 1);
+    let rows =
+      match Json.member "rows" j with
+      | Some (Json.List (_ :: _ as l)) -> l
+      | _ -> Alcotest.failf "%s: rows is not a non-empty array" name
+    in
+    List.map
+      (fun r ->
+        Alcotest.(check (list string)) (name ^ " row keys")
+          [ "metric"; "n"; "subject"; "unit"; "value" ] (keys r);
+        let str k =
+          match Json.str_member k r with
+          | Some s when s <> "" -> s
+          | _ -> Alcotest.failf "%s: row %s is not a non-empty string" name k
+        in
+        let subject = str "subject" and metric = str "metric" in
+        ignore (str "unit");
+        let value =
+          match Option.bind (Json.member "value" r) Json.to_float with
+          | Some v when Float.is_finite v -> v
+          | _ -> Alcotest.failf "%s: %s/%s value not finite" name subject metric
+        in
+        (match Json.int_member "n" r with
+        | Some n when n >= 1 -> ()
+        | _ -> Alcotest.failf "%s: %s/%s n below 1" name subject metric);
+        (subject, metric, value))
+      rows
   in
-  let field j k =
-    match Json.member k j with
-    | Some v -> v
-    | None -> Alcotest.failf "missing key %s in %s" k (Json.to_string j)
+  let get rows subject metric =
+    match
+      List.find_opt (fun (s, m, _) -> s = subject && m = metric) rows
+    with
+    | Some (_, _, v) -> v
+    | None -> Alcotest.failf "missing gated row %s / %s" subject metric
   in
-  let bool_ j k =
-    match field j k with
-    | Json.Bool b -> b
-    | v -> Alcotest.failf "%s is not a boolean: %s" k (Json.to_string v)
-  in
-  let number j k =
-    match Json.to_float (field j k) with
-    | Some f -> f
-    | None -> Alcotest.failf "%s is not a number" k
-  in
-  let list_ j k =
-    match field j k with
-    | Json.List l -> l
-    | v -> Alcotest.failf "%s is not an array: %s" k (Json.to_string v)
-  in
+  let metric m rows = List.filter (fun (_, m', _) -> m' = m) rows in
   let e20 =
-    read_back (fun json -> Experiments.e20 ~quiet:true ~n:2 ~repeats:1 ~json ())
+    read_back "e20" (fun json -> Experiments.e20 ~quiet:true ~n:2 ~json ())
   in
-  Alcotest.(check bool) "e20 fingerprints_equal" true
-    (bool_ e20 "fingerprints_equal");
-  Alcotest.(check bool) "e20 medians positive" true
-    (number e20 "kernel_median_speedup" > 0.0
-    && number e20 "corpus_median_speedup" > 0.0);
-  Alcotest.(check bool) "e20 events and classes" true
-    (list_ e20 "kernel_events" <> [] && list_ e20 "classes" <> []);
+  Alcotest.(check (float 0.0)) "e20 fingerprints_equal" 1.0
+    (get e20 "all events" "fingerprints_equal");
+  Alcotest.(check bool) "e20 events and modes" true
+    (get e20 "kernels" "events" > 0.0
+    && List.exists
+         (fun (s, _, _) -> String.starts_with ~prefix:"mode " s)
+         (metric "events" e20));
   let e21 =
-    read_back (fun json ->
+    read_back "e21" (fun json ->
         Experiments.e21 ~quiet:true ~quick:true ~repeats:1 ~json ())
   in
-  Alcotest.(check bool) "e21 fingerprints_equal" true
-    (bool_ e21 "fingerprints_equal");
-  List.iter
-    (fun k -> ignore (number e21 k))
-    [ "fixpoint_median_speedup"; "steady_median_speedup" ];
+  ignore (get e21 "fixpoint" "median_speedup");
+  ignore (get e21 "steady" "median_speedup");
   Alcotest.(check bool) "e21 pairs bit-identical" true
-    (List.for_all
-       (fun p -> bool_ p "bit_identical")
-       (list_ e21 "fixpoint_pairs" @ list_ e21 "steady_pairs")
-    && list_ e21 "steady_pairs" <> []);
-  let e22 = read_back (fun json -> Experiments.e22 ~quiet:true ~n:600 ~json ()) in
-  Alcotest.(check bool) "e22 uniform_matches_ir" true
-    (bool_ e22 "uniform_matches_ir");
-  Alcotest.(check bool) "e22 chessboard peak" true
-    (number e22 "chessboard_peak_k" > 0.0);
-  let rows = list_ e22 "rows" in
-  List.iter (fun r -> ignore (number r "peak_k")) rows;
-  Alcotest.(check int) "e22 rows" 4 (List.length rows);
-  let e23 =
-    read_back (fun json -> Experiments.e23 ~quiet:true ~n:4 ~repeats:1 ~json ())
+    (List.for_all (fun (_, _, v) -> v = 1.0) (metric "bit_identical" e21)
+    && List.exists
+         (fun (s, _, _) -> String.starts_with ~prefix:"steady " s)
+         (metric "bit_identical" e21));
+  let e22 =
+    read_back "e22" (fun json -> Experiments.e22 ~quiet:true ~n:600 ~json ())
   in
-  Alcotest.(check bool) "e23 containment" true (bool_ e23 "containment");
+  Alcotest.(check (float 0.0)) "e22 matches_ir" 1.0
+    (get e22 "zipf s=0.0" "matches_ir");
+  Alcotest.(check bool) "e22 chessboard peak" true
+    (get e22 "chessboard" "peak_k" > 0.0);
+  Alcotest.(check int) "e22 streams" 4
+    (List.length
+       (List.filter
+          (fun (s, _, _) -> String.starts_with ~prefix:"zipf " s)
+          (metric "peak_k" e22)));
+  let e23 =
+    read_back "e23" (fun json ->
+        Experiments.e23 ~quiet:true ~n:4 ~repeats:1 ~json ())
+  in
+  Alcotest.(check (float 0.0)) "e23 containment" 1.0 (get e23 "all" "containment");
   List.iter
-    (fun k -> ignore (number e23 k))
+    (fun m -> ignore (get e23 "all" m))
     [ "certified_hot_precision"; "possibly_hot_recall"; "decided_ratio";
-      "same_grid_cost_ratio"; "host_cores" ];
-  Alcotest.(check int) "e23 kernels" 16 (List.length (list_ e23 "kernels"));
+      "cost_ratio" ];
+  Alcotest.(check int) "e23 kernels" 16 (List.length (metric "hi_k" e23));
   let e24 =
-    read_back (fun json ->
+    read_back "e24" (fun json ->
         Experiments.e24 ~quiet:true ~n:12 ~sa_iters:300 ~json ())
   in
-  Alcotest.(check bool) "e24 all_policies_beat_round_robin" true
-    (bool_ e24 "all_policies_beat_round_robin");
-  let policies = list_ e24 "policies" in
-  Alcotest.(check int) "e24 policies" 4 (List.length policies);
-  List.iter
-    (fun p ->
-      ignore (field p "policy");
-      ignore (number p "improvement_k"))
-    policies
+  Alcotest.(check (float 0.0)) "e24 beat_round_robin" 1.0
+    (get e24 "aware policies" "beat_round_robin");
+  Alcotest.(check int) "e24 policies" 4 (List.length (metric "peak_k" e24));
+  ignore (get e24 "round-robin" "improvement_k")
 
 let suite =
   let tc = Alcotest.test_case in

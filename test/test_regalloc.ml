@@ -321,6 +321,30 @@ let test_forced_spilling_small_rf () =
   Alcotest.(check (option int)) "semantics preserved" (run_value f)
     (run_value r.Alloc.func)
 
+let test_one_cell_fails_fast () =
+  (* Spill code needs two cells at once, so a one-cell file must refuse
+     after the first colouring instead of re-spilling until the round
+     cap (each round roughly doubled the code: fib reached 80k
+     instructions by round 12). *)
+  let one = Layout.make ~rows:1 ~cols:1 () in
+  List.iter
+    (fun (name, f) ->
+      let words = Gc.minor_words () and t0 = Unix.gettimeofday () in
+      (match Alloc.allocate f one ~policy:Policy.First_fit with
+      | _ -> Alcotest.failf "%s: allocated on a one-cell file" name
+      | exception Failure msg ->
+        Alcotest.(check bool)
+          (name ^ " message names 1 cell and 2 needed")
+          true
+          (String.starts_with ~prefix:"Alloc.allocate: the register file has 1 cell"
+             msg
+          && String.ends_with ~suffix:"spill code needs 2 cells at once" msg));
+      Alcotest.(check bool) (name ^ " under 1 s") true
+        (Unix.gettimeofday () -. t0 < 1.0);
+      Alcotest.(check bool) (name ^ " bounded allocation") true
+        (Gc.minor_words () -. words < 2e7))
+    Tdfa_workload.Kernels.all
+
 (* --- Re-assignment (ref [3]) ------------------------------------------------ *)
 
 let weights_table weights v =
@@ -436,8 +460,8 @@ let prop_coloring_matches_reference =
             Policy.all)
         [ layout; tiny ])
 
-(* On the 2x2 file some kernels spill for more than [max_rounds]; both
-   allocators must then give up. *)
+(* On the 2x2, 2x1 and 3x1 files some kernels spill for more than
+   [max_rounds]; both allocators must then give up. *)
 let test_allocate_matches_reference () =
   let spilled = ref 0 in
   let same name layout policy f =
@@ -474,7 +498,12 @@ let test_allocate_matches_reference () =
   List.iter
     (fun (name, f) ->
       List.iter (fun policy -> same name layout policy f) Policy.all;
-      same (name ^ "@2x2") tiny Policy.First_fit f)
+      List.iter
+        (fun (rows, cols) ->
+          same
+            (Printf.sprintf "%s@%dx%d" name rows cols)
+            (Layout.make ~rows ~cols ()) Policy.First_fit f)
+        [ (2, 2); (2, 1); (3, 1) ])
     Tdfa_workload.Kernels.all;
   Alcotest.(check bool) "some kernels spill" true (!spilled > 0)
 
@@ -585,6 +614,8 @@ let suite =
         tc "spilled parameter" `Quick test_spill_param;
         tc "forced spilling on tiny RF" `Quick test_forced_spilling_small_rf;
       ] );
+    ( "regalloc.small-reg-files",
+      [ tc "one-cell RF fails fast" `Quick test_one_cell_fails_fast ] );
     ( "regalloc.reference",
       [
         tc "allocate == reference (all kernels)" `Quick

@@ -76,20 +76,14 @@ let guard k =
 (* Verifier dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The verify and lint subcommands share one question — "allocate first
-   and check the post-RA rules, or check the plain function?" — so the
-   Check.all-vs-Check.func dispatch lives here exactly once. *)
-let allocate_for ~obs ~post_ra ~policy f =
-  if post_ra then begin
-    let alloc =
-      Alloc.allocate ~obs f Tdfa_harness.Common.standard_layout ~policy
-    in
-    (alloc.Alloc.func, Some alloc.Alloc.assignment)
-  end
-  else (f, None)
-
+(* The verify subcommand's one question — "allocate first and check the
+   post-RA rules, or check the plain function?" — answered by the same
+   prelude as lint, so the Check.all-vs-Check.func dispatch lives here
+   exactly once. *)
 let check_dispatch ~obs ~post_ra ~policy f =
-  let func, assignment = allocate_for ~obs ~post_ra ~policy f in
+  let func, assignment =
+    Tdfa_serve.Render.allocate_for ~obs ~post_ra ~policy f
+  in
   let diags =
     match assignment with
     | Some a ->

@@ -195,14 +195,10 @@ let lint files kernel kernels rules severities lint_config format max_severity
               let reports =
                 List.map
                   (fun (uri, f) ->
-                    let func, assignment =
-                      Cli_args.allocate_for ~obs ~post_ra ~policy f
+                    let _, findings =
+                      Tdfa_serve.Render.lint ~obs ~config ~post_ra ~policy f
                     in
-                    let ctx =
-                      Tdfa_lint.Lint.make_ctx ~obs ?assignment
-                        ~layout:Common.standard_layout func
-                    in
-                    (uri, func, Tdfa_lint.Lint.run ~obs ~config known ctx))
+                    (uri, f, findings))
                   inputs
               in
               (match format with
@@ -407,101 +403,42 @@ let optimize kernel file checked lint_gate on_violation obs_req =
       let name = f.Func.name in
       let layout = Common.standard_layout in
       let base = Common.run_policy ~name f Policy.First_fit in
-      let info = Analysis.info (Common.analyze_run base) in
-      let cfg =
-        Tdfa.Driver.transfer_config (Tdfa.Driver.default ~layout)
-          base.Common.alloc.Alloc.func base.Common.alloc.Alloc.assignment
+      let options =
+        { Tdfa_optim.Compile.optimize_options with
+          Tdfa_optim.Compile.checks =
+            Cli_args.checks_of ~lint:lint_gate checked on_violation;
+          obs;
+        }
       in
-      let critical =
-        Criticality.critical_vars cfg info base.Common.alloc.Alloc.func
-          base.Common.alloc.Alloc.assignment
-      in
-      let checks = Cli_args.checks_of ~lint:lint_gate checked on_violation in
-      let promoted_count = ref 0 and copies_count = ref 0 in
-      let t = Tdfa_optim.Pipeline.start f in
-      let t =
-        Tdfa_optim.Pipeline.apply ?checks t ~name:"promote"
-          ~detail:"loop-invariant loads" (fun f ->
-            let f', r = Tdfa_optim.Promote.apply f in
-            promoted_count := r.Tdfa_optim.Promote.promoted_addresses;
-            f')
-      in
-      let t =
-        Tdfa_optim.Pipeline.apply ?checks t ~name:"split"
-          ~detail:(Printf.sprintf "%d critical vars" (List.length critical))
-          (fun f ->
-            let f', r = Tdfa_optim.Split_ranges.apply f ~vars:critical in
-            copies_count := r.Tdfa_optim.Split_ranges.copies_inserted;
-            f')
-      in
-      (* Thermal-consuming tail: allocate under the thermal policy, then
-         schedule and cooling NOPs with a re-analysis between each pass. *)
-      let alloc =
-        Alloc.allocate ~obs t.Tdfa_optim.Pipeline.func layout
-          ~policy:Policy.Thermal_spread
-      in
-      let assignment = alloc.Alloc.assignment in
-      let t = { t with Tdfa_optim.Pipeline.func = alloc.Alloc.func } in
-      let reanalyze t =
-        (Tdfa.Driver.run
-           { (Tdfa.Driver.default ~layout) with obs }
-           (Tdfa.Driver.Assigned (t.Tdfa_optim.Pipeline.func, assignment)))
-          .outcome
-      in
-      let sched_outcome = reanalyze t in
-      let t =
-        let peak = Analysis.peak_map (Analysis.info sched_outcome) in
-        let mean = Thermal_state.mean peak in
-        let hot_cell c =
-          Thermal_state.get peak (Thermal_state.point_of_cell peak c)
-          > mean +. 1.0
-        in
-        Tdfa_optim.Pipeline.apply ?checks t ~name:"schedule"
-          ~detail:"separate hot accesses" (fun f ->
-            fst
-              (Tdfa_optim.Schedule.apply f
-                 ~cell_of_var:(fun v -> Assignment.cell_of_var assignment v)
-                 ~is_hot_cell:hot_cell))
-      in
-      let nops_outcome = reanalyze t in
-      let t =
-        let info = Analysis.info nops_outcome in
-        let peak = Analysis.peak_map info in
-        let mean = Thermal_state.mean peak in
-        let hot_after label index =
-          match Analysis.state_after info label index with
-          | s -> Thermal_state.peak s > mean +. 1.0
-          | exception Not_found -> false
-        in
-        Tdfa_optim.Pipeline.apply ?checks t ~name:"cooling-nops"
-          ~detail:"1 per hot instr" (fun f ->
-            fst (Tdfa_optim.Nop_insert.apply f ~hot_after ~nops:1))
-      in
-      let final_outcome = reanalyze t in
+      let result = Tdfa_optim.Compile.run ~options ~layout f in
       (* Measured metrics of the compiled code under its (already fixed)
          thermal-spread assignment. *)
-      let run = Tdfa_exec.Interp.run_func t.Tdfa_optim.Pipeline.func in
+      let run = Tdfa_exec.Interp.run_func result.Tdfa_optim.Compile.func in
       let measured =
         Tdfa_exec.Driver.steady_temps Common.standard_model
-          run.Tdfa_exec.Interp.trace ~cell_of_var:(Common.cell_fn alloc)
+          run.Tdfa_exec.Interp.trace
+          ~cell_of_var:
+            (Assignment.cell_of_var result.Tdfa_optim.Compile.assignment)
       in
       let m1 = Metrics.summarize layout measured in
-      Printf.printf
-        "thermal-aware pipeline on %s: %d loads promoted, %d copies inserted\n\n"
-        name !promoted_count !copies_count;
+      Printf.printf "thermal-aware pipeline on %s: %d critical vars\n\n" name
+        (List.length result.Tdfa_optim.Compile.critical);
       if checked || lint_gate then begin
-        print_steps t.Tdfa_optim.Pipeline.steps;
-        (match Tdfa_optim.Pipeline.skipped_passes t with
+        print_steps result.Tdfa_optim.Compile.steps;
+        (match
+           Tdfa_optim.Pipeline.skipped_passes
+             { Tdfa_optim.Pipeline.func = result.Tdfa_optim.Compile.func;
+               steps = result.Tdfa_optim.Compile.steps }
+         with
          | [] -> ()
          | skipped ->
            Printf.printf "degraded: skipped %s\n" (String.concat ", " skipped));
         print_newline ()
       end;
-      let final_info = Analysis.info final_outcome in
+      let final = result.Tdfa_optim.Compile.analysis in
       Printf.printf "final analysis %s after %d iterations\n\n"
-        (if Analysis.converged final_outcome then "converged"
-         else "DID NOT converge")
-        final_info.Analysis.iterations;
+        (if Analysis.converged final then "converged" else "DID NOT converge")
+        (Analysis.info final).Analysis.iterations;
       let m0 = base.Common.metrics in
       Printf.printf "             %10s %10s\n" "before" "after";
       Printf.printf "peak (K)     %10.2f %10.2f\n" m0.Metrics.peak_k m1.Metrics.peak_k;

@@ -9,7 +9,7 @@ type summary = {
 
 (* The access events a call site contributes: the callee's per-cell
    energy rate expressed as equivalent unit reads per cycle. *)
-let events_of_summary (p : Params.t) layout (s : summary) =
+let events_of_summary (p : Params.t) (s : summary) =
   let events = ref [] in
   Array.iteri
     (fun cell rate ->
@@ -18,7 +18,6 @@ let events_of_summary (p : Params.t) layout (s : summary) =
           Access.event ~weight:(rate /. p.Params.read_energy_j) cell Access.Read
           :: !events)
     s.energy_rate_j_per_cycle;
-  ignore layout;
   List.rev !events
 
 let summarize ?(params = Params.default) ~layout ~callee_summary
@@ -90,31 +89,24 @@ let run ?(params = Params.default) ?granularity ?analysis_dt_s ?settings
       | None -> ()
       | Some func ->
         let assignment = assignment_of func in
-        let loops = Loops.analyze func in
-        let max_frequency =
-          List.fold_left
-            (fun acc (b : Block.t) ->
-              Float.max acc (Loops.frequency loops b.Block.label))
-            1.0 func.Func.blocks
-        in
         let accesses_of_instr _ _ i =
           let own = Access.of_instr assignment i in
           match i with
           | Instr.Call (_, callee, _) -> (
             match callee_summary callee with
-            | Some s -> own @ events_of_summary params layout s
+            | Some s -> own @ events_of_summary params s
             | None -> own)
           | Instr.Const _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _
           | Instr.Store _ | Instr.Nop ->
             own
         in
         let cfg =
-          Transfer.make_config ~params ?granularity ?analysis_dt_s
-            ~max_frequency ~layout
-            ~block_frequency:(fun l -> Loops.frequency loops l)
-            ~accesses_of_instr
-            ~accesses_of_term:(fun _ term -> Access.of_terminator assignment term)
-            ()
+          {
+            (Transfer.of_assignment ~params ?granularity ?analysis_dt_s
+               ~layout func assignment)
+            with
+            Transfer.accesses_of_instr;
+          }
         in
         let outcome = Analysis.fixpoint ?settings cfg func in
         outcomes := (name, outcome) :: !outcomes;

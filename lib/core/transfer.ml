@@ -29,6 +29,21 @@ let make_config ?(params = Params.default) ?(granularity = 1)
     accesses_of_term;
   }
 
+let of_assignment ?params ?granularity ?analysis_dt_s ~layout (func : Func.t)
+    assignment =
+  let loops = Tdfa_dataflow.Loops.analyze func in
+  let max_frequency =
+    List.fold_left
+      (fun acc (b : Block.t) ->
+        Float.max acc (Tdfa_dataflow.Loops.frequency loops b.Block.label))
+      1.0 func.Func.blocks
+  in
+  make_config ?params ?granularity ?analysis_dt_s ~max_frequency ~layout
+    ~block_frequency:(fun l -> Tdfa_dataflow.Loops.frequency loops l)
+    ~accesses_of_instr:(fun _ _ i -> Access.of_instr assignment i)
+    ~accesses_of_term:(fun _ term -> Access.of_terminator assignment term)
+    ()
+
 (* Point-level coefficients, derived analytically from the cell-level RC
    parameters: a g x g tile has capacitance g^2*C, exchanges heat with a
    neighbouring tile through g parallel cell boundaries, and sinks through

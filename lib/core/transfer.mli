@@ -52,6 +52,22 @@ val make_config :
   unit ->
   config
 
+val of_assignment :
+  ?params:Params.t ->
+  ?granularity:int ->
+  ?analysis_dt_s:float ->
+  layout:Layout.t ->
+  Func.t ->
+  Tdfa_regalloc.Assignment.t ->
+  config
+(** The configuration of an assigned function, and the one place it is
+    built: loop-frequency-weighted duty cycling ([max_frequency] is the
+    hottest block's frequency) and the exact accessed registers of every
+    instruction and terminator (§4: the analysis "makes the most sense
+    if applied after register assignment"). Callers that inject extra
+    events, such as {!Interproc}'s call summaries, override
+    [accesses_of_instr] on the result. *)
+
 val is_stable : config -> bool
 (** Whether the explicit step satisfies the stability bound. *)
 

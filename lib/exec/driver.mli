@@ -1,24 +1,13 @@
-(** Glue from an execution trace to the RC thermal simulator: bins the
-    trace into fixed windows, converts access counts to dynamic power and
-    integrates. This is the "measured" side of every experiment. *)
+(** Glue from an execution trace to the RC thermal model: converts
+    per-cell access counts to average dynamic power and solves for the
+    steady temperatures. This is the "measured" side of every
+    experiment. *)
 
-open Tdfa_ir
 open Tdfa_thermal
-
-val default_window_cycles : int
 
 val power_of_counts :
   Params.t -> window_cycles:int -> reads:int array -> writes:int array -> float array
 (** Dynamic power per cell over one window. *)
-
-val simulate_trace :
-  ?window_cycles:int ->
-  Rc_model.t ->
-  Trace.t ->
-  cell_of_var:(Var.t -> int option) ->
-  Simulator.t
-(** Fresh simulator run over the whole trace; returns it with final
-    temperatures and peak history populated. *)
 
 val steady_of_counts :
   ?obs:Tdfa_obs.Obs.sink ->

@@ -4,14 +4,9 @@ open Tdfa_core
 
 type options = {
   cleanup : bool;
-  unroll_factor : int;
-  promote : bool;
-  split_critical : bool;
-  schedule : bool;
   cooling_nops : int;
   policy : Policy.t;
   granularity : int;
-  settings : Analysis.settings;
   checks : Pipeline.checks option;
   obs : Tdfa_obs.Obs.sink;
 }
@@ -19,17 +14,14 @@ type options = {
 let default_options =
   {
     cleanup = true;
-    unroll_factor = 1;
-    promote = true;
-    split_critical = true;
-    schedule = true;
     cooling_nops = 0;
     policy = Policy.Thermal_spread;
     granularity = 1;
-    settings = Analysis.default_settings;
     checks = None;
     obs = Tdfa_obs.Obs.null;
   }
+
+let optimize_options = { default_options with cleanup = false; cooling_nops = 1 }
 
 type result = {
   func : Func.t;
@@ -43,8 +35,6 @@ let driver_config opts ~layout =
   {
     (Tdfa.Driver.default ~layout) with
     Tdfa.Driver.granularity = opts.granularity;
-    settings = opts.settings;
-    policy = opts.policy;
     obs = opts.obs;
   }
 
@@ -65,17 +55,8 @@ let run ?(options = default_options) ~layout func =
     else t
   in
   let t =
-    if opts.unroll_factor > 1 then
-      apply t ~name:"unroll"
-        ~detail:(Printf.sprintf "factor %d" opts.unroll_factor)
-        (fun f -> fst (Unroll.apply f ~factor:opts.unroll_factor))
-    else t
-  in
-  let t =
-    if opts.promote then
-      apply t ~name:"promote" ~detail:"loop-invariant loads" (fun f ->
-          fst (Promote.apply f))
-    else t
+    apply t ~name:"promote" ~detail:"loop-invariant loads" (fun f ->
+        fst (Promote.apply f))
   in
   (* Scout analysis on a throwaway first-fit allocation: which variables
      feed the predicted hot spots? *)
@@ -100,7 +81,7 @@ let run ?(options = default_options) ~layout func =
      inserted) — the §4 "compromise between techniques for different
      optimization metrics" in pass-ordering form. *)
   let t =
-    if opts.split_critical && critical <> [] then
+    if critical <> [] then
       apply t ~name:"split"
         ~detail:(Printf.sprintf "%d critical vars" (List.length critical))
         (fun f ->
@@ -125,22 +106,17 @@ let run ?(options = default_options) ~layout func =
   let t = { t with Pipeline.func = alloc.Alloc.func } in
   (* Thermal-aware scheduling against the real assignment. *)
   let t =
-    if opts.schedule then begin
-      let outcome = analyze_with opts ~layout t.Pipeline.func assignment in
-      let peak = Analysis.peak_map (Analysis.info outcome) in
-      let mean = Thermal_state.mean peak in
-      let hot_cell c =
-        Thermal_state.get peak (Thermal_state.point_of_cell peak c)
-        > mean +. 1.0
-      in
-      apply t ~name:"schedule" ~detail:"separate hot accesses"
-        (fun f ->
-          fst
-            (Schedule.apply f
-               ~cell_of_var:(fun v -> Assignment.cell_of_var assignment v)
-               ~is_hot_cell:hot_cell))
-    end
-    else t
+    let outcome = analyze_with opts ~layout t.Pipeline.func assignment in
+    let peak = Analysis.peak_map (Analysis.info outcome) in
+    let mean = Thermal_state.mean peak in
+    let hot_cell c =
+      Thermal_state.get peak (Thermal_state.point_of_cell peak c) > mean +. 1.0
+    in
+    apply t ~name:"schedule" ~detail:"separate hot accesses" (fun f ->
+        fst
+          (Schedule.apply f
+             ~cell_of_var:(fun v -> Assignment.cell_of_var assignment v)
+             ~is_hot_cell:hot_cell))
   in
   let t =
     if opts.cooling_nops > 0 then begin

@@ -1,9 +1,10 @@
 (** The thermal-aware compilation driver: the whole §4 workflow in one
-    call. Scalar clean-ups, optional unrolling, register promotion, an
-    analysis pass to find the critical variables, live-range splitting,
-    thermally-guided register assignment, thermal-aware scheduling and
-    (optionally) cooling NOPs — ending with a final Fig. 2 analysis of
-    the compiled code. *)
+    call, and its only implementation ([tdfa compile] and [tdfa
+    optimize] both run it). Optional scalar clean-ups, register
+    promotion, an analysis pass to find the critical variables,
+    live-range splitting, thermally-guided register assignment,
+    thermal-aware scheduling and optional cooling NOPs — ending with a
+    final Fig. 2 analysis of the compiled code. *)
 
 open Tdfa_ir
 open Tdfa_floorplan
@@ -11,15 +12,10 @@ open Tdfa_regalloc
 open Tdfa_core
 
 type options = {
-  cleanup : bool;
-  unroll_factor : int;  (** 1 disables *)
-  promote : bool;
-  split_critical : bool;
-  schedule : bool;
+  cleanup : bool;  (** fold/cse/copy/dce before the thermal passes *)
   cooling_nops : int;  (** NOPs after each predicted-hot instruction; 0 disables *)
-  policy : Policy.t;
-  granularity : int;
-  settings : Analysis.settings;
+  policy : Policy.t;  (** the final assignment's policy *)
+  granularity : int;  (** of every analysis *)
   checks : Pipeline.checks option;
       (** when set, every pass runs checked under the given policy *)
   obs : Tdfa_obs.Obs.sink;
@@ -29,7 +25,12 @@ type options = {
 
 val default_options : options
 (** The recommended pipeline: cleanup, promotion, splitting, scheduling,
-    thermal-spread assignment; no unrolling, no NOPs, unchecked. *)
+    thermal-spread assignment at granularity 1; no NOPs, unchecked. *)
+
+val optimize_options : options
+(** What [tdfa optimize] runs (before its check and sink settings):
+    {!default_options} without clean-ups and with one cooling NOP per
+    predicted-hot instruction. *)
 
 type result = {
   func : Func.t;  (** compiled and allocated body *)

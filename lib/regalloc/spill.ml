@@ -3,6 +3,24 @@ open Tdfa_ir
 let base_address = 1_000_000
 let temp_prefix = "spl_"
 
+(* One past the highest temporary index already defined in [func], so
+   a later spill round never reuses an earlier round's names: two
+   unrelated short live ranges under one name would become one
+   variable to liveness and interference. 0 on a function without
+   spill code, which keeps the first round's names. *)
+let temp_base (func : Func.t) =
+  let skip = String.length temp_prefix + 1 in
+  Var.Set.fold
+    (fun v acc ->
+      let s = Var.to_string v in
+      if String.length s > skip && String.starts_with ~prefix:temp_prefix s
+      then
+        match int_of_string_opt (String.sub s skip (String.length s - skip)) with
+        | Some k when k >= acc -> k + 1
+        | Some _ | None -> acc
+      else acc)
+    (Func.defined_vars func) 0
+
 let rewrite ?(slot_base = 0) (func : Func.t) spilled =
   if Var.Set.is_empty spilled then func
   else begin
@@ -11,7 +29,7 @@ let rewrite ?(slot_base = 0) (func : Func.t) spilled =
       (fun i v -> Var.Tbl.replace slots v (slot_base + i))
       (Var.Set.elements spilled);
     let slot v = Var.Tbl.find slots v in
-    let counter = ref 0 in
+    let counter = ref (temp_base func) in
     let fresh prefix =
       let v = Var.of_string (Printf.sprintf "%s%s%d" temp_prefix prefix !counter) in
       incr counter;

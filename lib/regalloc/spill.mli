@@ -16,7 +16,10 @@ val rewrite : ?slot_base:int -> Func.t -> Var.Set.t -> Func.t
 
     [slot_base] (default 0) offsets the slots within the spill area;
     callers spilling in several rounds must pass the number of slots
-    already handed out, or later rounds would clobber earlier ones. *)
+    already handed out, or later rounds would clobber earlier ones.
+    Temporaries are numbered on from the highest {!temp_prefix} index
+    the function already defines, so every round's names are fresh
+    (a function without spill code starts at 0). *)
 
 val temp_prefix : string
 (** Prefix of the temporaries introduced here, for tests. *)

@@ -266,16 +266,17 @@ let lint_report ~display findings =
     Printf.sprintf "lint %s:\n%s" display
       (Tdfa_lint.Render.to_string findings)
 
+let allocate_for ?(obs = Tdfa_obs.Obs.null) ~post_ra ~policy f =
+  if post_ra then begin
+    let alloc = Alloc.allocate ~obs f Common.standard_layout ~policy in
+    (alloc.Alloc.func, Some alloc.Alloc.assignment)
+  end
+  else (f, None)
+
 let lint ?(obs = Tdfa_obs.Obs.null)
     ?(config = Tdfa_lint.Lint.default_config) ~post_ra ~policy (f : Func.t) =
   let known = Tdfa_lint.Rules.all in
-  let func, assignment =
-    if post_ra then begin
-      let alloc = Alloc.allocate ~obs f Common.standard_layout ~policy in
-      (alloc.Alloc.func, Some alloc.Alloc.assignment)
-    end
-    else (f, None)
-  in
+  let func, assignment = allocate_for ~obs ~post_ra ~policy f in
   let ctx =
     Tdfa_lint.Lint.make_ctx ~obs ?assignment ~layout:Common.standard_layout
       func

@@ -102,6 +102,16 @@ val lint_report : display:string -> Tdfa_lint.Lint.finding list -> string
 (** The per-input text block of [tdfa lint] ([lint <display>: clean] or
     the rendered finding table). *)
 
+val allocate_for :
+  ?obs:Obs.sink ->
+  post_ra:bool ->
+  policy:Policy.t ->
+  Func.t ->
+  Func.t * Assignment.t option
+(** The post-RA prelude of [lint] and [verify]: under [post_ra], the
+    function allocated on the standard 8x8 file and its assignment;
+    otherwise the function unchanged and no assignment. *)
+
 val lint :
   ?obs:Obs.sink ->
   ?config:Tdfa_lint.Lint.config ->

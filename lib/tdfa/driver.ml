@@ -1,5 +1,4 @@
 open Tdfa_ir
-open Tdfa_dataflow
 open Tdfa_regalloc
 open Tdfa_core
 open Tdfa_obs
@@ -64,19 +63,8 @@ type result = {
 }
 
 let transfer_config cfg func assignment =
-  let loops = Loops.analyze func in
-  let max_frequency =
-    List.fold_left
-      (fun acc (b : Block.t) ->
-        Float.max acc (Loops.frequency loops b.Block.label))
-      1.0 func.Func.blocks
-  in
-  Transfer.make_config ~params:cfg.params ~granularity:cfg.granularity
-    ?analysis_dt_s:cfg.analysis_dt_s ~max_frequency ~layout:cfg.layout
-    ~block_frequency:(fun l -> Loops.frequency loops l)
-    ~accesses_of_instr:(fun _ _ i -> Access.of_instr assignment i)
-    ~accesses_of_term:(fun _ term -> Access.of_terminator assignment term)
-    ()
+  Transfer.of_assignment ~params:cfg.params ~granularity:cfg.granularity
+    ?analysis_dt_s:cfg.analysis_dt_s ~layout:cfg.layout func assignment
 
 (* A trace input carries no register assignment: the access events name
    cells directly, every block runs at frequency 1 (the stream is linear

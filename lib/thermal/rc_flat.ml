@@ -95,3 +95,18 @@ let solve_seq ?(tol = 1e-6) ?(max_sweeps = 10_000) t ~power =
   done;
   t.sweeps <- !k;
   t.temps
+
+let steady_with_leakage ?leak_mask model ~power =
+  let t = make model in
+  let n = num_nodes t in
+  let gated i =
+    match leak_mask with Some mask -> not mask.(i) | None -> false
+  in
+  let with_leak temps =
+    let leak = Rc_model.leakage_power model ~temps in
+    Array.mapi (fun i pw -> if gated i then pw else pw +. leak.(i)) power
+  in
+  let first = solve_seq t ~power:(with_leak (Array.make n t.ambient)) in
+  let sweeps_first = t.sweeps in
+  let temps = Array.copy (solve_seq t ~power:(with_leak first)) in
+  (temps, sweeps_first, t.sweeps)

@@ -41,3 +41,18 @@ val solve_seq :
     loop performs no allocation.
     @raise Invalid_argument when [power] length differs from the
     model's node count. *)
+
+val steady_with_leakage :
+  ?leak_mask:bool array ->
+  Rc_model.t ->
+  power:float array ->
+  float array * int * int
+(** The steady temperatures under [power] plus one leakage feedback
+    round, on a fresh workspace: solve at ambient leakage, re-evaluate
+    {!Rc_model.leakage_power} at that solution, solve again. Bit-identical
+    to the same two rounds through [Rc_model.steady_state].
+    [leak_mask.(i) = false] power-gates cell [i]: it contributes no
+    leakage. Returns a fresh temperature array and the sweeps each of
+    the two solves ran.
+    @raise Invalid_argument when [power] length differs from the
+    model's node count. *)

@@ -21,19 +21,11 @@ let fu_power (m : Machine.t) ~block_weight bound =
   Array.map (fun e -> e /. time_s) energy
 
 let steady_map m ~block_weight bound =
-  let model = Machine.model m in
-  let power = fu_power m ~block_weight bound in
-  let n = Rc_model.num_nodes model in
-  let with_leak temps =
-    let leak = Rc_model.leakage_power model ~temps in
-    Array.mapi (fun i p -> p +. leak.(i)) power
+  let temps, _, _ =
+    Rc_flat.steady_with_leakage (Machine.model m)
+      ~power:(fu_power m ~block_weight bound)
   in
-  let ambient = m.Machine.params.Params.ambient_k in
-  (* Rc_flat replays Rc_model.steady_state bitwise; one workspace serves
-     both leakage passes. *)
-  let ws = Rc_flat.make model in
-  let first = Rc_flat.solve_seq ws ~power:(with_leak (Array.make n ambient)) in
-  Array.copy (Rc_flat.solve_seq ws ~power:(with_leak first))
+  temps
 
 let evaluate m func policy =
   let loops = Loops.analyze func in

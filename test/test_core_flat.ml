@@ -133,6 +133,96 @@ let test_solve_seq_bitwise () =
         cases)
     [ (8, 8); (1, 1); (1, 9); (9, 1); (3, 7); (7, 3); (64, 64) ]
 
+(* --- The shared leakage solve == two boxed rounds, bitwise --------------------- *)
+
+(* The reference: both leakage feedback rounds written out over the boxed
+   solver, with power-gated cells contributing no leakage. *)
+let boxed_leakage_rounds ?leak_mask model ~power =
+  let ambient = (Rc_model.params model).Params.ambient_k in
+  let with_leak temps =
+    let leak = Rc_model.leakage_power model ~temps in
+    Array.mapi
+      (fun i pw ->
+        match leak_mask with
+        | Some mask when not mask.(i) -> pw
+        | Some _ | None -> pw +. leak.(i))
+      power
+  in
+  let first =
+    Rc_model.steady_state model
+      ~power:(with_leak (Array.make (Array.length power) ambient))
+  in
+  Rc_model.steady_state model ~power:(with_leak first)
+
+let primes = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53 ]
+
+(* 1x1, 1xN, Nx1, prime cell counts (necessarily one row or column) and
+   small rectangles. *)
+let gen_shape =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure (1, 1);
+        map (fun c -> (1, c)) (int_range 2 40);
+        map (fun r -> (r, 1)) (int_range 2 40);
+        map (fun p -> (1, p)) (oneofl primes);
+        map (fun p -> (p, 1)) (oneofl primes);
+        pair (int_range 2 12) (int_range 2 12);
+      ])
+
+let prop_leakage_solve_counts =
+  QCheck2.Test.make
+    ~name:"steady_of_counts == two boxed leakage rounds, bitwise" ~count:200
+    ~print:(fun ((r, c), cycles, masked, seed) ->
+      Printf.sprintf "%dx%d cycles=%d masked=%b seed=%d" r c cycles masked seed)
+    QCheck2.Gen.(
+      quad gen_shape (int_range 0 20_000) bool (int_range 0 0xFFFF))
+    (fun ((rows, cols), cycles, masked, seed) ->
+      let model =
+        Rc_model.build (Layout.make ~rows ~cols ()) Params.default
+      in
+      let n = rows * cols in
+      let counts k =
+        Array.map
+          (fun x -> int_of_float (x *. 5000.0))
+          (lcg_power ~seed:(seed + k) ~scale:1.0 n)
+      in
+      let reads = counts 0 and writes = counts 1 in
+      let leak_mask =
+        if masked then
+          Some (Array.map (fun x -> x > 0.3) (lcg_power ~seed:(seed + 2) ~scale:1.0 n))
+        else None
+      in
+      let power =
+        Tdfa_exec.Driver.power_of_counts Params.default
+          ~window_cycles:(max 1 cycles) ~reads ~writes
+      in
+      bits_equal
+        (boxed_leakage_rounds ?leak_mask model ~power)
+        (Tdfa_exec.Driver.steady_of_counts ?leak_mask model ~cycles ~reads
+           ~writes))
+
+let prop_leakage_solve_fu =
+  let open Tdfa_vliw in
+  QCheck2.Test.make
+    ~name:"Fu_thermal.steady_map == two boxed leakage rounds, bitwise"
+    ~count:100
+    QCheck2.Gen.(
+      triple gen_small
+        (oneof [ int_range 1 12; oneofl primes ])
+        (oneofl Binding.all))
+    (fun (f, width, policy) ->
+      let m = Machine.make ~width () in
+      let loops = Tdfa_dataflow.Loops.analyze f in
+      let block_weight l = Tdfa_dataflow.Loops.frequency loops l in
+      let bound =
+        Binding.bind m policy ~block_weight (Bundler.schedule_func ~width f)
+      in
+      bits_equal
+        (boxed_leakage_rounds (Machine.model m)
+           ~power:(Fu_thermal.fu_power m ~block_weight bound))
+        (Fu_thermal.steady_map m ~block_weight bound))
+
 (* --- Zero allocation --------------------------------------------------------- *)
 
 let test_solve_seq_zero_alloc () =
@@ -647,5 +737,7 @@ let suite =
           prop_flat_equals_boxed_zero_delta;
           prop_flat_equals_boxed_trace;
           prop_flat_equals_boxed_grid_shapes;
+          prop_leakage_solve_counts;
+          prop_leakage_solve_fu;
         ] );
   ]

@@ -184,6 +184,33 @@ let test_interproc_rejects_recursion () =
      | (_ : Interproc.result) -> false
      | exception Invalid_argument _ -> true)
 
+(* A one-function program has no call site to summarise, so the
+   interprocedural run is the driver's assigned-function analysis: one
+   transfer-configuration builder serves both. *)
+let test_interproc_single_function_is_driver_run () =
+  List.iter
+    (fun (name, f) ->
+      let a = Alloc.allocate f layout ~policy:Policy.First_fit in
+      List.iter
+        (fun granularity ->
+          let r =
+            Interproc.run ~granularity ~layout
+              ~assignment_of:(fun _ -> a.Alloc.assignment)
+              (Program.of_funcs [ a.Alloc.func ])
+          in
+          let direct =
+            Tdfa.Driver.run
+              { (Tdfa.Driver.default ~layout) with Tdfa.Driver.granularity }
+              (Tdfa.Driver.Assigned (a.Alloc.func, a.Alloc.assignment))
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s at granularity %d" name granularity)
+            (Tdfa_engine.Engine.fingerprint direct.Tdfa.Driver.outcome)
+            (Tdfa_engine.Engine.fingerprint
+               (List.assoc name r.Interproc.per_function)))
+        [ 1; 2 ])
+    Kernels.all
+
 (* --- Multiproc workload sanity ------------------------------------------------ *)
 
 let test_multiproc_executes () =
@@ -231,6 +258,8 @@ let suite =
         tc "hotter than main alone" `Quick test_interproc_hotter_than_main_alone;
         tc "close to measured" `Quick test_interproc_close_to_measured;
         tc "rejects recursion" `Quick test_interproc_rejects_recursion;
+        tc "one function == driver run" `Quick
+          test_interproc_single_function_is_driver_run;
       ] );
     ( "interproc.workload",
       [

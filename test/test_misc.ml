@@ -98,22 +98,6 @@ let test_region_grid_nonuniform () =
   Alcotest.(check int) "8 cells each" 8
     (List.length (Tdfa_floorplan.Region.cells_of_region r 0))
 
-let test_simulate_trace_window_count () =
-  let var = Var.of_string in
-  let events =
-    List.init 2500 (fun i ->
-        { Tdfa_exec.Trace.cycle = i; var = var "v"; kind = Tdfa_exec.Trace.Read })
-  in
-  let t = Tdfa_exec.Trace.of_events ~cycles:2500 events in
-  let model = Tdfa_thermal.Rc_model.build layout8 Tdfa_thermal.Params.default in
-  let sim =
-    Tdfa_exec.Driver.simulate_trace ~window_cycles:1000 model t
-      ~cell_of_var:(fun _ -> Some 0)
-  in
-  (* 2500 cycles at 1000-cycle windows = 3 windows = 3 peak samples. *)
-  Alcotest.(check int) "three windows" 3
-    (List.length (Tdfa_thermal.Simulator.peak_history sim))
-
 let test_interproc_granularity () =
   (* The interprocedural analysis respects the granularity knob. *)
   let p = Tdfa_workload.Kernels.multiproc_program () in
@@ -146,7 +130,6 @@ let suite =
         tc "deps topological check" `Quick test_deps_is_topological;
         tc "alloc with measured policy" `Quick test_alloc_with_measured_policy;
         tc "non-uniform region grid" `Quick test_region_grid_nonuniform;
-        tc "simulate trace windows" `Quick test_simulate_trace_window_count;
         tc "interproc granularity" `Quick test_interproc_granularity;
       ] );
   ]

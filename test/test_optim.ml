@@ -593,21 +593,20 @@ let test_compile_reports_steps () =
     (Analysis.converged r.Compile.analysis)
 
 let test_compile_options_toggle () =
-  (* Everything off = just allocation; the function body is unchanged. *)
-  let options =
-    {
-      Compile.default_options with
-      Compile.cleanup = false;
-      promote = false;
-      split_critical = false;
-      schedule = false;
-      policy = Policy.First_fit;
-    }
+  (* [cleanup] and [cooling_nops] each add or drop exactly their step. *)
+  let passes options =
+    List.map
+      (fun (s : Pipeline.step) -> s.Pipeline.pass)
+      (Compile.run ~options ~layout (Kernels.fib ())).Compile.steps
   in
-  let func = Kernels.fib () in
-  let r = Compile.run ~options ~layout func in
-  Alcotest.(check string) "body untouched" (Printer.func_to_string func)
-    (Printer.func_to_string r.Compile.func)
+  Alcotest.(check (list string))
+    "cleanup off, no NOPs"
+    [ "original"; "promote"; "split"; "schedule" ]
+    (passes { Compile.default_options with Compile.cleanup = false });
+  Alcotest.(check (list string))
+    "cleanup on, one NOP"
+    [ "original"; "cleanup"; "promote"; "split"; "schedule"; "cooling-nops" ]
+    (passes { Compile.default_options with Compile.cooling_nops = 1 })
 
 let test_compile_with_nops_cools_more () =
   let func = Kernels.crc () in

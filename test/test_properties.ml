@@ -202,8 +202,12 @@ let prop_trace_window_totals =
 
 let prop_compile_driver_preserves_semantics =
   QCheck2.Test.make ~name:"full compile driver preserves semantics" ~count:15
-    gen_program (fun f ->
-      let r = Tdfa_optim.Compile.run ~layout f in
+    QCheck2.Gen.(
+      pair gen_program
+        (oneofl
+           Tdfa_optim.Compile.[ default_options; optimize_options ]))
+    (fun (f, options) ->
+      let r = Tdfa_optim.Compile.run ~options ~layout f in
       observe f = observe r.Tdfa_optim.Compile.func)
 
 let prop_random_programs_interprocedurally_analyzable =

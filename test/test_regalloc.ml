@@ -321,6 +321,39 @@ let test_forced_spilling_small_rf () =
   Alcotest.(check (option int)) "semantics preserved" (run_value f)
     (run_value r.Alloc.func)
 
+let test_spill_temps_unique_across_rounds () =
+  (* A 2x1 file spills in several rounds; each round's temporaries must
+     be fresh names, or unrelated short live ranges would merge into one
+     variable for liveness and interference. *)
+  let two = Layout.make ~rows:2 ~cols:1 () in
+  let allocated =
+    List.filter
+      (fun (name, f) ->
+        match Alloc.allocate f two ~policy:Policy.First_fit with
+        | exception Failure _ -> false
+        | r ->
+          let defs = Hashtbl.create 64 in
+          Func.iter_instrs
+            (fun _ _ i ->
+              match Instr.def i with
+              | Some v
+                when String.starts_with ~prefix:Spill.temp_prefix
+                       (Var.to_string v) ->
+                if Hashtbl.mem defs v then
+                  Alcotest.failf "%s: %s defined twice" name (Var.to_string v);
+                Hashtbl.add defs v ()
+              | Some _ | None -> ())
+            r.Alloc.func;
+          Alcotest.(check bool) (name ^ " spilled in several rounds") true
+            (r.Alloc.rounds > 2);
+          Alcotest.(check (option int)) (name ^ " semantics preserved")
+            (run_value f) (run_value r.Alloc.func);
+          true)
+      Tdfa_workload.Kernels.all
+  in
+  Alcotest.(check bool) "most kernels allocate" true
+    (List.length allocated >= 12)
+
 let test_one_cell_fails_fast () =
   (* Spill code needs two cells at once, so a one-cell file must refuse
      after the first colouring instead of re-spilling until the round
@@ -615,7 +648,11 @@ let suite =
         tc "forced spilling on tiny RF" `Quick test_forced_spilling_small_rf;
       ] );
     ( "regalloc.small-reg-files",
-      [ tc "one-cell RF fails fast" `Quick test_one_cell_fails_fast ] );
+      [
+        tc "one-cell RF fails fast" `Quick test_one_cell_fails_fast;
+        tc "spill temporaries unique across rounds" `Quick
+          test_spill_temps_unique_across_rounds;
+      ] );
     ( "regalloc.reference",
       [
         tc "allocate == reference (all kernels)" `Quick

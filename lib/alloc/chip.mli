@@ -5,10 +5,11 @@
     chip grid is one core, itself a whole register-file layout. That
     buys the core grid everything the RF grid already has (coordinates,
     4-connected neighbours, centre distances, chessboard colouring) for
-    free, and it means the lateral core-to-core RC coupling can reuse
-    the exact CSR machinery of {!Tdfa_thermal.Rc_flat}: offsets,
-    neighbour indices in [Layout.neighbors] order, and a precomputed
-    per-node conductance sum driving a sequential Gauss–Seidel sweep.
+    free. The core grid has one lateral conductance, one vertical
+    conductance and insulated edges, so its conductance matrix is
+    diagonal in the product cosine (DCT-II) basis of the two sides, and
+    {!solve} is a direct solve in that basis rather than a Gauss–Seidel
+    sweep.
 
     Conductances scale physically from the per-cell coefficients in
     {!Tdfa_thermal.Params}: cores abut along an edge of [rows] (or

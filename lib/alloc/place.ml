@@ -60,8 +60,10 @@ let check_tasks chip tasks =
     tasks
 
 (* Everything a candidate's score needs that does not depend on the
-   assignment, computed once per run, plus the buffers a score fills.
-   A score reads only the assignment and these, so it is a pure
+   assignment, computed once per run, plus the per-core terms of the
+   last score. A score re-derives only the cores whose task set changed
+   since the last one, summing their tasks in ascending task order as a
+   full pass would, so every term — and so every score — is a pure
    function of the assignment: equal candidates score bitwise equal. *)
 type scorer = {
   chip : Chip.t;
@@ -72,12 +74,16 @@ type scorer = {
   nbrs : int array array;  (* per core: neighbours, Layout.neighbors order *)
   ncells : int;
   g_cell : float;
+  placed : int array;  (* per task: its core at the last score, -1 if none *)
+  dirty : bool array;  (* per core: its task set changed since then *)
   core_power : float array;
   occupied : bool array;
   stack : float array;  (* per core: summed per-cell power, ncells wide *)
   transient : float array;  (* per core: largest transient rise *)
+  excess : float array;  (* per core: within-core stacking excess, K *)
   local : float array;  (* the last score's local peaks *)
   mutable temps : float array;  (* the last score's chip solve *)
+  mutable rederived : int;  (* cores re-derived over the run *)
 }
 
 let scorer ~gradient_weight chip tasks =
@@ -92,51 +98,65 @@ let scorer ~gradient_weight chip tasks =
     nbrs = Array.init n (fun c -> Array.of_list (Chip.neighbors chip c));
     ncells;
     g_cell = Chip.cell_vertical_w_per_k chip;
+    placed = Array.make (Array.length tasks) (-1);
+    dirty = Array.make n false;
     core_power = Array.make n 0.0;
     occupied = Array.make n false;
     stack = Array.make (n * ncells) 0.0;
     transient = Array.make n 0.0;
+    excess = Array.make n 0.0;
     local = Array.make n 0.0;
     temps = [||];
+    rederived = 0;
   }
 
 type merit = { peak : float; gradient : float; score : float }
 
-(* Score an assignment; [assign.(i) = -1] means task [i] is not placed
-   yet (greedy's partial states). The local per-core peak is the steady
-   core temperature from the chip solve, plus the within-core stacking
-   excess — the hottest cell's summed power over the core average,
-   through the per-cell vertical conductance — plus the largest
-   transient peak-over-mean rise among the core's tasks, which is
-   short-lived and never diffuses into the neighbours. Leaves the chip
-   solve in [s.temps] and the local peaks in [s.local]. *)
-let score s assign =
+(* Mark core [c] (if any) for re-derivation and clear its sums. *)
+let mark s c =
+  if c >= 0 && not s.dirty.(c) then begin
+    s.dirty.(c) <- true;
+    s.core_power.(c) <- 0.0;
+    s.occupied.(c) <- false
+  end
+
+(* Bring the per-core terms up to [assign]: mark the cores a task left
+   or joined, add their tasks back in ascending task order, and
+   recompute their stacking excess — the hottest cell's summed power
+   over the core average, through the per-cell vertical conductance.
+   Every other core's terms are already those of [assign]. *)
+let rederive s assign =
   let n = Array.length s.local and ncells = s.ncells in
-  Array.fill s.core_power 0 n 0.0;
-  Array.fill s.occupied 0 n false;
-  Array.iteri
-    (fun i c ->
-      if c >= 0 then begin
-        let base = c * ncells and cw = s.tasks.(i).Task.cells_w in
-        s.core_power.(c) <- s.core_power.(c) +. s.power_w.(i);
-        if not s.occupied.(c) then begin
-          s.occupied.(c) <- true;
-          s.transient.(c) <- 0.0;
-          Array.fill s.stack base ncells 0.0
-        end;
-        for p = 0 to ncells - 1 do
-          s.stack.(base + p) <- s.stack.(base + p) +. cw.(p)
-        done;
-        if s.rise_k.(i) > s.transient.(c) then s.transient.(c) <- s.rise_k.(i)
-      end)
-    assign;
-  let temps = Chip.solve s.chip ~power:s.core_power in
-  s.temps <- temps;
-  let peak = ref neg_infinity and gradient = ref 0.0 in
+  let nt = Array.length assign in
+  for i = 0 to nt - 1 do
+    let c = assign.(i) and p = s.placed.(i) in
+    if c <> p then begin
+      mark s p;
+      mark s c;
+      s.placed.(i) <- c
+    end
+  done;
+  for i = 0 to nt - 1 do
+    let c = assign.(i) in
+    if c >= 0 && s.dirty.(c) then begin
+      let base = c * ncells and cw = s.tasks.(i).Task.cells_w in
+      s.core_power.(c) <- s.core_power.(c) +. s.power_w.(i);
+      if not s.occupied.(c) then begin
+        s.occupied.(c) <- true;
+        s.transient.(c) <- 0.0;
+        Array.fill s.stack base ncells 0.0
+      end;
+      for p = 0 to ncells - 1 do
+        s.stack.(base + p) <- s.stack.(base + p) +. cw.(p)
+      done;
+      if s.rise_k.(i) > s.transient.(c) then s.transient.(c) <- s.rise_k.(i)
+    end
+  done;
   for c = 0 to n - 1 do
-    let local =
-      if not s.occupied.(c) then temps.(c)
-      else begin
+    if s.dirty.(c) then begin
+      s.dirty.(c) <- false;
+      s.rederived <- s.rederived + 1;
+      if s.occupied.(c) then begin
         let base = c * ncells in
         let hottest = ref 0.0 and total = ref 0.0 in
         for p = 0 to ncells - 1 do
@@ -144,9 +164,29 @@ let score s assign =
           if x > !hottest then hottest := x;
           total := !total +. x
         done;
-        let excess = (!hottest -. (!total /. float_of_int ncells)) /. s.g_cell in
-        temps.(c) +. excess +. s.transient.(c)
+        s.excess.(c) <-
+          (!hottest -. (!total /. float_of_int ncells)) /. s.g_cell
       end
+    end
+  done
+
+(* Score an assignment; [assign.(i) = -1] means task [i] is not placed
+   yet (greedy's partial states). The local per-core peak is the steady
+   core temperature from the chip solve, plus the within-core stacking
+   excess, plus the largest transient peak-over-mean rise among the
+   core's tasks, which is short-lived and never diffuses into the
+   neighbours. Leaves the chip solve in [s.temps] and the local peaks in
+   [s.local]. *)
+let score s assign =
+  let n = Array.length s.local in
+  rederive s assign;
+  let temps = Chip.solve s.chip ~power:s.core_power in
+  s.temps <- temps;
+  let peak = ref neg_infinity and gradient = ref 0.0 in
+  for c = 0 to n - 1 do
+    let local =
+      if not s.occupied.(c) then temps.(c)
+      else temps.(c) +. s.excess.(c) +. s.transient.(c)
     in
     s.local.(c) <- local;
     peak := Float.max !peak local;
@@ -304,6 +344,7 @@ let run_annealed ~obs ~cancel s ~seed ~iters ~start ~blind =
             ("accepted", Obs.Int !accepted);
             ("improving", Obs.Int !improving);
             ("final_temp_k", Obs.Float !temp);
+            ("cores_rederived", Obs.Int s.rederived);
           ];
     best
   end

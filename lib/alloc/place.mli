@@ -90,10 +90,14 @@ val run :
 (** Allocate the multiset under the policy. Deterministic: annealing
     draws from [Random.State.make] seeded with the policy's [seed].
     Candidates are scored from per-task sums computed once per run and
-    precomputed core adjacency; only the returned assignment is turned
+    precomputed core adjacency; each score re-derives only the cores
+    whose task set changed since the previous score, with the same
+    float operations in the same order as a full rescore, so results
+    are bit-identical to it. Only the returned assignment is turned
     into a [placement]. Traced as an [alloc.place] span (cores, tasks,
-    policy); annealing adds an [alloc.anneal] instant (accepted moves,
-    improving moves, final temperature). Annealing polls [cancel]
+    policy); annealing adds one [alloc.anneal] instant (accepted moves,
+    improving moves, final temperature, and [cores_rederived], the
+    cores the scorer re-derived over the whole run). Annealing polls [cancel]
     (default: never) every 256 moves.
     @raise Tdfa_core.Analysis.Cancelled when [cancel] trips, carrying
     the number of completed moves. *)

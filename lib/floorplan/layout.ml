@@ -38,17 +38,27 @@ let manhattan t i j =
   let rj, cj = coord t j in
   abs (ri - rj) + abs (ci - cj)
 
-let neighbors t i =
-  let row, col = coord t i in
-  let candidates =
-    [ (row - 1, col); (row, col - 1); (row, col + 1); (row + 1, col) ]
-  in
-  List.filter_map
-    (fun (r, c) ->
-      if r >= 0 && r < t.rows && c >= 0 && c < t.cols then
-        Some (index t ~row:r ~col:c)
-      else None)
-    candidates
+(* [coord] without its tuple: these two run once per cell of every RC
+   model. *)
+let degree t i =
+  assert (in_range t i);
+  let row = i / t.cols and col = i mod t.cols in
+  Bool.to_int (row > 0)
+  + Bool.to_int (col > 0)
+  + Bool.to_int (col < t.cols - 1)
+  + Bool.to_int (row < t.rows - 1)
+
+(* Up, left, right, down: those inside the grid. *)
+let neighbor_array t i =
+  let nb = Array.make (degree t i) 0 and k = ref 0 in
+  let row = i / t.cols and col = i mod t.cols in
+  if row > 0 then (nb.(!k) <- i - t.cols; incr k);
+  if col > 0 then (nb.(!k) <- i - 1; incr k);
+  if col < t.cols - 1 then (nb.(!k) <- i + 1; incr k);
+  if row < t.rows - 1 then nb.(!k) <- i + t.cols;
+  nb
+
+let neighbors t i = Array.to_list (neighbor_array t i)
 
 let chessboard_color t i =
   let row, col = coord t i in

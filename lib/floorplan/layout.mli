@@ -35,6 +35,12 @@ val manhattan : t -> int -> int -> int
 val neighbors : t -> int -> int list
 (** 4-connected lateral neighbours, in row-major order. *)
 
+val neighbor_array : t -> int -> int array
+(** {!neighbors} as a fresh array, built without an intermediate list. *)
+
+val degree : t -> int -> int
+(** [List.length (neighbors t i)], from the cell's position alone. *)
+
 val chessboard_color : t -> int -> int
 (** 0 for "black" cells, 1 for "white" — the checkerboard of Fig. 1(c). *)
 

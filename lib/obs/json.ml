@@ -165,18 +165,38 @@ let add_escaped_code st buf =
   Buffer.add_utf_8_uchar buf
     (if Uchar.is_valid u then Uchar.of_int u else Uchar.rep)
 
+(* End of the run of plain bytes of [src] from [i]: the first quote or
+   backslash at or after [i], or [len]. *)
+let rec plain_end src len i =
+  if i = len then i
+  else
+    match String.unsafe_get src i with
+    | '"' | '\\' -> i
+    | _ -> plain_end src len (i + 1)
+
+(* A string without escapes is one [String.sub]; otherwise each run of
+   plain bytes is copied whole and only the escapes are decoded. *)
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 32 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-      advance st;
-      match peek st with
-      | None -> fail st "unterminated escape"
-      | Some c ->
+  let src = st.src in
+  let len = String.length src in
+  let start = st.pos in
+  let stop = plain_end src len start in
+  if stop < len && src.[stop] = '"' then begin
+    st.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create 32 in
+    let rec go start stop =
+      Buffer.add_substring buf src start (stop - start);
+      st.pos <- stop;
+      if stop = len then fail st "unterminated string"
+      else if src.[stop] = '"' then advance st
+      else begin
+        advance st;
+        if st.pos = len then fail st "unterminated escape";
+        let c = src.[st.pos] in
         advance st;
         (match c with
          | '"' -> Buffer.add_char buf '"'
@@ -189,14 +209,12 @@ let parse_string st =
          | 't' -> Buffer.add_char buf '\t'
          | 'u' -> add_escaped_code st buf
          | c -> fail st (Printf.sprintf "bad escape \\%c" c));
-        go ())
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+        go st.pos (plain_end src len st.pos)
+      end
+    in
+    go start stop;
+    Buffer.contents buf
+  end
 
 let parse_number st =
   let start = st.pos in

@@ -433,7 +433,15 @@ let handle_line t session line =
         end
         else line
       in
-      match Protocol.request_of_line line with
+      (* The span and its arguments are built only for a tracing sink. *)
+      let decoded =
+        if not (Obs.tracing obs) then Protocol.request_of_line line
+        else
+          Obs.span obs "serve.frame"
+            ~args:[ ("bytes", Obs.Int (String.length line)) ]
+            (fun () -> Protocol.request_of_line line)
+      in
+      match decoded with
       | Error msg ->
         Obs.incr obs "serve.bad_frames";
         Reply

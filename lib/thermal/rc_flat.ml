@@ -26,8 +26,7 @@ let make model =
     gv_amb = g_v *. p.Params.ambient_k;
     g_sum =
       Array.init n (fun i ->
-          let deg = List.length (Layout.neighbors layout i) in
-          (float_of_int deg *. g_lat) +. g_v);
+          (float_of_int (Layout.degree layout i) *. g_lat) +. g_v);
     temps = Array.make n p.Params.ambient_k;
     power = Array.make n 0.0;
     sweeps = 0;

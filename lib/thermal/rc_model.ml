@@ -8,8 +8,7 @@ type t = {
 
 let build layout params =
   let neighbors =
-    Array.init (Layout.num_cells layout) (fun i ->
-        Array.of_list (Layout.neighbors layout i))
+    Array.init (Layout.num_cells layout) (Layout.neighbor_array layout)
   in
   { layout; params; neighbors }
 

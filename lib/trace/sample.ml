@@ -83,55 +83,56 @@ let name_directive line =
    every sampler prints (digits, hex digits, R/W) that cannot overflow,
    and hands anything else to the string reader above on a copy of the
    field, so every accepted input and every value is exactly the
-   string readers'. *)
+   string readers'. The helpers are top-level functions of their
+   arguments, so a line allocates nothing but its sample; only the
+   slow paths and errors build strings and options. *)
 
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec digits_from text i b ~base acc =
+  if i = b then acc
+  else
+    let d =
+      match String.unsafe_get text i with
+      | '0' .. '9' as c -> Char.code c - 48
+      | 'a' .. 'f' as c -> Char.code c - 87
+      | 'A' .. 'F' as c -> Char.code c - 55
+      | _ -> base
+    in
+    if d >= base then -1 else digits_from text (i + 1) b ~base ((acc * base) + d)
 
 (* Digits of text.[a, b) in [base] (10 or 16) as an int, or -1 when
    there are none, more than [max_len], or another character. *)
 let digits text a b ~base ~max_len =
-  if b <= a || b - a > max_len then -1
-  else
-    let rec go i acc =
-      if i = b then acc
-      else
-        let d =
-          match text.[i] with
-          | '0' .. '9' as c -> Char.code c - 48
-          | 'a' .. 'f' as c -> Char.code c - 87
-          | 'A' .. 'F' as c -> Char.code c - 55
-          | _ -> base
-        in
-        if d >= base then -1 else go (i + 1) ((acc * base) + d)
-    in
-    go a 0
+  if b <= a || b - a > max_len then -1 else digits_from text a b ~base 0
 
 let sub text a b = String.sub text a (b - a)
 
 (* First index of [c] in text.[a, b), or [b]. *)
-let index_in text a b c =
-  let rec go i = if i = b || text.[i] = c then i else go (i + 1) in
-  go a
+let rec index_in text a b c =
+  if a = b || String.unsafe_get text a = c then a else index_in text (a + 1) b c
 
-let all_decimal text a b =
-  let rec go i = i = b || (text.[i] >= '0' && text.[i] <= '9' && go (i + 1)) in
-  go a
+let rec all_decimal text a b =
+  a = b
+  || (text.[a] >= '0' && text.[a] <= '9' && all_decimal text (a + 1) b)
 
 let is_prefixed_hex text a b =
   b - a > 1 && text.[a] = '0' && (text.[a + 1] = 'x' || text.[a + 1] = 'X')
 
-let seconds_field text a b =
+(* The plain spelling of a timestamp, "SECONDS[.FRACTION]", in
+   microseconds, or -1 when the field needs the string reader. At most
+   12 whole digits keep w * 1_000_000 below max_int. *)
+let seconds_fast text a b =
   let dot = index_in text a b '.' in
-  (* At most 12 whole digits keep w * 1_000_000 below max_int. *)
   let w = if dot = a then 0 else digits text a dot ~base:10 ~max_len:12 in
   if w >= 0 && (dot = b || all_decimal text (dot + 1) b) then begin
     let f = ref 0 in
     for i = dot + 1 to dot + 6 do
       f := (!f * 10) + (if i < b then Char.code text.[i] - 48 else 0)
     done;
-    Some ((w * 1_000_000) + !f)
+    (w * 1_000_000) + !f
   end
-  else us_of_seconds_string (sub text a b)
+  else -1
 
 let kind_field text a b =
   if b - a = 1 then
@@ -141,20 +142,23 @@ let kind_field text a b =
     | _ -> None
   else kind_of_string (sub text a b)
 
-(* 18 decimal or 15 hex digits stay below max_int. *)
+(* An address, or -1 (every accepted address is non-negative). 18
+   decimal or 15 hex digits stay below max_int. *)
 let addr_field text a b =
   let v =
     if is_prefixed_hex text a b then digits text (a + 2) b ~base:16 ~max_len:15
     else digits text a b ~base:10 ~max_len:18
   in
-  if v >= 0 then Some v else addr_of_string (sub text a b)
+  if v >= 0 then v
+  else match addr_of_string (sub text a b) with Some v -> v | None -> -1
 
 let hex_addr_field text a b =
   let v =
     if is_prefixed_hex text a b then digits text (a + 2) b ~base:16 ~max_len:15
     else digits text a b ~base:16 ~max_len:15
   in
-  if v >= 0 then Some v else hex_addr_of_string (sub text a b)
+  if v >= 0 then v
+  else match hex_addr_of_string (sub text a b) with Some v -> v | None -> -1
 
 let is_int_field text a b =
   digits text a b ~base:10 ~max_len:18 >= 0
@@ -166,28 +170,21 @@ let parse_text ~name text =
   let len = String.length text in
   (* Start and stop of the first [max_fields] fields of the line. *)
   let fs = Array.make (2 * max_fields) 0 in
-  let fa i = fs.(2 * i) and fb i = fs.((2 * i) + 1) in
-  let rec line start lineno name acc =
-    let stop =
-      match String.index_from_opt text start '\n' with
-      | Some i -> i
-      | None -> len
-    in
-    let next name acc =
-      if stop = len then Ok { name; samples = List.rev acc }
-      else line (stop + 1) (lineno + 1) name acc
-    in
-    let ls = ref start and le = ref stop in
+  let name = ref name and acc = ref [] and prev = ref 0 in
+  let error = ref None in
+  let start = ref 0 and lineno = ref 1 and more = ref true in
+  while !more do
+    let stop = index_in text !start len '\n' in
+    let ls = ref !start and le = ref stop in
     while !ls < !le && is_space text.[!ls] do incr ls done;
     while !le > !ls && is_space text.[!le - 1] do decr le done;
     let ls = !ls and le = !le in
-    if ls = le then next name acc
-    else if text.[ls] = '#' then
-      next
-        (match name_directive (sub text ls le) with
-         | Some n -> n
-         | None -> name)
-        acc
+    if ls = le then ()
+    else if text.[ls] = '#' then begin
+      match name_directive (sub text ls le) with
+      | Some n -> name := n
+      | None -> ()
+    end
     else begin
       (* Fields: maximal runs of characters other than space and tab. *)
       let nf = ref 0 and i = ref ls in
@@ -205,58 +202,79 @@ let parse_text ~name text =
       done;
       let nf = !nf in
       let perf_base =
-        if nf = 5 && is_int_field text (fa 1) (fb 1) then 2
+        if nf = 5 && is_int_field text fs.(2) fs.(3) then 2
         else if
           nf = 6
-          && is_int_field text (fa 1) (fb 1)
-          && fb 2 - fa 2 >= 2
-          && text.[fa 2] = '['
-          && text.[fb 2 - 1] = ']'
+          && is_int_field text fs.(2) fs.(3)
+          && fs.(5) - fs.(4) >= 2
+          && text.[fs.(4)] = '['
+          && text.[fs.(5) - 1] = ']'
         then 3
         else -1
       in
+      let lineno = !lineno in
       if nf <> 3 && perf_base < 0 then
-        Error
-          (Printf.sprintf
-             "line %d: expected 3 fields or perf script \
-              comm/pid/time/event/addr columns, got %d fields"
-             lineno nf)
-      else
+        error :=
+          Some
+            (Printf.sprintf
+               "line %d: expected 3 fields or perf script \
+                comm/pid/time/event/addr columns, got %d fields"
+               lineno nf)
+      else begin
         (* Ranges of the time, kind and address fields; a perf line drops
            the timestamp's trailing colon and the event's suffixes. *)
-        let ta, tb, ka, kb, aa, ab =
-          if nf = 3 then (fa 0, fb 0, fa 1, fb 1, fa 2, fb 2)
-          else
-            let ta = fa perf_base and tb = fb perf_base in
-            let tb = if text.[tb - 1] = ':' then tb - 1 else tb in
-            let ka = fa (perf_base + 1) and kb = fb (perf_base + 1) in
-            let kb = index_in text ka kb ':' in
-            (ta, tb, ka, kb, fa (perf_base + 2), fb (perf_base + 2))
-        in
-        let t_us = seconds_field text ta tb and kind = kind_field text ka kb in
-        let addr =
-          if nf = 3 then addr_field text aa ab else hex_addr_field text aa ab
-        in
-        match (t_us, kind, addr) with
-        | Some t_us, Some kind, Some addr ->
-          let prev = match acc with [] -> 0 | s :: _ -> s.t_us in
-          if t_us < prev then
-            Error (Printf.sprintf "line %d: timestamp goes backwards" lineno)
-          else next name ({ t_us; kind; addr } :: acc)
-        | None, _, _ ->
-          Error
-            (Printf.sprintf "line %d: bad timestamp %S" lineno (sub text ta tb))
-        | _, None, _ ->
-          Error
-            (Printf.sprintf
-               "line %d: bad access kind %S (want R|W|load|store)" lineno
-               (sub text ka kb))
-        | _, _, None ->
-          Error
-            (Printf.sprintf "line %d: bad address %S" lineno (sub text aa ab))
+        let perf = nf <> 3 in
+        let tf = if perf then perf_base else 0 in
+        let ta = fs.(2 * tf) and tb = fs.((2 * tf) + 1) in
+        let tb = if perf && text.[tb - 1] = ':' then tb - 1 else tb in
+        let ka = fs.((2 * tf) + 2) and kb = fs.((2 * tf) + 3) in
+        let kb = if perf then index_in text ka kb ':' else kb in
+        let aa = fs.((2 * tf) + 4) and ab = fs.((2 * tf) + 5) in
+        let t_us = ref (seconds_fast text ta tb) and t_ok = ref true in
+        if !t_us < 0 then begin
+          match us_of_seconds_string (sub text ta tb) with
+          | Some t -> t_us := t
+          | None -> t_ok := false
+        end;
+        if not !t_ok then
+          error :=
+            Some
+              (Printf.sprintf "line %d: bad timestamp %S" lineno (sub text ta tb))
+        else
+          match kind_field text ka kb with
+          | None ->
+            error :=
+              Some
+                (Printf.sprintf
+                   "line %d: bad access kind %S (want R|W|load|store)" lineno
+                   (sub text ka kb))
+          | Some kind ->
+            let addr =
+              if perf then hex_addr_field text aa ab else addr_field text aa ab
+            in
+            if addr < 0 then
+              error :=
+                Some
+                  (Printf.sprintf "line %d: bad address %S" lineno
+                     (sub text aa ab))
+            else if !t_us < !prev then
+              error :=
+                Some (Printf.sprintf "line %d: timestamp goes backwards" lineno)
+            else begin
+              acc := { t_us = !t_us; kind; addr } :: !acc;
+              prev := !t_us
+            end
+      end
+    end;
+    if Option.is_some !error || stop = len then more := false
+    else begin
+      start := stop + 1;
+      incr lineno
     end
-  in
-  line 0 1 name []
+  done;
+  match !error with
+  | Some e -> Error e
+  | None -> Ok { name = !name; samples = List.rev !acc }
 
 let parse ?(obs = Tdfa_obs.Obs.null) ?(name = "trace") text =
   Tdfa_obs.Obs.span obs "trace.parse"

@@ -327,6 +327,118 @@ let qcheck_assignment_shape =
         policies)
 
 (* ------------------------------------------------------------------ *)
+(* Incremental scorer == full rescore, bitwise.                        *)
+
+(* Bitwise: the scorer's per-core terms must be the very floats a full
+   rescore produces, not merely close ones. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 same_float a b
+
+let placements_bitwise (a : Place.placement) (b : Place.placement) =
+  a.Place.policy = b.Place.policy
+  && a.Place.assignment = b.Place.assignment
+  && same_floats a.Place.core_temps_k b.Place.core_temps_k
+  && same_floats a.Place.local_peak_k b.Place.local_peak_k
+  && same_float a.Place.peak_k b.Place.peak_k
+  && same_float a.Place.gradient_k b.Place.gradient_k
+  && same_float a.Place.score b.Place.score
+  && same_float a.Place.round_robin_peak_k b.Place.round_robin_peak_k
+
+(* Chips 1x1, 1xN, Nx1, 8x8 and small rectangles; 0 tasks, 1 task, a
+   few, and more tasks than cores. Per-cell powers vary within a task,
+   so the stacking excess is exercised, and some tasks repeat the
+   previous task's profile under a new name, so scores tie. *)
+let gen_place_case =
+  QCheck2.Gen.(
+    let* rows, cols =
+      oneof
+        [ return (1, 1); pair (return 1) (int_range 2 9);
+          pair (int_range 2 9) (return 1); return (8, 8);
+          pair (int_range 1 5) (int_range 1 5) ]
+    in
+    let n = rows * cols in
+    let* nt =
+      oneof [ return 0; return 1; int_range 2 12; int_range (n + 1) (n + 8) ]
+    in
+    let ncells = Layout.num_cells small_core in
+    let gen_task =
+      let* cells = array_size (return ncells) (float_bound_inclusive 0.02) in
+      let* mean = float_bound_inclusive 30.0 in
+      let* extra = float_range (-2.0) 20.0 in
+      return (cells, mean, extra)
+    in
+    let* profiles = list_size (return nt) (pair bool gen_task) in
+    let tasks =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (prev, acc) (repeat, fresh) ->
+                let cells, mean, extra =
+                  match prev with Some p when repeat -> p | _ -> fresh
+                in
+                let t =
+                  {
+                    Task.name = Printf.sprintf "t%02d" (List.length acc);
+                    peak_k = ambient +. mean +. extra;
+                    mean_k = ambient +. mean;
+                    cells_w = cells;
+                  }
+                in
+                (Some (cells, mean, extra), t :: acc))
+              (None, []) profiles))
+    in
+    let* seed = int_range 0 1000 in
+    let* iters = oneof [ return 0; int_range 1 400 ] in
+    return (rows, cols, tasks, seed, iters))
+
+let print_place_case (rows, cols, tasks, seed, iters) =
+  Printf.sprintf "%dx%d, %d tasks, seed %d, %d iters" rows cols
+    (List.length tasks) seed iters
+
+let qcheck_scorer_matches_full_rescore =
+  QCheck2.Test.make
+    ~name:"incremental scorer == full-rescore reference, bitwise" ~count:150
+    ~print:print_place_case gen_place_case
+    (fun (rows, cols, tasks, seed, iters) ->
+      let c = chip ~rows ~cols in
+      List.for_all
+        (fun p ->
+          placements_bitwise (Place.run c p tasks)
+            (Place_reference.run c p tasks)
+          || QCheck2.Test.fail_reportf "%s differs from the reference"
+               (Place.policy_name p))
+        [ Place.Round_robin; Place.Greedy; Place.Coolest_neighbor;
+          Place.Annealed { seed; iters } ])
+
+(* The shipped shape: 16 tasks on 8x8 cores of the standard 8x8 register
+   file, the default 2000 annealing moves. *)
+let test_scorer_full_shape () =
+  let c = Chip.make ~rows:8 ~cols:8 () in
+  let rng = Random.State.make [| 16 |] in
+  let tasks =
+    List.init 16 (fun i ->
+        let cells = Array.init 64 (fun _ -> Random.State.float rng 0.001) in
+        let mean = Random.State.float rng 30.0 in
+        {
+          Task.name = Printf.sprintf "k%02d" i;
+          peak_k = ambient +. mean +. Random.State.float rng 25.0;
+          mean_k = ambient +. mean;
+          cells_w = cells;
+        })
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Place.policy_name p ^ " equals the reference")
+        true
+        (placements_bitwise (Place.run c p tasks)
+           (Place_reference.run c p tasks)))
+    [ Place.Greedy; Place.Coolest_neighbor;
+      Place.Annealed { seed = 7; iters = 2000 } ]
+
+(* ------------------------------------------------------------------ *)
 (* Brute-force differential oracle: <=6 tasks on <=3 cores.            *)
 
 let oracle_instances =
@@ -433,6 +545,9 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_sa_zero_is_greedy;
         QCheck_alcotest.to_alcotest qcheck_assignment_shape;
         tc "annealing honours cancel" `Quick test_anneal_cancel;
+        QCheck_alcotest.to_alcotest qcheck_scorer_matches_full_rescore;
+        tc "scorer == reference at the 8x8 shape" `Quick
+          test_scorer_full_shape;
       ] );
     ( "alloc.oracle",
       [

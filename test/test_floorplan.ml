@@ -59,7 +59,31 @@ let test_neighbors () =
           Alcotest.(check bool) "symmetric" true
             (List.mem i (Layout.neighbors layout j)))
         (Layout.neighbors layout i))
-    (Layout.cells layout)
+    (Layout.cells layout);
+  (* Up, left, right, down, those on the grid — as a list, as an array
+     and as a count — on degenerate and skewed grids too. *)
+  List.iter
+    (fun (rows, cols) ->
+      let l = Layout.make ~rows ~cols () in
+      List.iter
+        (fun i ->
+          let r = i / cols and c = i mod cols in
+          let expected =
+            List.filter_map
+              (fun (r, c) ->
+                if r >= 0 && r < rows && c >= 0 && c < cols then
+                  Some ((r * cols) + c)
+                else None)
+              [ (r - 1, c); (r, c - 1); (r, c + 1); (r + 1, c) ]
+          in
+          let name = Printf.sprintf "%dx%d cell %d" rows cols i in
+          Alcotest.(check (list int)) name expected (Layout.neighbors l i);
+          Alcotest.(check (array int)) (name ^ " array")
+            (Array.of_list expected) (Layout.neighbor_array l i);
+          Alcotest.(check int) (name ^ " degree") (List.length expected)
+            (Layout.degree l i))
+        (Layout.cells l))
+    [ (1, 1); (1, 5); (5, 1); (2, 2); (3, 7); (7, 3); (8, 8) ]
 
 let test_chessboard_color () =
   Alcotest.(check int) "origin is black" 0 (Layout.chessboard_color layout 0);

@@ -444,6 +444,56 @@ let test_place_span_shape () =
     Alcotest.failf "expected 1/1/1 driver.place/alloc.place/anneal, got %d/%d/%d"
       (List.length d) (List.length p) (List.length a)
 
+(* The scorer re-derives only the cores a move touched: a move changes
+   at most two cores, so 200 moves on 16 cores re-derive far fewer than
+   the 16 per score a full rescore would. One alloc.anneal instant per
+   run carries the total. *)
+let test_anneal_rederives_touched_cores () =
+  let t = Obs.memory () in
+  let chip = Tdfa_alloc.Chip.make ~rows:4 ~cols:4 () in
+  let tasks =
+    List.init 5 (fun i ->
+        Tdfa_alloc.Task.of_scalars ~core:(Tdfa_alloc.Chip.core chip)
+          ~name:(Printf.sprintf "t%d" i) ~peak_k:(340.0 +. float_of_int i)
+          ~mean_k:(330.0 +. float_of_int i) ())
+  in
+  ignore
+    (Tdfa_alloc.Place.run ~obs:t chip
+       (Tdfa_alloc.Place.Annealed { seed = 1; iters = 200 })
+       tasks);
+  match named (Obs.events t) "alloc.anneal" Obs.Instant with
+  | [ anneal ] ->
+    let n = int_arg anneal "cores_rederived" in
+    Alcotest.(check bool)
+      (Printf.sprintf "0 < %d re-derived cores < 16 x 200 / 4" n)
+      true
+      (n > 0 && n < 16 * 200 / 4)
+  | l -> Alcotest.failf "expected one alloc.anneal instant, got %d" (List.length l)
+
+(* Frame decoding is a span of its own: one serve.frame per request line,
+   nested in serve.request, carrying the frame's byte length. *)
+let test_serve_frame_span () =
+  let t = Obs.memory () in
+  let server =
+    Tdfa_serve.Server.create
+      ~config:{ Tdfa_serve.Server.default_config with obs = t }
+      ()
+  in
+  let session = Tdfa_serve.Session.create "s" in
+  let line = {|{"id":"1","op":"analyze","kernel":"fib"}|} in
+  ignore (Tdfa_serve.Server.handle_line server session line);
+  ignore (Tdfa_serve.Server.handle_line server session "not json");
+  let events = Obs.events t in
+  match (named events "serve.request" Obs.Begin, named events "serve.frame" Obs.Begin) with
+  | [ r1; r2 ], [ f1; f2 ] ->
+    Alcotest.(check int) "nested in its request" r1.Obs.id f1.Obs.parent;
+    Alcotest.(check int) "nested in the bad request" r2.Obs.id f2.Obs.parent;
+    Alcotest.(check int) "bytes" (String.length line) (int_arg f1 "bytes");
+    Alcotest.(check int) "bytes of the bad frame" 8 (int_arg f2 "bytes")
+  | r, f ->
+    Alcotest.failf "expected 2/2 serve.request/serve.frame, got %d/%d"
+      (List.length r) (List.length f)
+
 (* A trace request: exactly one thermal.steady span, outside the
    fixpoint, carrying the cell count and both passes' sweep counts. *)
 let test_trace_span_shape () =
@@ -517,6 +567,9 @@ let suite =
       [
         tc "null sink is inert" `Quick test_null_sink_inert;
         tc "null sink allocates nothing" `Quick test_null_sink_allocation_free;
+        tc "annealing re-derives only touched cores" `Quick
+          test_anneal_rederives_touched_cores;
+        tc "serve.frame span per request line" `Quick test_serve_frame_span;
         tc "span nesting and parent links" `Quick test_span_nesting;
         tc "span End survives a raise" `Quick test_span_end_on_raise;
         tc "complete (retroactive) events" `Quick test_complete_event;

@@ -120,6 +120,79 @@ let test_json_unicode_escapes () =
   Alcotest.(check bool) "512 levels accepted" true
     (Result.is_ok (Json.of_string (String.make 512 '[' ^ String.make 512 ']')))
 
+(* --- Run-copying reader == per-byte reference ------------------------------ *)
+
+(* The same value, or the same error text with the same byte offset. *)
+let same_parse text =
+  match (Json.of_string text, Json_reference.of_string text) with
+  | Ok a, Ok b -> a = b
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error e -> QCheck2.Test.fail_reportf "reference rejects: %s" e
+  | Error e, Ok _ -> QCheck2.Test.fail_reportf "reader rejects: %s" e
+
+(* Pieces of a string literal's body: plain runs, every escape, \u
+   pairs, lone and broken surrogates, raw control bytes, UTF-8, and the
+   bytes that end a run. *)
+let gen_string_body =
+  let open QCheck2.Gen in
+  let piece =
+    frequency
+      [
+        (3, string_size ~gen:printable (int_range 0 20));
+        ( 3,
+          oneofl
+            [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|};
+              {|\t|}; {|\u0041|}; {|\u00e9|}; {|\u20AC|}; {|\uD83D\uDE00|};
+              {|\uD83D|}; {|\uDE00|}; {|\uD83D\u0041|}; {|\uD83D\uzzzz|};
+              {|\uDBFF\uDFFF|}; {|\u12|}; {|\uzzzz|}; {|\x|}; {|\|};
+              {|\u|}; {|"|}; "\xc3\xa9"; "\xe2\x82\xac";
+              "\xf0\x9f\x98\x80"; "\xff\xfe" ] );
+        (1, map (String.make 1) (map Char.chr (int_range 0 0x1f)));
+        (1, string_size ~gen:char (int_range 0 6));
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 8) piece)
+
+let gen_string_frame =
+  let open QCheck2.Gen in
+  let* body = gen_string_body in
+  let* wrap =
+    oneofl
+      [ (fun b -> "\"" ^ b ^ "\"");
+        (fun b -> {|{"op":"trace","trace":"|} ^ b ^ {|","cells":64}|});
+        (fun b -> {|["|} ^ b ^ {|", "x\n"]|});
+        (fun b -> {|{"|} ^ b ^ {|":1}|}) ]
+  in
+  let text = wrap body in
+  let* cut = oneof [ return (String.length text); int_range 0 (String.length text) ] in
+  return (String.sub text 0 cut)
+
+let prop_reader_matches_reference =
+  QCheck2.Test.make ~name:"serve: run-copying Json reader == per-byte reference"
+    ~count:2000 ~print:(Printf.sprintf "%S") gen_string_frame same_parse
+
+(* A serve-floorplan trace frame as the benchmark sends it: a Zipf
+   trace printed into the frame's "trace" string. *)
+let trace_frame ~n =
+  let sample =
+    Tdfa_trace.Synth.zipf ~seed:95 ~s:1.0 ~addrs:8192 ~n ()
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("id", Json.Str "trace-1"); ("op", Json.Str "trace");
+         ("trace", Json.Str (Tdfa_trace.Sample.print sample));
+         ("cells", Json.Int 4096) ])
+
+let test_reader_truncations () =
+  let frame = trace_frame ~n:40 in
+  for cut = 0 to String.length frame do
+    let text = String.sub frame 0 cut in
+    if not (same_parse text) then
+      Alcotest.failf "differs from the reference at cut %d" cut
+  done;
+  Alcotest.(check bool) "the full 20000-sample frame" true
+    (same_parse (trace_frame ~n:20_000))
+
 (* --- Backoff -------------------------------------------------------------- *)
 
 let wide =
@@ -874,6 +947,8 @@ let suite =
           test_invalid_knobs_rejected;
         tc "json \\u escapes and nesting depth" `Quick
           test_json_unicode_escapes;
+        tc "json reader == reference on every truncated trace frame" `Quick
+          test_reader_truncations;
         tc "framing: split reads reassemble, oversized frames bounded"
           `Quick test_framer_split_and_bound;
         tc "fault plan stall-ms finite and bounded" `Quick
@@ -885,6 +960,7 @@ let suite =
       List.map QCheck_alcotest.to_alcotest
         [
           prop_json_roundtrip;
+          prop_reader_matches_reference;
           prop_delays_deterministic_and_bounded;
           prop_plan_text_roundtrip;
           prop_frames_never_raise;

@@ -616,16 +616,64 @@ let gen_line =
         (1, map2 (fun l e -> l ^ e) gen_plain_line (oneofl [ "\r"; " "; "\012" ]));
       ])
 
-(* Lines in order, so that timestamps mostly go forward. *)
+(* Comments, [# name:] directives in every spelling, and malformed
+   lines: too few or too many fields, empty perf columns, bracket and
+   colon corners, and whitespace the field splitter does not split on. *)
+let gen_odd_line =
+  let open QCheck2.Gen in
+  let* sep = gen_separator in
+  oneof
+    [
+      oneofl
+        [ "#"; "# name: a b"; "  # name: lead"; "#name:\ttabbed"; "# Name: x";
+          "# named: no"; "# name :no"; "#\tname: y"; "## name: z";
+          "0.000001 R 0x10 # trailing"; "0.1 R"; "0.1"; "R 0x10";
+          "a 1 2 3 4 5 6"; "a 1 [0] 0.5: load: 0x10 extra";
+          "a 1 [] 0.5: load: 0x10"; "a 1 [0 0.5: load: 0x10"; "a 1 0.5 : load 10";
+          "a 1 0.5:: load:: 0x10"; "a 1 :0.5 load 10"; "a 1 0.5: : 10";
+          "0.5\012R\0120x10"; "\0120.5 R 0x10\012"; "0.5 R\r 0x10";
+          "0.5 R 0x10 0x20"; "0.5 W 1e3"; "0.5 W 0x"; "0.5 W 0x-1";
+          "0.5 load:uP 0x10"; "0.5 mem-loads 0x10"; "0.5. R 0x10";
+          "1.2.3 R 0x10"; "-0.5 R 0x10"; "+0.5 R 0x10"; "0.5e1 R 0x10" ];
+      (let* tok = oneofl odd_tokens in
+       let* pos = int_range 0 2 in
+       let fields = [ "0.000100"; "R"; "0x100" ] in
+       return
+         (String.concat sep
+            (List.mapi (fun i f -> if i = pos then tok else f) fields)));
+    ]
+
+let gen_line =
+  QCheck2.Gen.(frequency [ (9, gen_line); (2, gen_odd_line) ])
+
+(* Lines in order, so that timestamps mostly go forward, ended by LF or
+   by CRLF (each line, or the whole text), with or without a final
+   line break. *)
 let gen_lines =
   QCheck2.Gen.(
-    list_size (int_range 0 12) gen_line >|= fun lines ->
+    let* lines = list_size (int_range 0 12) gen_line in
+    let* eol = oneofl [ `Lf; `Crlf; `Mixed ] in
+    let* final = bool in
     let ts l =
       match String.index_opt l '.' with
       | Some i when i > 0 -> l.[i - 1]
       | _ -> '0'
     in
-    String.concat "\n" (List.stable_sort (fun a b -> compare (ts a) (ts b)) lines))
+    let lines = List.stable_sort (fun a b -> compare (ts a) (ts b)) lines in
+    let* ends =
+      list_size (return (List.length lines))
+        (match eol with
+         | `Lf -> return "\n"
+         | `Crlf -> return "\r\n"
+         | `Mixed -> oneofl [ "\n"; "\r\n" ])
+    in
+    let text = String.concat "" (List.map2 ( ^ ) lines ends) in
+    let n = String.length text in
+    return
+      (if final || n = 0 then text
+       else if n >= 2 && String.sub text (n - 2) 2 = "\r\n" then
+         String.sub text 0 (n - 2)
+       else String.sub text 0 (n - 1)))
 
 (* One random edit of a text: truncate, flip a byte, or splice in an odd
    token. *)
@@ -674,6 +722,10 @@ let gen_parse_input =
         (2, gen_trace >|= Sample.print);
         (3, gen_lines);
         (2, oneofl [ example "sample.trace"; example "perf_script.trace" ]);
+        ( 1,
+          oneofl [ example "sample.trace"; example "perf_script.trace" ]
+          >|= fun text ->
+          String.concat "\r\n" (String.split_on_char '\n' text) );
       ]
   in
   let* text = base in

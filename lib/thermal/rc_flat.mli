@@ -1,24 +1,48 @@
 (** Preallocated steady-state workspace over the RC network: the
     Gauss–Seidel solve of {!Rc_model.steady_state} recompiled onto flat
-    float arrays, specialised to the register-file grid, with per-node
-    conductance sums precomputed once and every buffer allocated at
-    {!make} time.
+    float arrays, specialised to the register-file grid, with every
+    buffer allocated at {!make} time.
 
-    {!solve_seq} visits the nodes in anti-diagonal wavefront order
-    (diagonal [r + c = 0, 1, ...]) instead of row-major order. A node
-    reads the same neighbour values either way — up and left already
-    updated this sweep, right and down still from the previous one —
-    and folds them in the same [Layout.neighbors] order, so the result
-    is {e bit-identical} to [Rc_model.steady_state] (same float
-    operations, same [Stdlib.Float.max]/[Float.abs] NaN semantics, same
-    sweep count). What changes is that the updates along one diagonal
-    are independent, so consecutive updates no longer wait on each
-    other's division. The solve is allocation-free after the workspace
-    exists (certified by the [Gc.minor_words] battery in
-    [test/test_core_flat.ml]).
+    The workspace stores the grid anti-diagonal-major ("skewed"):
+    diagonal [r + c = 0, 1, ...] after diagonal, each one contiguous,
+    rows ascending. {!make} builds that permutation and the skewed
+    per-node conductance sums; {!solve_seq} fills a skewed
+    [rhs = power + g_v * ambient], runs one C kernel call
+    ([rc_sweep_stubs.c]) per sweep, keeps the [tol] and [max_sweeps]
+    tests and the NaN stop in OCaml, and copies the solution back to
+    row-major order. Returning to OCaml between sweeps lets a domain
+    join a stop-the-world minor GC promptly on any grid size.
 
-    The solve returns the workspace's internal temperature buffer: valid
-    until the next solve on the same workspace; copy it to keep it. *)
+    Why the result is {e bit-identical} to [Rc_model.steady_state]
+    (same float operations on the same values, same sweep count):
+    - Updating diagonal after diagonal, a node reads what the row-major
+      sweep reads: up and left (diagonal [d - 1]) already updated this
+      sweep, right and down (diagonal [d + 1]) still from the previous
+      one. The nodes of one diagonal do not read each other, so the
+      kernel updates a diagonal's interior nodes two at a time with
+      16-byte vector add, mul and div, whose lanes round exactly like
+      the scalar operations. The first and last node of each diagonal,
+      and every node of a diagonal of at most two, lie on the grid's
+      edge and take a scalar path that tests which neighbours exist.
+    - Every node folds [(((0.0 + g*up) + g*left) + g*right) + g*down]
+      over the neighbours it has, in [Layout.neighbors] order, adds it
+      to its [rhs] and divides by its conductance sum, as the boxed
+      solver does.
+    - A sweep's worst change is a max with [Stdlib.Float.max]'s NaN
+      semantics, which is order-invariant, so the stop test sees the
+      same value. Only NaN payloads may differ, since C may commute an
+      addition; the battery compares NaN positions.
+    - The kernel must compile with [-ffp-contract=off] and without
+      fast-math or [-march]: GNU C contracts [a*b + c] into a fused
+      multiply-add wherever the target has one, which rounds once
+      instead of twice and changes bits. The [foreign_stubs] stanza
+      sets the flag and a CI step rejects stanzas that drop it.
+
+    The solve is allocation-free after the workspace exists (certified
+    by the [Gc.minor_words] battery in [test/test_core_flat.ml]). It
+    returns the workspace's internal row-major temperature buffer:
+    valid until the next solve on the same workspace; copy it to keep
+    it. *)
 
 type t
 

@@ -98,9 +98,29 @@ let test_out_buffers_bitwise () =
 
 (* --- Rc_flat sequential == Rc_model.steady_state, bitwise -------------------- *)
 
-(* The wavefront's edge logic lives in the first/last rows and columns
-   and in diagonals shorter than the grid, so the battery covers
-   degenerate and skewed shapes, not just the square default. *)
+(* Bitwise, except that NaNs compare by position: the C sweep kernel may
+   commute an addition and so carry the other operand's NaN payload. *)
+let bits_equal_nan_positions a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         if Float.is_nan x || Float.is_nan y then
+           Float.is_nan x && Float.is_nan y
+         else Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* The sweep kernel's edge logic lives in the first and last node of
+   each anti-diagonal and in diagonals of at most two nodes; its vector
+   loop takes interior nodes in pairs with a scalar remainder. So the
+   battery covers degenerate and skewed shapes (2xN and Nx2 are all rim),
+   interiors of odd and even lengths (5x6, 13x17, 64x63, 4x9 has
+   exactly one pair), and long single rows and columns. *)
+let steady_shapes =
+  [
+    (8, 8); (1, 1); (1, 9); (9, 1); (3, 7); (7, 3); (64, 64); (2, 31);
+    (31, 2); (4, 9); (5, 6); (13, 17); (64, 63); (1, 257); (257, 1);
+  ]
+
 let test_solve_seq_bitwise () =
   List.iter
     (fun (rows, cols) ->
@@ -108,6 +128,7 @@ let test_solve_seq_bitwise () =
       let n = Layout.num_cells layout in
       let model = Rc_model.build layout Params.default in
       let ws = Rc_flat.make model in
+      let random seed = lcg_power ~seed ~scale:1.0e-3 n in
       let cases =
         [
           ("zero", Array.make n 0.0, None, None);
@@ -118,20 +139,64 @@ let test_solve_seq_bitwise () =
              p),
             None,
             None );
-          ("random", lcg_power ~seed:42 ~scale:1.0e-3 n, None, None);
-          ("tight tol", lcg_power ~seed:43 ~scale:1.0e-3 n, Some 1e-9, None);
-          ("capped sweeps", lcg_power ~seed:44 ~scale:1.0e-3 n, None, Some 3);
+          ("random", random 42, None, None);
+          ("tight tol", random 43, Some 1e-9, None);
+          ("capped sweeps", random 44, None, Some 3);
+          ("no sweep", random 45, None, Some 0);
+          ("one sweep", random 46, None, Some 1);
+          ("two sweeps", random 47, None, Some 2);
+          ("tol 0 capped", random 48, Some 0.0, Some 25);
+          ("tol infinity", random 49, Some infinity, None);
+          ( "nan and inf",
+            (let p = random 50 in
+             p.(n / 3) <- nan;
+             p.(2 * n / 3) <- infinity;
+             p),
+            None,
+            None );
+          ( "inf",
+            (let p = random 51 in
+             p.(n / 2) <- infinity;
+             p),
+            None,
+            None );
         ]
+      in
+      let check name boxed flat =
+        Alcotest.(check bool)
+          (Printf.sprintf "%dx%d %s bitwise" rows cols name)
+          true
+          (bits_equal_nan_positions boxed flat)
       in
       List.iter
         (fun (name, power, tol, max_sweeps) ->
-          let boxed = Rc_model.steady_state ?tol ?max_sweeps model ~power in
-          let flat = Rc_flat.solve_seq ?tol ?max_sweeps ws ~power in
-          Alcotest.(check bool)
-            (Printf.sprintf "%dx%d %s bitwise" rows cols name)
-            true (bits_equal boxed flat))
-        cases)
-    [ (8, 8); (1, 1); (1, 9); (9, 1); (3, 7); (7, 3); (64, 64) ]
+          check name
+            (Rc_model.steady_state ?tol ?max_sweeps model ~power)
+            (Rc_flat.solve_seq ?tol ?max_sweeps ws ~power))
+        cases;
+      (* Signed zeros: at ambient -0.0 the even diagonals carry a power
+         of minus the smallest subnormal, which a conductance sum above
+         2 rounds to a node temperature of -0.0. An odd node then has
+         rhs -0.0 and four -0.0 neighbour terms, and only the fold's
+         leading [0.0 +.] makes it +0.0. *)
+      let zero_model =
+        Rc_model.build layout
+          {
+            Params.default with
+            Params.ambient_k = -0.0;
+            lateral_conductance_w_per_k = 1.0;
+            vertical_conductance_w_per_k = 1.0;
+          }
+      in
+      let power =
+        Array.init n (fun i ->
+            if ((i / cols) + (i mod cols)) land 1 = 0 then -.Float.succ 0.0
+            else -0.0)
+      in
+      check "signed zeros"
+        (Rc_model.steady_state zero_model ~power)
+        (Rc_flat.solve_seq (Rc_flat.make zero_model) ~power))
+    steady_shapes
 
 (* --- The shared leakage solve == two boxed rounds, bitwise --------------------- *)
 
@@ -156,8 +221,8 @@ let boxed_leakage_rounds ?leak_mask model ~power =
 
 let primes = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53 ]
 
-(* 1x1, 1xN, Nx1, prime cell counts (necessarily one row or column) and
-   small rectangles. *)
+(* 1x1, 1xN, Nx1, 2xN, Nx2, prime cell counts (necessarily one row or
+   column), small rectangles and the fixed battery shapes. *)
 let gen_shape =
   QCheck2.Gen.(
     oneof
@@ -165,9 +230,12 @@ let gen_shape =
         pure (1, 1);
         map (fun c -> (1, c)) (int_range 2 40);
         map (fun r -> (r, 1)) (int_range 2 40);
+        map (fun c -> (2, c)) (int_range 2 40);
+        map (fun r -> (r, 2)) (int_range 2 40);
         map (fun p -> (1, p)) (oneofl primes);
         map (fun p -> (p, 1)) (oneofl primes);
         pair (int_range 2 12) (int_range 2 12);
+        oneofl steady_shapes;
       ])
 
 let prop_leakage_solve_counts =

@@ -118,17 +118,40 @@ let mul ~m ~k ~n x y out =
     done
   done
 
+(* out <- u_t * p for row-major u_t (m x m) and p (m x n), adding only
+   the non-zero entries of p, row by row: each entry of out still sums
+   its terms in index order. A skipped term is a finite basis entry
+   times +-0, so +-0, and adding it would change nothing: every sum
+   starts at +0.0 and so never reaches -0.0 (x +. y is -0.0 only for
+   two -0.0), and x +. (+-0) = x for every other x, NaNs included.
+   NaN and infinite entries are not zero and are added. *)
+let mul_nonzero ~m ~n u_t p out =
+  Array.fill out 0 (m * n) 0.0;
+  for k = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let y = Array.unsafe_get p ((k * n) + j) in
+      if y <> 0.0 then
+        for i = 0 to m - 1 do
+          let o = (i * n) + j in
+          Array.unsafe_set out o
+            (Array.unsafe_get out o
+            +. (Array.unsafe_get u_t ((i * m) + k) *. y))
+        done
+    done
+  done
+
 (* G (T - ambient) = power, since every row of the Laplacian part sums
    to zero. With U_r, U_c the cosine bases and power read as a rows x
    cols matrix P: T - ambient = U_r ((U_r^T P U_c) ./ eig) U_c^T — four
-   small dense products, O(n (rows + cols)). *)
+   small dense products, O(n (rows + cols)). The first skips P's zero
+   entries: a placement powers at most one core per task. *)
 let solve t ~power =
   let rows = t.grid.Layout.rows and cols = t.grid.Layout.cols in
   let n = rows * cols in
   if Array.length power <> n then
     invalid_arg "Chip.solve: power length does not match the chip";
   let a = Array.make n 0.0 and b = Array.make n 0.0 in
-  mul ~m:rows ~k:rows ~n:cols t.basis_rt power a;
+  mul_nonzero ~m:rows ~n:cols t.basis_rt power a;
   mul ~m:rows ~k:cols ~n:cols a t.basis_c b;
   for i = 0 to n - 1 do
     b.(i) <- b.(i) *. t.inv_eig.(i)

@@ -24,5 +24,8 @@ val outcome : Analysis.outcome -> string
     iteration count and last-round change, the slot table (its blocks
     and first rows), the state and exit arrays, and the still-unstable
     instructions. The [initial] state and the sum order are left out:
-    the inputs fix the one, the slot table the other. Flipping any one
-    bit of any of these changes it. *)
+    the inputs fix the one, the slot table the other. Every NaN is
+    hashed as [Float.nan]: its payload depends on the operand order of
+    an addition, which neither OCaml nor the C step kernel fixes, so
+    two runs that differ only there (the boxed and flat cores) digest
+    equal. Flipping any other bit of any of these changes it. *)

@@ -9,12 +9,14 @@ open Tdfa_ir
    list per point in the diffusion fold, three closure traversals and
    the access-event list of the instruction. This kernel precompiles
    everything iteration-invariant once — access events become (point,
-   increment) arrays, per-point cell counts a float array — and then
-   runs each transfer as one fused step over two buffers: heating in
-   place, leakage into a scratch copy, and diffusion with cooling as a
-   single row-major grid stencil back (no neighbour table: neighbours
-   sit at fixed offsets, and only rim points test which exist). The
-   sweep keeps
+   increment) arrays, per-point cell counts a float array, the seven
+   transfer coefficients one float array — and then runs each program
+   point as heating in place followed by one C call ([step],
+   flat_step_stubs.c): leakage into a scratch copy, diffusion with
+   cooling as a single row-major grid stencil back (no neighbour table:
+   neighbours sit at fixed offsets, and only rim points test which
+   exist), the change against the point's last state and the store of
+   the new one. The sweep keeps
 
      cur      the state being advanced through the current block
      scratch  the post-leakage state the stencil reads
@@ -28,9 +30,10 @@ open Tdfa_ir
 
    Every float operation is performed in the same order, on the same
    values, with the same NaN and signed-zero semantics as the boxed path
-   (including Stdlib.Float.max's, replicated inline), so the two cores
-   produce bit-identical Analysis.info — certified by the differential
-   battery in test_core_flat.ml. *)
+   (including Stdlib.Float.max's, replicated inline, and in C the boxed
+   fold order with contraction off), so the two cores produce
+   bit-identical Analysis.info, up to the payload of a NaN — certified
+   by the differential battery in test_core_flat.ml. *)
 
 type join = Join_max | Join_average
 
@@ -80,13 +83,9 @@ type t = {
   grid : Flat_grid.t;
   join : join;
   delta_k : float;
-  c_ambient : float;
-  c_leak_w : float;
-  c_leak_coeff : float;
-  c_dt : float;
-  c_cpoint : float;
-  c_lambda : float;
-  c_kappa : float;
+  coef : float array;
+      (* ambient, leakage W, leakage coefficient, dt, C_point, lambda,
+         kappa: the step kernel's coefficients, in its order *)
   slots : slots;
   blocks : blockc array;  (* reverse postorder *)
   n_points : int;
@@ -103,12 +102,27 @@ type t = {
   incoming : float array;
   valid : bool array;
   mutable skipped : int;
-  (* Unboxed scratch cells for float accumulation: element 0 carries the
-     running maximum of the loop at hand, element 1 a NaN flag (0/1).
-     Keeping them in a float array rather than refs keeps the sweeps
-     allocation-free under the non-flambda compiler. *)
-  fbuf : float array;
 }
+
+(* Everything one program point does after heating, in place on [cur]
+   (flat_step_stubs.c): leakage into [scratch], the four-neighbour
+   stencil with cooling back into [cur], and the store of [cur] into the
+   row at [base] of the row buffer. With [change] = 1 it returns the
+   largest change against that row's old contents, infinity once any
+   change is NaN; with 0 it returns infinity. Called directly, never
+   through a helper, so its float result stays unboxed. *)
+external step :
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) = "tdfa_flat_step_byte" "tdfa_flat_step"
+[@@noalloc]
 
 let compile_slot (cfg : Transfer.config) (grid : Flat_grid.t) ~duty events =
   let p = cfg.Transfer.params in
@@ -194,13 +208,16 @@ let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
     grid;
     join;
     delta_k;
-    c_ambient = ambient;
-    c_leak_w = p.Tdfa_thermal.Params.leakage_w;
-    c_leak_coeff = p.Tdfa_thermal.Params.leakage_temp_coeff;
-    c_dt = cfg.Transfer.analysis_dt_s;
-    c_cpoint = Transfer.point_capacitance cfg;
-    c_lambda = Transfer.diffusion_coeff cfg;
-    c_kappa = Transfer.cooling_coeff cfg;
+    coef =
+      [|
+        ambient;
+        p.Tdfa_thermal.Params.leakage_w;
+        p.Tdfa_thermal.Params.leakage_temp_coeff;
+        cfg.Transfer.analysis_dt_s;
+        Transfer.point_capacitance cfg;
+        Transfer.diffusion_coeff cfg;
+        Transfer.cooling_coeff cfg;
+      |];
     slots;
     blocks;
     n_points;
@@ -213,100 +230,15 @@ let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
     incoming = Array.make (n_blocks * n_points) 0.0;
     valid = Array.make n_blocks false;
     skipped = 0;
-    fbuf = Array.make 2 0.0;
   }
 
-(* Diffusion then cooling of the point at grid row [r], column [c] on
-   the grid's rim: reads the post-leakage state in [t.scratch], writes
-   [t.cur], and tests which of the four neighbours exist. The exchange
-   folds up, left, right, down from [0.0 +.], the boxed list order, so
-   a point with no neighbours still adds [lambda *. 0.0]. *)
-let rim_point t r c =
-  let rows = t.grid.Flat_grid.point_rows
-  and cols = t.grid.Flat_grid.point_cols in
-  let s = t.scratch in
-  let p = (r * cols) + c in
-  let temp = s.(p) in
-  let acc = 0.0 in
-  let acc = if r > 0 then acc +. (s.(p - cols) -. temp) else acc in
-  let acc = if c > 0 then acc +. (s.(p - 1) -. temp) else acc in
-  let acc = if c < cols - 1 then acc +. (s.(p + 1) -. temp) else acc in
-  let acc = if r < rows - 1 then acc +. (s.(p + cols) -. temp) else acc in
-  let d = temp +. (t.c_lambda *. acc) in
-  t.cur.(p) <- d -. (t.c_kappa *. (d -. t.c_ambient))
-
-(* One transfer-function application, in place on [t.cur], in the boxed
-   phase order. Heating adds in place; leakage writes the post-leakage
-   state into [t.scratch], which diffusion reads as its pre-step copy;
-   diffusion and cooling then run as one row-major stencil pass back
-   into [t.cur]. Cooling is pointwise, so applying it to each diffused
-   value as soon as it is computed changes no bit. *)
-let apply t (slot : slot) =
-  let n = t.n_points in
-  let cur = t.cur and scratch = t.scratch in
-  (* Heating. *)
-  let pts = slot.sl_points and inc = slot.sl_inc in
+(* Heating: each access event of the program point adds its increment
+   in place. *)
+let heat t (slot : slot) =
+  let cur = t.cur and pts = slot.sl_points and inc = slot.sl_inc in
   for k = 0 to Array.length pts - 1 do
     let p = pts.(k) in
     cur.(p) <- cur.(p) +. inc.(k)
-  done;
-  (* Leakage: excess = Float.max 0.0 (T - ambient) — for y = T - ambient
-     that is y itself when y > 0 or y is NaN, else 0. *)
-  let lw = t.c_leak_w
-  and lc = t.c_leak_coeff
-  and amb = t.c_ambient
-  and dt = t.c_dt
-  and cp = t.c_cpoint in
-  let cells = t.grid.Flat_grid.cells_f in
-  for p = 0 to n - 1 do
-    let temp = cur.(p) in
-    let d = temp -. amb in
-    let excess = if d > 0.0 || d <> d then d else 0.0 in
-    let leak = lw *. (1.0 +. (lc *. excess)) *. cells.(p) in
-    scratch.(p) <- temp +. (leak *. dt /. cp)
-  done;
-  (* Diffusion and cooling: the first and last grid rows and the first
-     and last point of every other row take the rim path; interior
-     points have all four neighbours. *)
-  let rows = t.grid.Flat_grid.point_rows
-  and cols = t.grid.Flat_grid.point_cols
-  and lambda = t.c_lambda
-  and kappa = t.c_kappa in
-  for c = 0 to cols - 1 do
-    rim_point t 0 c
-  done;
-  for r = 1 to rows - 2 do
-    rim_point t r 0;
-    let base = r * cols in
-    for p = base + 1 to base + cols - 2 do
-      let temp = scratch.(p) in
-      let acc = 0.0 +. (scratch.(p - cols) -. temp) in
-      let acc = acc +. (scratch.(p - 1) -. temp) in
-      let acc = acc +. (scratch.(p + 1) -. temp) in
-      let acc = acc +. (scratch.(p + cols) -. temp) in
-      let d = temp +. (lambda *. acc) in
-      cur.(p) <- d -. (kappa *. (d -. amb))
-    done;
-    if cols > 1 then rim_point t r (cols - 1)
-  done;
-  if rows > 1 then
-    for c = 0 to cols - 1 do
-      rim_point t (rows - 1) c
-    done
-
-(* Largest pointwise |cur - states[slot]|, with Thermal_state.max_delta's
-   NaN stickiness (any NaN difference poisons the maximum): the result
-   lands in fbuf.(0), the NaN flag in fbuf.(1). *)
-let max_delta_slot t base =
-  let n = t.n_points in
-  let cur = t.cur and states = t.states and acc = t.fbuf in
-  acc.(0) <- 0.0;
-  acc.(1) <- 0.0;
-  for p = 0 to n - 1 do
-    let d = cur.(p) -. states.(base + p) in
-    let d = if d >= 0.0 then d else -.d in
-    if d > acc.(0) then acc.(0) <- d;
-    if d <> d then acc.(1) <- 1.0
   done
 
 (* [into.(p) <- Stdlib.Float.max into.(p) src.(base + p)] for the [n]
@@ -327,10 +259,10 @@ let load_incoming t (b : blockc) =
   let n = t.n_points in
   let cur = t.cur in
   if b.b_entry || Array.length b.b_preds = 0 then
-    Array.fill cur 0 n t.c_ambient
+    Array.blit t.ambient_row 0 cur 0 n
   else begin
     let first = b.b_preds.(0) in
-    if first < 0 then Array.fill cur 0 n t.c_ambient
+    if first < 0 then Array.blit t.ambient_row 0 cur 0 n
     else Array.blit t.exits (first * n) cur 0 n;
     for k = 1 to Array.length b.b_preds - 1 do
       let row = b.b_preds.(k) in
@@ -378,6 +310,9 @@ let reusable t bi =
    exactly as the full recomputation would report it. *)
 let pass t =
   let n = t.n_points in
+  let rows = t.grid.Flat_grid.point_rows
+  and cols = t.grid.Flat_grid.point_cols
+  and cells = t.grid.Flat_grid.cells_f in
   let worst = ref 0.0 in
   let unstable = ref [] in
   for bi = 0 to Array.length t.blocks - 1 do
@@ -396,24 +331,25 @@ let pass t =
       t.valid.(bi) <- true;
       for index = 0 to Array.length b.b_slots - 1 do
         let s = t.slots.first.(bi) + index in
-        apply t b.b_slots.(index);
+        heat t b.b_slots.(index);
         let change =
-          if t.seen.(s) then begin
-            max_delta_slot t (s * n);
-            if t.fbuf.(1) <> 0.0 then infinity else t.fbuf.(0)
-          end
-          else infinity
+          step t.cur t.scratch cells t.coef t.states rows cols (s * n)
+            (if t.seen.(s) then 1 else 0)
         in
         if change > t.delta_k then unstable := (label, index) :: !unstable;
         let contribution =
           if change < infinity then change else t.delta_k +. 1.0
         in
         if contribution > !worst then worst := contribution;
-        Array.blit t.cur 0 t.states (s * n) n;
         t.seen.(s) <- true
       done;
-      apply t b.b_term;
-      Array.blit t.cur 0 t.exits (bi * n) n
+      (* The terminator's state is the block's exit row. The step's
+         result is compared, not ignored: an ignored float result of an
+         external is boxed. *)
+      heat t b.b_term;
+      ignore
+        (step t.cur t.scratch cells t.coef t.exits rows cols (bi * n) 0
+        > 0.0)
     end
   done;
   (!worst, List.rev !unstable)
@@ -438,7 +374,7 @@ let peak_rows ~n_points ~ambient states =
   end
 
 let peak_points t =
-  peak_rows ~n_points:t.n_points ~ambient:t.c_ambient t.states
+  peak_rows ~n_points:t.n_points ~ambient:t.coef.(0) t.states
 
 (* The certificate sweep: load [u] as the exit states, sweep once, and
    report whether no new exit exceeds [u] (a NaN fails the test). The

@@ -2,23 +2,34 @@
     and block sweep recompiled onto preallocated flat float arrays.
 
     [prepare] compiles everything iteration-invariant — access events
-    into (point, increment) arrays, the per-point transfer
-    coefficients — and allocates the working buffers once. [pass] then
-    sweeps the whole function in place, one fused step per program
-    point: heating in place, leakage into a scratch row, and diffusion
-    with cooling as a single row-major grid stencil (neighbours at fixed
-    offsets; only rim points test which exist). No state copies, no
+    into (point, increment) arrays, the per-point cell counts and the
+    seven transfer coefficients — and allocates the working buffers
+    once. [pass] then sweeps the whole function in place. Each program
+    point heats in place in OCaml and then makes one C call
+    ([flat_step_stubs.c], [[@@noalloc]]): leakage into a scratch row,
+    diffusion with cooling as a single row-major grid stencil
+    (neighbours at fixed offsets; only rim points test which exist),
+    the largest change against the point's last state and the store of
+    the new state into its row. Leakage and the interior of every row
+    run two points per vector instruction. No state copies, no
     neighbour lists, no per-visit access lists, and nothing allocated
-    but the unstable list a pass returns.
+    but the unstable list a pass returns. Heating, block skipping,
+    joins and the unstable list stay in OCaml.
 
     Its state and exit buffers, laid out by {!slots}, become the arrays
     of {!Analysis.info} uncopied; the boxed reference engine packs its
     result into the same layout. Every float operation replays the boxed
-    path bitwise (same order, same values, same Stdlib.Float.max NaN and
-    signed-zero semantics), so both cores fill the same bits — certified
-    by the differential battery in [test/test_core_flat.ml]. Callers go
-    through {!Analysis.fixpoint}; the sweep interface exists for
-    [Tdfa_absint], the kernel tests and benchmarks. *)
+    path bitwise: the same operations on the same values in the same
+    order (the stencil's fold [0.0 + up + left + right + down], the
+    division [leak *. dt /. c_point] with no reciprocal), each vector
+    lane rounding as the scalar would, the C kernel compiled with
+    [-ffp-contract=off] so no multiply-add is fused, and
+    Stdlib.Float.max's NaN and signed-zero semantics. Both cores
+    therefore fill the same bits, up to the payload of a NaN, which
+    neither OCaml nor C fixes — certified by the differential battery
+    in [test/test_core_flat.ml]. Callers go through {!Analysis.fixpoint};
+    the sweep interface exists for [Tdfa_absint], the kernel tests and
+    benchmarks. *)
 
 open Tdfa_ir
 

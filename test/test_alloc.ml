@@ -120,6 +120,84 @@ let qcheck_chip_solve_matches_gauss_seidel =
       let direct = Chip.solve c ~power in
       Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-8) gs direct)
 
+(* The dense reference of Chip.solve: the same cosine bases and
+   eigenvalues, and all four products dense, every entry of power
+   multiplied. Chip.solve skips power's zero entries in the first
+   product; that must change no bit. Only where two NaNs meet may the
+   payload differ, as the compiler may commute an addition, so NaNs
+   compare by position. *)
+let dense_chip_solve c ~power =
+  let grid = Chip.grid c in
+  let rows = grid.Layout.rows and cols = grid.Layout.cols in
+  let basis m =
+    let fm = float_of_int m in
+    let b =
+      Array.init (m * m) (fun jk ->
+          let j = jk / m and k = jk mod m in
+          let s = if k = 0 then sqrt (1.0 /. fm) else sqrt (2.0 /. fm) in
+          s
+          *. cos
+               (Float.pi *. float_of_int k *. float_of_int ((2 * j) + 1)
+               /. (2.0 *. fm)))
+    in
+    let eig =
+      Array.init m (fun k ->
+          2.0 -. (2.0 *. cos (Float.pi *. float_of_int k /. fm)))
+    in
+    (b, Array.init (m * m) (fun kj -> b.((kj mod m * m) + (kj / m))), eig)
+  in
+  let br, brt, er = basis rows and bc, bct, ec = basis cols in
+  let inv_eig =
+    Array.init (rows * cols) (fun kl ->
+        1.0
+        /. ((Chip.core_lateral_w_per_k c *. (er.(kl / cols) +. ec.(kl mod cols)))
+           +. Chip.core_vertical_w_per_k c))
+  in
+  let mul ~m ~k ~n x y =
+    let out = Array.make (m * n) 0.0 in
+    for i = 0 to m - 1 do
+      for p = 0 to k - 1 do
+        for j = 0 to n - 1 do
+          out.((i * n) + j) <-
+            out.((i * n) + j) +. (x.((i * k) + p) *. y.((p * n) + j))
+        done
+      done
+    done;
+    out
+  in
+  let a = mul ~m:rows ~k:rows ~n:cols brt power in
+  let b = Array.map2 ( *. ) (mul ~m:rows ~k:cols ~n:cols a bc) inv_eig in
+  let a = mul ~m:rows ~k:rows ~n:cols br b in
+  Array.map
+    (fun x -> Chip.ambient_k c +. x)
+    (mul ~m:rows ~k:cols ~n:cols a bct)
+
+let qcheck_chip_solve_matches_dense =
+  QCheck2.Test.make ~name:"chip solve skipping zero power == dense, bitwise"
+    ~count:300
+    ~print:(fun (rows, cols, power) ->
+      Printf.sprintf "%dx%d [%s]" rows cols
+        (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") power))))
+    QCheck2.Gen.(
+      pair (int_range 1 8) (int_range 1 8) >>= fun (rows, cols) ->
+      array_size
+        (return (rows * cols))
+        (frequency
+           [
+             (6, pure 0.0);
+             (2, pure (-0.0));
+             (4, float_bound_inclusive 0.5);
+             (1, oneofl [ nan; -.nan; infinity; neg_infinity; 1e-310 ]);
+           ])
+      >|= fun power -> (rows, cols, power))
+    (fun (rows, cols, power) ->
+      let c = Chip.make ~rows ~cols () in
+      Array.for_all2
+        (fun x y ->
+          Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+          || (Float.is_nan x && Float.is_nan y))
+        (dense_chip_solve c ~power) (Chip.solve c ~power))
+
 let test_chip_solve_validation () =
   let c = chip ~rows:2 ~cols:2 in
   Alcotest.(check bool) "length mismatch rejected" true
@@ -527,6 +605,7 @@ let suite =
         tc "solve lateral coupling" `Quick test_chip_solve_coupling;
         tc "solve validation" `Quick test_chip_solve_validation;
         QCheck_alcotest.to_alcotest qcheck_chip_solve_matches_gauss_seidel;
+        QCheck_alcotest.to_alcotest qcheck_chip_solve_matches_dense;
       ] );
     ( "alloc.task",
       [

@@ -519,6 +519,39 @@ let gen_extreme_params =
              (pick d.Params.cell_capacitance_j_per_k)
              (pair (pick d.Params.leakage_w) (pick d.Params.leakage_temp_coeff)))))
 
+(* Finite parameters off the defaults' round values, ambient 0 K among
+   them. Near a 318 K ambient every state is a multiple of one ulp, so
+   the stencil's differences and their sums are exact, and a leakage
+   increment far below that ulp is rounded away: a changed fold order or
+   a reciprocal in place of the division would change no bit. From 0 K,
+   temperatures span many magnitudes and both change bits. *)
+let gen_wide_params =
+  let open QCheck2.Gen in
+  let d = Params.default in
+  let scale lo hi x = map (fun f -> x *. f) (float_range lo hi) in
+  map
+    (fun (a, ((r, w), (c, (lw, lc)))) ->
+      {
+        d with
+        Params.ambient_k = a;
+        read_energy_j = r;
+        write_energy_j = w;
+        cell_capacitance_j_per_k = c;
+        leakage_w = lw;
+        leakage_temp_coeff = lc;
+      })
+    (pair
+       (oneof [ pure 0.0; scale 0.0 2.0 d.Params.ambient_k ])
+       (pair
+          (pair
+             (scale 0.1 1e4 d.Params.read_energy_j)
+             (scale 0.1 1e4 d.Params.write_energy_j))
+          (pair
+             (scale 0.5 10.0 d.Params.cell_capacitance_j_per_k)
+             (pair
+                (scale 0.1 100.0 d.Params.leakage_w)
+                (scale 0.1 100.0 d.Params.leakage_temp_coeff)))))
+
 let prop_flat_equals_boxed_extreme_params =
   QCheck2.Test.make
     ~name:"flat core == boxed core under NaN/infinity-forcing params"
@@ -585,16 +618,53 @@ let prop_flat_equals_boxed_trace =
       in
       same_outcome boxed flat)
 
-(* The flat stencil has a rim path (first and last rows and columns,
-   where a neighbour may be missing) and an interior path: the degenerate
-   and skewed shapes below put every point on the rim (1x1, 1x9, 9x1,
-   2x2, and any granularity >= a side), give rows or columns only one
-   interior point, or leave a coarse rim of partial points (5x7 at
-   granularity 2-4). A random program allocated on the 8x8 file is
-   folded onto each shape (cell c heats cell c mod cells), and every
-   case runs every shape, granularity and join. *)
-let grid_shapes = [ (1, 1); (1, 9); (9, 1); (2, 2); (3, 7); (7, 3); (5, 7) ]
+(* The C step has a rim path (the first and last rows, and the first
+   and last point of every other row, where a neighbour may be missing),
+   an interior path that takes two points at a time with a scalar
+   leftover, and a leakage pass that takes two points at a time with a
+   scalar leftover when the point count is odd. The shapes below put
+   every point on the rim (1x1, 1x9, 9x1, 2x2, 2x9, and any granularity
+   >= a side), give rows 1 to 5 interior points (3x7, 4x4, 6x5, 4x6,
+   5x7), have odd and even point counts, leave a coarse rim of partial
+   points (5x7 and 13x17 at granularity 2-4), and reach trace size
+   (64x63: 61 interior points per row at granularity 1, 30 at 2). *)
+let grid_shapes =
+  [
+    (1, 1); (1, 9); (9, 1); (2, 2); (2, 9); (3, 7); (7, 3); (5, 7); (4, 4);
+    (4, 6); (6, 5); (13, 17); (64, 63);
+  ]
 
+(* [cfg8], built on the 8x8 file, folded onto a [rows x cols] layout at
+   [granularity]: cell c heats cell c mod cells. *)
+let fold_onto (cfg8 : Transfer.config) (rows, cols) granularity =
+  let layout = Layout.make ~rows ~cols () in
+  let cells = Layout.num_cells layout in
+  let fold evs =
+    List.map
+      (fun (e : Access.event) -> { e with Access.cell = e.Access.cell mod cells })
+      evs
+  in
+  {
+    cfg8 with
+    Transfer.layout;
+    granularity;
+    accesses_of_instr = (fun l k i -> fold (cfg8.Transfer.accesses_of_instr l k i));
+    accesses_of_term = (fun l t -> fold (cfg8.Transfer.accesses_of_term l t));
+  }
+
+(* [check cfg join] on every shape, granularity 1-4 and join. *)
+let on_every_shape cfg8 check =
+  List.for_all
+    (fun shape ->
+      List.for_all
+        (fun granularity ->
+          List.for_all
+            (check (fold_onto cfg8 shape granularity))
+            [ Analysis.Max; Analysis.Average ])
+        [ 1; 2; 3; 4 ])
+    grid_shapes
+
+(* A random program allocated on the 8x8 file, folded onto every shape. *)
 let prop_flat_equals_boxed_grid_shapes =
   QCheck2.Test.make
     ~name:"flat core == boxed core on every grid shape and granularity"
@@ -603,38 +673,100 @@ let prop_flat_equals_boxed_grid_shapes =
     gen_small
     (fun f ->
       let af, asg = post_ra f in
-      let cfg8 = config_of ~granularity:1 af asg in
-      List.for_all
-        (fun (rows, cols) ->
-          let layout = Layout.make ~rows ~cols () in
-          let cells = Layout.num_cells layout in
-          let fold evs =
-            List.map
-              (fun (e : Access.event) ->
-                { e with Access.cell = e.Access.cell mod cells })
-              evs
-          in
-          List.for_all
-            (fun granularity ->
-              let cfg =
-                {
-                  cfg8 with
-                  Transfer.layout;
-                  granularity;
-                  accesses_of_instr =
-                    (fun l k i -> fold (cfg8.Transfer.accesses_of_instr l k i));
-                  accesses_of_term =
-                    (fun l t -> fold (cfg8.Transfer.accesses_of_term l t));
-                }
-              in
-              List.for_all
-                (fun join ->
-                  let settings = { settings with Analysis.join } in
-                  let run core = Analysis.fixpoint ~settings ~core cfg af in
-                  same_outcome (run Analysis.Boxed) (run Analysis.Flat))
-                [ Analysis.Max; Analysis.Average ])
-            [ 1; 2; 3; 4 ])
-        grid_shapes)
+      on_every_shape (config_of ~granularity:1 af asg) (fun cfg join ->
+          let settings = { settings with Analysis.join } in
+          let run core = Analysis.fixpoint ~settings ~core cfg af in
+          same_outcome (run Analysis.Boxed) (run Analysis.Flat)))
+
+type shape_source = Program of Func.t | Trace of int * int * int
+
+(* The unfolded configuration (8x8, granularity 1) and the function. *)
+let shape_source_config = function
+  | Program f ->
+    let af, asg = post_ra f in
+    (config_of ~granularity:1 af asg, af)
+  | Trace (s10, samples, seed) ->
+    let sample =
+      Tdfa_trace.Synth.zipf ~seed ~s:(float_of_int s10 /. 10.0) ~addrs:48
+        ~n:samples ()
+    in
+    let compiled =
+      Tdfa_trace.Compile.compile ~window_us:200
+        ~policy:Tdfa_trace.Mapping.Hashed ~cells:n sample
+    in
+    let prepared =
+      Tdfa.Driver.config_of_input
+        (Tdfa.Driver.default ~layout)
+        (Tdfa_trace.Compile.driver_input compiled)
+    in
+    (prepared.Tdfa.Driver.config_of ~granularity:1, prepared.Tdfa.Driver.func)
+
+let print_shape_case (source, params, delta_k) =
+  Printf.sprintf "delta=%g params=%s on %s" delta_k
+    (match params with
+    | None -> "default"
+    | Some p -> Format.asprintf "%a" Params.pp p)
+    (match source with
+    | Program f -> Printer.func_to_string f
+    | Trace (s10, samples, seed) ->
+      Printf.sprintf "trace s=%d/10 samples=%d seed=%d" s10 samples seed)
+
+(* The same shapes under the inputs that reach the C step's other
+   branches: NaN/infinity-forcing and wide-range parameters, delta 0
+   and below, and compiled traces as well as programs. Iterations are
+   capped at 8 (delta <= 0 and NaN runs never converge), which still
+   covers a first sweep, change sweeps and skipped blocks. *)
+let prop_flat_equals_boxed_grid_shapes_forcing =
+  QCheck2.Test.make
+    ~name:"flat core == boxed core on every grid shape under forcing inputs"
+    ~count:20 ~print:print_shape_case
+    QCheck2.Gen.(
+      triple
+        (oneof
+           [
+             map (fun f -> Program f) gen_small;
+             map
+               (fun (s10, samples, seed) -> Trace (s10, samples, seed))
+               (triple (int_range 0 30) (int_range 1 300) (int_range 1 99));
+           ])
+        (oneof
+           [
+             pure None;
+             map Option.some gen_extreme_params;
+             map Option.some gen_wide_params;
+           ])
+        (oneofl [ 0.1; 0.0; -1.0 ]))
+    (fun (source, params, delta_k) ->
+      let cfg8, func = shape_source_config source in
+      let cfg8, same =
+        match params with
+        | None -> (cfg8, same_outcome)
+        | Some params ->
+          ({ cfg8 with Transfer.params }, same_outcome_up_to_nan_payload)
+      in
+      on_every_shape cfg8 (fun cfg join ->
+          let settings = { Analysis.delta_k; max_iterations = 8; join } in
+          let run core = Analysis.fixpoint ~settings ~core cfg func in
+          same (run Analysis.Boxed) (run Analysis.Flat)))
+
+(* The result fingerprint does not see NaN payloads: under parameters
+   that force NaNs, where the two cores may carry different payloads,
+   Content.outcome of the flat and boxed outcomes is equal. *)
+let prop_content_outcome_nan_payload =
+  QCheck2.Test.make
+    ~name:"Content.outcome flat == boxed under NaN/infinity-forcing params"
+    ~count:60
+    ~print:(fun (f, p) ->
+      Format.asprintf "%a on:\n%s" Params.pp p (Printer.func_to_string f))
+    QCheck2.Gen.(pair gen_small gen_extreme_params)
+    (fun (f, params) ->
+      let af, asg = post_ra f in
+      let settings = { settings with Analysis.max_iterations = 12 } in
+      let boxed, flat =
+        run_cores ~params ~granularity:2 ~settings
+          (Tdfa.Driver.Assigned (af, asg))
+      in
+      String.equal (Content.outcome boxed) (Content.outcome flat))
 
 (* A sweep writes only into the workspace: over a 64x64 grid and a
    200-window trace, [Flat_core.pass] allocates nothing beyond the
@@ -805,6 +937,8 @@ let suite =
           prop_flat_equals_boxed_zero_delta;
           prop_flat_equals_boxed_trace;
           prop_flat_equals_boxed_grid_shapes;
+          prop_flat_equals_boxed_grid_shapes_forcing;
+          prop_content_outcome_nan_payload;
           prop_leakage_solve_counts;
           prop_leakage_solve_fu;
         ] );

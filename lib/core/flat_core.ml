@@ -153,7 +153,8 @@ let compile_slot (cfg : Transfer.config) (grid : Flat_grid.t) ~duty events =
    [prepare] needing exactly that many floats takes it instead of
    allocating. Every row is written by the first sweep before any sweep
    reads it (a row is read only once [seen]), so the buffer's old
-   contents never show. *)
+   contents never show — which is also why a fresh buffer is left
+   uninitialised rather than filled with zeros. *)
 let spare = Domain.DLS.new_key (fun () -> [||])
 
 let recycle states = Domain.DLS.set spare states
@@ -164,7 +165,7 @@ let take_states len =
     Domain.DLS.set spare [||];
     b
   end
-  else Array.make len 0.0
+  else Array.create_float len
 
 let prepare ~join ~delta_k (cfg : Transfer.config) (func : Func.t) =
   let grid =

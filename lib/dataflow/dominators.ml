@@ -6,6 +6,7 @@ let analyze (func : Func.t) =
   let order = Func.reverse_postorder func in
   let all = List.fold_left (fun s l -> Label.Set.add l s) Label.Set.empty order in
   let entry = Func.entry_label func in
+  let preds = Func.predecessor_table func in
   let doms = Label.Tbl.create 16 in
   List.iter
     (fun l ->
@@ -19,7 +20,9 @@ let analyze (func : Func.t) =
       (fun l ->
         if not (Label.equal l entry) then begin
           let preds =
-            List.filter (fun p -> Label.Tbl.mem doms p) (Func.predecessors func l)
+            List.filter
+              (fun p -> Label.Tbl.mem doms p)
+              (Option.value ~default:[] (Label.Tbl.find_opt preds l))
           in
           let inter =
             match preds with

@@ -12,85 +12,77 @@ let default_trip = 16
 
 (* Body of the natural loop of back edge latch->header: header plus every
    block reaching the latch without passing through the header. *)
-let natural_body func header latches =
+let natural_body preds header latches =
   let body = ref (Label.Set.singleton header) in
   let rec visit l =
     if not (Label.Set.mem l !body) then begin
       body := Label.Set.add l !body;
-      List.iter visit (Func.predecessors func l)
+      List.iter visit (Option.value ~default:[] (Label.Tbl.find_opt preds l))
     end
   in
   List.iter visit latches;
   !body
 
+(* Every defining instruction of each variable, with its block: the
+   constant queries below read this table instead of rescanning the
+   function. *)
+let def_sites (func : Func.t) =
+  let defs = Var.Tbl.create 64 in
+  Func.iter_instrs
+    (fun label _ i ->
+      match Instr.def i with
+      | Some d ->
+        let cur = Option.value ~default:[] (Var.Tbl.find_opt defs d) in
+        Var.Tbl.replace defs d ((label, i) :: cur)
+      | None -> ())
+    func;
+  fun v -> Option.value ~default:[] (Var.Tbl.find_opt defs v)
+
 (* Best-effort constant value of a variable: its unique definition is a
    Const, or a move chain (of bounded depth) ending at one — splitting
    passes introduce such copies of loop constants. *)
-let const_value func v =
-  let unique_def v =
-    let defs =
-      Func.fold_instrs
-        (fun acc _ _ i ->
-          match Instr.def i with
-          | Some d when Var.equal d v -> i :: acc
-          | Some _ | None -> acc)
-        [] func
-    in
-    match defs with [ d ] -> Some d | _ -> None
-  in
+let const_value defs v =
   let rec resolve v depth =
     if depth = 0 then None
     else
-      match unique_def v with
-      | Some (Instr.Const (_, k)) -> Some k
-      | Some (Instr.Unop (Instr.Mov, _, s)) -> resolve s (depth - 1)
-      | Some (Instr.Unop _ | Instr.Binop _ | Instr.Load _ | Instr.Store _
-             | Instr.Call _ | Instr.Nop)
-      | None ->
-        None
+      match defs v with
+      | [ (_, Instr.Const (_, k)) ] -> Some k
+      | [ (_, Instr.Unop (Instr.Mov, _, s)) ] -> resolve s (depth - 1)
+      | _ -> None
   in
   resolve v 4
 
 (* Constant initial value of the induction variable: among its defs, the
    unique Const one. *)
-let const_init func v =
-  let consts =
-    Func.fold_instrs
-      (fun acc _ _ i ->
-        match i with
-        | Instr.Const (d, k) when Var.equal d v -> k :: acc
-        | Instr.Const _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _
-        | Instr.Store _ | Instr.Call _ | Instr.Nop ->
-          acc)
-      [] func
-  in
-  match consts with [ k ] -> Some k | _ -> None
+let const_init defs v =
+  match
+    List.filter_map
+      (function _, Instr.Const (_, k) -> Some k | _ -> None)
+      (defs v)
+  with
+  | [ k ] -> Some k
+  | _ -> None
 
 (* Constant step: a unique [i <- i + s] (or [i <- i - s]) inside the loop
    body with [s] constant. *)
-let const_step func body v =
-  let steps =
-    Func.fold_instrs
-      (fun acc label _ i ->
-        if not (Label.Set.mem label body) then acc
-        else
-          match i with
-          | Instr.Binop (Instr.Add, d, s1, s2)
-            when Var.equal d v && Var.equal s1 v -> (
-            match const_value func s2 with Some k -> k :: acc | None -> acc)
-          | Instr.Binop (Instr.Sub, d, s1, s2)
-            when Var.equal d v && Var.equal s1 v -> (
-            match const_value func s2 with Some k -> -k :: acc | None -> acc)
-          | Instr.Const _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _
-          | Instr.Store _ | Instr.Call _ | Instr.Nop ->
-            acc)
-      [] func
+let const_step defs body v =
+  let step (label, i) =
+    if not (Label.Set.mem label body) then None
+    else
+      match i with
+      | Instr.Binop (Instr.Add, _, s1, s2) when Var.equal s1 v ->
+        const_value defs s2
+      | Instr.Binop (Instr.Sub, _, s1, s2) when Var.equal s1 v ->
+        Option.map (fun k -> -k) (const_value defs s2)
+      | Instr.Const _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _
+      | Instr.Store _ | Instr.Call _ | Instr.Nop ->
+        None
   in
-  match steps with [ k ] -> Some k | _ -> None
+  match List.filter_map step (defs v) with [ k ] -> Some k | _ -> None
 
 (* Recover the [while (i < n)] idiom from the header: the branch condition
    defined in the header by [slt i n] (or [sle]). *)
-let estimate_trip func (l : loop) =
+let estimate_trip func defs (l : loop) =
   let header = Func.find_block func l.header in
   match header.Block.term with
   | Block.Branch (cond, _, _) ->
@@ -108,7 +100,9 @@ let estimate_trip func (l : loop) =
     in
     (match compare_instr with
      | Some (Instr.Binop (op, _, iv, bound)) -> (
-       match (const_init func iv, const_value func bound, const_step func l.body iv) with
+       match
+         (const_init defs iv, const_value defs bound, const_step defs l.body iv)
+       with
        | Some k0, Some kn, Some ks when ks > 0 && kn > k0 ->
          let span = kn - k0 + (match op with Instr.Sle -> 1 | _ -> 0) in
          Some (max 1 ((span + ks - 1) / ks))
@@ -118,6 +112,7 @@ let estimate_trip func (l : loop) =
 
 let analyze (func : Func.t) =
   let dom = Dominators.analyze func in
+  let preds = Func.predecessor_table func in
   (* Back edges: u -> h where h dominates u. Group latches per header. *)
   let latches_of = Label.Tbl.create 8 in
   List.iter
@@ -137,7 +132,7 @@ let analyze (func : Func.t) =
   let loops =
     Label.Tbl.fold
       (fun header latches acc ->
-        { header; body = natural_body func header latches; back_edges = latches }
+        { header; body = natural_body preds header latches; back_edges = latches }
         :: acc)
       latches_of []
   in
@@ -146,8 +141,9 @@ let analyze (func : Func.t) =
     List.sort (fun a b -> Label.compare a.header b.header) loops
   in
   let trips = Label.Tbl.create 8 in
+  let defs = def_sites func in
   List.iter
-    (fun l -> Label.Tbl.replace trips l.header (estimate_trip func l))
+    (fun l -> Label.Tbl.replace trips l.header (estimate_trip func defs l))
     loops;
   { func; loops; trips }
 

@@ -40,17 +40,33 @@ let predecessors f l =
   in
   preds
 
+let predecessor_table f =
+  let preds = Label.Tbl.create 16 in
+  List.iter
+    (fun (b : Block.t) ->
+      List.iter
+        (fun s ->
+          let cur = Option.value ~default:[] (Label.Tbl.find_opt preds s) in
+          Label.Tbl.replace preds s (b.Block.label :: cur))
+        (Block.successors b.Block.term))
+    f.blocks;
+  Label.Tbl.filter_map_inplace (fun _ l -> Some (List.rev l)) preds;
+  preds
+
 let postorder f =
+  let blocks = Label.Tbl.create 16 in
+  List.iter (fun (b : Block.t) -> Label.Tbl.replace blocks b.Block.label b) f.blocks;
   let visited = Label.Tbl.create 16 in
   let order = ref [] in
   let rec visit l =
     (* Dangling branch targets are reported by Validate; traversal just
        ignores them. *)
-    if mem_block f l && not (Label.Tbl.mem visited l) then begin
+    match Label.Tbl.find_opt blocks l with
+    | Some b when not (Label.Tbl.mem visited l) ->
       Label.Tbl.add visited l ();
-      List.iter visit (successors f l);
+      List.iter visit (Block.successors b.Block.term);
       order := l :: !order
-    end
+    | Some _ | None -> ()
   in
   visit (entry_label f);
   List.rev !order

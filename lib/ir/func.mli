@@ -18,7 +18,13 @@ val labels : t -> Label.t list
 
 val successors : t -> Label.t -> Label.t list
 val predecessors : t -> Label.t -> Label.t list
-(** Computed from a cached predecessor map; order follows block order. *)
+(** Order follows block order, a block once per edge. One scan of every
+    block per call: analyses that ask for many blocks use
+    {!predecessor_table}. *)
+
+val predecessor_table : t -> Label.t list Label.Tbl.t
+(** Every label's {!predecessors} from one pass over the blocks; a label
+    without predecessors has no entry. *)
 
 val postorder : t -> Label.t list
 (** Depth-first postorder over blocks reachable from the entry. *)

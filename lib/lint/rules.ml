@@ -420,22 +420,22 @@ let dead_def_rule =
     default_severity = Warn;
     check =
       (fun ctx ->
-        Func.fold_instrs
-          (fun acc label index i ->
-            match Instr.def i with
-            | Some d
-              when Instr.is_pure i
-                   && not
-                        (Var.Set.mem d
-                           (Liveness.live_after_instr ctx.live label index)) ->
-              finding ctx ~rule_id:id ~severity:Warn ~label ~index
-                ~hint:"delete it (cleanup)"
-                (Printf.sprintf "definition of %s is never used"
-                   (Var.to_string d))
-              :: acc
-            | _ -> acc)
-          [] ctx.func
-        |> List.rev);
+        List.concat_map
+          (fun (b : Block.t) ->
+            let label = b.Block.label and dead = ref [] in
+            Liveness.walk ctx.live label (fun index d after ->
+                if d >= 0 && Instr.is_pure b.Block.body.(index)
+                   && not (Bits.mem after d)
+                then dead := index :: !dead);
+            List.map
+              (fun index ->
+                let d = Option.get (Instr.def b.Block.body.(index)) in
+                finding ctx ~rule_id:id ~severity:Warn ~label ~index
+                  ~hint:"delete it (cleanup)"
+                  (Printf.sprintf "definition of %s is never used"
+                     (Var.to_string d)))
+              !dead)
+          ctx.func.Func.blocks);
   }
 
 let redundant_copy_rule =

@@ -16,24 +16,17 @@ let dead_code_elimination (func : Func.t) =
     let live = Liveness.analyze func in
     let changed = ref false in
     let rewrite (b : Block.t) =
+      (* The walk runs last instruction first, so [keep] ends in
+         program order. *)
       let keep = ref [] in
-      Array.iteri
-        (fun i instr ->
-          let dead =
-            Instr.is_pure instr
-            &&
-            match Instr.def instr with
-            | Some d ->
-              not (Var.Set.mem d (Liveness.live_after_instr live b.Block.label i))
-            | None -> false
-          in
-          if dead then begin
+      Liveness.walk live b.Block.label (fun i d after ->
+          let instr = b.Block.body.(i) in
+          if d >= 0 && Instr.is_pure instr && not (Bits.mem after d) then begin
             incr removed;
             changed := true
           end
-          else keep := instr :: !keep)
-        b.Block.body;
-      Block.with_body b (List.rev !keep)
+          else keep := instr :: !keep);
+      Block.with_body b !keep
     in
     let func = Func.map_blocks rewrite func in
     if !changed then pass func else func

@@ -10,10 +10,55 @@ type result = {
   max_pressure : int;
 }
 
-let default_weights func =
-  let ud = Use_def.build func in
+(* The sums of Use_def.weighted_access_count, site for site: the defs in
+   program order, then the uses — every instruction operand in program
+   order, then every terminator use block by block — and the two partial
+   sums added last. *)
+type sums = { mutable defs : float; mutable uses : float }
+
+let default_weights (func : Func.t) =
   let loops = Loops.analyze func in
-  fun v -> Use_def.weighted_access_count ud loops v
+  let sums = Var.Tbl.create 64 in
+  let sums_of v =
+    match Var.Tbl.find sums v with
+    | s -> s
+    | exception Not_found ->
+      let s = { defs = 0.0; uses = 0.0 } in
+      Var.Tbl.add sums v s;
+      s
+  in
+  let freqs =
+    List.map
+      (fun (b : Block.t) ->
+        let f = Loops.frequency loops b.Block.label in
+        Array.iter
+          (fun i ->
+            List.iter
+              (fun v ->
+                let s = sums_of v in
+                s.uses <- s.uses +. f)
+              (Instr.uses i);
+            match Instr.def i with
+            | Some d ->
+              let s = sums_of d in
+              s.defs <- s.defs +. f
+            | None -> ())
+          b.Block.body;
+        f)
+      func.Func.blocks
+  in
+  List.iter2
+    (fun (b : Block.t) f ->
+      List.iter
+        (fun v ->
+          let s = sums_of v in
+          s.uses <- s.uses +. f)
+        (Block.term_uses b.Block.term))
+    func.Func.blocks freqs;
+  fun v ->
+    match Var.Tbl.find sums v with
+    | s -> s.defs +. s.uses
+    | exception Not_found -> 0.0
 
 let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
     =

@@ -14,8 +14,9 @@ type result = {
 }
 
 val default_weights : Func.t -> Var.t -> float
-(** Loop-frequency-weighted access count (see
-    {!Use_def.weighted_access_count}). *)
+(** Loop-frequency-weighted access count, equal bit for bit to
+    {!Use_def.weighted_access_count}: each block's frequency is computed
+    once and every variable's sums in one pass over the function. *)
 
 val allocate :
   ?obs:Obs.sink ->

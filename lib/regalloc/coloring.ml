@@ -50,22 +50,23 @@ let run graph layout ~policy ~weights =
   (* Select: pop hot-first; colours of coloured neighbours are forbidden. *)
   let chooser = Policy.make_chooser policy layout in
   let cell = Array.make n (-1) in
+  let forbidden = Array.make k false in
+  let mark i on =
+    Array.iter
+      (fun u -> if cell.(u) >= 0 then forbidden.(cell.(u)) <- on)
+      (Interference.adjacent graph i)
+  in
   let assignment = ref Assignment.empty in
   let spilled = ref Var.Set.empty in
   List.iter
     (fun i ->
-      let forbidden =
-        Array.fold_left
-          (fun acc u ->
-            if cell.(u) >= 0 then Policy.Int_set.add cell.(u) acc else acc)
-          Policy.Int_set.empty
-          (Interference.adjacent graph i)
-      in
+      mark i true;
       let v = Interference.var graph i in
-      match Policy.choose chooser ~forbidden ~weight:weight.(i) with
-      | Some c ->
-        cell.(i) <- c;
-        assignment := Assignment.add !assignment v c
-      | None -> spilled := Var.Set.add v !spilled)
+      (match Policy.choose chooser ~forbidden ~weight:weight.(i) with
+       | Some c ->
+         cell.(i) <- c;
+         assignment := Assignment.add !assignment v c
+       | None -> spilled := Var.Set.add v !spilled);
+      mark i false)
     !stack;
   { assignment = !assignment; spilled = !spilled }

@@ -21,4 +21,6 @@ val run :
     policy's preferred cells; spill candidates are picked by lowest
     weight/degree ratio. Ties within 1e-12 go to the smaller variable.
     [weights] is called once per node; simplify keeps degree counters
-    and scans the remaining nodes once per removal, O(V²) in all. *)
+    and scans the remaining nodes once per removal, O(V²) in all. Select
+    marks the coloured neighbours' cells in one mask reused for every
+    node and clears them after the pick, O(degree) per node. *)

@@ -3,8 +3,10 @@
     pairs ([d <- mov s]) are not made to interfere by the move itself.
 
     Nodes carry dense ids [0 .. size - 1] in {!vars} order, with sorted
-    adjacency arrays; {!build} dedupes the edges in a bit matrix, so it
-    costs O(Σ live-after + V²/8) for V variables. *)
+    adjacency arrays. {!build} works over the liveness's {!Numbering}:
+    each definition ORs the words live after it (one {!Liveness.walk} per
+    block) into a row of a V x V bit matrix, which dedupes the edges, so
+    it costs O(defs × V/63 + V²/63 + edges) for V variables. *)
 
 open Tdfa_ir
 open Tdfa_dataflow

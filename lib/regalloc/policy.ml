@@ -27,8 +27,6 @@ let bank_of_cell layout ~banks cell =
   let _, col = Layout.coord layout cell in
   col * banks / layout.Layout.cols
 
-module Int_set = Set.Make (Int)
-
 type state =
   | S_first_fit
   | S_round_robin of int ref
@@ -83,68 +81,79 @@ let make_chooser policy layout =
   in
   { layout; state }
 
-let free_cells layout forbidden =
-  List.filter (fun c -> not (Int_set.mem c forbidden)) (Layout.cells layout)
+(* Free cells in ascending order. *)
+let free_cells forbidden =
+  let free = ref [] in
+  for c = Array.length forbidden - 1 downto 0 do
+    if not forbidden.(c) then free := c :: !free
+  done;
+  !free
 
 (* Free cell with the smallest cost; ties break on the lowest index. *)
-let pick_min_cost layout forbidden cost =
-  let best =
-    List.fold_left
-      (fun best c ->
-        match best with
-        | None -> Some (c, cost c)
-        | Some (_, bc) ->
-          let cc = cost c in
-          if cc < bc -. 1e-12 then Some (c, cc) else best)
-      None
-      (free_cells layout forbidden)
+let pick_min_cost forbidden cost =
+  let best = ref (-1) and best_cost = ref 0.0 in
+  for c = 0 to Array.length forbidden - 1 do
+    if not forbidden.(c) then begin
+      let cc = cost c in
+      if !best < 0 || cc < !best_cost -. 1e-12 then begin
+        best := c;
+        best_cost := cc
+      end
+    end
+  done;
+  if !best < 0 then None else Some !best
+
+let first_free forbidden =
+  let n = Array.length forbidden in
+  let rec scan c =
+    if c >= n then None else if forbidden.(c) then scan (c + 1) else Some c
   in
-  Option.map fst best
+  scan 0
 
 let choose chooser ~forbidden ~weight =
   let layout = chooser.layout in
+  let n = Layout.num_cells layout in
+  if Array.length forbidden <> n then
+    invalid_arg "Policy.choose: the mask must have one entry per cell";
   match chooser.state with
-  | S_first_fit -> (
-    match free_cells layout forbidden with c :: _ -> Some c | [] -> None)
-  | S_round_robin cursor -> (
-    let n = Layout.num_cells layout in
+  | S_first_fit -> first_free forbidden
+  | S_round_robin cursor ->
     let rec scan k =
       if k >= n then None
       else
         let c = (!cursor + k) mod n in
-        if Int_set.mem c forbidden then scan (k + 1)
+        if forbidden.(c) then scan (k + 1)
         else begin
           cursor := (c + 1) mod n;
           Some c
         end
     in
-    match scan 0 with Some c -> Some c | None -> None)
-  | S_random rng -> (
-    match free_cells layout forbidden with
-    | [] -> None
-    | free ->
-      let arr = Array.of_list free in
-      Some arr.(Random.State.int rng (Array.length arr)))
+    scan 0
+  | S_random rng ->
+    let free = Array.of_list (free_cells forbidden) in
+    if Array.length free = 0 then None
+    else Some free.(Random.State.int rng (Array.length free))
   | S_ordered order ->
     Array.fold_left
       (fun acc c ->
         match acc with
         | Some _ -> acc
-        | None -> if Int_set.mem c forbidden then None else Some c)
+        | None -> if forbidden.(c) then None else Some c)
       None order
   | S_thermal load -> (
     (* Cost of placing at [c]: proximity-weighted accumulated load.
        Lower is cooler. Deterministic tie-break on the index. *)
     let cost c =
-      List.fold_left
-        (fun acc other ->
-          if load.(other) <= 0.0 then acc
-          else
-            let d = float_of_int (Layout.manhattan layout c other) in
-            acc +. (load.(other) /. (1.0 +. d)))
-        0.0 (Layout.cells layout)
+      let acc = ref 0.0 in
+      for other = 0 to n - 1 do
+        if not (load.(other) <= 0.0) then begin
+          let d = float_of_int (Layout.manhattan layout c other) in
+          acc := !acc +. (load.(other) /. (1.0 +. d))
+        end
+      done;
+      !acc
     in
-    match pick_min_cost layout forbidden cost with
+    match pick_min_cost forbidden cost with
     | Some c ->
       load.(c) <- load.(c) +. Float.max 1.0 weight;
       Some c
@@ -161,13 +170,13 @@ let choose chooser ~forbidden ~weight =
           let d = float_of_int (Layout.manhattan layout c other) in
           measure /. (1.0 +. d)
       in
-      List.fold_left
-        (fun acc other ->
-          acc +. near load.(other) other +. near temps.(other) other)
-        (2.0 *. temps.(c))
-        (Layout.cells layout)
+      let acc = ref (2.0 *. temps.(c)) in
+      for other = 0 to n - 1 do
+        acc := !acc +. near load.(other) other +. near temps.(other) other
+      done;
+      !acc
     in
-    match pick_min_cost layout forbidden cost with
+    match pick_min_cost forbidden cost with
     | Some c ->
       load.(c) <- load.(c) +. 1.0;
       Some c

@@ -42,9 +42,11 @@ type chooser
 
 val make_chooser : t -> Layout.t -> chooser
 
-module Int_set : Set.S with type elt = int
-
-val choose : chooser -> forbidden:Int_set.t -> weight:float -> int option
-(** Pick a cell not in [forbidden] for a variable with the given estimated
-    access weight; [None] when every cell is forbidden. The chooser
-    records the pick for its future decisions. *)
+val choose : chooser -> forbidden:bool array -> weight:float -> int option
+(** Pick a cell [c] with [forbidden.(c) = false] for a variable with the
+    given estimated access weight; [None] when every cell is forbidden.
+    The mask has one entry per cell of the layout and is only read. Free
+    cells are visited in ascending index order. The chooser records the
+    pick for its future decisions.
+    @raise Invalid_argument when the mask's length is not the layout's
+    cell count. *)

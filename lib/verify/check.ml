@@ -56,60 +56,63 @@ let cfg (f : Func.t) =
 
 let defs_dominate_uses (f : Func.t) =
   let errs = ref [] in
-  let order = Func.reverse_postorder f in
-  let reach = Func.reachable f in
-  let entry = Func.entry_label f in
-  let params = Var.Set.of_list f.Func.params in
-  let top = Func.all_vars f in
-  let block_defs = Label.Tbl.create 16 in
-  List.iter
-    (fun (b : Block.t) ->
-      let ds =
-        Array.fold_left
-          (fun acc i ->
-            match Instr.def i with Some d -> Var.Set.add d acc | None -> acc)
-          Var.Set.empty b.Block.body
-      in
-      Label.Tbl.replace block_defs b.Block.label ds)
-    f.Func.blocks;
+  let num = Numbering.make f in
+  let n = Numbering.size num in
+  let blocks = num.Numbering.blocks in
+  let order = num.Numbering.postorder in
+  let reach = Array.make (Array.length blocks) false in
+  Array.iter (fun p -> reach.(p) <- true) order;
+  (* Reachable predecessors; the join is an intersection, so their order
+     does not matter. *)
+  let preds = Array.make (Array.length blocks) [] in
+  Array.iter
+    (fun p ->
+      Array.iter (fun s -> preds.(s) <- p :: preds.(s)) blocks.(p).Numbering.succs)
+    order;
+  let params = Bits.create n in
+  List.iter (fun v -> Bits.add params (Numbering.id num v)) f.Func.params;
+  let block_defs =
+    Array.map
+      (fun (b : Numbering.block) ->
+        let ds = Bits.create n in
+        Array.iter (fun d -> if d >= 0 then Bits.add ds d) b.Numbering.defs;
+        ds)
+      blocks
+  in
   (* Forward all-paths fixpoint: a variable is definitely assigned at a
      block entry iff it is assigned along every path from the function
      entry. Intersection join, initialised to top. *)
-  let in_sets = Label.Tbl.create 16 in
-  let out_sets = Label.Tbl.create 16 in
-  List.iter (fun l -> Label.Tbl.replace out_sets l top) order;
+  let in_sets = Array.map (fun _ -> Bits.create n) blocks in
+  let out_sets = Array.map (fun _ -> Bits.full n) blocks in
+  let rpo = Array.of_list (List.rev (Array.to_list order)) in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun l ->
-        let input =
-          if Label.equal l entry then params
-          else
-            let preds =
-              List.filter (fun p -> Label.Set.mem p reach)
-                (Func.predecessors f l)
-            in
-            match preds with
-            | [] -> params
-            | p :: rest ->
-              List.fold_left
-                (fun acc q -> Var.Set.inter acc (Label.Tbl.find out_sets q))
-                (Label.Tbl.find out_sets p) rest
-        in
-        Label.Tbl.replace in_sets l input;
-        let out = Var.Set.union input (Label.Tbl.find block_defs l) in
-        if not (Var.Set.equal out (Label.Tbl.find out_sets l)) then begin
-          Label.Tbl.replace out_sets l out;
-          changed := true
-        end)
-      order
+    Array.iter
+      (fun p ->
+        let input = in_sets.(p) in
+        (match preds.(p) with
+         | q :: rest when p <> 0 ->
+           Array.blit out_sets.(q) 0 input 0 (Array.length input);
+           List.iter (fun q -> Bits.inter_into input out_sets.(q)) rest
+         | _ -> Array.blit params 0 input 0 (Array.length input));
+        let out = out_sets.(p) and ds = block_defs.(p) in
+        for w = 0 to Array.length out - 1 do
+          let x = input.(w) lor ds.(w) in
+          if x <> out.(w) then begin
+            out.(w) <- x;
+            changed := true
+          end
+        done)
+      rpo
   done;
-  let ever_defined = Func.defined_vars f in
+  let ever_defined = Array.copy params in
+  Array.iter (fun ds -> Bits.union_into ever_defined ds) block_defs;
   let rd = lazy (Reaching_defs.analyze f) in
   let explain l v =
-    if not (Var.Set.mem v ever_defined) then "is never defined"
+    if not (Bits.mem ever_defined v) then "is never defined"
     else
+      let v = num.Numbering.vars.(v) in
       let sites =
         Reaching_defs.Def_set.elements
           (Reaching_defs.defs_of_var_at (Lazy.force rd) l v)
@@ -122,33 +125,33 @@ let defs_dominate_uses (f : Func.t) =
            %s.%d)"
           (Label.to_string d.Reaching_defs.Def.label) d.Reaching_defs.Def.index
   in
-  List.iter
-    (fun l ->
-      let b = Func.find_block f l in
-      let assigned = ref (Label.Tbl.find in_sets l) in
+  let name v = Var.to_string num.Numbering.vars.(v) in
+  Array.iter
+    (fun p ->
+      let b = blocks.(p) in
+      let l = b.Numbering.label in
+      let assigned = Array.copy in_sets.(p) in
       Array.iteri
-        (fun index i ->
-          List.iter
-            (fun v ->
-              if not (Var.Set.mem v !assigned) then
-                errs :=
-                  diag ~label:l ~index "use-undef" "read of %s which %s"
-                    (Var.to_string v) (explain l v)
-                  :: !errs)
-            (Instr.uses i);
-          match Instr.def i with
-          | Some d -> assigned := Var.Set.add d !assigned
-          | None -> ())
-        b.Block.body;
-      List.iter
+        (fun index d ->
+          for k = b.Numbering.use_at.(index) to b.Numbering.use_at.(index + 1) - 1 do
+            let v = b.Numbering.use_ids.(k) in
+            if not (Bits.mem assigned v) then
+              errs :=
+                diag ~label:l ~index "use-undef" "read of %s which %s" (name v)
+                  (explain l v)
+                :: !errs
+          done;
+          if d >= 0 then Bits.add assigned d)
+        b.Numbering.defs;
+      Array.iter
         (fun v ->
-          if not (Var.Set.mem v !assigned) then
+          if not (Bits.mem assigned v) then
             errs :=
-              diag ~label:l "use-undef" "terminator reads %s which %s"
-                (Var.to_string v) (explain l v)
+              diag ~label:l "use-undef" "terminator reads %s which %s" (name v)
+                (explain l v)
               :: !errs)
-        (Block.term_uses b.Block.term))
-    order;
+        b.Numbering.term_ids)
+    rpo;
   List.rev !errs
 
 (* ------------------------------------------------------------------ *)
@@ -211,8 +214,10 @@ let allocation ~layout (f : Func.t) assignment =
           :: !errs)
     (Assignment.bindings assignment);
   let live = Liveness.analyze f in
+  let num = Liveness.numbering live in
+  let var v = num.Numbering.vars.(v) in
   let reported = Hashtbl.create 8 in
-  let cell v = Assignment.cell_of_var assignment v in
+  let cell_of = Array.map (Assignment.cell_of_var assignment) num.Numbering.vars in
   let report ?index label v w c fmt_tail =
     let key = if Var.compare v w < 0 then (v, w) else (w, v) in
     if not (Hashtbl.mem reported key) then begin
@@ -223,90 +228,95 @@ let allocation ~layout (f : Func.t) assignment =
         :: !errs
     end
   in
-  (* Definition points: a def lands in its cell even when the defined
-     variable is dead afterwards, so it clobbers any other variable live
-     after the instruction that shares the cell. A move whose source
-     shares the cell rewrites the same value (a coalesced pair) and is
-     exempt. *)
+  (* Each block is walked once. A walk runs last instruction first, so it
+     collects the colliding pairs of every point, and they are reported
+     afterwards in program order: first every definition point, then
+     the parameters, then the live sets. *)
+  let by_cell = Hashtbl.create 8 in
+  (* Pairs [(v, w, c)] of a live set, [v] in ascending order, [w] the
+     first member found in cell [c]. *)
+  let sharing s =
+    Hashtbl.reset by_cell;
+    let pairs = ref [] in
+    Bits.iter
+      (fun v ->
+        match cell_of.(v) with
+        | Some c -> (
+          match Hashtbl.find_opt by_cell c with
+          | Some w -> pairs := (v, w, c) :: !pairs
+          | None -> Hashtbl.replace by_cell c v)
+        | None -> ())
+      s;
+    List.rev !pairs
+  in
+  let walks =
+    List.map
+      (fun (b : Block.t) ->
+        let l = b.Block.label in
+        let defs = ref [] and sets = ref [] in
+        Liveness.walk live l (fun index d after ->
+            (match if d >= 0 then cell_of.(d) else None with
+             | None -> ()
+             | Some c ->
+               (* A def lands in its cell even when the defined variable
+                  is dead afterwards, so it clobbers any other variable
+                  live after the instruction that shares the cell. A move
+                  whose source shares the cell rewrites the same value (a
+                  coalesced pair) and is exempt. *)
+               let exempt =
+                 match b.Block.body.(index) with
+                 | Instr.Unop (Instr.Mov, _, s) -> Numbering.id num s
+                 | _ -> -1
+               in
+               let hits = ref [] in
+               Bits.iter
+                 (fun w ->
+                   if w <> d && w <> exempt && cell_of.(w) = Some c then
+                     hits := (index, d, w, c) :: !hits)
+                 after;
+               defs := List.rev_append !hits !defs);
+            sets := (index, sharing after) :: !sets);
+        (l, !defs, !sets))
+      f.Func.blocks
+  in
   List.iter
-    (fun (b : Block.t) ->
-      let l = b.Block.label in
-      Array.iteri
-        (fun index i ->
-          match Instr.def i with
-          | None -> ()
-          | Some d -> (
-            match cell d with
-            | None -> ()
-            | Some c ->
-              let exempt =
-                match i with Instr.Unop (Instr.Mov, _, s) -> Some s | _ -> None
-              in
-              Var.Set.iter
-                (fun w ->
-                  let skip =
-                    Var.equal w d
-                    ||
-                    match exempt with
-                    | Some s -> Var.equal w s
-                    | None -> false
-                  in
-                  if (not skip) && cell w = Some c then
-                    report ~index l d w c "collide at a definition point")
-                (Liveness.live_after_instr live l index)))
-        b.Block.body)
-    f.Func.blocks;
+    (fun (l, defs, _) ->
+      List.iter
+        (fun (index, d, w, c) ->
+          report ~index l (var d) (var w) c "collide at a definition point")
+        defs)
+    walks;
   (* Parameters are defined on entry: they may not share a cell with each
      other or with anything live into the entry block. *)
   let entry = Func.entry_label f in
-  let entry_live = Liveness.live_in live entry in
+  let entry_live = Liveness.live_in_bits live entry in
   List.iteri
     (fun i p ->
-      match cell p with
+      match Assignment.cell_of_var assignment p with
       | None -> ()
       | Some c ->
         List.iteri
           (fun j q ->
-            if i < j && cell q = Some c then
+            if i < j && Assignment.cell_of_var assignment q = Some c then
               report entry p q c "are both parameters")
           f.Func.params;
-        Var.Set.iter
+        Bits.iter
           (fun w ->
-            if (not (Var.equal w p)) && cell w = Some c then
-              report entry p w c "collide at function entry")
+            if (not (Var.equal (var w) p)) && cell_of.(w) = Some c then
+              report entry p (var w) c "collide at function entry")
           entry_live)
     f.Func.params;
-  let check_set ?index label s =
-    let by_cell = Hashtbl.create 8 in
-    Var.Set.iter
-      (fun v ->
-        match Assignment.cell_of_var assignment v with
-        | Some c -> (
-          match Hashtbl.find_opt by_cell c with
-          | Some w ->
-            let key =
-              if Var.compare v w < 0 then (v, w) else (w, v)
-            in
-            if not (Hashtbl.mem reported key) then begin
-              Hashtbl.replace reported key ();
-              errs :=
-                diag ~label ?index "reg-alloc"
-                  "%s and %s are live together but share cell %d"
-                  (Var.to_string v) (Var.to_string w) c
-                :: !errs
-            end
-          | None -> Hashtbl.replace by_cell c v)
-        | None -> ())
-      s
+  let report_sharing ?index label pairs =
+    List.iter
+      (fun (v, w, c) ->
+        report ?index label (var v) (var w) c "are live together")
+      pairs
   in
   List.iter
-    (fun (b : Block.t) ->
-      let l = b.Block.label in
-      check_set l (Liveness.live_in live l);
-      Array.iteri
-        (fun i _ -> check_set ~index:i l (Liveness.live_after_instr live l i))
-        b.Block.body)
-    f.Func.blocks;
+    (fun (l, _, sets) ->
+      report_sharing l (sharing (Liveness.live_in_bits live l));
+      List.iter (fun (index, pairs) -> report_sharing ~index l pairs) sets)
+    walks;
   List.rev !errs
 
 (* ------------------------------------------------------------------ *)

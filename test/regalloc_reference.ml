@@ -1,17 +1,23 @@
 (* Reference register-allocation core: the straightforward versions of
-   per-instruction liveness, the interference graph and Chaitin–Briggs
-   colouring that the dense-id allocator replaced. Every per-instruction
-   fact is replayed from the block's live-out, the graph is a set per
-   variable, and simplify recomputes degrees and weights at every step —
-   quadratic, but easy to read. Kept as the differential oracle for
-   Liveness, Interference, Coloring and Alloc (test_regalloc.ml). *)
+   liveness, the interference graph and Chaitin–Briggs colouring that
+   the dense-id allocator replaced. Liveness is a [Var.Set] fixpoint
+   over the blocks, every per-instruction fact is replayed from the
+   block's live-out, the graph is a set per variable, and simplify
+   recomputes degrees and weights at every step — quadratic, but easy to
+   read. Kept as the differential oracle for Liveness, Interference,
+   Coloring and Alloc (test_regalloc.ml). *)
 
 open Tdfa_ir
-open Tdfa_dataflow
 open Tdfa_floorplan
 open Tdfa_regalloc
 
-(* --- Liveness by replay --------------------------------------------------- *)
+(* --- Liveness ------------------------------------------------------------- *)
+
+type live = {
+  ins : Var.Set.t Label.Tbl.t;  (* reachable blocks only *)
+  outs : Var.Set.t Label.Tbl.t;
+  iterations : int;
+}
 
 let transfer i fact =
   let without_def =
@@ -19,32 +25,72 @@ let transfer i fact =
   in
   List.fold_left (fun acc v -> Var.Set.add v acc) without_def (Instr.uses i)
 
-let live_after live (func : Func.t) l i =
+let before_term (b : Block.t) out =
+  List.fold_left
+    (fun acc v -> Var.Set.add v acc)
+    out (Block.term_uses b.Block.term)
+
+(* Round-robin in postorder until no block's live-in changes; the exit
+   fact and the join's identity are the empty set. *)
+let liveness (func : Func.t) =
+  let ins = Label.Tbl.create 16 and outs = Label.Tbl.create 16 in
+  let order = Func.postorder func in
+  List.iter
+    (fun l ->
+      Label.Tbl.replace ins l Var.Set.empty;
+      Label.Tbl.replace outs l Var.Set.empty)
+    order;
+  let iterations = ref 0 and changed = ref true in
+  while !changed do
+    changed := false;
+    incr iterations;
+    List.iter
+      (fun l ->
+        let b = Func.find_block func l in
+        let out =
+          List.fold_left
+            (fun acc s ->
+              match Label.Tbl.find_opt ins s with
+              | Some f -> Var.Set.union acc f
+              | None -> acc)
+            Var.Set.empty
+            (Block.successors b.Block.term)
+        in
+        Label.Tbl.replace outs l out;
+        let input =
+          Array.fold_right transfer b.Block.body (before_term b out)
+        in
+        if not (Var.Set.equal input (Label.Tbl.find ins l)) then begin
+          Label.Tbl.replace ins l input;
+          changed := true
+        end)
+      order
+  done;
+  { ins; outs; iterations = !iterations }
+
+let live_in r l = Option.value ~default:Var.Set.empty (Label.Tbl.find_opt r.ins l)
+let live_out r l = Option.value ~default:Var.Set.empty (Label.Tbl.find_opt r.outs l)
+
+let live_after r (func : Func.t) l i =
   let b = Func.find_block func l in
-  let fact =
-    ref
-      (List.fold_left
-         (fun acc v -> Var.Set.add v acc)
-         (Liveness.live_out live l)
-         (Block.term_uses b.Block.term))
-  in
+  let fact = ref (before_term b (live_out r l)) in
   for j = Array.length b.Block.body - 1 downto i + 1 do
     fact := transfer b.Block.body.(j) !fact
   done;
   !fact
 
-let live_before live func l i =
-  transfer (Func.find_block func l).Block.body.(i) (live_after live func l i)
+let live_before r func l i =
+  transfer (Func.find_block func l).Block.body.(i) (live_after r func l i)
 
-let max_pressure live (func : Func.t) =
+let max_pressure r (func : Func.t) =
   let best = ref 0 in
   let consider s = best := max !best (Var.Set.cardinal s) in
   List.iter
     (fun (b : Block.t) ->
       let l = b.Block.label in
-      consider (Liveness.live_in live l);
-      consider (Liveness.live_out live l);
-      Array.iteri (fun i _ -> consider (live_after live func l i)) b.Block.body)
+      consider (live_in r l);
+      consider (live_out r l);
+      Array.iteri (fun i _ -> consider (live_after r func l i)) b.Block.body)
     func.Func.blocks;
   !best
 
@@ -88,7 +134,7 @@ let interference (func : Func.t) live : graph =
               (live_after live func l i))
         b.Block.body)
     func.Func.blocks;
-  let entry_live = Liveness.live_in live (Func.entry_label func) in
+  let entry_live = live_in live (Func.entry_label func) in
   List.iteri
     (fun i p ->
       Var.Set.iter (fun v -> add_edge g p v) entry_live;
@@ -153,14 +199,13 @@ let coloring graph layout ~policy ~weights =
   let spilled = ref Var.Set.empty in
   List.iter
     (fun v ->
-      let forbidden =
-        Var.Set.fold
-          (fun n acc ->
-            match Assignment.cell_of_var !assignment n with
-            | Some c -> Policy.Int_set.add c acc
-            | None -> acc)
-          (neighbors graph v) Policy.Int_set.empty
-      in
+      let forbidden = Array.make k false in
+      Var.Set.iter
+        (fun n ->
+          match Assignment.cell_of_var !assignment n with
+          | Some c -> forbidden.(c) <- true
+          | None -> ())
+        (neighbors graph v);
       match Policy.choose chooser ~forbidden ~weight:(weights v) with
       | Some cell -> assignment := Assignment.add !assignment v cell
       | None -> spilled := Var.Set.add v !spilled)
@@ -173,7 +218,7 @@ let allocate ?(max_rounds = 16) func layout ~policy =
   let rec attempt func all_spilled round =
     if round > max_rounds then failwith "Regalloc_reference.allocate";
     let weights = Alloc.default_weights func in
-    let live = Liveness.analyze func in
+    let live = liveness func in
     let outcome =
       coloring (interference func live) layout ~policy ~weights
     in

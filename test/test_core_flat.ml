@@ -851,14 +851,21 @@ let test_post_fixpoint_ignores_snapshots () =
 (* A recycled state buffer is overwritten before it is read: a fixpoint
    that takes one full of NaNs fills the same bits as one on a fresh
    buffer, and it takes the buffer rather than allocating. A buffer of
-   another length is not taken. *)
+   another length is not taken. A fresh buffer is not zero-filled, so the
+   fresh path is held to the boxed core too. *)
 let test_recycled_states () =
   List.iter
     (fun (name, f) ->
       let af, asg = post_ra f in
       let cfg = config_of af asg in
       let run () = Analysis.fixpoint ~settings ~core:Analysis.Flat cfg af in
+      Flat_core.recycle [||];
       let fresh = run () in
+      let boxed = Analysis.fixpoint ~settings ~core:Analysis.Boxed cfg af in
+      Alcotest.(check bool) (name ^ ": fresh == boxed") true
+        (same_outcome boxed fresh);
+      Alcotest.(check string) (name ^ ": fresh Content.outcome")
+        (Content.outcome boxed) (Content.outcome fresh);
       let len = Array.length (Analysis.info fresh).Analysis.states in
       let other = Array.make (len + 1) nan in
       Flat_core.recycle other;

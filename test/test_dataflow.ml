@@ -419,6 +419,78 @@ let test_solver_iterations_bounded () =
         Alcotest.failf "%s took %d iterations" name (Liveness.iterations live))
     Tdfa_workload.Kernels.all
 
+(* --- Dominators and loops == reference ------------------------------------- *)
+
+module R = Loops_reference
+
+(* Generated functions, with unreachable blocks half the time. *)
+let gen_cfg =
+  QCheck2.Gen.(
+    map2
+      (fun f seed -> if seed mod 2 = 0 then f else Func_shapes.add_unreachable f seed)
+      (Tdfa_workload.Generator.gen_func ~max_depth:3 ())
+      (int_range 0 1_000_000))
+
+let same_loop (a : Loops.loop) (b : R.Loops.loop) =
+  Label.equal a.Loops.header b.R.Loops.header
+  && Label.Set.equal a.Loops.body b.R.Loops.body
+  && List.equal Label.equal a.Loops.back_edges b.R.Loops.back_edges
+
+let prop_loops_match_reference =
+  QCheck2.Test.make ~name:"dominators and loops == reference" ~count:200
+    ~print:Func_shapes.print gen_cfg (fun f ->
+      let dom = Dominators.analyze f and rdom = R.Dominators.analyze f in
+      let loops = Loops.analyze f and rloops = R.Loops.analyze f in
+      List.compare_lengths (Loops.loops loops) (R.Loops.loops rloops) = 0
+      && List.for_all2 same_loop (Loops.loops loops) (R.Loops.loops rloops)
+      && List.for_all
+           (fun (lp : Loops.loop) ->
+             let h = lp.Loops.header in
+             Loops.exact_trip_count loops h = R.Loops.exact_trip_count rloops h
+             && Loops.trip_count loops h = R.Loops.trip_count rloops h)
+           (Loops.loops loops)
+      && List.for_all
+           (fun l ->
+             Label.Set.equal
+               (Dominators.dominators dom l)
+               (R.Dominators.dominators rdom l)
+             && Option.equal Label.equal (Dominators.idom dom l)
+                  (R.Dominators.idom rdom l)
+             && Loops.depth loops l = R.Loops.depth rloops l
+             && Int64.equal
+                  (Int64.bits_of_float (Loops.frequency loops l))
+                  (Int64.bits_of_float (R.Loops.frequency rloops l)))
+           (Func.labels f))
+
+(* Blocks reachable from the entry once [a] is taken out of the CFG. *)
+let reachable_without (f : Func.t) a =
+  let seen = Label.Tbl.create 16 in
+  let rec visit l =
+    if Func.mem_block f l && (not (Label.equal l a))
+       && not (Label.Tbl.mem seen l)
+    then begin
+      Label.Tbl.add seen l ();
+      List.iter visit (Func.successors f l)
+    end
+  in
+  visit (Func.entry_label f);
+  seen
+
+(* Among reachable blocks, a dominates b iff removing a cuts b off from
+   the entry. *)
+let prop_dominance_brute_force =
+  QCheck2.Test.make ~name:"dominance == reachability with the block removed"
+    ~count:100 ~print:Func_shapes.print gen_cfg (fun f ->
+      let dom = Dominators.analyze f in
+      let reach = Func.postorder f in
+      List.for_all
+        (fun a ->
+          let cut = reachable_without f a in
+          List.for_all
+            (fun b -> Dominators.dominates dom a b = not (Label.Tbl.mem cut b))
+            reach)
+        reach)
+
 let suite =
   let tc = Alcotest.test_case in
   [
@@ -442,7 +514,9 @@ let suite =
         tc "loop dominators" `Quick test_dominators_loop;
         tc "diamond idom" `Quick test_dominators_diamond_join;
         tc "nested loops" `Quick test_dominators_nested_loops;
-      ] );
+      ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_loops_match_reference; prop_dominance_brute_force ] );
     ( "dataflow.loops",
       [
         tc "natural loop" `Quick test_loops_detects_natural_loop;

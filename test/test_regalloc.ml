@@ -12,6 +12,12 @@ let var = Var.of_string
 let lbl = Label.of_string
 let layout = Layout.make ~rows:8 ~cols:8 ()
 
+(* A chooser's mask of forbidden cells on [layout]. *)
+let mask cells =
+  let m = Array.make (Layout.num_cells layout) false in
+  List.iter (fun c -> m.(c) <- true) cells;
+  m
+
 (* --- Interference --------------------------------------------------------- *)
 
 let straight () =
@@ -123,13 +129,13 @@ let test_allocation_preserves_semantics () =
 let test_first_fit_prefers_low_cells () =
   let c = Policy.make_chooser Policy.First_fit layout in
   Alcotest.(check (option int)) "first free" (Some 0)
-    (Policy.choose c ~forbidden:Policy.Int_set.empty ~weight:1.0);
+    (Policy.choose c ~forbidden:(mask []) ~weight:1.0);
   Alcotest.(check (option int)) "skips forbidden" (Some 2)
-    (Policy.choose c ~forbidden:(Policy.Int_set.of_list [ 0; 1 ]) ~weight:1.0)
+    (Policy.choose c ~forbidden:(mask [ 0; 1 ]) ~weight:1.0)
 
 let test_round_robin_advances () =
   let c = Policy.make_chooser Policy.Round_robin layout in
-  let pick () = Policy.choose c ~forbidden:Policy.Int_set.empty ~weight:1.0 in
+  let pick () = Policy.choose c ~forbidden:(mask []) ~weight:1.0 in
   Alcotest.(check (option int)) "first" (Some 0) (pick ());
   Alcotest.(check (option int)) "second" (Some 1) (pick ());
   Alcotest.(check (option int)) "third" (Some 2) (pick ())
@@ -138,7 +144,7 @@ let test_random_seeded_deterministic () =
   let picks seed =
     let c = Policy.make_chooser (Policy.Random seed) layout in
     List.init 10 (fun _ ->
-        Policy.choose c ~forbidden:Policy.Int_set.empty ~weight:1.0)
+        Policy.choose c ~forbidden:(mask []) ~weight:1.0)
   in
   Alcotest.(check bool) "same seed same picks" true (picks 1 = picks 1);
   Alcotest.(check bool) "different seeds differ" true (picks 1 <> picks 2)
@@ -146,19 +152,19 @@ let test_random_seeded_deterministic () =
 let test_chessboard_black_first () =
   let c = Policy.make_chooser Policy.Chessboard layout in
   (* The first 32 picks (with previous picks forbidden) are all black. *)
-  let forbidden = ref Policy.Int_set.empty in
+  let forbidden = mask [] in
   for k = 1 to 32 do
-    match Policy.choose c ~forbidden:!forbidden ~weight:1.0 with
+    match Policy.choose c ~forbidden ~weight:1.0 with
     | Some cell ->
       Alcotest.(check int)
         (Printf.sprintf "pick %d black" k)
         0
         (Layout.chessboard_color layout cell);
-      forbidden := Policy.Int_set.add cell !forbidden
+      forbidden.(cell) <- true
     | None -> Alcotest.fail "ran out of cells early"
   done;
   (* The 33rd pick must be white. *)
-  match Policy.choose c ~forbidden:!forbidden ~weight:1.0 with
+  match Policy.choose c ~forbidden ~weight:1.0 with
   | Some cell ->
     Alcotest.(check int) "overflow goes white" 1 (Layout.chessboard_color layout cell)
   | None -> Alcotest.fail "no cell"
@@ -166,8 +172,8 @@ let test_chessboard_black_first () =
 let test_thermal_spread_separates_hot_vars () =
   let c = Policy.make_chooser Policy.Thermal_spread layout in
   (* Two heavy variables should land far apart. *)
-  let p1 = Policy.choose c ~forbidden:Policy.Int_set.empty ~weight:1000.0 in
-  let p2 = Policy.choose c ~forbidden:Policy.Int_set.empty ~weight:1000.0 in
+  let p1 = Policy.choose c ~forbidden:(mask []) ~weight:1000.0 in
+  let p2 = Policy.choose c ~forbidden:(mask []) ~weight:1000.0 in
   match (p1, p2) with
   | Some a, Some b ->
     Alcotest.(check bool) "far apart" true (Layout.manhattan layout a b >= 7)
@@ -176,19 +182,19 @@ let test_thermal_spread_separates_hot_vars () =
 let test_bank_pack_fills_bank_first () =
   let c = Policy.make_chooser (Policy.Bank_pack 4) layout in
   (* The first 16 picks all land in bank 0 (columns 0-1). *)
-  let forbidden = ref Policy.Int_set.empty in
+  let forbidden = mask [] in
   for k = 1 to 16 do
-    match Policy.choose c ~forbidden:!forbidden ~weight:1.0 with
+    match Policy.choose c ~forbidden ~weight:1.0 with
     | Some cell ->
       Alcotest.(check int)
         (Printf.sprintf "pick %d in bank 0" k)
         0
         (Policy.bank_of_cell layout ~banks:4 cell);
-      forbidden := Policy.Int_set.add cell !forbidden
+      forbidden.(cell) <- true
     | None -> Alcotest.fail "ran out of cells"
   done;
   (* The 17th pick spills into bank 1. *)
-  match Policy.choose c ~forbidden:!forbidden ~weight:1.0 with
+  match Policy.choose c ~forbidden ~weight:1.0 with
   | Some cell ->
     Alcotest.(check int) "overflow to bank 1" 1
       (Policy.bank_of_cell layout ~banks:4 cell)
@@ -201,7 +207,7 @@ let test_measured_policy_avoids_hot_cells () =
   temps.(1) <- 355.0;
   temps.(8) <- 355.0;
   let c = Policy.make_chooser (Policy.Measured temps) layout in
-  match Policy.choose c ~forbidden:Policy.Int_set.empty ~weight:1.0 with
+  match Policy.choose c ~forbidden:(mask []) ~weight:1.0 with
   | Some cell ->
     Alcotest.(check bool) "first pick far from the hot corner" true
       (Layout.manhattan layout cell 0 > 3)
@@ -210,8 +216,8 @@ let test_measured_policy_avoids_hot_cells () =
 let test_measured_policy_spreads_within_round () =
   let temps = Array.make 64 320.0 in
   let c = Policy.make_chooser (Policy.Measured temps) layout in
-  let p1 = Policy.choose c ~forbidden:Policy.Int_set.empty ~weight:1.0 in
-  let p2 = Policy.choose c ~forbidden:Policy.Int_set.empty ~weight:1.0 in
+  let p1 = Policy.choose c ~forbidden:(mask []) ~weight:1.0 in
+  let p2 = Policy.choose c ~forbidden:(mask []) ~weight:1.0 in
   match (p1, p2) with
   | Some a, Some b ->
     Alcotest.(check bool) "second pick keeps distance" true
@@ -224,7 +230,7 @@ let test_bank_of_cell () =
   Alcotest.(check int) "col 3 -> bank 1" 1 (Policy.bank_of_cell layout ~banks:4 3)
 
 let test_choose_none_when_all_forbidden () =
-  let all = Policy.Int_set.of_list (Layout.cells layout) in
+  let all = mask (Layout.cells layout) in
   List.iter
     (fun p ->
       let c = Policy.make_chooser p layout in
@@ -444,42 +450,73 @@ let tiny = Layout.make ~rows:2 ~cols:2 ()
 let gen_func = Tdfa_workload.Generator.gen_func ()
 let indices (b : Block.t) = List.init (Array.length b.Block.body) Fun.id
 
+(* Boundary facts and the iteration count equal the Var.Set fixpoint's;
+   every point, from the getters and from one walk per block, equals
+   the replay from that fixpoint's live-out. *)
 let prop_liveness_matches_replay =
-  QCheck2.Test.make ~name:"per-instruction liveness == backward replay"
-    ~count:200 gen_func (fun f ->
-      let live = Liveness.analyze f in
-      List.for_all
-        (fun (b : Block.t) ->
-          let l = b.Block.label in
-          List.for_all
-            (fun i ->
-              Var.Set.equal
-                (Liveness.live_after_instr live l i)
-                (Ref.live_after live f l i)
-              && Var.Set.equal
-                   (Liveness.live_before_instr live l i)
-                   (Ref.live_before live f l i))
-            (indices b))
-        f.Func.blocks)
+  QCheck2.Test.make
+    ~name:"per-instruction liveness == Var.Set fixpoint and replay"
+    ~count:200 ~print:Func_shapes.print Func_shapes.gen (fun f ->
+      let live = Liveness.analyze f and r = Ref.liveness f in
+      let num = Liveness.numbering live in
+      let to_set s =
+        Var.Set.of_list
+          (List.filter
+             (fun v -> Bits.mem s (Numbering.id num v))
+             (Var.Set.elements (Func.all_vars f)))
+      in
+      Liveness.iterations live = r.Ref.iterations
+      && Liveness.max_pressure live = Ref.max_pressure r f
+      && List.for_all
+           (fun (b : Block.t) ->
+             let l = b.Block.label in
+             let walked = Array.make (Array.length b.Block.body) None in
+             Liveness.walk live l (fun i d after ->
+                 walked.(i) <- Some (d, to_set after));
+             Var.Set.equal (Liveness.live_in live l) (Ref.live_in r l)
+             && Var.Set.equal (Liveness.live_out live l) (Ref.live_out r l)
+             && Var.Set.equal
+                  (to_set (Liveness.live_in_bits live l))
+                  (Ref.live_in r l)
+             && List.for_all
+                  (fun i ->
+                    let after = Ref.live_after r f l i in
+                    let def =
+                      match Instr.def b.Block.body.(i) with
+                      | Some d -> Numbering.id num d
+                      | None -> -1
+                    in
+                    Var.Set.equal (Liveness.live_after_instr live l i) after
+                    && Var.Set.equal
+                         (Liveness.live_before_instr live l i)
+                         (Ref.live_before r f l i)
+                    &&
+                    match walked.(i) with
+                    | Some (d, s) -> d = def && Var.Set.equal s after
+                    | None -> false)
+                  (indices b))
+           f.Func.blocks)
 
 let prop_interference_matches_reference =
   QCheck2.Test.make ~name:"interference graph == reference" ~count:200
-    gen_func (fun f ->
-      let live = Liveness.analyze f in
-      let g = Interference.build f live and r = Ref.interference f live in
+    ~print:Func_shapes.print Func_shapes.gen (fun f ->
+      let g = Interference.build f (Liveness.analyze f)
+      and r = Ref.interference f (Ref.liveness f) in
       List.equal Var.equal (Interference.vars g) (Ref.vars r)
       && List.for_all
            (fun v ->
-             Var.Set.equal (Interference.neighbors g v) (Ref.neighbors r v))
+             Var.Set.equal (Interference.neighbors g v) (Ref.neighbors r v)
+             && Interference.degree g v = Var.Set.cardinal (Ref.neighbors r v))
            (Ref.vars r))
 
 (* On the 8x8 file and on a 2x2 one, where most functions spill and
-   simplify takes the weight/degree path. *)
-let prop_coloring_matches_reference =
-  QCheck2.Test.make ~name:"colouring == reference, every policy" ~count:200
-    gen_func (fun f ->
-      let live = Liveness.analyze f in
-      let g = Interference.build f live and r = Ref.interference f live in
+   simplify takes the weight/degree path. The reference recomputes
+   every degree at every simplify step, so the functions of more than
+   63 variables get a property of their own with fewer cases. *)
+let coloring_matches_reference ~name ~count gen =
+  QCheck2.Test.make ~name ~count ~print:Func_shapes.print gen (fun f ->
+      let g = Interference.build f (Liveness.analyze f)
+      and r = Ref.interference f (Ref.liveness f) in
       let weights = Alloc.default_weights f in
       List.for_all
         (fun layout ->
@@ -492,6 +529,85 @@ let prop_coloring_matches_reference =
               && Var.Set.equal a.Coloring.spilled b.Coloring.spilled)
             Policy.all)
         [ layout; tiny ])
+
+let prop_coloring_matches_reference =
+  coloring_matches_reference ~name:"colouring == reference, every policy"
+    ~count:200 Func_shapes.narrow
+
+let prop_coloring_wide_matches_reference =
+  coloring_matches_reference
+    ~name:"colouring == reference, every policy, multi-word rows" ~count:3
+    Func_shapes.wide
+
+(* The weights sum exactly as Use_def.weighted_access_count does: the
+   defs in program order, then the instruction uses and the terminator
+   uses, the two partial sums added last. Sums of frequencies are exact
+   below 2^53, so half the cases nest loops of up to a million trips,
+   where block frequencies reach 10^18 and the order of the additions
+   shows in the rounding. *)
+let prop_weights_match_use_def =
+  QCheck2.Test.make ~name:"default weights == Use_def, bit for bit" ~count:200
+    ~print:Func_shapes.print
+    (QCheck2.Gen.frequency
+       [
+         (1, Func_shapes.gen);
+         ( 1,
+           Tdfa_workload.Generator.gen_func ~max_depth:3 ~max_trip:1_000_000
+             () );
+       ])
+    (fun f ->
+      let w = Alloc.default_weights f in
+      let ud = Use_def.build f and loops = Loops.analyze f in
+      Var.Set.for_all
+        (fun v ->
+          Int64.equal
+            (Int64.bits_of_float (w v))
+            (Int64.bits_of_float (Use_def.weighted_access_count ud loops v)))
+        (Func.all_vars f))
+
+(* The whole allocator — printed function, assignment, spills, rounds
+   and pressure — on the benchmark's corpus shape, at 8x8 and 2x2 under
+   every policy. *)
+let same_allocation f layout policy =
+  let attempt allocate =
+    match allocate f layout ~policy with
+    | r -> Some r
+    | exception Failure _ -> None
+  in
+  match
+    ( attempt (fun f layout ~policy -> Alloc.allocate f layout ~policy),
+      attempt (fun f layout ~policy -> Ref.allocate f layout ~policy) )
+  with
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+  | Some a, Some b ->
+    String.equal
+      (Printer.func_to_string a.Alloc.func)
+      (Printer.func_to_string b.Alloc.func)
+    && Assignment.bindings a.Alloc.assignment
+       = Assignment.bindings b.Alloc.assignment
+    && Var.Set.equal a.Alloc.spilled b.Alloc.spilled
+    && a.Alloc.rounds = b.Alloc.rounds
+    && a.Alloc.max_pressure = b.Alloc.max_pressure
+
+(* The reference colours every spill round of the 2x2 file in about a
+   second, hence fewer cases there. *)
+let allocate_corpus_shape ~name ~count layout =
+  QCheck2.Test.make ~name ~count ~print:Func_shapes.print
+    (Tdfa_workload.Generator.gen_func ~max_pool:44 ~max_depth:2
+       ~max_length:10 ())
+    (fun f ->
+      List.for_all (fun policy -> same_allocation f layout policy) Policy.all)
+
+let prop_allocate_corpus_shape =
+  allocate_corpus_shape
+    ~name:"allocate == reference, corpus shape, 8x8, every policy" ~count:40
+    layout
+
+let prop_allocate_corpus_shape_spilling =
+  allocate_corpus_shape
+    ~name:"allocate == reference, corpus shape, 2x2, every policy" ~count:4
+    tiny
 
 (* On the 2x2, 2x1 and 3x1 files some kernels spill for more than
    [max_rounds]; both allocators must then give up. *)
@@ -539,6 +655,44 @@ let test_allocate_matches_reference () =
         [ (2, 2); (2, 1); (3, 1) ])
     Tdfa_workload.Kernels.all;
   Alcotest.(check bool) "some kernels spill" true (!spilled > 0)
+
+(* --- Allocation budget ------------------------------------------------------ *)
+
+(* Minor words allocated by [f ()]; Gc.minor_words boxes its own result,
+   so a back-to-back pair measures that overhead. *)
+let minor_words f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let overhead = b -. a in
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  after -. before -. overhead
+
+(* Counting guards, not timing guards: register allocation and the
+   verify gate over the 16 kernels on the 8x8 file allocate a pinned
+   number of minor words. The budgets are the words measured when the
+   bitset analyses went in (127,886 and 37,128) plus 10 % headroom; the
+   Var.Set versions took 462k and 129k. *)
+let test_allocation_budget () =
+  let kernels = List.map snd Tdfa_workload.Kernels.all in
+  let allocate () =
+    List.iter
+      (fun f -> ignore (Alloc.allocate f layout ~policy:Policy.First_fit))
+      kernels
+  in
+  let check () =
+    List.iter (fun f -> ignore (Tdfa_verify.Check.func f)) kernels
+  in
+  allocate ();
+  check ();
+  let within name budget words =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words within %.0f" name words budget)
+      true (words <= budget)
+  in
+  within "Alloc.allocate" 140_675.0 (minor_words allocate);
+  within "Check.func" 40_841.0 (minor_words check)
 
 (* --- Observability ---------------------------------------------------------- *)
 
@@ -663,6 +817,15 @@ let suite =
             prop_liveness_matches_replay;
             prop_interference_matches_reference;
             prop_coloring_matches_reference;
+            prop_coloring_wide_matches_reference;
+            prop_weights_match_use_def;
+            prop_allocate_corpus_shape;
+            prop_allocate_corpus_shape_spilling;
           ] );
+    ( "regalloc.budget",
+      [
+        tc "minor words of allocate and Check.func (16 kernels)" `Quick
+          test_allocation_budget;
+      ] );
     ("regalloc.obs", [ tc "span shape" `Quick test_allocate_span_shape ]);
   ]

@@ -429,6 +429,75 @@ let prop_degrade_preserves_semantics =
       in
       observe t.P.func = observe f)
 
+(* --- Bitset checks == their set-based references ---------------------------- *)
+
+(* The shapes of the regalloc battery (more than 63 and 126 variables,
+   unreachable blocks, parameter-only and empty bodies) and, for each,
+   its mutants under the faults that leave a use undefined or a branch
+   dangling. *)
+let gen_checked =
+  QCheck2.Gen.(
+    map
+      (fun (f, seed) ->
+        f
+        :: List.filter_map
+             (fun kind ->
+               Option.map
+                 (fun m -> m.Fault.func)
+                 (Fault.inject ~seed ~kind f))
+             [ Fault.Drop_def; Fault.Retarget_branch; Fault.Swap_operands ])
+      (pair Func_shapes.gen (int_range 0 1_000_000)))
+
+let strings ds = List.map Check.to_string ds
+
+let prop_defs_dominate_uses_matches_reference =
+  QCheck2.Test.make ~name:"definite assignment == Var.Set reference"
+    ~count:200
+    ~print:(fun fs -> String.concat "\n" (List.map Func_shapes.print fs))
+    gen_checked
+    (fun fs ->
+      List.for_all
+        (fun f ->
+          let ds = Check.defs_dominate_uses f in
+          ds = Verify_reference.defs_dominate_uses f
+          && List.equal String.equal (strings ds)
+               (strings (Verify_reference.defs_dominate_uses f)))
+        fs)
+
+(* Allocations of the battery's shapes, then the same with clobbered
+   cells and with every variable squeezed into four cells (collisions
+   everywhere, some cells outside a 1x2 layout). *)
+let prop_allocation_matches_reference =
+  QCheck2.Test.make ~name:"allocation check == per-instruction reference"
+    ~count:100
+    ~print:(fun (f, seed) -> Printf.sprintf "%s\nseed %d" (Func_shapes.print f) seed)
+    (QCheck2.Gen.pair Func_shapes.narrow (QCheck2.Gen.int_range 0 1_000_000))
+    (fun (f, seed) ->
+      match Alloc.allocate f layout ~policy:Policy.First_fit with
+      | exception Failure _ -> true
+      | r ->
+        let f = r.Alloc.func in
+        let squeezed =
+          Assignment.of_bindings
+            (List.map (fun (v, c) -> (v, c mod 4))
+               (Assignment.bindings r.Alloc.assignment))
+        in
+        let clobbered =
+          match
+            Fault.inject ~seed ~kind:Fault.Clobber_register
+              ~assignment:r.Alloc.assignment f
+          with
+          | Some m -> Option.to_list m.Fault.assignment
+          | None -> []
+        in
+        List.for_all
+          (fun (layout, a) ->
+            strings (Check.allocation ~layout f a)
+            = strings (Verify_reference.allocation ~layout f a))
+          ([ (layout, r.Alloc.assignment); (layout, squeezed);
+             (Tdfa_floorplan.Layout.make ~rows:1 ~cols:2 (), squeezed) ]
+          @ List.map (fun a -> (layout, a)) clobbered))
+
 let suite =
   [
     ( "verify",
@@ -480,5 +549,7 @@ let suite =
             prop_faults_caught_or_preserving;
             prop_clobber_always_caught;
             prop_degrade_preserves_semantics;
+            prop_defs_dominate_uses_matches_reference;
+            prop_allocation_matches_reference;
           ] );
   ]

@@ -81,44 +81,31 @@ let cells_of_points (cfg : Transfer.config) pts =
     (Thermal_state.of_points cfg.Transfer.layout
        ~granularity:cfg.Transfer.granularity ~src:pts ~pos:0)
 
-let predict ?(obs = Obs.null) ?delta_k ?max_iterations (cfg : Transfer.config)
-    func =
-  let defaults = Analysis.default_settings in
-  let settings =
-    {
-      defaults with
-      Analysis.delta_k = Option.value delta_k ~default:defaults.Analysis.delta_k;
-      max_iterations =
-        Option.value max_iterations ~default:defaults.Analysis.max_iterations;
-    }
-  in
-  let core = Analysis.prepare ~obs ~settings cfg func in
-  (* The fixpoint, remembering the exits before each sweep and the last
-     two sweep deltas: the lift extrapolates from both. *)
-  let exits = Flat_core.exits core in
-  let before = Array.copy exits in
-  let deltas = [| infinity; infinity |] in
-  let pass () =
-    Array.blit exits 0 before 0 (Array.length exits);
-    let ((worst, _) as r) = Flat_core.pass core in
-    deltas.(0) <- deltas.(1);
-    deltas.(1) <- worst;
-    r
-  in
-  let iterations, final_delta_k, _, _ =
-    Analysis.sweep ~obs ~skipped:(fun () -> Flat_core.skipped core) ~settings
-      cfg func pass
-  in
+(* The bounds on [outcome], the Fig. 2 fixpoint of [cfg] and [func]
+   under [settings], with the certificate sweeps run on workspace [ws]:
+   [Flat_core.post_fixpoint] loads every exit row, invalidates every
+   skip snapshot and sweeps every block, so none of [ws]'s history is
+   read and a fresh workspace and the fixpoint's own one give the same
+   bits. The lower bound is read before the first certificate sweep,
+   which overwrites the fixpoint's own workspace. *)
+let certify_on ~obs ws (cfg : Transfer.config) outcome =
+  let info = Analysis.info outcome in
   let monotone = monotone cfg in
   let num_cells = Tdfa_floorplan.Layout.num_cells cfg.Transfer.layout in
   (* Iterates from ambient rise monotonically, so the stopped one lies
      below the limit: its peak map is the lower bound. *)
   let lo_cells =
-    if monotone then cells_of_points cfg (Flat_core.peak_points core)
+    if monotone then
+      cells_of_points cfg
+        (Flat_core.peak_rows
+           ~n_points:(Thermal_state.num_points info.Analysis.initial)
+           ~ambient:cfg.Transfer.params.Params.ambient_k info.Analysis.states)
     else Array.make num_cells neg_infinity
   in
-  (* The certificate sweeps overwrite the workspace, [exits] included. *)
-  let last = Array.copy exits in
+  (* The certificate sweeps overwrite the workspace's exits, which are
+     the outcome's own on the cold path. *)
+  let last = Array.copy info.Analysis.exits in
+  let before = info.Analysis.prev_exits in
   let u = Array.make (Array.length last) 0.0 in
   let rec attempt n = function
     | [] -> (n, None)
@@ -127,14 +114,16 @@ let predict ?(obs = Obs.null) ?delta_k ?max_iterations (cfg : Transfer.config)
           (fun i tk ->
             u.(i) <- tk +. (alpha *. Float.max 0.0 (tk -. before.(i))) +. beta)
           last;
-        if Flat_core.post_fixpoint core u then
-          (n + 1, Some (alpha, beta, Flat_core.peak_points core))
+        if Flat_core.post_fixpoint ws u then
+          (n + 1, Some (alpha, beta, Flat_core.peak_points ws))
         else attempt (n + 1) rest
   in
   let attempts, found =
     if monotone then
       attempt 0
-        (lift_schedule cfg ~ratio:(deltas.(1) /. deltas.(0)) ~final_delta_k)
+        (lift_schedule cfg
+           ~ratio:(info.Analysis.final_delta_k /. info.Analysis.prev_delta_k)
+           ~final_delta_k:info.Analysis.final_delta_k)
     else (0, None)
   in
   Obs.instant obs "absint.certify"
@@ -153,8 +142,32 @@ let predict ?(obs = Obs.null) ?delta_k ?max_iterations (cfg : Transfer.config)
     hi_cells;
     peak_lo_k = peak lo_cells;
     peak_hi_k = peak hi_cells;
-    stats = { iterations; certify_sweeps = attempts; lift_alpha };
+    stats =
+      {
+        iterations = info.Analysis.iterations;
+        certify_sweeps = attempts;
+        lift_alpha;
+      };
   }
+
+let certify ?(obs = Obs.null) ~settings cfg func outcome =
+  certify_on ~obs (Analysis.prepare ~obs ~settings cfg func) cfg outcome
+
+let settings ?delta_k ?max_iterations () =
+  let defaults = Analysis.default_settings in
+  {
+    defaults with
+    Analysis.delta_k = Option.value delta_k ~default:defaults.Analysis.delta_k;
+    max_iterations =
+      Option.value max_iterations ~default:defaults.Analysis.max_iterations;
+  }
+
+(* Cold: the fixpoint, then the certificate on its own workspace. *)
+let predict ?(obs = Obs.null) ?delta_k ?max_iterations (cfg : Transfer.config)
+    func =
+  let settings = settings ?delta_k ?max_iterations () in
+  let ws = Analysis.prepare ~obs ~settings cfg func in
+  certify_on ~obs ws cfg (Analysis.solve ~obs ~settings cfg func ws)
 
 type verdict = Certified_hot | Straddles | Certified_cool
 

@@ -59,6 +59,26 @@ type t = {
   stats : stats;
 }
 
+val certify :
+  ?obs:Obs.sink ->
+  settings:Tdfa_core.Analysis.settings ->
+  Tdfa_core.Transfer.config ->
+  Func.t ->
+  Tdfa_core.Analysis.outcome ->
+  t
+(** [certify ~settings cfg func outcome] is the bracket around
+    [outcome], the {!Tdfa_core.Analysis.fixpoint} of [cfg] and [func]
+    under [settings] (however it was obtained — computed now or kept
+    from an earlier request): [lo_cells] from its state rows, and at
+    most seven certificate sweeps lifted from its exit rows and its
+    lift inputs ({!Tdfa_core.Analysis.info}'s [prev_exits] and
+    [prev_delta_k]) on a fresh workspace. The certificate sweep loads
+    every exit row and recomputes every block, so the result is bitwise
+    the one {!predict} computes from the same fixpoint. [obs] receives
+    the workspace's [analysis.prepare] span and one [absint.certify]
+    instant with the attempt count and whether a certificate was
+    found. *)
+
 val predict :
   ?obs:Obs.sink ->
   ?delta_k:float ->
@@ -66,12 +86,18 @@ val predict :
   Tdfa_core.Transfer.config ->
   Func.t ->
   t
-(** Certified [\[lo, hi\]] steady-state peak bounds per RF cell: the
-    flat fixpoint at [delta_k]/[max_iterations] (defaults:
-    {!Tdfa_core.Analysis.default_settings}) plus at most seven
-    certificate sweeps. [obs] (default {!Obs.null}) receives the
-    fixpoint's [analysis.fixpoint] span and one [absint.certify] instant
-    with the attempt count and whether a certificate was found. *)
+(** Certified [\[lo, hi\]] steady-state peak bounds per RF cell:
+    {!Tdfa_core.Analysis.fixpoint} at [delta_k]/[max_iterations]
+    (defaults: {!Tdfa_core.Analysis.default_settings}) followed by
+    {!certify}, whose sweeps reuse the fixpoint's workspace. [obs]
+    (default {!Obs.null}) receives the fixpoint's [analysis.prepare]
+    and [analysis.fixpoint] spans and the [absint.certify] instant. *)
+
+val settings :
+  ?delta_k:float -> ?max_iterations:int -> unit -> Tdfa_core.Analysis.settings
+(** The fixpoint settings {!predict} runs under:
+    {!Tdfa_core.Analysis.default_settings} (join [Max]) with the given
+    delta and iteration cap. *)
 
 type verdict = Certified_hot | Straddles | Certified_cool
 

@@ -15,6 +15,8 @@ type info = {
   slots : Flat_core.slots;
   states : float array;
   exits : float array;
+  prev_exits : float array;
+  prev_delta_k : float;
   sum_order : int array;
 }
 
@@ -45,6 +47,7 @@ let boxed_engine ~settings (cfg : Transfer.config) (func : Func.t) =
     Hashtbl.create 256
   in
   let exit_map = ref Label.Map.empty in
+  let prev_exit_map = ref Label.Map.empty in
   let exit_state l =
     match Label.Map.find_opt l !exit_map with
     | Some s -> s
@@ -53,6 +56,7 @@ let boxed_engine ~settings (cfg : Transfer.config) (func : Func.t) =
   (* One pass of the do-while of Fig. 2; returns the largest change and
      the set of instructions that moved more than delta. *)
   let pass () =
+    prev_exit_map := !exit_map;
     let worst = ref 0.0 in
     let unstable = ref [] in
     List.iter
@@ -106,14 +110,20 @@ let boxed_engine ~settings (cfg : Transfer.config) (func : Func.t) =
         Thermal_state.blit_points
           (Hashtbl.find table (label, index))
           ~dst:states ~pos:(row * n));
-    let exits = Array.make (nb * n) 0.0 in
-    Array.iteri
-      (fun b label ->
-        Thermal_state.blit_points
-          (Label.Map.find label !exit_map)
-          ~dst:exits ~pos:(b * n))
-      slots.Flat_core.blocks;
-    (slots, states, exits)
+    let pack map =
+      let exits = Array.make (nb * n) 0.0 in
+      Array.iteri
+        (fun b label ->
+          let s =
+            match Label.Map.find_opt label map with
+            | Some s -> s
+            | None -> Transfer.fresh_state cfg
+          in
+          Thermal_state.blit_points s ~dst:exits ~pos:(b * n))
+        slots.Flat_core.blocks;
+      exits
+    in
+    (slots, states, pack !exit_map, pack !prev_exit_map)
   in
   (pass, finalize)
 
@@ -127,13 +137,6 @@ let prepare ?(obs = Obs.null) ~settings (cfg : Transfer.config)
   Obs.span obs "analysis.prepare"
     ~args:[ ("func", Obs.Str func.Func.name) ]
     (fun () -> Flat_core.prepare ~join ~delta_k:settings.delta_k cfg func)
-
-(* The flat engine: the same sweep on Flat_core's preallocated buffers,
-   bit-identical by construction. *)
-let flat_engine ?obs ~settings cfg func =
-  let t = prepare ?obs ~settings cfg func in
-  let pass () = Flat_core.pass t in
-  (pass, (fun () -> Flat_core.skipped t), fun () -> Flat_core.finalize t)
 
 let sweep ?(obs = Obs.null) ?(cancel = fun () -> false) ?skipped ~settings
     (cfg : Transfer.config) (func : Func.t) pass =
@@ -189,21 +192,22 @@ let sum_order slots =
       Hashtbl.replace tbl (label, index) row);
   Array.of_list (List.rev (Hashtbl.fold (fun _ row acc -> row :: acc) tbl []))
 
-let fixpoint ?obs ?cancel ?(settings = default_settings) ?(core = Flat)
-    (cfg : Transfer.config) (func : Func.t) =
-  let pass, skipped, finalize =
-    match core with
-    | Boxed ->
-      let pass, finalize = boxed_engine ~settings cfg func in
-      (pass, None, finalize)
-    | Flat ->
-      let pass, skipped, finalize = flat_engine ?obs ~settings cfg func in
-      (pass, Some skipped, finalize)
+(* The fixpoint around any engine's [pass] and [finalize]: the sweeps,
+   with the lift inputs recorded on the way — the previous sweep's
+   largest change here, the exit rows before the last sweep by the
+   engine — and the packed result. *)
+let run_engine ?obs ?cancel ?skipped ~settings cfg func pass finalize =
+  let last = ref infinity and prev_delta_k = ref infinity in
+  let pass () =
+    prev_delta_k := !last;
+    let ((worst, _) as r) = pass () in
+    last := worst;
+    r
   in
   let iterations, final_delta_k, unstable, ok =
     sweep ?obs ?cancel ?skipped ~settings cfg func pass
   in
-  let slots, states, exits = finalize () in
+  let slots, states, exits, prev_exits = finalize () in
   let result =
     {
       iterations;
@@ -213,10 +217,39 @@ let fixpoint ?obs ?cancel ?(settings = default_settings) ?(core = Flat)
       slots;
       states;
       exits;
+      prev_exits;
+      prev_delta_k = !prev_delta_k;
       sum_order = sum_order slots;
     }
   in
   if ok then Converged result else Diverged result
+
+(* The flat engine: the same sweep on Flat_core's preallocated buffers,
+   bit-identical by construction. Before each sweep the exit rows are
+   copied aside; after the last, that copy is the lift input. *)
+let solve ?obs ?cancel ~settings cfg func t =
+  let exits = Flat_core.exits t in
+  let before = Array.copy exits in
+  let pass () =
+    Array.blit exits 0 before 0 (Array.length exits);
+    Flat_core.pass t
+  in
+  let finalize () =
+    let slots, states, exits = Flat_core.finalize t in
+    (slots, states, exits, before)
+  in
+  run_engine ?obs ?cancel
+    ~skipped:(fun () -> Flat_core.skipped t)
+    ~settings cfg func pass finalize
+
+let fixpoint ?obs ?cancel ?(settings = default_settings) ?(core = Flat)
+    (cfg : Transfer.config) (func : Func.t) =
+  match core with
+  | Boxed ->
+    let pass, finalize = boxed_engine ~settings cfg func in
+    run_engine ?obs ?cancel ~settings cfg func pass finalize
+  | Flat ->
+    solve ?obs ?cancel ~settings cfg func (prepare ?obs ~settings cfg func)
 
 (* ------------------------------------------------------------------ *)
 (* Divergence recovery                                                  *)

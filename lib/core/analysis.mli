@@ -34,6 +34,13 @@ type info = {
           row per slot *)
   exits : float array;
       (** the state after each terminator, one row per block *)
+  prev_exits : float array;
+      (** the exit rows before the last sweep (all ambient when only
+          one sweep ran): with [prev_delta_k], the lift inputs
+          [Tdfa_absint.Absint.certify] extrapolates from *)
+  prev_delta_k : float;
+      (** the largest change of the sweep before the last ([infinity]
+          when only one sweep ran) *)
   sum_order : int array;  (** the row order {!mean_map} sums in *)
 }
 (** The fixpoint result, in the flat layout both cores fill; read it
@@ -90,6 +97,22 @@ val prepare :
   ?obs:Obs.sink -> settings:settings -> Transfer.config -> Func.t -> Flat_core.t
 (** The flat engine's workspace for [settings] ({!Flat_core.prepare}
     with its join and delta), inside an [analysis.prepare] span. *)
+
+val solve :
+  ?obs:Obs.sink ->
+  ?cancel:(unit -> bool) ->
+  settings:settings ->
+  Transfer.config ->
+  Func.t ->
+  Flat_core.t ->
+  outcome
+(** [solve ~settings cfg func t] is {!fixpoint} on the flat core, on a
+    workspace [t] that {!prepare} just made with the same [settings],
+    [cfg] and [func] — [fixpoint] itself is [solve] of [prepare]. The
+    outcome's state and exit rows are [t]'s own buffers, not copies, so
+    the next sweep of [t] overwrites them: a caller that reuses the
+    workspace (the cold [Tdfa_absint.Absint.predict], whose certificate
+    sweeps run on it) reads the outcome first. *)
 
 val sweep :
   ?obs:Obs.sink ->

@@ -25,3 +25,9 @@ let outcome o =
       canonical_nans info.Analysis.states,
       canonical_nans info.Analysis.exits,
       info.Analysis.unstable )
+
+let lift_inputs o =
+  let info = Analysis.info o in
+  digest
+    ( canonical_nans info.Analysis.prev_exits,
+      canonical_nan info.Analysis.prev_delta_k )

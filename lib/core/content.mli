@@ -29,3 +29,10 @@ val outcome : Analysis.outcome -> string
     an addition, which neither OCaml nor the C step kernel fixes, so
     two runs that differ only there (the boxed and flat cores) digest
     equal. Flipping any other bit of any of these changes it. *)
+
+val lift_inputs : Analysis.outcome -> string
+(** The digest of the lift inputs a certificate reads besides the
+    outcome's states: the exit rows before the last sweep and the
+    largest change of the sweep before the last, NaNs canonical as in
+    {!outcome}. Kept apart from {!outcome}, which fingerprints results
+    and cache entries: those stay what they were. *)

@@ -5,9 +5,9 @@ type prior = {
   p_key : string;
   p_outcome : Analysis.outcome;
   p_digest : string;
-      (* [Content.outcome] of [p_outcome], taken when the prior was
-         made; [analyze] revalidates before reuse so a corrupted result
-         degrades to a cold run, never to garbage *)
+      (* [digest] of [p_outcome], taken when the prior was made;
+         [analyze] and [reuse] revalidate before reuse so a corrupted
+         result degrades to a cold run, never to garbage *)
 }
 
 type mode = Cold | Identity | Corrupt_recording
@@ -19,7 +19,11 @@ let mode_name = function
 
 type result = { outcome : Analysis.outcome; prior : prior; mode : mode }
 
-let prior_intact p = String.equal p.p_digest (Content.outcome p.p_outcome)
+(* [Content.outcome] (the result fingerprint) and the lift inputs a
+   certificate reads besides it. *)
+let digest o = Content.outcome o ^ Content.lift_inputs o
+
+let prior_intact p = String.equal p.p_digest (digest p.p_outcome)
 
 (* Deterministic single-state corruption, for the fault-injection
    batteries: one per-instruction state gains +1 K at one point. When
@@ -87,6 +91,13 @@ let key ~settings (cfg : Transfer.config) func =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The key first: a mismatch (another assignment, delta, ...) is the
+   common miss, and it is cheaper than digesting every state. *)
+let reuse ?(settings = Analysis.default_settings) p cfg func =
+  if String.equal p.p_key (key ~settings cfg func) && prior_intact p then
+    Some p.p_outcome
+  else None
+
 let analyze ?(obs = Obs.null) ?cancel ?(settings = Analysis.default_settings)
     ?core ?prior (cfg : Transfer.config) func =
   Obs.span obs "incremental.analyze"
@@ -98,7 +109,7 @@ let analyze ?(obs = Obs.null) ?cancel ?(settings = Analysis.default_settings)
         let outcome =
           Analysis.fixpoint ~obs ?cancel ~settings ?core cfg func
         in
-        let p_digest = Content.outcome outcome in
+        let p_digest = digest outcome in
         { outcome; prior = { p_key; p_outcome = outcome; p_digest }; mode }
       in
       let result =

@@ -51,10 +51,11 @@ val func_signature : Transfer.config -> Func.t -> string Label.Map.t
     them. *)
 
 val prior_intact : prior -> bool
-(** Recompute {!Content.outcome} over the cached outcome and compare
-    with the digest stored when the prior was made: [false] means the
-    result was corrupted after the fact. {!analyze} performs exactly
-    this check before any reuse. *)
+(** Recompute {!Content.outcome} and {!Content.lift_inputs} over the
+    cached outcome and compare with the digests stored when the prior
+    was made: [false] means the result was corrupted after the fact.
+    {!analyze} and {!reuse} perform exactly this check before any
+    reuse. *)
 
 val poison_prior : seed:int -> prior -> prior
 (** Deterministically corrupt one cached thermal state (fault injection
@@ -62,6 +63,20 @@ val poison_prior : seed:int -> prior -> prior
     [Tdfa_verify.Fault.corrupt_recording]). The result fails
     {!prior_intact}, so {!analyze} must run cold rather than return
     garbage. *)
+
+val reuse :
+  ?settings:Analysis.settings ->
+  prior ->
+  Transfer.config ->
+  Func.t ->
+  Analysis.outcome option
+(** [reuse ~settings p config func] is [p]'s outcome when {!analyze}
+    under the same arguments would return it in [Identity] mode — [p]
+    is intact and its key matches — and [None] otherwise. Anything
+    computed from the outcome is then what a cold
+    [Analysis.fixpoint ~settings config func] would give; the
+    certified bounds of [tdfa predict] are taken this way from a serve
+    session's resident analysis. *)
 
 val analyze :
   ?obs:Obs.sink ->

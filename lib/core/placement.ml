@@ -3,10 +3,13 @@ open Tdfa_dataflow
 open Tdfa_floorplan
 open Tdfa_regalloc
 
-let predict ?(regions_rows = 2) ?(regions_cols = 2) (func : Func.t) layout =
+let predict ?(regions_rows = 2) ?(regions_cols = 2) ?loops (func : Func.t)
+    layout =
   let regions = Region.grid layout ~rows:regions_rows ~cols:regions_cols in
   let ud = Use_def.build func in
-  let loops = Loops.analyze func in
+  let loops =
+    match loops with Some l -> l | None -> Loops.analyze func
+  in
   let weight v = Use_def.weighted_access_count ud loops v in
   let vars =
     Var.Set.elements (Func.all_vars func)

@@ -16,9 +16,11 @@ open Tdfa_regalloc
 val predict :
   ?regions_rows:int ->
   ?regions_cols:int ->
+  ?loops:Tdfa_dataflow.Loops.t ->
   Func.t ->
   Layout.t ->
   Assignment.t
 (** Virtual placement of every variable of [func] (defaults: 2 x 2
     regions). Variables beyond the RF capacity share cells round-robin,
-    mimicking the reuse a real allocator would create. *)
+    mimicking the reuse a real allocator would create. [loops] is
+    [func]'s loop analysis when the caller already has it. *)

@@ -29,9 +29,13 @@ let make_config ?(params = Params.default) ?(granularity = 1)
     accesses_of_term;
   }
 
-let of_assignment ?params ?granularity ?analysis_dt_s ~layout (func : Func.t)
-    assignment =
-  let loops = Tdfa_dataflow.Loops.analyze func in
+let of_assignment ?params ?granularity ?analysis_dt_s ?loops ~layout
+    (func : Func.t) assignment =
+  let loops =
+    match loops with
+    | Some l -> l
+    | None -> Tdfa_dataflow.Loops.analyze func
+  in
   let max_frequency =
     List.fold_left
       (fun acc (b : Block.t) ->

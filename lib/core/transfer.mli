@@ -56,6 +56,7 @@ val of_assignment :
   ?params:Params.t ->
   ?granularity:int ->
   ?analysis_dt_s:float ->
+  ?loops:Tdfa_dataflow.Loops.t ->
   layout:Layout.t ->
   Func.t ->
   Tdfa_regalloc.Assignment.t ->
@@ -64,9 +65,11 @@ val of_assignment :
     built: loop-frequency-weighted duty cycling ([max_frequency] is the
     hottest block's frequency) and the exact accessed registers of every
     instruction and terminator (§4: the analysis "makes the most sense
-    if applied after register assignment"). Callers that inject extra
-    events, such as {!Interproc}'s call summaries, override
-    [accesses_of_instr] on the result. *)
+    if applied after register assignment"). [loops] is the function's
+    loop analysis when the caller already has it (the allocator's,
+    {!Tdfa_regalloc.Alloc.result}); it is computed otherwise. Callers
+    that inject extra events, such as {!Interproc}'s call summaries,
+    override [accesses_of_instr] on the result. *)
 
 val is_stable : config -> bool
 (** Whether the explicit step satisfies the stability bound. *)

@@ -75,23 +75,26 @@ type ctx = {
   bounds : Tdfa_absint.Absint.t Lazy.t;
 }
 
-let make_ctx ?(obs = Obs.null) ?assignment ~layout func =
+let make_ctx ?(obs = Obs.null) ?assignment ?loops ?prior ~layout func =
+  let loops =
+    match loops with Some l -> l | None -> Loops.analyze func
+  in
   let assignment, predicted =
     match assignment with
     | Some a -> (a, false)
-    | None -> (Tdfa_core.Placement.predict func layout, true)
+    | None -> (Tdfa_core.Placement.predict ~loops func layout, true)
   in
   let bounds =
     lazy
-      (Tdfa.Driver.predict
+      (Tdfa.Driver.predict ~loops
          { (Tdfa.Driver.default ~layout) with obs }
-         (Tdfa.Driver.Assigned (func, assignment)))
+         (Tdfa.Driver.Warm_start { func; assignment; prior }))
   in
   {
     func;
     layout;
     live = Liveness.analyze func;
-    loops = Loops.analyze func;
+    loops;
     dom = Dominators.analyze func;
     ud = Use_def.build func;
     consts = Const_prop.analyze func;

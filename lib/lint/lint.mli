@@ -86,9 +86,21 @@ type ctx = {
 }
 
 val make_ctx :
-  ?obs:Obs.sink -> ?assignment:Assignment.t -> layout:Layout.t -> Func.t -> ctx
+  ?obs:Obs.sink ->
+  ?assignment:Assignment.t ->
+  ?loops:Loops.t ->
+  ?prior:Tdfa_core.Incremental.prior ->
+  layout:Layout.t ->
+  Func.t ->
+  ctx
 (** [obs] (default {!Obs.null}) receives the spans of the [bounds]
-    computation when a rule forces it. *)
+    computation when a rule forces it. [loops] is the function's loop
+    analysis when the caller already has it; it is computed once
+    otherwise, and the placement prediction and the bounds' transfer
+    configuration read the same one. [prior] is a resident analysis:
+    when {!Tdfa_core.Incremental.reuse} accepts it for the bounds'
+    configuration and settings, the bounds are certified from it and
+    the fixpoint does not run again ({!Tdfa.Driver.predict}). *)
 
 (** {1 Rules} *)
 

@@ -8,6 +8,7 @@ type result = {
   spilled : Var.Set.t;
   rounds : int;
   max_pressure : int;
+  loops : Loops.t;
 }
 
 (* The sums of Use_def.weighted_access_count, site for site: the defs in
@@ -16,8 +17,10 @@ type result = {
    sums added last. *)
 type sums = { mutable defs : float; mutable uses : float }
 
-let default_weights (func : Func.t) =
-  let loops = Loops.analyze func in
+let default_weights ?loops (func : Func.t) =
+  let loops =
+    match loops with Some l -> l | None -> Loops.analyze func
+  in
   let sums = Var.Tbl.create 64 in
   let sums_of v =
     match Var.Tbl.find sums v with
@@ -81,8 +84,13 @@ let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
       failwith
         (Printf.sprintf "Alloc.allocate: no colouring after %d spill rounds"
            max_rounds);
+    (* The loop analysis of this round's code: the default weights read
+       it, and the result hands it on to the transfer configuration. *)
+    let loops = lazy (Loops.analyze func) in
     let weights =
-      match weights with Some w -> w | None -> default_weights func
+      match weights with
+      | Some w -> w
+      | None -> default_weights ~loops:(Lazy.force loops) func
     in
     let liveness =
       phase "regalloc.liveness" round (fun () -> Liveness.analyze func)
@@ -110,6 +118,7 @@ let allocate ?(obs = Obs.null) ?(max_rounds = 16) ?weights func layout ~policy
         spilled = all_spilled;
         rounds = round;
         max_pressure = Liveness.max_pressure liveness;
+        loops = Lazy.force loops;
       }
     end
     else if cells < 2 then

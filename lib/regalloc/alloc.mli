@@ -11,12 +11,16 @@ type result = {
   spilled : Var.Set.t;  (** union over all spill rounds *)
   rounds : int;  (** colouring attempts (1 = no spilling needed) *)
   max_pressure : int;  (** of the final function *)
+  loops : Tdfa_dataflow.Loops.t;
+      (** of the final function: hand it to the transfer configuration
+          instead of analysing the same code again *)
 }
 
-val default_weights : Func.t -> Var.t -> float
+val default_weights : ?loops:Tdfa_dataflow.Loops.t -> Func.t -> Var.t -> float
 (** Loop-frequency-weighted access count, equal bit for bit to
     {!Use_def.weighted_access_count}: each block's frequency is computed
-    once and every variable's sums in one pass over the function. *)
+    once and every variable's sums in one pass over the function.
+    [loops], when given, is [func]'s loop analysis. *)
 
 val allocate :
   ?obs:Obs.sink ->

@@ -7,6 +7,14 @@ let run graph layout ~policy ~weights =
   let k = Layout.num_cells layout in
   let n = Interference.size graph in
   let weight = Array.init n (fun i -> weights (Interference.var graph i)) in
+  (* Chaitin's rule: a spill temporary lives from its reload to its one
+     use, so spilling it again frees nothing and only adds code; its
+     spill cost is infinite. The policies still see its real weight. *)
+  let spill_cost =
+    Array.init n (fun i ->
+        if Spill.is_temp (Interference.var graph i) then infinity
+        else weight.(i))
+  in
   (* Degrees over the not-yet-removed nodes, decremented on removal. *)
   let degree =
     Array.init n (fun i -> Array.length (Interference.adjacent graph i))
@@ -38,7 +46,7 @@ let run graph layout ~policy ~weights =
       | -1 ->
         pick_min
           (fun _ -> true)
-          (fun i -> weight.(i) /. float_of_int (max 1 degree.(i)))
+          (fun i -> spill_cost.(i) /. float_of_int (max 1 degree.(i)))
       | v -> v
     in
     removed.(chosen) <- true;

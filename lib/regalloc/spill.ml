@@ -3,6 +3,8 @@ open Tdfa_ir
 let base_address = 1_000_000
 let temp_prefix = "spl_"
 
+let is_temp v = String.starts_with ~prefix:temp_prefix (Var.to_string v)
+
 (* One past the highest temporary index already defined in [func], so
    a later spill round never reuses an earlier round's names: two
    unrelated short live ranges under one name would become one

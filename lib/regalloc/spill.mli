@@ -23,3 +23,8 @@ val rewrite : ?slot_base:int -> Func.t -> Var.Set.t -> Func.t
 
 val temp_prefix : string
 (** Prefix of the temporaries introduced here, for tests. *)
+
+val is_temp : Var.t -> bool
+(** Whether the variable's name carries {!temp_prefix}: a temporary of
+    an earlier spill round (or a variable named like one), which the
+    colouring never picks to spill. *)

@@ -21,18 +21,38 @@ let driver_config ?(layout = Common.standard_layout) ?policy ?cancel
     cancel;
   }
 
+type allocation = {
+  func : Func.t;
+  assignment : Assignment.t;
+  loops : Tdfa_dataflow.Loops.t;
+  mode : string;
+}
+
 (* The analyze/predict prelude. Pre-RA: predictive placement on the
    original function (§4's ambitious mode). Post-RA: allocate first,
-   exact registers. Returns the function to analyse, its assignment and
-   the mode line of the report. *)
-let allocate ~obs ~policy ~pre_ra f =
+   exact registers. Either way the loop analysis of the function to
+   analyse comes along, for its transfer configuration. *)
+let allocation ?(obs = Tdfa_obs.Obs.null) ~policy ~pre_ra f =
   if pre_ra then
-    (f, Placement.predict f Common.standard_layout, "pre-RA (predictive)")
+    let loops = Tdfa_dataflow.Loops.analyze f in
+    {
+      func = f;
+      assignment = Placement.predict ~loops f Common.standard_layout;
+      loops;
+      mode = "pre-RA (predictive)";
+    }
   else
     let alloc = Alloc.allocate ~obs f Common.standard_layout ~policy in
-    ( alloc.Alloc.func,
-      alloc.Alloc.assignment,
-      Printf.sprintf "post-RA, policy %s" (Policy.name policy) )
+    {
+      func = alloc.Alloc.func;
+      assignment = alloc.Alloc.assignment;
+      loops = alloc.Alloc.loops;
+      mode = Printf.sprintf "post-RA, policy %s" (Policy.name policy);
+    }
+
+(* A caller's allocation of [f] (a serve session's, kept), else a new one. *)
+let allocated ~obs ~policy ~pre_ra given f =
+  match given with Some a -> a | None -> allocation ~obs ~policy ~pre_ra f
 
 (* The recovery-ladder block of the analyze and trace reports, printed
    only when the ladder climbed past its first rung. *)
@@ -55,12 +75,14 @@ let print_recovery buf (r : Tdfa.Driver.result) =
    prints this string to stdout; the daemon ships the same string in
    its response frame — byte-identity between the two front ends is by
    construction, and the cram suite pins the text. *)
-let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
-    ~delta ~pre_ra ~recover ~incremental (f : Func.t) =
+let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ?allocation:given ~policy
+    ~granularity ~delta ~pre_ra ~recover ~incremental (f : Func.t) =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.bprintf buf fmt in
   let name = f.Func.name in
-  let func, assignment, mode = allocate ~obs ~policy ~pre_ra f in
+  let { func; assignment; loops; mode } =
+    allocated ~obs ~policy ~pre_ra given f
+  in
   let cfg =
     driver_config ~policy ?cancel ~recover ~obs ~granularity ~delta ()
   in
@@ -71,7 +93,7 @@ let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
     if incremental then Tdfa.Driver.Warm_start { func; assignment; prior }
     else Tdfa.Driver.Assigned (func, assignment)
   in
-  let r = Tdfa.Driver.run cfg input in
+  let r = Tdfa.Driver.run ~loops cfg input in
   print_recovery buf r;
   let outcome = r.outcome in
   let info = Analysis.info outcome in
@@ -83,7 +105,7 @@ let analyze ?(obs = Tdfa_obs.Obs.null) ?cancel ?prior ~policy ~granularity
   pf "predicted worst-case map (peak %.2f K):\n" (Thermal_state.peak peak);
   Buffer.add_string buf
     (Heatmap.render Common.standard_layout (Thermal_state.to_cell_array peak));
-  let tcfg = Tdfa.Driver.transfer_config cfg func assignment in
+  let tcfg = Tdfa.Driver.transfer_config ~loops cfg func assignment in
   let ranked = Criticality.rank tcfg info func assignment in
   pf "\nmost critical variables:\n";
   List.iteri
@@ -152,14 +174,19 @@ let trace ?(obs = Tdfa_obs.Obs.null) ?cancel ?window_us ~policy ~cells
    against the shared hot threshold, the upper-bound map and the
    hottest cells. Everything printed is deterministic (counts, not
    times), so the daemon can ship the same bytes. *)
-let predict ?(obs = Tdfa_obs.Obs.null) ~policy ~granularity ~delta ~pre_ra
-    (f : Func.t) =
+let predict ?(obs = Tdfa_obs.Obs.null) ?prior ?allocation:given ~policy
+    ~granularity ~delta ~pre_ra (f : Func.t) =
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.bprintf buf fmt in
   let name = f.Func.name in
-  let func, assignment, mode = allocate ~obs ~policy ~pre_ra f in
+  let { func; assignment; loops; mode } =
+    allocated ~obs ~policy ~pre_ra given f
+  in
   let cfg = driver_config ~policy ~obs ~granularity ~delta () in
-  let b = Tdfa.Driver.predict cfg (Tdfa.Driver.Assigned (func, assignment)) in
+  let b =
+    Tdfa.Driver.predict ~loops cfg
+      (Tdfa.Driver.Warm_start { func; assignment; prior })
+  in
   let open Tdfa_absint in
   let hot_k = Tdfa_lint.Rules.hot_threshold in
   pf "kernel %s, %s: certified thermal bounds (fixpoint + certificate)\n"
@@ -268,18 +295,24 @@ let lint_report ~display findings =
 
 let allocate_for ?(obs = Tdfa_obs.Obs.null) ~post_ra ~policy f =
   if post_ra then begin
-    let alloc = Alloc.allocate ~obs f Common.standard_layout ~policy in
-    (alloc.Alloc.func, Some alloc.Alloc.assignment)
+    let a = allocation ~obs ~policy ~pre_ra:false f in
+    (a.func, Some a.assignment)
   end
   else (f, None)
 
 let lint ?(obs = Tdfa_obs.Obs.null)
-    ?(config = Tdfa_lint.Lint.default_config) ~post_ra ~policy (f : Func.t) =
+    ?(config = Tdfa_lint.Lint.default_config) ?prior ?allocation:given ~post_ra
+    ~policy (f : Func.t) =
   let known = Tdfa_lint.Rules.all in
-  let func, assignment = allocate_for ~obs ~post_ra ~policy f in
+  let func, assignment, loops =
+    if post_ra then
+      let a = allocated ~obs ~policy ~pre_ra:false given f in
+      (a.func, Some a.assignment, Some a.loops)
+    else (f, None, None)
+  in
   let ctx =
-    Tdfa_lint.Lint.make_ctx ~obs ?assignment ~layout:Common.standard_layout
-      func
+    Tdfa_lint.Lint.make_ctx ~obs ?assignment ?loops ?prior
+      ~layout:Common.standard_layout func
   in
   let findings = Tdfa_lint.Lint.run ~obs ~config known ctx in
   (lint_report ~display:func.Func.name findings, findings)

@@ -10,10 +10,28 @@ open Tdfa_ir
 open Tdfa_regalloc
 open Tdfa_obs
 
+type allocation = {
+  func : Func.t;  (** the function to analyse (spill code included) *)
+  assignment : Assignment.t;
+  loops : Tdfa_dataflow.Loops.t;  (** of [func] *)
+  mode : string;  (** the report's mode phrase *)
+}
+(** What {!analyze} and {!predict} analyse: the registers of a function
+    under one policy, or its predicted placement. *)
+
+val allocation :
+  ?obs:Obs.sink -> policy:Policy.t -> pre_ra:bool -> Func.t -> allocation
+(** Allocate on the standard 8x8 file with [policy] (the allocator's
+    spans go to [obs]), or under [pre_ra] predict the placement of the
+    original function; [policy] is then unused. Deterministic: equal
+    arguments give equal allocations, which is what lets a serve
+    session keep one per policy and mode for its resident program. *)
+
 val analyze :
   ?obs:Obs.sink ->
   ?cancel:(unit -> bool) ->
   ?prior:Tdfa_core.Incremental.prior ->
+  ?allocation:allocation ->
   policy:Policy.t ->
   granularity:int ->
   delta:float ->
@@ -29,7 +47,9 @@ val analyze :
     into the fixpoint; [prior] (only meaningful with [incremental]) is
     a resident result, reused when the function is unchanged — results
     are bit-identical to a cold run either way, so the rendered text
-    cannot differ.
+    cannot differ. [allocation], when given, is {!allocation} of the
+    same [policy], [pre_ra] and function, computed earlier; it is used
+    as it is.
 
     Returns the rendered text and the driver result (whose
     [incremental] field carries the next-run prior).
@@ -62,18 +82,23 @@ val trace :
 
 val predict :
   ?obs:Obs.sink ->
+  ?prior:Tdfa_core.Incremental.prior ->
+  ?allocation:allocation ->
   policy:Policy.t ->
   granularity:int ->
   delta:float ->
   pre_ra:bool ->
   Func.t ->
   string * Tdfa_absint.Absint.t
-(** Allocate (or predict placement under [pre_ra]) and compute certified
-    [lo, hi] steady-state peak bounds through {!Tdfa.Driver.predict}.
-    Renders the verdict against
-    {!Tdfa_lint.Rules.hot_threshold}, the upper-bound heatmap and the
-    hottest cells; every printed quantity is deterministic, so the
-    daemon ships the same bytes the CLI prints. *)
+(** Allocate (or predict placement under [pre_ra]; [allocation] as in
+    {!analyze}) and compute certified [lo, hi] steady-state peak bounds
+    through {!Tdfa.Driver.predict}. A [prior] whose key matches this
+    request's configuration and settings supplies the fixpoint, which
+    then does not run again; the bounds are the same bits either way.
+    Renders the verdict against {!Tdfa_lint.Rules.hot_threshold}, the
+    upper-bound heatmap and the hottest cells; every printed quantity
+    is deterministic, so the daemon ships the same bytes the CLI
+    prints. *)
 
 val place :
   ?obs:Obs.sink ->
@@ -115,10 +140,15 @@ val allocate_for :
 val lint :
   ?obs:Obs.sink ->
   ?config:Tdfa_lint.Lint.config ->
+  ?prior:Tdfa_core.Incremental.prior ->
+  ?allocation:allocation ->
   post_ra:bool ->
   policy:Policy.t ->
   Func.t ->
   string * Tdfa_lint.Lint.finding list
-(** Build the lint context (allocating first under [post_ra]), run
-    every registered rule, and render with {!lint_report} (display =
-    the function's name, as for a [--kernel] input). *)
+(** Build the lint context (allocating first under [post_ra], or taking
+    the post-RA [allocation] of the same [policy] when given; a pre-RA
+    lint ignores it), run every registered rule, and render with
+    {!lint_report} (display = the function's name, as for a [--kernel]
+    input). [prior] reaches the bound rules as in
+    {!Tdfa_lint.Lint.make_ctx}. *)

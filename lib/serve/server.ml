@@ -62,17 +62,17 @@ let resolve t session (req : Protocol.request) =
   | Some name, None -> (
     match Tdfa_workload.Kernels.lookup name with
     | Ok f ->
-      (* A new program invalidates the resident prior. *)
+      (* A new program invalidates the resident analysis. *)
       (match session.Session.func with
        | Some old when not (String.equal old.Func.name f.Func.name) ->
-         session.Session.prior <- None
+         Session.drop_analysis session
        | _ -> ());
       keep f
     | Error _ as e -> e)
   | None, Some source -> (
     match Parser.parse_func source with
     | f ->
-      session.Session.prior <- None;
+      Session.drop_analysis session;
       keep f
     | exception Parser.Error msg -> Error ("parse error: " ^ msg))
   | None, None -> (
@@ -156,6 +156,19 @@ let handle_work t session (req : Protocol.request) ~rebuilding =
                (Fault.corrupt_recording ~seed:t.cfg.faults.Fault.Plan.seed p)
          | None -> ());
       let cancel = if rebuilding then None else cancel_token t req in
+      (* The resident analysis serves the resident program only, and a
+         degraded retry runs cold. *)
+      let resident_analysis ~degraded = (not degraded) && f == resident in
+      let allocation ~degraded ~pre_ra =
+        if resident_analysis ~degraded then
+          Some
+            (Session.allocation ~obs session ~policy:req.Protocol.policy
+               ~pre_ra f)
+        else None
+      in
+      let resident_prior ~degraded =
+        if resident_analysis ~degraded then session.Session.prior else None
+      in
       let work ~degraded () =
         if (not rebuilding) && fires t Fault.Plan.Transient then begin
           Obs.incr obs "serve.injected.transient";
@@ -173,8 +186,13 @@ let handle_work t session (req : Protocol.request) ~rebuilding =
             if degraded then
               Render.lint ~obs ~post_ra:false
                 ~policy:Tdfa_regalloc.Policy.First_fit f
-            else Render.lint ~obs ~post_ra:req.Protocol.post_ra
-                ~policy:req.Protocol.policy f
+            else
+              Render.lint ~obs ?prior:(resident_prior ~degraded)
+                ?allocation:
+                  (if req.Protocol.post_ra then
+                     allocation ~degraded ~pre_ra:false
+                   else None)
+                ~post_ra:req.Protocol.post_ra ~policy:req.Protocol.policy f
           in
           (out, [ ("findings", Json.Int (List.length findings)) ])
         | Protocol.Analyze | Protocol.Reanalyze ->
@@ -191,7 +209,9 @@ let handle_work t session (req : Protocol.request) ~rebuilding =
             else None
           in
           let out, r =
-            Render.analyze ~obs ?cancel ?prior ~policy:req.Protocol.policy
+            Render.analyze ~obs ?cancel ?prior
+              ?allocation:(allocation ~degraded ~pre_ra:req.Protocol.pre_ra)
+              ~policy:req.Protocol.policy
               ~granularity:req.Protocol.granularity ~delta:req.Protocol.delta
               ~pre_ra:req.Protocol.pre_ra ~recover:req.Protocol.recover
               ~incremental f
@@ -203,11 +223,13 @@ let handle_work t session (req : Protocol.request) ~rebuilding =
            | None -> ());
           (out, mode_extra r)
         | Protocol.Predict ->
-          (* Certified bounds: one fixpoint plus about one certificate
-             sweep. There is no cheaper rung to degrade to, so the
-             request runs to completion. *)
+          (* Certified bounds: the resident analysis's fixpoint when its
+             key matches, else one of its own, plus about one
+             certificate sweep. The degraded rung runs cold. *)
           let out, b =
-            Render.predict ~obs ~policy:req.Protocol.policy
+            Render.predict ~obs ?prior:(resident_prior ~degraded)
+              ?allocation:(allocation ~degraded ~pre_ra:req.Protocol.pre_ra)
+              ~policy:req.Protocol.policy
               ~granularity:req.Protocol.granularity
               ~delta:req.Protocol.delta ~pre_ra:req.Protocol.pre_ra f
           in

@@ -5,13 +5,44 @@ type t = {
   max_log : int;
   mutable func : Func.t option;
   mutable prior : Tdfa_core.Incremental.prior option;
+  mutable allocations :
+    (Func.t * Tdfa_regalloc.Policy.t option * Render.allocation) list;
   mutable log : Protocol.request list;
   mutable served : int;
   mutable crashes : int;
 }
 
 let create ?(max_log = 8) name =
-  { name; max_log; func = None; prior = None; log = []; served = 0; crashes = 0 }
+  {
+    name;
+    max_log;
+    func = None;
+    prior = None;
+    allocations = [];
+    log = [];
+    served = 0;
+    crashes = 0;
+  }
+
+let drop_analysis t =
+  t.prior <- None;
+  t.allocations <- []
+
+(* Keyed by the program itself (physically: a structurally equal copy
+   allocates the same, but is not worth comparing) and by the policy,
+   [None] for the pre-RA placement, which has none. Entries of another
+   program are dropped on a miss. *)
+let allocation ?obs t ~policy ~pre_ra f =
+  let key = if pre_ra then None else Some policy in
+  match
+    List.find_opt (fun (g, k, _) -> g == f && k = key) t.allocations
+  with
+  | Some (_, _, a) -> a
+  | None ->
+    let a = Render.allocation ?obs ~policy ~pre_ra f in
+    t.allocations <-
+      (f, key, a) :: List.filter (fun (g, _, _) -> g == f) t.allocations;
+    a
 
 let rec take n = function
   | [] -> []
@@ -32,7 +63,7 @@ let record t (req : Protocol.request) =
 
 let quarantine t =
   t.func <- None;
-  t.prior <- None;
+  drop_analysis t;
   t.crashes <- t.crashes + 1
 
 let log_oldest_first t = List.rev t.log

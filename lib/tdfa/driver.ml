@@ -62,9 +62,9 @@ type result = {
   incremental : Incremental.result option;
 }
 
-let transfer_config cfg func assignment =
+let transfer_config ?loops cfg func assignment =
   Transfer.of_assignment ~params:cfg.params ~granularity:cfg.granularity
-    ?analysis_dt_s:cfg.analysis_dt_s ~layout:cfg.layout func assignment
+    ?analysis_dt_s:cfg.analysis_dt_s ?loops ~layout:cfg.layout func assignment
 
 (* A trace input carries no register assignment: the access events name
    cells directly, every block runs at frequency 1 (the stream is linear
@@ -98,9 +98,9 @@ type prepared = {
   config_of : granularity:int -> Transfer.config;
 }
 
-let config_of_input cfg input =
-  let assigned func assignment ~granularity =
-    transfer_config { cfg with granularity } func assignment
+let config_of_input ?loops cfg input =
+  let assigned ?loops func assignment ~granularity =
+    transfer_config ?loops { cfg with granularity } func assignment
   in
   match input with
   | Unallocated f ->
@@ -113,16 +113,17 @@ let config_of_input cfg input =
     {
       pre_alloc = Some alloc;
       func;
-      config_of = assigned func alloc.Alloc.assignment;
+      config_of =
+        assigned ~loops:alloc.Alloc.loops func alloc.Alloc.assignment;
     }
   | Assigned (func, assignment) | Warm_start { func; assignment; _ } ->
-    { pre_alloc = None; func; config_of = assigned func assignment }
+    { pre_alloc = None; func; config_of = assigned ?loops func assignment }
   | Configured (tc, func) ->
     { pre_alloc = None; func; config_of = (fun ~granularity:_ -> tc) }
   | Trace { func; accesses } ->
     { pre_alloc = None; func; config_of = trace_config cfg accesses }
 
-let run cfg input =
+let run ?loops cfg input =
   let obs = cfg.obs in
   Obs.span obs "driver.run"
     ~args:
@@ -134,7 +135,9 @@ let run cfg input =
       ]
     (fun () ->
       Obs.incr obs "driver.runs";
-      let { pre_alloc = alloc; func; config_of } = config_of_input cfg input in
+      let { pre_alloc = alloc; func; config_of } =
+        config_of_input ?loops cfg input
+      in
       let ladder () =
         Analysis.recovery_ladder ~obs ?cancel:cfg.cancel
           ~settings:cfg.settings ~core:cfg.core ~config_of
@@ -179,17 +182,30 @@ let run cfg input =
 
 let outcome r = r.outcome
 
-let predict cfg input =
+let predict ?loops cfg input =
   let obs = cfg.obs in
   Obs.span obs "driver.predict"
     ~args:[ ("granularity", Obs.Int cfg.granularity) ]
     (fun () ->
       Obs.incr obs "driver.predicts";
-      let { func; config_of; _ } = config_of_input cfg input in
-      Tdfa_absint.Absint.predict ~obs ~delta_k:cfg.settings.Analysis.delta_k
-        ~max_iterations:cfg.settings.Analysis.max_iterations
-        (config_of ~granularity:cfg.granularity)
-        func)
+      let { func; config_of; _ } = config_of_input ?loops cfg input in
+      let tc = config_of ~granularity:cfg.granularity in
+      let delta_k = cfg.settings.Analysis.delta_k
+      and max_iterations = cfg.settings.Analysis.max_iterations in
+      let settings = Tdfa_absint.Absint.settings ~delta_k ~max_iterations () in
+      (* A prior whose key matches holds the very fixpoint the cold path
+         would compute: certify from it instead. *)
+      let reused =
+        match input with
+        | Warm_start { prior = Some p; _ } ->
+          Incremental.reuse ~settings p tc func
+        | _ -> None
+      in
+      match reused with
+      | Some outcome ->
+        Tdfa_absint.Absint.certify ~obs ~settings tc func outcome
+      | None ->
+        Tdfa_absint.Absint.predict ~obs ~delta_k ~max_iterations tc func)
 
 type placed = {
   profiles : Tdfa_alloc.Task.t list;

@@ -112,11 +112,18 @@ type result = {
           and the reuse mode *)
 }
 
-val transfer_config : config -> Func.t -> Assignment.t -> Transfer.config
+val transfer_config :
+  ?loops:Tdfa_dataflow.Loops.t ->
+  config ->
+  Func.t ->
+  Assignment.t ->
+  Transfer.config
 (** Wire a function and a register assignment into the per-instruction
     transfer function: loop-frequency-weighted duty cycling, exact
     accessed registers (§4: the analysis "makes the most sense if
-    applied after register assignment"). *)
+    applied after register assignment"). [loops] is the function's loop
+    analysis when the caller already has it
+    ({!Transfer.of_assignment}). *)
 
 val input_func : input -> Func.t
 (** The function an input names, before any allocation. *)
@@ -131,15 +138,18 @@ type prepared = {
       (** rebuilt per recovery rung; constant for {!Configured} *)
 }
 
-val config_of_input : config -> input -> prepared
+val config_of_input :
+  ?loops:Tdfa_dataflow.Loops.t -> config -> input -> prepared
 (** The one place a transfer configuration is built from an {!input}:
     {!transfer_config} for assigned inputs (allocating first, in a
-    [driver.allocate] span, for {!Unallocated}), the prebuilt one for
-    {!Configured}, and frequency-1 stream events with silent
-    terminators for {!Trace}. {!run} and {!predict} both go through
-    it. *)
+    [driver.allocate] span, for {!Unallocated}, and then reading the
+    allocator's loop analysis of the rewritten code), the prebuilt one
+    for {!Configured}, and frequency-1 stream events with silent
+    terminators for {!Trace}. [loops], when given, is the loop analysis
+    of an {!Assigned} or {!Warm_start} input's function; other inputs
+    ignore it. {!run} and {!predict} both go through it. *)
 
-val run : config -> input -> result
+val run : ?loops:Tdfa_dataflow.Loops.t -> config -> input -> result
 (** The one entry point. Emits, through [config.obs]: a [driver.run]
     span wrapping everything, a [driver.allocate] span (plus the
     allocator's phase spans) for {!Unallocated} inputs, the analysis
@@ -153,13 +163,18 @@ val run : config -> input -> result
 val outcome : result -> Analysis.outcome
 (** Convenience projection of {!result.outcome}. *)
 
-val predict : config -> input -> Tdfa_absint.Absint.t
+val predict :
+  ?loops:Tdfa_dataflow.Loops.t -> config -> input -> Tdfa_absint.Absint.t
 (** Certified [lo, hi] steady-state bounds ({!Tdfa_absint.Absint.predict})
     instead of the analysis maps: the stopped fixpoint below, a verified
     post-fixpoint above, under [config.settings]' delta and iteration
-    cap. Accepts the same inputs as {!run} (allocation still happens for
-    {!Unallocated}) and emits one [driver.predict] span around the
-    fixpoint and the certificate check. *)
+    cap (join [Max]). Accepts the same inputs as {!run} (allocation
+    still happens for {!Unallocated}; [loops] as in {!run}) and emits
+    one [driver.predict] span around the fixpoint and the certificate
+    check. A {!Warm_start} input whose prior {!Incremental.reuse}
+    accepts under those settings skips the fixpoint: the bounds are
+    {!Tdfa_absint.Absint.certify} of the prior's outcome, bit for bit
+    the cold result. *)
 
 (** The jobs' thermal profiles placed onto an N-core chip. *)
 type placed = {

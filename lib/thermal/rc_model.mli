@@ -8,6 +8,11 @@ open Tdfa_floorplan
 type t
 
 val build : Layout.t -> Params.t -> t
+(** Constant time: the per-node neighbour table the boxed
+    {!derivative} and {!steady_state} walk is built on their first call,
+    so a model that only feeds the flat solver ([Rc_flat], which reads
+    {!layout} and {!params}) never builds it. *)
+
 val layout : t -> Layout.t
 val params : t -> Params.t
 val num_nodes : t -> int

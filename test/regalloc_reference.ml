@@ -182,8 +182,10 @@ let coloring graph layout ~policy ~weights =
         match low with
         | _ :: _ -> pick_min (fun v -> weights v) low
         | [] ->
+          (* Chaitin's rule: spill temporaries are never spilled again. *)
+          let cost v = if Spill.is_temp v then infinity else weights v in
           pick_min
-            (fun v -> weights v /. float_of_int (max 1 (current_degree v)))
+            (fun v -> cost v /. float_of_int (max 1 (current_degree v)))
             vars
       in
       (match chosen with
@@ -229,6 +231,7 @@ let allocate ?(max_rounds = 16) func layout ~policy =
         spilled = all_spilled;
         rounds = round;
         max_pressure = max_pressure live func;
+        loops = Tdfa_dataflow.Loops.analyze func;
       }
     else
       attempt

@@ -365,6 +365,13 @@ let same_outcome boxed flat =
        (Int64.bits_of_float bi.Analysis.final_delta_k)
        (Int64.bits_of_float fi.Analysis.final_delta_k)
   && unstable_equal bi.Analysis.unstable fi.Analysis.unstable
+  (* The lift inputs the certificate reads. *)
+  && String.equal
+       (Tdfa_core.Content.lift_inputs boxed)
+       (Tdfa_core.Content.lift_inputs flat)
+  && Int64.equal
+       (Int64.bits_of_float bi.Analysis.prev_delta_k)
+       (Int64.bits_of_float fi.Analysis.prev_delta_k)
 
 (* One Driver run per core on the same input. *)
 let run_cores ?(params = Params.default) ~granularity ~settings input =
@@ -485,6 +492,8 @@ let same_outcome_up_to_nan_payload boxed flat =
   && same_slots bi.Analysis.slots fi.Analysis.slots
   && same_points bi.Analysis.states fi.Analysis.states
   && same_points bi.Analysis.exits fi.Analysis.exits
+  && same_points bi.Analysis.prev_exits fi.Analysis.prev_exits
+  && same_bits_or_nan bi.Analysis.prev_delta_k fi.Analysis.prev_delta_k
 
 let gen_extreme_params =
   let open QCheck2.Gen in

@@ -11,4 +11,4 @@ let () =
    @ Test_obs.suite @ Test_driver.suite @ Test_lint.suite
    @ Test_incremental.suite @ Test_serve.suite @ Test_core_flat.suite
    @ Test_trace.suite @ Test_absint.suite @ Test_alloc.suite
-   @ Test_fuzz.suite)
+   @ Test_resident.suite @ Test_fuzz.suite)

@@ -360,6 +360,27 @@ let test_spill_temps_unique_across_rounds () =
   Alcotest.(check bool) "most kernels allocate" true
     (List.length allocated >= 12)
 
+(* Chaitin's rule: a spill temporary is never the spill choice, since
+   spilling it again frees nothing. Without it dotprod, horner and
+   max_reduce re-spilled their own temporaries until the round cap on a
+   2x1 file. Every kernel now allocates within the cap, computing what
+   it computed before. *)
+let test_every_kernel_allocates_on_two_cells () =
+  let two = Layout.make ~rows:2 ~cols:1 () in
+  List.iter
+    (fun (name, f) ->
+      match Alloc.allocate f two ~policy:Policy.First_fit with
+      | exception Failure msg -> Alcotest.failf "%s: %s" name msg
+      | r ->
+        assert_valid_allocation name r;
+        let o0 = Tdfa_exec.Interp.run_func f
+        and o1 = Tdfa_exec.Interp.run_func r.Alloc.func in
+        Alcotest.(check (option int)) (name ^ " return value")
+          o0.Tdfa_exec.Interp.return_value o1.Tdfa_exec.Interp.return_value;
+        Alcotest.(check (list (pair int int))) (name ^ " memory")
+          (low_memory o0) (low_memory o1))
+    Tdfa_workload.Kernels.all
+
 let test_one_cell_fails_fast () =
   (* Spill code needs two cells at once, so a one-cell file must refuse
      after the first colouring instead of re-spilling until the round
@@ -806,6 +827,8 @@ let suite =
         tc "one-cell RF fails fast" `Quick test_one_cell_fails_fast;
         tc "spill temporaries unique across rounds" `Quick
           test_spill_temps_unique_across_rounds;
+        tc "every kernel allocates on a 2x1 file" `Quick
+          test_every_kernel_allocates_on_two_cells;
       ] );
     ( "regalloc.reference",
       [
